@@ -39,6 +39,9 @@
 
 namespace {
 
+using cobalt::placement::ReplicationSpec;
+using cobalt::placement::SpreadPolicy;
+
 using cobalt::bench::FigureHarness;
 using cobalt::bench::Series;
 
@@ -163,30 +166,37 @@ int main(int argc, char** argv) {
     config.pmin = pmin;
     config.vmin = vmin;
     config.seed = seed;
-    return cobalt::kv::KvStore({config, 1}, k);
+    return cobalt::kv::KvStore({config, 1},
+                               ReplicationSpec{k, SpreadPolicy::kNone});
   };
   const auto global_factory = [&](std::uint64_t seed, std::size_t k) {
     cobalt::dht::Config config;
     config.pmin = pmin;
     config.vmin = 1;
     config.seed = seed;
-    return cobalt::kv::GlobalKvStore({config, 1}, k);
+    return cobalt::kv::GlobalKvStore({config, 1},
+                                     ReplicationSpec{k, SpreadPolicy::kNone});
   };
   const auto ch_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::ChKvStore({seed, static_cast<std::size_t>(pmin)}, k);
+    return cobalt::kv::ChKvStore({seed, static_cast<std::size_t>(pmin)},
+                                 ReplicationSpec{k, SpreadPolicy::kNone});
   };
   const auto hrw_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::HrwKvStore({seed, grid_bits}, k);
+    return cobalt::kv::HrwKvStore({seed, grid_bits},
+                                  ReplicationSpec{k, SpreadPolicy::kNone});
   };
   const auto jump_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::JumpKvStore({seed, grid_bits}, k);
+    return cobalt::kv::JumpKvStore({seed, grid_bits},
+                                   ReplicationSpec{k, SpreadPolicy::kNone});
   };
   const auto maglev_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::MaglevKvStore({seed, grid_bits}, k);
+    return cobalt::kv::MaglevKvStore({seed, grid_bits},
+                                     ReplicationSpec{k, SpreadPolicy::kNone});
   };
   const auto bounded_factory = [&](std::uint64_t seed, std::size_t k) {
     return cobalt::kv::BoundedChKvStore(
-        {seed, static_cast<std::size_t>(pmin), epsilon, grid_bits}, k);
+        {seed, static_cast<std::size_t>(pmin), epsilon, grid_bits},
+        ReplicationSpec{k, SpreadPolicy::kNone});
   };
 
   std::optional<cobalt::CsvWriter> latency_csv;

@@ -42,6 +42,9 @@
 
 namespace {
 
+using cobalt::placement::ReplicationSpec;
+using cobalt::placement::SpreadPolicy;
+
 using cobalt::bench::FigureHarness;
 
 /// One fault profile of the grid. Drop/duplicate apply to every link;
@@ -222,31 +225,37 @@ int main(int argc, char** argv) {
     config.pmin = pmin;
     config.vmin = vmin;
     config.seed = seed;
-    return cobalt::kv::KvStore({config, 1}, reps);
+    return cobalt::kv::KvStore({config, 1},
+                               ReplicationSpec{reps, SpreadPolicy::kNone});
   };
   const auto global_factory = [&](std::uint64_t seed, std::size_t reps) {
     cobalt::dht::Config config;
     config.pmin = pmin;
     config.vmin = 1;
     config.seed = seed;
-    return cobalt::kv::GlobalKvStore({config, 1}, reps);
+    return cobalt::kv::GlobalKvStore(
+        {config, 1}, ReplicationSpec{reps, SpreadPolicy::kNone});
   };
   const auto ch_factory = [&](std::uint64_t seed, std::size_t reps) {
     return cobalt::kv::ChKvStore({seed, static_cast<std::size_t>(pmin)},
-                                 reps);
+                                 ReplicationSpec{reps, SpreadPolicy::kNone});
   };
   const auto hrw_factory = [&](std::uint64_t seed, std::size_t reps) {
-    return cobalt::kv::HrwKvStore({seed, grid_bits}, reps);
+    return cobalt::kv::HrwKvStore({seed, grid_bits},
+                                  ReplicationSpec{reps, SpreadPolicy::kNone});
   };
   const auto jump_factory = [&](std::uint64_t seed, std::size_t reps) {
-    return cobalt::kv::JumpKvStore({seed, grid_bits}, reps);
+    return cobalt::kv::JumpKvStore({seed, grid_bits},
+                                   ReplicationSpec{reps, SpreadPolicy::kNone});
   };
   const auto maglev_factory = [&](std::uint64_t seed, std::size_t reps) {
-    return cobalt::kv::MaglevKvStore({seed, grid_bits}, reps);
+    return cobalt::kv::MaglevKvStore(
+        {seed, grid_bits}, ReplicationSpec{reps, SpreadPolicy::kNone});
   };
   const auto bounded_factory = [&](std::uint64_t seed, std::size_t reps) {
     return cobalt::kv::BoundedChKvStore(
-        {seed, static_cast<std::size_t>(pmin), epsilon, grid_bits}, reps);
+        {seed, static_cast<std::size_t>(pmin), epsilon, grid_bits},
+        ReplicationSpec{reps, SpreadPolicy::kNone});
   };
 
   // One (scheme, profile) cell: the recorded churn executed message by

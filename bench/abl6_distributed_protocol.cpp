@@ -31,6 +31,9 @@
 #include "sim/protocol_cost.hpp"
 #include "support/figure.hpp"
 
+using cobalt::placement::ReplicationSpec;
+using cobalt::placement::SpreadPolicy;
+
 int main(int argc, char** argv) {
   using cobalt::bench::FigureHarness;
   using cobalt::bench::Series;
@@ -170,31 +173,38 @@ int main(int argc, char** argv) {
       config.pmin = scheme_pmin;
       config.vmin = vmins.front();
       config.seed = seed;
-      return cobalt::kv::KvStore({config, 1}, 2);
+      return cobalt::kv::KvStore({config, 1},
+                                 ReplicationSpec{2, SpreadPolicy::kNone});
     });
     exec_scheme("global", 61, [&](std::uint64_t seed) {
       cobalt::dht::Config config;
       config.pmin = scheme_pmin;
       config.vmin = 1;
       config.seed = seed;
-      return cobalt::kv::GlobalKvStore({config, 1}, 2);
+      return cobalt::kv::GlobalKvStore({config, 1},
+                                       ReplicationSpec{2, SpreadPolicy::kNone});
     });
     exec_scheme("ch", 62, [&](std::uint64_t seed) {
       return cobalt::kv::ChKvStore(
-          {seed, static_cast<std::size_t>(scheme_pmin)}, 2);
+          {seed, static_cast<std::size_t>(scheme_pmin)},
+          ReplicationSpec{2, SpreadPolicy::kNone});
     });
     exec_scheme("hrw", 63, [&](std::uint64_t seed) {
-      return cobalt::kv::HrwKvStore({seed, 14u}, 2);
+      return cobalt::kv::HrwKvStore({seed, 14u},
+                                    ReplicationSpec{2, SpreadPolicy::kNone});
     });
     exec_scheme("jump", 64, [&](std::uint64_t seed) {
-      return cobalt::kv::JumpKvStore({seed, 14u}, 2);
+      return cobalt::kv::JumpKvStore({seed, 14u},
+                                     ReplicationSpec{2, SpreadPolicy::kNone});
     });
     exec_scheme("maglev", 65, [&](std::uint64_t seed) {
-      return cobalt::kv::MaglevKvStore({seed, 14u}, 2);
+      return cobalt::kv::MaglevKvStore({seed, 14u},
+                                       ReplicationSpec{2, SpreadPolicy::kNone});
     });
     exec_scheme("bounded-ch", 66, [&](std::uint64_t seed) {
       return cobalt::kv::BoundedChKvStore(
-          {seed, static_cast<std::size_t>(scheme_pmin), 0.1, 14u}, 2);
+          {seed, static_cast<std::size_t>(scheme_pmin), 0.1, 14u},
+          ReplicationSpec{2, SpreadPolicy::kNone});
     });
     std::cout << exec_table.render();
   }

@@ -32,6 +32,9 @@
 
 namespace {
 
+using cobalt::placement::ReplicationSpec;
+using cobalt::placement::SpreadPolicy;
+
 using cobalt::Dyadic;
 using cobalt::Xoshiro256;
 
@@ -200,45 +203,6 @@ void BM_DistributedProtocol(benchmark::State& state) {
 }
 BENCHMARK(BM_DistributedProtocol)->Arg(128)->Arg(512);
 
-void BM_KvPut(benchmark::State& state) {
-  cobalt::kv::KvStore store({config_for(32, 32), 1});
-  for (int i = 0; i < 16; ++i) store.add_node();
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(store.put("bench/" + std::to_string(i++), "v"));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_KvPut);
-
-void BM_KvGet(benchmark::State& state) {
-  cobalt::kv::KvStore store({config_for(32, 32), 1});
-  for (int i = 0; i < 16; ++i) store.add_node();
-  for (int i = 0; i < 100000; ++i) {
-    store.put("bench/" + std::to_string(i), "v");
-  }
-  Xoshiro256 rng(23);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        store.get("bench/" + std::to_string(rng.next_below(100000))));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_KvGet);
-
-void BM_ChKvPut(benchmark::State& state) {
-  // Same store template, CH backend: the cost of the unified surface
-  // is identical by construction; only owner derivation differs.
-  cobalt::kv::ChKvStore store({42, 32});
-  for (int i = 0; i < 16; ++i) store.add_node();
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(store.put("bench/" + std::to_string(i++), "v"));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ChKvPut);
-
 // --- store hot path, all seven schemes -------------------------------
 //
 // The perf trajectory of the KV store itself, one bench family per
@@ -280,43 +244,50 @@ StoreT make_bench_store(std::uint64_t seed, std::size_t k);
 template <>
 cobalt::kv::KvStore make_bench_store<cobalt::kv::KvStore>(
     std::uint64_t /*seed*/, std::size_t k) {
-  return cobalt::kv::KvStore({config_for(32, 8), 1}, k);
+  return cobalt::kv::KvStore({config_for(32, 8), 1},
+                             ReplicationSpec{k, SpreadPolicy::kNone});
 }
 
 template <>
 cobalt::kv::GlobalKvStore make_bench_store<cobalt::kv::GlobalKvStore>(
     std::uint64_t /*seed*/, std::size_t k) {
-  return cobalt::kv::GlobalKvStore({config_for(32, 1), 1}, k);
+  return cobalt::kv::GlobalKvStore({config_for(32, 1), 1},
+                                   ReplicationSpec{k, SpreadPolicy::kNone});
 }
 
 template <>
 cobalt::kv::ChKvStore make_bench_store<cobalt::kv::ChKvStore>(
     std::uint64_t seed, std::size_t k) {
-  return cobalt::kv::ChKvStore({seed, 32}, k);
+  return cobalt::kv::ChKvStore({seed, 32},
+                               ReplicationSpec{k, SpreadPolicy::kNone});
 }
 
 template <>
 cobalt::kv::HrwKvStore make_bench_store<cobalt::kv::HrwKvStore>(
     std::uint64_t seed, std::size_t k) {
-  return cobalt::kv::HrwKvStore({seed, 12}, k);
+  return cobalt::kv::HrwKvStore({seed, 12},
+                                ReplicationSpec{k, SpreadPolicy::kNone});
 }
 
 template <>
 cobalt::kv::JumpKvStore make_bench_store<cobalt::kv::JumpKvStore>(
     std::uint64_t seed, std::size_t k) {
-  return cobalt::kv::JumpKvStore({seed, 12}, k);
+  return cobalt::kv::JumpKvStore({seed, 12},
+                                 ReplicationSpec{k, SpreadPolicy::kNone});
 }
 
 template <>
 cobalt::kv::MaglevKvStore make_bench_store<cobalt::kv::MaglevKvStore>(
     std::uint64_t seed, std::size_t k) {
-  return cobalt::kv::MaglevKvStore({seed, 12}, k);
+  return cobalt::kv::MaglevKvStore({seed, 12},
+                                   ReplicationSpec{k, SpreadPolicy::kNone});
 }
 
 template <>
 cobalt::kv::BoundedChKvStore make_bench_store<cobalt::kv::BoundedChKvStore>(
     std::uint64_t seed, std::size_t k) {
-  return cobalt::kv::BoundedChKvStore({seed, 32, 0.25, 12}, k);
+  return cobalt::kv::BoundedChKvStore({seed, 32, 0.25, 12},
+                                      ReplicationSpec{k, SpreadPolicy::kNone});
 }
 
 std::string bench_key(std::uint64_t i) {
@@ -370,7 +341,7 @@ void BM_StoreMembershipEvents(benchmark::State& state) {
     }
     state.ResumeTiming();
     for (int n = 0; n < kJoins; ++n) store.add_node();
-    benchmark::DoNotOptimize(store.replication_stats().rereplication_passes);
+    benchmark::DoNotOptimize(store.stats().replication.rereplication_passes);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kJoins);

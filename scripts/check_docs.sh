@@ -14,8 +14,8 @@
 #   5. No new raw integer replication parameter in the replicated
 #      layers: replication is keyed by placement::ReplicationSpec
 #      (factor + spread policy), so a bare "std::size_t replication"
-#      parameter reintroduces the pre-topology API. Intentional legacy
-#      wrappers carry a "raw-k-ok" marker comment.
+#      parameter reintroduces the pre-topology API. Sink payloads that
+#      report an observed (clamped) count carry a "raw-k-ok" marker.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,8 +67,8 @@ done < <(grep -rnE \
 # --- 5. replication stays keyed by ReplicationSpec ------------------
 while IFS= read -r hit; do
   echo "RAW REPLICATION FACTOR: $hit"
-  echo "  (take a placement::ReplicationSpec, or mark a deliberate"
-  echo "   legacy wrapper with a raw-k-ok comment)"
+  echo "  (take a placement::ReplicationSpec, or mark an observed-count"
+  echo "   sink payload with a raw-k-ok comment)"
   fail=1
 done < <(grep -rnE \
            'std::size_t (replication|replicas|replication_factor)\b' \

@@ -23,12 +23,14 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/error.hpp"
 #include "placement/types.hpp"
 
 namespace cobalt::cluster {
@@ -56,8 +58,15 @@ class Topology {
   /// Place `node` in `rack` (and `rack` in `zone`; a rack lives in
   /// exactly one zone — the last assignment wins for the whole rack).
   /// `weight` scales the node's contribution to the rack weight.
+  /// Throws InvalidArgument, leaving the map unchanged, for a rack or
+  /// zone id with kSyntheticBit set (reserved for unassigned nodes)
+  /// or a negative or non-finite weight.
   void assign(NodeId node, RackId rack, ZoneId zone = 0,
               double weight = 1.0) {
+    COBALT_REQUIRE(!is_synthetic(rack) && !is_synthetic(zone),
+                   "explicit rack and zone ids must not set kSyntheticBit");
+    COBALT_REQUIRE(std::isfinite(weight) && weight >= 0.0,
+                   "a node weight must be finite and non-negative");
     auto [it, inserted] = nodes_.try_emplace(node, Placement{rack, weight});
     if (!inserted) {
       rack_entry(it->second.rack).remove(weight_of(it->second));

@@ -36,8 +36,7 @@
 // not be summed blindly):
 //   * stats().relocation  - placement::MigrationStats fed by the
 //     backend's RelocationObserver events: keys whose *primary* owner
-//     changed. relocation_stats() / migration_stats() remain as
-//     deprecated wrappers.
+//     changed.
 //     Events are *batched*: the observer callbacks record only the
 //     event ranges, and the keys inside them are counted in one
 //     deferred pass (at the next repair, mutation or stats read -
@@ -45,8 +44,7 @@
 //     exactly the seed's).
 //   * stats().replication - ReplicationStats maintained by the store's
 //     re-replication passes: key copies created to repair replica
-//     sets, and keys lost to correlated failures (replication_stats()
-//     is the deprecated wrapper). At k == 1 the
+//     sets, and keys lost to correlated failures. At k == 1 the
 //     re-replication mass tracks primary relocation (the only copy IS
 //     the primary); at k > 1 it additionally counts fallback repair,
 //     and a primary handover to a node that already held a fallback
@@ -122,9 +120,8 @@
 // pool. Detaching (set_thread_pool(nullptr)) restores the serial
 // mode; both switches require the store to be externally quiescent.
 // In concurrent mode membership must go through the store (direct
-// backend() mutation is unsupported there), and the serial const-ref
-// stats accessors should be read quiescently - use the *_snapshot()
-// surfaces from racing threads.
+// backend() mutation is unsupported there); stats() is safe from
+// racing threads.
 
 #pragma once
 
@@ -209,13 +206,11 @@ struct ReplicationStats {
 
 /// One coherent view of both movement-accounting channels, taken
 /// under the accounting lock by Store::stats(): the relocation
-/// channel (primary-owner moves; migration_stats() was its historical
-/// alias) and the re-replication channel in a single read, so the two
-/// can be compared without a racing mutation landing between two
-/// separate accessor calls.
+/// channel (primary-owner moves) and the re-replication channel in a
+/// single read, so the two can be compared without a racing mutation
+/// landing between two separate reads.
 struct StatsSnapshot {
-  /// Keys whose primary owner changed (the relocation channel; also
-  /// the historical "migration" alias).
+  /// Keys whose primary owner changed (the relocation channel).
   placement::MigrationStats relocation;
   /// Repair copies, correlated-failure losses, cross-rack traffic
   /// (the re-replication channel).
@@ -261,28 +256,17 @@ class Store final : private placement::RelocationObserver {
                  hashing::Algorithm algorithm = hashing::Algorithm::kXxh64)
       : Store(std::move(options), placement::ReplicationSpec{}, algorithm) {}
 
-  /// A replicated store with a bare factor: every key is held by
-  /// `replication` distinct nodes (clamped to the live node count
-  /// while the cluster is smaller than that), spread policy kNone.
-  /// Thin wrapper kept for the pre-topology callers; new code should
-  /// pass a placement::ReplicationSpec.
-  Store(Options options, std::size_t replication,  // raw-k-ok: legacy wrapper
-        hashing::Algorithm algorithm = hashing::Algorithm::kXxh64)
-      : Store(std::move(options),
-              placement::ReplicationSpec{replication,
-                                         placement::SpreadPolicy::kNone},
-              algorithm) {}
-
-  /// A replicated store under a full ReplicationSpec: k copies per
-  /// key, spread across the failure domains of the topology attached
-  /// with set_topology() per `spec.spread` (kNone ignores topology and
-  /// reproduces the raw ranked-walk placement bit for bit).
+  /// A replicated store under a ReplicationSpec: k copies per key
+  /// (clamped to the live node count while the cluster is smaller
+  /// than that), spread across the failure domains of the topology
+  /// attached with set_topology() per `spec.spread` (kNone ignores
+  /// topology and reproduces the raw ranked-walk placement bit for
+  /// bit).
   Store(Options options, placement::ReplicationSpec spec,
         hashing::Algorithm algorithm = hashing::Algorithm::kXxh64)
       : backend_(std::move(options)),
         algorithm_(algorithm),
-        replication_(spec.k),
-        spread_(spec.spread) {
+        spec_(spec) {
     COBALT_REQUIRE(spec.k >= 1, "the replication factor must be at least 1");
     backend_.set_observer(this);
   }
@@ -292,18 +276,13 @@ class Store final : private placement::RelocationObserver {
   Store(const Store&) = delete;
   Store& operator=(const Store&) = delete;
 
-  /// The configured replication factor k (replication_spec().k).
-  [[nodiscard]] std::size_t replication() const {  // raw-k-ok: legacy accessor
-    return replication_;
-  }
-
   /// The configured spread policy (kNone unless constructed with a
   /// ReplicationSpec asking for rack/zone spread).
-  [[nodiscard]] placement::SpreadPolicy spread() const { return spread_; }
+  [[nodiscard]] placement::SpreadPolicy spread() const { return spec_.spread; }
 
   /// The full configured spec {k, spread}.
   [[nodiscard]] placement::ReplicationSpec replication_spec() const {
-    return {replication_, spread_};
+    return spec_;
   }
 
   /// Attaches (or detaches, nullptr) the failure-domain map consulted
@@ -316,9 +295,8 @@ class Store final : private placement::RelocationObserver {
   /// concurrent mode, like every reconfiguration surface here.
   void set_topology(const cluster::Topology* topology) {
     const MaybeUniqueLock backend_lock(backend_mutex_, concurrent_);
-    topology_ = topology;
     backend_.set_topology(topology);
-    if (spread_ == placement::SpreadPolicy::kNone || replication_ == 1 ||
+    if (spec_.spread == placement::SpreadPolicy::kNone || spec_.k == 1 ||
         backend_.node_count() == 0) {
       return;  // placement is unchanged; nothing to repair
     }
@@ -333,7 +311,7 @@ class Store final : private placement::RelocationObserver {
 
   /// The attached topology (null while detached).
   [[nodiscard]] const cluster::Topology* topology() const {
-    return topology_;
+    return backend_.topology();
   }
 
   /// Attaches a worker pool and switches the store into concurrent
@@ -352,7 +330,7 @@ class Store final : private placement::RelocationObserver {
 
   /// Cluster membership. Every completed change is followed by one
   /// re-replication pass that repairs the materialized replica sets
-  /// (see replication_stats()). remove_node is a *graceful drain*: it
+  /// (see stats().replication). remove_node is a *graceful drain*: it
   /// returns false when the scheme refuses the removal (the node
   /// stays; see placement/backend.hpp), and never loses keys.
   placement::NodeId add_node(double capacity = 1.0) {
@@ -398,7 +376,7 @@ class Store final : private placement::RelocationObserver {
   /// Removes `nodes` as one *correlated crash*: all removals are
   /// applied before the single re-replication pass, so keys whose
   /// whole materialized replica set was inside the batch are counted
-  /// lost (replication_stats().keys_lost). Refused removals (the local
+  /// lost (stats().replication.keys_lost). Refused removals (the local
   /// approach) leave the node alive - its copies still count as
   /// survivors - as do entries the backend cannot remove at all
   /// (already-dead ids, duplicates, or a batch that would empty the
@@ -788,46 +766,12 @@ class Store final : private placement::RelocationObserver {
   /// relocation events are flushed, then both structs are copied under
   /// a single accounting hold - safe from any thread in concurrent
   /// mode, and the two channels are guaranteed to describe the same
-  /// instant. This is the stats surface; the per-channel accessors
-  /// below are deprecated thin wrappers over it.
+  /// instant.
   [[nodiscard]] StatsSnapshot stats() const {
     const MaybeSharedLock backend_lock(backend_mutex_, concurrent_);
     flush_relocations();
     const MaybeLockGuard acc(accounting_mutex_, concurrent_);
     return {relocation_stats_, replication_stats_};
-  }
-
-  /// Deprecated: use stats().relocation. Relocation channel only -
-  /// keys whose primary owner changed, fed by the backend's
-  /// range-level relocation events.
-  [[nodiscard]] placement::MigrationStats relocation_stats() const {
-    return stats().relocation;
-  }
-
-  /// Deprecated: use stats().relocation. Historical alias of
-  /// relocation_stats() (pre-replication callers).
-  [[nodiscard]] placement::MigrationStats migration_stats() const {
-    return stats().relocation;
-  }
-
-  /// Deprecated: use stats().replication. Re-replication channel only
-  /// - repair copies and correlated-failure losses (see the header
-  /// comment for how the channels relate).
-  [[nodiscard]] ReplicationStats replication_stats() const {
-    return stats().replication;
-  }
-
-  /// Deprecated: use stats().relocation. Alias of relocation_stats(),
-  /// kept from when the reference accessor was unsafe to call from
-  /// racing threads and this was the synchronized spelling.
-  [[nodiscard]] placement::MigrationStats relocation_stats_snapshot() const {
-    return stats().relocation;
-  }
-
-  /// Deprecated: use stats().replication (see
-  /// relocation_stats_snapshot()).
-  [[nodiscard]] ReplicationStats replication_stats_snapshot() const {
-    return stats().replication;
   }
 
   /// Registers (or clears, with nullptr) the store event sink: the
@@ -941,7 +885,7 @@ class Store final : private placement::RelocationObserver {
   /// walks from scanning a full circle on small clusters).
   [[nodiscard]] std::size_t replica_target() const {
     const std::size_t live = backend_.node_count();
-    return replication_ < live ? replication_ : live;
+    return spec_.k < live ? spec_.k : live;
   }
 
   /// The desired replica set of hash `h` at the clamped `target`,
@@ -951,8 +895,7 @@ class Store final : private placement::RelocationObserver {
   /// non-spread stores place bit-identically to the pre-topology code.
   void desired_replicas_into(HashIndex h, std::size_t target,
                              std::vector<placement::NodeId>& out) const {
-    backend_.replica_set_into(h, placement::ReplicationSpec{target, spread_},
-                              out);
+    backend_.replica_set_into(h, spec_.with_k(target), out);
   }
 
   /// Served-read count of `node` under the balancing policies (zero
@@ -1118,13 +1061,13 @@ class Store final : private placement::RelocationObserver {
   /// cluster crossing size k) invalidates every materialized set size,
   /// so the next pass falls back to a full scan.
   void collect_dirty() COBALT_REQUIRES(backend_mutex_) {
-    if (replication_ == 1) return;
+    if (spec_.k == 1) return;
     if (replica_target() != last_repair_target_) {
       full_dirty_ = true;
     }
     if (full_dirty_) return;
     const auto ranges = backend_.replica_dirty_ranges(
-        placement::ReplicationSpec{replica_target(), spread_});
+        spec_.with_k(replica_target()));
     pending_dirty_.insert(pending_dirty_.end(), ranges.begin(),
                           ranges.end());
   }
@@ -1158,7 +1101,7 @@ class Store final : private placement::RelocationObserver {
 
     bool full = false;
     std::vector<placement::HashRange> plan;
-    if (replication_ == 1) {
+    if (spec_.k == 1) {
       plan = std::move(pending_repair_);
     } else if (full_dirty_ || target != last_repair_target_) {
       full = true;
@@ -1344,8 +1287,9 @@ class Store final : private placement::RelocationObserver {
         acc.lost += bucket.entries.size();
       }
     }
+    const cluster::Topology* const topology = backend_.topology();
     placement::NodeId donor = placement::kInvalidNode;
-    if (topology_ != nullptr) {
+    if (topology != nullptr) {
       for (const placement::NodeId node : materialized) {
         if (backend_.is_live(node)) {
           donor = node;
@@ -1365,8 +1309,8 @@ class Store final : private placement::RelocationObserver {
       }
       ++joiners;
       if (donor != placement::kInvalidNode && node != donor) {
-        if (!topology_->same_rack(donor, node)) acc.cross_rack += entries;
-        if (!topology_->same_zone(donor, node)) acc.cross_zone += entries;
+        if (!topology->same_rack(donor, node)) acc.cross_rack += entries;
+        if (!topology->same_zone(donor, node)) acc.cross_zone += entries;
       }
     }
     acc.copies += joiners * entries;
@@ -1554,11 +1498,11 @@ class Store final : private placement::RelocationObserver {
       aligned_ = false;
       // Remember where ownership changed so the k == 1 repair pass can
       // visit only the affected shards (see rereplicate()).
-      if (replication_ == 1) pending_repair_.push_back({first, last});
+      if (spec_.k == 1) pending_repair_.push_back({first, last});
       // A stray event (membership mutated through backend() directly)
       // leaves no queryable dirty report behind; the next pass falls
       // back to the full scan the seed always ran.
-      if (replication_ > 1 && !in_membership_) full_dirty_ = true;
+      if (spec_.k > 1 && !in_membership_) full_dirty_ = true;
     }
   }
 
@@ -1576,8 +1520,8 @@ class Store final : private placement::RelocationObserver {
     // too (for pure splits the check is a no-op) and the per-shard
     // owner fast paths cannot trust alignment until the next pass.
     aligned_ = false;
-    if (replication_ == 1) pending_repair_.push_back({first, last});
-    if (replication_ > 1 && !in_membership_) full_dirty_ = true;
+    if (spec_.k == 1) pending_repair_.push_back({first, last});
+    if (spec_.k > 1 && !in_membership_) full_dirty_ = true;
   }
 
   /// Unguarded by design: mutated only under the exclusive backend
@@ -1587,14 +1531,11 @@ class Store final : private placement::RelocationObserver {
   /// claims in this header are the cover.
   Backend backend_;
   hashing::Algorithm algorithm_;
-  std::size_t replication_;
-  /// Spread policy of the configured ReplicationSpec (immutable).
-  placement::SpreadPolicy spread_;
-  /// Failure-domain map for spread placement and cross-rack repair
-  /// accounting; not owned. Unguarded like backend_: set under the
-  /// exclusive backend hold (set_topology), read by repair workers
+  /// The configured replication (immutable). The topology it spreads
+  /// over lives in backend_ (backend_.topology()), set under the
+  /// exclusive backend hold (set_topology) and read by repair workers
   /// while the membership thread holds the backend exclusively.
-  const cluster::Topology* topology_ = nullptr;
+  const placement::ReplicationSpec spec_;
   ShardIndex index_;
   /// Counted-batch consumer (protocol DES); see set_event_sink().
   /// Unguarded: set while quiescent, read-only afterwards.

@@ -11,25 +11,25 @@
 //                      (section 2.1.2 of the paper);
 //   * routing        - owner_of(index): the node responsible for a
 //                      hash index;
-//   * replication    - replica_set(index, k): the ranked distinct
-//                      nodes that hold the k copies of a key hashed at
-//                      index (rank 0 is always owner_of(index)), plus
-//                      the allocation-free replica_set_into(index, k,
-//                      out) variant the store's repair loop uses (same
-//                      contract, result written into a caller-owned
-//                      buffer);
-//   * spread         - the same replication surface keyed by a
-//                      ReplicationSpec{k, SpreadPolicy}: replicas
-//                      spread across the racks/zones of an attached
-//                      cluster::Topology via the shared post-filter in
-//                      replication_spec.hpp (kNone delegates verbatim
-//                      to the raw walk);
+//   * replication    - replica_set_into(index, k, out): the ranked
+//                      distinct nodes that hold the k copies of a key
+//                      hashed at index (rank 0 is always
+//                      owner_of(index)), written into a caller-owned
+//                      buffer - the scheme's raw ranked walk;
 //   * repair planning - replica_dirty_ranges(k): the hash ranges
 //                      outside of which replica_set(., k) is
 //                      *guaranteed* unchanged by the backend's most
 //                      recent membership event, so a replicated store
 //                      can repair only the shards those ranges touch
 //                      instead of scanning everything;
+//   * shared surface - the ReplicationSurface<B> base every adapter
+//                      inherits (replication_spec.hpp) builds the rest
+//                      from those two calls, once for all schemes: the
+//                      vector replica_set(index, k), the forms keyed by
+//                      a ReplicationSpec{k, SpreadPolicy} that spread
+//                      replicas across the racks/zones of an attached
+//                      cluster::Topology (kNone is the raw walk
+//                      verbatim), and set_topology()/topology();
 //   * serialization  - an OPTIONAL serialization_domain(index) hook
 //                      (see serialization_domain_of below): the unit
 //                      the scheme's update protocol serializes on.
@@ -91,10 +91,12 @@ namespace cobalt::placement {
 template <typename B>
 concept PlacementBackend =
     std::constructible_from<B, typename B::Options> &&
+    // The spread-aware replication surface, written once over the raw
+    // walk below.
+    std::derived_from<B, ReplicationSurface<B>> &&
     requires(B backend, const B const_backend, double capacity, NodeId node,
-             HashIndex index, std::size_t replicas,
-             const ReplicationSpec& spec, const cluster::Topology* topology,
-             std::vector<NodeId>& out, RelocationObserver* observer) {
+             HashIndex index, std::size_t replicas, std::vector<NodeId>& out,
+             RelocationObserver* observer) {
       typename B::Options;
 
       // Membership.
@@ -104,45 +106,20 @@ concept PlacementBackend =
       // Routing.
       { const_backend.owner_of(index) } -> std::same_as<NodeId>;
 
-      // Replication: ranked distinct owners of the k copies of a key
-      // hashed at `index`; element 0 == owner_of(index).
-      {
-        const_backend.replica_set(index, replicas)
-      } -> std::same_as<std::vector<NodeId>>;
-
-      // Allocation-free variant: same contract, the set is written
-      // into `out` (cleared first) so bulk repair loops reuse one
+      // Replication: the raw ranked walk - distinct owners of the k
+      // copies of a key hashed at `index`, element 0 == owner_of(index),
+      // written into `out` (cleared first) so bulk repair loops reuse one
       // buffer instead of allocating a vector per key.
       {
         const_backend.replica_set_into(index, replicas, out)
       } -> std::same_as<void>;
 
-      // Repair planning: where replica_set(., replicas) may have
+      // Repair planning: where the walk for `replicas` copies may have
       // changed in the most recent membership event (see the header
       // contract above).
       {
         const_backend.replica_dirty_ranges(replicas)
       } -> std::same_as<std::vector<HashRange>>;
-
-      // Spread-aware replication: the same three calls keyed by a
-      // ReplicationSpec instead of a bare k. With SpreadPolicy::kNone
-      // (or no topology attached) these delegate verbatim to the raw
-      // ranked walk above; with kRack/kZone they apply the shared
-      // spread post-filter (placement/replication_spec.hpp) over the
-      // raw walk, preserving rank 0 == owner_of and prefix stability
-      // while spreading replicas across failure domains.
-      {
-        const_backend.replica_set(index, spec)
-      } -> std::same_as<std::vector<NodeId>>;
-      { const_backend.replica_set_into(index, spec, out) } -> std::same_as<void>;
-      {
-        const_backend.replica_dirty_ranges(spec)
-      } -> std::same_as<std::vector<HashRange>>;
-
-      // The topology the spread filter consults; null (the default)
-      // means every node is its own failure domain.
-      { backend.set_topology(topology) };
-      { const_backend.topology() } -> std::same_as<const cluster::Topology*>;
 
       // Registry: live count, total slots ever allocated (node ids
       // index into [0, node_slot_count)), liveness probe.

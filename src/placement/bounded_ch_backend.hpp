@@ -53,9 +53,11 @@ struct BoundedChBackendOptions {
 
 /// Adapter making bounded-load consistent hashing model
 /// PlacementBackend.
-class BoundedChBackend final {
+class BoundedChBackend final : public ReplicationSurface<BoundedChBackend> {
  public:
   using Options = BoundedChBackendOptions;
+  using ReplicationSurface::replica_set_into;
+  using ReplicationSurface::replica_dirty_ranges;
 
   explicit BoundedChBackend(Options options);
 
@@ -79,12 +81,7 @@ class BoundedChBackend final {
   /// walk, first-encounter order), so replicas respect the load caps
   /// the scheme exists to enforce - walking the raw ring instead could
   /// rank an at-capacity node as a fallback.
-  [[nodiscard]] std::vector<NodeId> replica_set(HashIndex index,
-                                                std::size_t k) const {
-    return grid_replica_walk(grid_, index, k);
-  }
-
-  /// Allocation-free replica_set (the concept's bulk-repair variant).
+  /// The set is written into `out` (cleared first).
   void replica_set_into(HashIndex index, std::size_t k,
                         std::vector<NodeId>& out) const {
     grid_replica_walk_into(grid_, index, k, out);
@@ -112,39 +109,6 @@ class BoundedChBackend final {
   /// sigma-bar of the per-node quotas (the figure-9 metric).
   [[nodiscard]] double sigma() const;
 
-  // --- spread-aware replication (ReplicationSpec surface) -----------
-
-  /// replica_set keyed by a ReplicationSpec: the shared spread
-  /// post-filter (placement/replication_spec.hpp) over the raw ranked
-  /// walk above. SpreadPolicy::kNone, or no topology attached,
-  /// delegates to the raw walk verbatim.
-  [[nodiscard]] std::vector<NodeId> replica_set(
-      HashIndex index, const ReplicationSpec& spec) const {
-    return spread_replica_set(*this, topology_, index, spec);
-  }
-
-  void replica_set_into(HashIndex index, const ReplicationSpec& spec,
-                        std::vector<NodeId>& out) const {
-    spread_replica_set_into(*this, topology_, index, spec, out);
-  }
-
-  /// Conservative dirty cover for the spread walk: the raw ranges at
-  /// the spread probe depth (see replication_spec.hpp).
-  [[nodiscard]] std::vector<HashRange> replica_dirty_ranges(
-      const ReplicationSpec& spec) const {
-    return spread_dirty_ranges(*this, topology_, spec);
-  }
-
-  /// The failure-domain map the spread filter consults; null means
-  /// every node is its own domain. Not owned; must outlive the
-  /// backend's placement calls.
-  void set_topology(const cluster::Topology* topology) {
-    topology_ = topology;
-  }
-  [[nodiscard]] const cluster::Topology* topology() const {
-    return topology_;
-  }
-
   void set_observer(RelocationObserver* observer) { observer_ = observer; }
 
   static std::string_view scheme_name() { return "bounded-ch"; }
@@ -170,7 +134,6 @@ class BoundedChBackend final {
   RangeGrid grid_;
   std::vector<double> node_weight_;  // per slot; 0 when departed
   std::vector<std::size_t> node_cap_;  // cells, recomputed per rebuild
-  const cluster::Topology* topology_ = nullptr;
   RelocationObserver* observer_ = nullptr;
 };
 

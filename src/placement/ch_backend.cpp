@@ -37,13 +37,6 @@ NodeId ChBackend::owner_of(HashIndex index) const {
   return static_cast<NodeId>(ring_.lookup(index));
 }
 
-std::vector<NodeId> ChBackend::replica_set(HashIndex index,
-                                           std::size_t k) const {
-  std::vector<NodeId> replicas;
-  replica_set_into(index, k, replicas);
-  return replicas;
-}
-
 void ChBackend::replica_set_into(HashIndex index, std::size_t k,
                                  std::vector<NodeId>& out) const {
   COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");

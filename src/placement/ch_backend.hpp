@@ -37,9 +37,11 @@ struct ChBackendOptions {
 };
 
 /// Adapter making ch::ConsistentHashRing model PlacementBackend.
-class ChBackend final {
+class ChBackend final : public ReplicationSurface<ChBackend> {
  public:
   using Options = ChBackendOptions;
+  using ReplicationSurface::replica_set_into;
+  using ReplicationSurface::replica_dirty_ranges;
 
   explicit ChBackend(Options options);
 
@@ -59,10 +61,7 @@ class ChBackend final {
   /// classic CH successor walk (Chord/Dynamo replication) - the ring
   /// points at or after `index`, wrapping, skipping points of nodes
   /// that already hold a lower-ranked copy.
-  [[nodiscard]] std::vector<NodeId> replica_set(HashIndex index,
-                                                std::size_t k) const;
-
-  /// Allocation-free replica_set (the concept's bulk-repair variant).
+  /// The set is written into `out` (cleared first).
   void replica_set_into(HashIndex index, std::size_t k,
                         std::vector<NodeId>& out) const;
 
@@ -85,39 +84,6 @@ class ChBackend final {
   /// sigma-bar(Qn): the CH side of figure 9.
   [[nodiscard]] double sigma() const { return ring_.sigma_qn(); }
 
-  // --- spread-aware replication (ReplicationSpec surface) -----------
-
-  /// replica_set keyed by a ReplicationSpec: the shared spread
-  /// post-filter (placement/replication_spec.hpp) over the raw ranked
-  /// walk above. SpreadPolicy::kNone, or no topology attached,
-  /// delegates to the raw walk verbatim.
-  [[nodiscard]] std::vector<NodeId> replica_set(
-      HashIndex index, const ReplicationSpec& spec) const {
-    return spread_replica_set(*this, topology_, index, spec);
-  }
-
-  void replica_set_into(HashIndex index, const ReplicationSpec& spec,
-                        std::vector<NodeId>& out) const {
-    spread_replica_set_into(*this, topology_, index, spec, out);
-  }
-
-  /// Conservative dirty cover for the spread walk: the raw ranges at
-  /// the spread probe depth (see replication_spec.hpp).
-  [[nodiscard]] std::vector<HashRange> replica_dirty_ranges(
-      const ReplicationSpec& spec) const {
-    return spread_dirty_ranges(*this, topology_, spec);
-  }
-
-  /// The failure-domain map the spread filter consults; null means
-  /// every node is its own domain. Not owned; must outlive the
-  /// backend's placement calls.
-  void set_topology(const cluster::Topology* topology) {
-    topology_ = topology;
-  }
-  [[nodiscard]] const cluster::Topology* topology() const {
-    return topology_;
-  }
-
   void set_observer(RelocationObserver* observer) { observer_ = observer; }
 
   static std::string_view scheme_name() { return "ch"; }
@@ -133,7 +99,6 @@ class ChBackend final {
 
   Options options_;
   ch::ConsistentHashRing ring_;
-  const cluster::Topology* topology_ = nullptr;
   RelocationObserver* observer_ = nullptr;
   /// Arc transfers of the most recent membership event (kept observer
   /// or not), the raw material of replica_dirty_ranges().

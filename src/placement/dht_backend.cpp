@@ -67,14 +67,6 @@ NodeId DhtBackend<DhtT>::owner_of(HashIndex index) const {
 }
 
 template <typename DhtT>
-std::vector<NodeId> DhtBackend<DhtT>::replica_set(HashIndex index,
-                                                  std::size_t k) const {
-  std::vector<NodeId> replicas;
-  replica_set_into(index, k, replicas);
-  return replicas;
-}
-
-template <typename DhtT>
 void DhtBackend<DhtT>::replica_set_into(HashIndex index, std::size_t k,
                                         std::vector<NodeId>& out) const {
   COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");

@@ -43,9 +43,12 @@ struct DhtBackendOptions {
 
 /// Adapter making dht::GlobalDht / dht::LocalDht model PlacementBackend.
 template <typename DhtT>
-class DhtBackend final : private dht::MutationObserver {
+class DhtBackend final : public ReplicationSurface<DhtBackend<DhtT>>,
+                         private dht::MutationObserver {
  public:
   using Options = DhtBackendOptions;
+  using ReplicationSurface<DhtBackend>::replica_set_into;
+  using ReplicationSurface<DhtBackend>::replica_dirty_ranges;
 
   explicit DhtBackend(Options options);
   ~DhtBackend() override;
@@ -76,10 +79,7 @@ class DhtBackend final : private dht::MutationObserver {
   /// snode already holds a lower-ranked copy. Successor partitions are
   /// how the paper's model expresses adjacency, so this is the direct
   /// analogue of CH's successor-replication.
-  [[nodiscard]] std::vector<NodeId> replica_set(HashIndex index,
-                                                std::size_t k) const;
-
-  /// Allocation-free replica_set (the concept's bulk-repair variant).
+  /// The set is written into `out` (cleared first).
   void replica_set_into(HashIndex index, std::size_t k,
                         std::vector<NodeId>& out) const;
 
@@ -106,39 +106,6 @@ class DhtBackend final : private dht::MutationObserver {
   /// metric of figure 9. Equal to the paper's sigma-bar(Qv) when every
   /// node enrolls exactly one vnode.
   [[nodiscard]] double sigma() const;
-
-  // --- spread-aware replication (ReplicationSpec surface) -----------
-
-  /// replica_set keyed by a ReplicationSpec: the shared spread
-  /// post-filter (placement/replication_spec.hpp) over the raw ranked
-  /// walk above. SpreadPolicy::kNone, or no topology attached,
-  /// delegates to the raw walk verbatim.
-  [[nodiscard]] std::vector<NodeId> replica_set(
-      HashIndex index, const ReplicationSpec& spec) const {
-    return spread_replica_set(*this, topology_, index, spec);
-  }
-
-  void replica_set_into(HashIndex index, const ReplicationSpec& spec,
-                        std::vector<NodeId>& out) const {
-    spread_replica_set_into(*this, topology_, index, spec, out);
-  }
-
-  /// Conservative dirty cover for the spread walk: the raw ranges at
-  /// the spread probe depth (see replication_spec.hpp).
-  [[nodiscard]] std::vector<HashRange> replica_dirty_ranges(
-      const ReplicationSpec& spec) const {
-    return spread_dirty_ranges(*this, topology_, spec);
-  }
-
-  /// The failure-domain map the spread filter consults; null means
-  /// every node is its own domain. Not owned; must outlive the
-  /// backend's placement calls.
-  void set_topology(const cluster::Topology* topology) {
-    topology_ = topology;
-  }
-  [[nodiscard]] const cluster::Topology* topology() const {
-    return topology_;
-  }
 
   void set_observer(RelocationObserver* observer) { observer_ = observer; }
 
@@ -191,7 +158,6 @@ class DhtBackend final : private dht::MutationObserver {
   DhtT dht_;
   std::vector<bool> node_live_;  // node id == snode id; never reused
   std::size_t live_nodes_ = 0;
-  const cluster::Topology* topology_ = nullptr;
   RelocationObserver* observer_ = nullptr;
   /// Partition ranges the most recent membership operation transferred,
   /// split or merged (accumulated observer or not; cleared at the start

@@ -75,13 +75,6 @@ bool HrwBackend::remove_node(NodeId node) {
   return true;
 }
 
-std::vector<NodeId> HrwBackend::replica_set(HashIndex index,
-                                            std::size_t k) const {
-  std::vector<NodeId> replicas;
-  replica_set_into(index, k, replicas);
-  return replicas;
-}
-
 void HrwBackend::replica_set_into(HashIndex index, std::size_t k,
                                   std::vector<NodeId>& out) const {
   COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");

@@ -42,9 +42,11 @@ struct HrwBackendOptions {
 };
 
 /// Adapter making weighted rendezvous hashing model PlacementBackend.
-class HrwBackend final {
+class HrwBackend final : public ReplicationSurface<HrwBackend> {
  public:
   using Options = HrwBackendOptions;
+  using ReplicationSurface::replica_set_into;
+  using ReplicationSurface::replica_dirty_ranges;
 
   explicit HrwBackend(Options options);
 
@@ -67,13 +69,9 @@ class HrwBackend final {
   /// containing `index` - HRW's native replication rule (every rank is
   /// an independent rendezvous, so replica placement inherits the
   /// weighting). Rank 0 is the grid's stored winner.
-  [[nodiscard]] std::vector<NodeId> replica_set(HashIndex index,
-                                                std::size_t k) const;
-
-  /// Allocation-free replica_set (the concept's bulk-repair variant);
-  /// the score ranking reuses a thread-local scratch buffer, so
-  /// concurrent const calls (the store's shard-parallel repair) are
-  /// safe.
+  /// The set is written into `out` (cleared first); the score ranking
+  /// reuses a thread-local scratch buffer, so concurrent const calls
+  /// (the store's shard-parallel repair) are safe.
   void replica_set_into(HashIndex index, std::size_t k,
                         std::vector<NodeId>& out) const;
 
@@ -102,39 +100,6 @@ class HrwBackend final {
   /// sigma-bar of the per-node quotas (the figure-9 metric).
   [[nodiscard]] double sigma() const;
 
-  // --- spread-aware replication (ReplicationSpec surface) -----------
-
-  /// replica_set keyed by a ReplicationSpec: the shared spread
-  /// post-filter (placement/replication_spec.hpp) over the raw ranked
-  /// walk above. SpreadPolicy::kNone, or no topology attached,
-  /// delegates to the raw walk verbatim.
-  [[nodiscard]] std::vector<NodeId> replica_set(
-      HashIndex index, const ReplicationSpec& spec) const {
-    return spread_replica_set(*this, topology_, index, spec);
-  }
-
-  void replica_set_into(HashIndex index, const ReplicationSpec& spec,
-                        std::vector<NodeId>& out) const {
-    spread_replica_set_into(*this, topology_, index, spec, out);
-  }
-
-  /// Conservative dirty cover for the spread walk: the raw ranges at
-  /// the spread probe depth (see replication_spec.hpp).
-  [[nodiscard]] std::vector<HashRange> replica_dirty_ranges(
-      const ReplicationSpec& spec) const {
-    return spread_dirty_ranges(*this, topology_, spec);
-  }
-
-  /// The failure-domain map the spread filter consults; null means
-  /// every node is its own domain. Not owned; must outlive the
-  /// backend's placement calls.
-  void set_topology(const cluster::Topology* topology) {
-    topology_ = topology;
-  }
-  [[nodiscard]] const cluster::Topology* topology() const {
-    return topology_;
-  }
-
   void set_observer(RelocationObserver* observer) { observer_ = observer; }
 
   static std::string_view scheme_name() { return "hrw"; }
@@ -159,7 +124,6 @@ class HrwBackend final {
   std::vector<bool> node_live_;
   std::size_t live_nodes_ = 0;
   Xoshiro256 rng_;
-  const cluster::Topology* topology_ = nullptr;
   RelocationObserver* observer_ = nullptr;
 };
 

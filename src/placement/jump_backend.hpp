@@ -43,9 +43,11 @@ struct JumpBackendOptions {
 };
 
 /// Adapter making jump consistent hash model PlacementBackend.
-class JumpBackend final {
+class JumpBackend final : public ReplicationSurface<JumpBackend> {
  public:
   using Options = JumpBackendOptions;
+  using ReplicationSurface::replica_set_into;
+  using ReplicationSurface::replica_dirty_ranges;
 
   explicit JumpBackend(Options options);
 
@@ -69,12 +71,7 @@ class JumpBackend final {
   /// cell, first-encounter order). Jump hash itself defines no replica
   /// rule; probing the materialized table keeps the set exactly
   /// consistent with owner_of.
-  [[nodiscard]] std::vector<NodeId> replica_set(HashIndex index,
-                                                std::size_t k) const {
-    return grid_replica_walk(grid_, index, k);
-  }
-
-  /// Allocation-free replica_set (the concept's bulk-repair variant).
+  /// The set is written into `out` (cleared first).
   void replica_set_into(HashIndex index, std::size_t k,
                         std::vector<NodeId>& out) const {
     grid_replica_walk_into(grid_, index, k, out);
@@ -102,39 +99,6 @@ class JumpBackend final {
   /// sigma-bar of the per-node quotas (the figure-9 metric).
   [[nodiscard]] double sigma() const;
 
-  // --- spread-aware replication (ReplicationSpec surface) -----------
-
-  /// replica_set keyed by a ReplicationSpec: the shared spread
-  /// post-filter (placement/replication_spec.hpp) over the raw ranked
-  /// walk above. SpreadPolicy::kNone, or no topology attached,
-  /// delegates to the raw walk verbatim.
-  [[nodiscard]] std::vector<NodeId> replica_set(
-      HashIndex index, const ReplicationSpec& spec) const {
-    return spread_replica_set(*this, topology_, index, spec);
-  }
-
-  void replica_set_into(HashIndex index, const ReplicationSpec& spec,
-                        std::vector<NodeId>& out) const {
-    spread_replica_set_into(*this, topology_, index, spec, out);
-  }
-
-  /// Conservative dirty cover for the spread walk: the raw ranges at
-  /// the spread probe depth (see replication_spec.hpp).
-  [[nodiscard]] std::vector<HashRange> replica_dirty_ranges(
-      const ReplicationSpec& spec) const {
-    return spread_dirty_ranges(*this, topology_, spec);
-  }
-
-  /// The failure-domain map the spread filter consults; null means
-  /// every node is its own domain. Not owned; must outlive the
-  /// backend's placement calls.
-  void set_topology(const cluster::Topology* topology) {
-    topology_ = topology;
-  }
-  [[nodiscard]] const cluster::Topology* topology() const {
-    return topology_;
-  }
-
   void set_observer(RelocationObserver* observer) { observer_ = observer; }
 
   static std::string_view scheme_name() { return "jump"; }
@@ -157,7 +121,6 @@ class JumpBackend final {
   RangeGrid grid_;
   std::vector<NodeId> slots_;          // bucket -> node
   std::vector<std::size_t> node_bucket_;  // node -> bucket, kNoBucket dead
-  const cluster::Topology* topology_ = nullptr;
   RelocationObserver* observer_ = nullptr;
 };
 

@@ -46,9 +46,11 @@ struct MaglevBackendOptions {
 };
 
 /// Adapter making maglev hashing model PlacementBackend.
-class MaglevBackend final {
+class MaglevBackend final : public ReplicationSurface<MaglevBackend> {
  public:
   using Options = MaglevBackendOptions;
+  using ReplicationSurface::replica_set_into;
+  using ReplicationSurface::replica_dirty_ranges;
 
   explicit MaglevBackend(Options options);
 
@@ -71,12 +73,7 @@ class MaglevBackend final {
   /// lookup-table probe (forward slot walk from the owning slot,
   /// first-encounter order) - the maglev analogue of successor
   /// replication, exactly consistent with owner_of.
-  [[nodiscard]] std::vector<NodeId> replica_set(HashIndex index,
-                                                std::size_t k) const {
-    return grid_replica_walk(table_, index, k);
-  }
-
-  /// Allocation-free replica_set (the concept's bulk-repair variant).
+  /// The set is written into `out` (cleared first).
   void replica_set_into(HashIndex index, std::size_t k,
                         std::vector<NodeId>& out) const {
     grid_replica_walk_into(table_, index, k, out);
@@ -109,39 +106,6 @@ class MaglevBackend final {
   /// sigma-bar of the per-node quotas (the figure-9 metric).
   [[nodiscard]] double sigma() const;
 
-  // --- spread-aware replication (ReplicationSpec surface) -----------
-
-  /// replica_set keyed by a ReplicationSpec: the shared spread
-  /// post-filter (placement/replication_spec.hpp) over the raw ranked
-  /// walk above. SpreadPolicy::kNone, or no topology attached,
-  /// delegates to the raw walk verbatim.
-  [[nodiscard]] std::vector<NodeId> replica_set(
-      HashIndex index, const ReplicationSpec& spec) const {
-    return spread_replica_set(*this, topology_, index, spec);
-  }
-
-  void replica_set_into(HashIndex index, const ReplicationSpec& spec,
-                        std::vector<NodeId>& out) const {
-    spread_replica_set_into(*this, topology_, index, spec, out);
-  }
-
-  /// Conservative dirty cover for the spread walk: the raw ranges at
-  /// the spread probe depth (see replication_spec.hpp).
-  [[nodiscard]] std::vector<HashRange> replica_dirty_ranges(
-      const ReplicationSpec& spec) const {
-    return spread_dirty_ranges(*this, topology_, spec);
-  }
-
-  /// The failure-domain map the spread filter consults; null means
-  /// every node is its own domain. Not owned; must outlive the
-  /// backend's placement calls.
-  void set_topology(const cluster::Topology* topology) {
-    topology_ = topology;
-  }
-  [[nodiscard]] const cluster::Topology* topology() const {
-    return topology_;
-  }
-
   void set_observer(RelocationObserver* observer) { observer_ = observer; }
 
   static std::string_view scheme_name() { return "maglev"; }
@@ -164,7 +128,6 @@ class MaglevBackend final {
   std::vector<bool> node_live_;
   std::size_t live_nodes_ = 0;
   Xoshiro256 rng_;
-  const cluster::Topology* topology_ = nullptr;
   RelocationObserver* observer_ = nullptr;
 };
 

@@ -74,13 +74,6 @@ std::vector<double> grid_quotas(const RangeGrid& grid,
   return quotas;
 }
 
-std::vector<NodeId> grid_replica_walk(const RangeGrid& grid, HashIndex index,
-                                      std::size_t k) {
-  std::vector<NodeId> replicas;
-  grid_replica_walk_into(grid, index, k, replicas);
-  return replicas;
-}
-
 void grid_replica_walk_into(const RangeGrid& grid, HashIndex index,
                             std::size_t k, std::vector<NodeId>& out) {
   COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");

@@ -107,13 +107,8 @@ std::vector<double> grid_quotas(const RangeGrid& grid,
 /// comes full circle. Element 0 is the grid's own owner_of(index), so
 /// the result satisfies the rank-0 invariant of the PlacementBackend
 /// concept by construction; the walk only ever sees live nodes because
-/// membership events reassign every cell of a departed owner.
-std::vector<NodeId> grid_replica_walk(const RangeGrid& grid, HashIndex index,
-                                      std::size_t k);
-
-/// Allocation-free variant of grid_replica_walk: `out` is cleared and
-/// filled with the same ranked set (the replica_set_into contract of
-/// the PlacementBackend concept).
+/// membership events reassign every cell of a departed owner. `out` is
+/// cleared first.
 void grid_replica_walk_into(const RangeGrid& grid, HashIndex index,
                             std::size_t k, std::vector<NodeId>& out);
 

@@ -6,8 +6,9 @@
 // live nodes in >= k distinct racks (zones) whenever the attached
 // cluster::Topology makes that feasible.
 //
-// All seven adapters share one implementation, the post-filter below,
-// over their existing ranked walks: take the raw walk to a pigeonhole
+// All seven adapters share one implementation, ReplicationSurface
+// below, which every adapter inherits and which runs the spread
+// post-filter over the adapter's raw ranked walk: take it to a pigeonhole
 // probe depth (Topology::spread_bound guarantees that many distinct
 // nodes span >= k domains), reorder it so the first appearance of each
 // failure domain comes first (in rank order), append the skipped
@@ -126,51 +127,89 @@ inline void spread_truncate(const cluster::Topology& topo, SpreadPolicy policy,
   walk.assign(ordered.begin(), ordered.end());
 }
 
-/// The shared adapter implementation of replica_set_into(index, spec):
-/// raw walk to the pigeonhole probe depth, then spread_truncate.
+/// The replication surface every adapter inherits (CRTP): the one
+/// implementation of everything derived from a scheme's raw ranked
+/// walk. An adapter `B` defines only
+///   void replica_set_into(HashIndex, std::size_t k,
+///                         std::vector<NodeId>& out) const;
+///   std::vector<HashRange> replica_dirty_ranges(std::size_t k) const;
+/// (the raw walk and its dirty report, see backend.hpp) and re-exports
+/// this base's overloads of those two names with using-declarations,
+/// which its own members would otherwise hide. The base adds the
+/// vector convenience, the ReplicationSpec-keyed forms (the spread
+/// post-filter above over the raw walk) and the topology they consult.
 template <typename Backend>
-void spread_replica_set_into(const Backend& backend,
-                             const cluster::Topology* topo, HashIndex index,
-                             const ReplicationSpec& spec,
-                             std::vector<NodeId>& out) {
-  if (spec.spread == SpreadPolicy::kNone || topo == nullptr || spec.k <= 1) {
-    backend.replica_set_into(index, spec.k, out);
-    return;
+class ReplicationSurface {
+ public:
+  /// The raw ranked walk as a fresh vector.
+  [[nodiscard]] std::vector<NodeId> replica_set(HashIndex index,
+                                                std::size_t k) const {
+    std::vector<NodeId> out;
+    self().replica_set_into(index, k, out);
+    return out;
   }
-  const bool by_zone = spec.spread == SpreadPolicy::kZone;
-  // Backends clamp the walk to the live node count themselves, so the
-  // static pigeonhole bound needs no live-count correction here.
-  const std::size_t depth = topo->spread_bound(spec.k, by_zone);
-  backend.replica_set_into(index, depth, out);
-  spread_truncate(*topo, spec.spread, spec.k, out);
-}
 
-template <typename Backend>
-std::vector<NodeId> spread_replica_set(const Backend& backend,
-                                       const cluster::Topology* topo,
-                                       HashIndex index,
-                                       const ReplicationSpec& spec) {
-  std::vector<NodeId> out;
-  spread_replica_set_into(backend, topo, index, spec, out);
-  return out;
-}
-
-/// The shared adapter implementation of replica_dirty_ranges(spec):
-/// raw dirty ranges at the probe depth. The +1 covers departures —
-/// the walk one rank past the post-event live count is what the
-/// pre-event spread set may have consumed.
-template <typename Backend>
-std::vector<HashRange> spread_dirty_ranges(const Backend& backend,
-                                           const cluster::Topology* topo,
-                                           const ReplicationSpec& spec) {
-  if (spec.spread == SpreadPolicy::kNone || topo == nullptr || spec.k <= 1) {
-    return backend.replica_dirty_ranges(spec.k);
+  [[nodiscard]] std::vector<NodeId> replica_set(
+      HashIndex index, const ReplicationSpec& spec) const {
+    std::vector<NodeId> out;
+    replica_set_into(index, spec, out);
+    return out;
   }
-  const bool by_zone = spec.spread == SpreadPolicy::kZone;
-  const std::size_t bound = topo->spread_bound(spec.k, by_zone);
-  const std::size_t depth =
-      std::max(spec.k, std::min(backend.node_count() + 1, bound));
-  return backend.replica_dirty_ranges(depth);
-}
+
+  /// The spread replica set: raw walk to the pigeonhole probe depth,
+  /// then spread_truncate. SpreadPolicy::kNone, or no topology
+  /// attached, is the raw walk verbatim.
+  void replica_set_into(HashIndex index, const ReplicationSpec& spec,
+                        std::vector<NodeId>& out) const {
+    if (!spreads(spec)) {
+      self().replica_set_into(index, spec.k, out);
+      return;
+    }
+    // Backends clamp the walk to the live node count themselves, so the
+    // static pigeonhole bound needs no live-count correction here.
+    self().replica_set_into(index, probe_bound(spec), out);
+    spread_truncate(*topology_, spec.spread, spec.k, out);
+  }
+
+  /// Conservative dirty cover for the spread walk: the raw dirty ranges
+  /// at the probe depth. The +1 covers departures - the walk one rank
+  /// past the post-event live count is what the pre-event spread set
+  /// may have consumed.
+  [[nodiscard]] std::vector<HashRange> replica_dirty_ranges(
+      const ReplicationSpec& spec) const {
+    if (!spreads(spec)) return self().replica_dirty_ranges(spec.k);
+    return self().replica_dirty_ranges(std::max(
+        spec.k, std::min(self().node_count() + 1, probe_bound(spec))));
+  }
+
+  /// The failure-domain map the spread filter consults; null (the
+  /// default) means every node is its own domain. Not owned; must
+  /// outlive the backend's placement calls.
+  void set_topology(const cluster::Topology* topology) {
+    topology_ = topology;
+  }
+  [[nodiscard]] const cluster::Topology* topology() const {
+    return topology_;
+  }
+
+ private:
+  [[nodiscard]] const Backend& self() const {
+    return static_cast<const Backend&>(*this);
+  }
+
+  /// False when `spec` places on the raw walk verbatim.
+  [[nodiscard]] bool spreads(const ReplicationSpec& spec) const {
+    return spec.spread != SpreadPolicy::kNone && topology_ != nullptr &&
+           spec.k > 1;
+  }
+
+  /// The pigeonhole probe depth of a spreading `spec`.
+  [[nodiscard]] std::size_t probe_bound(const ReplicationSpec& spec) const {
+    return topology_->spread_bound(spec.k,
+                                   spec.spread == SpreadPolicy::kZone);
+  }
+
+  const cluster::Topology* topology_ = nullptr;
+};
 
 }  // namespace cobalt::placement

@@ -21,6 +21,11 @@
 namespace cobalt::cluster {
 namespace {
 
+using placement::ReplicationSpec;
+using placement::SpreadPolicy;
+
+constexpr ReplicationSpec kTwoCopies{2, SpreadPolicy::kNone};
+
 // --- FaultPlan -------------------------------------------------------
 
 TEST(FaultPlan, CrashWindowsGateAvailability) {
@@ -354,37 +359,37 @@ void expect_fault_determinism(MakeStore make) {
 
 TEST(FaultDeterminism, LocalDht) {
   expect_fault_determinism<kv::KvStore>(
-      [] { return kv::KvStore({dht_cfg(32, 8, 41), 1}, 2); });
+      [] { return kv::KvStore({dht_cfg(32, 8, 41), 1}, kTwoCopies); });
 }
 
 TEST(FaultDeterminism, GlobalDht) {
   expect_fault_determinism<kv::GlobalKvStore>(
-      [] { return kv::GlobalKvStore({dht_cfg(32, 1, 42), 1}, 2); });
+      [] { return kv::GlobalKvStore({dht_cfg(32, 1, 42), 1}, kTwoCopies); });
 }
 
 TEST(FaultDeterminism, ConsistentHashing) {
   expect_fault_determinism<kv::ChKvStore>(
-      [] { return kv::ChKvStore({43, 16}, 2); });
+      [] { return kv::ChKvStore({43, 16}, kTwoCopies); });
 }
 
 TEST(FaultDeterminism, Rendezvous) {
   expect_fault_determinism<kv::HrwKvStore>(
-      [] { return kv::HrwKvStore({44, 10}, 2); });
+      [] { return kv::HrwKvStore({44, 10}, kTwoCopies); });
 }
 
 TEST(FaultDeterminism, Jump) {
   expect_fault_determinism<kv::JumpKvStore>(
-      [] { return kv::JumpKvStore({45, 10}, 2); });
+      [] { return kv::JumpKvStore({45, 10}, kTwoCopies); });
 }
 
 TEST(FaultDeterminism, Maglev) {
   expect_fault_determinism<kv::MaglevKvStore>(
-      [] { return kv::MaglevKvStore({46, 10}, 2); });
+      [] { return kv::MaglevKvStore({46, 10}, kTwoCopies); });
 }
 
 TEST(FaultDeterminism, BoundedCh) {
   expect_fault_determinism<kv::BoundedChKvStore>(
-      [] { return kv::BoundedChKvStore({47, 16, 0.1, 10}, 2); });
+      [] { return kv::BoundedChKvStore({47, 16, 0.1, 10}, kTwoCopies); });
 }
 
 }  // namespace

@@ -17,6 +17,9 @@
 namespace cobalt::cluster {
 namespace {
 
+using placement::ReplicationSpec;
+using placement::SpreadPolicy;
+
 std::vector<std::string> make_keys(std::size_t count) {
   std::vector<std::string> keys;
   keys.reserve(count);
@@ -51,8 +54,8 @@ void expect_lockstep(MakeStore make) {
     // into both the stats and the already-detached totals snapshot
     // below would miss them otherwise - after a completed scenario
     // nothing is pending, but the order keeps the test honest).
-    const placement::MigrationStats reloc = store.relocation_stats();
-    const kv::ReplicationStats repl = store.replication_stats();
+    const placement::MigrationStats reloc = store.stats().relocation;
+    const kv::ReplicationStats repl = store.stats().replication;
 
     EXPECT_EQ(outcome.totals.handover_keys_total, reloc.keys_moved_total);
     EXPECT_EQ(outcome.totals.handover_keys_cross,
@@ -77,46 +80,54 @@ void expect_lockstep(MakeStore make) {
 
 TEST(ProtocolDriverLockstep, LocalDht) {
   expect_lockstep<kv::KvStore>([](std::size_t k) {
-    return kv::KvStore({dht_cfg(32, 8, 11), 1}, k);
+    return kv::KvStore({dht_cfg(32, 8, 11), 1},
+                       ReplicationSpec{k, SpreadPolicy::kNone});
   });
 }
 
 TEST(ProtocolDriverLockstep, GlobalDht) {
   expect_lockstep<kv::GlobalKvStore>([](std::size_t k) {
-    return kv::GlobalKvStore({dht_cfg(32, 1, 12), 1}, k);
+    return kv::GlobalKvStore({dht_cfg(32, 1, 12), 1},
+                             ReplicationSpec{k, SpreadPolicy::kNone});
   });
 }
 
 TEST(ProtocolDriverLockstep, ConsistentHashing) {
-  expect_lockstep<kv::ChKvStore>(
-      [](std::size_t k) { return kv::ChKvStore({13, 16}, k); });
+  expect_lockstep<kv::ChKvStore>([](std::size_t k) {
+    return kv::ChKvStore({13, 16}, ReplicationSpec{k, SpreadPolicy::kNone});
+  });
 }
 
 TEST(ProtocolDriverLockstep, Rendezvous) {
-  expect_lockstep<kv::HrwKvStore>(
-      [](std::size_t k) { return kv::HrwKvStore({14, 10}, k); });
+  expect_lockstep<kv::HrwKvStore>([](std::size_t k) {
+    return kv::HrwKvStore({14, 10}, ReplicationSpec{k, SpreadPolicy::kNone});
+  });
 }
 
 TEST(ProtocolDriverLockstep, Jump) {
-  expect_lockstep<kv::JumpKvStore>(
-      [](std::size_t k) { return kv::JumpKvStore({15, 10}, k); });
+  expect_lockstep<kv::JumpKvStore>([](std::size_t k) {
+    return kv::JumpKvStore({15, 10}, ReplicationSpec{k, SpreadPolicy::kNone});
+  });
 }
 
 TEST(ProtocolDriverLockstep, Maglev) {
-  expect_lockstep<kv::MaglevKvStore>(
-      [](std::size_t k) { return kv::MaglevKvStore({16, 10}, k); });
+  expect_lockstep<kv::MaglevKvStore>([](std::size_t k) {
+    return kv::MaglevKvStore({16, 10}, ReplicationSpec{k, SpreadPolicy::kNone});
+  });
 }
 
 TEST(ProtocolDriverLockstep, BoundedCh) {
   expect_lockstep<kv::BoundedChKvStore>([](std::size_t k) {
-    return kv::BoundedChKvStore({17, 16, 0.1, 10}, k);
+    return kv::BoundedChKvStore({17, 16, 0.1, 10},
+                                ReplicationSpec{k, SpreadPolicy::kNone});
   });
 }
 
 TEST(SerializationDomains, GlobalIsOneDomain) {
   // One replicated GPDR: every round of every event serializes through
   // domain 0, so the longest chain is the whole log.
-  kv::GlobalKvStore store({dht_cfg(32, 1, 21), 1}, 2);
+  kv::GlobalKvStore store({dht_cfg(32, 1, 21), 1},
+                          ReplicationSpec{2, SpreadPolicy::kNone});
   ProtocolDriver<placement::GlobalDhtBackend> driver(store);
   for (int n = 0; n < 6; ++n) store.add_node();
   const auto keys = make_keys(400);
@@ -133,7 +144,8 @@ TEST(SerializationDomains, GlobalIsOneDomain) {
 TEST(SerializationDomains, LocalUsesPerGroupDomains) {
   // Small Vmin so the growth splits groups: events land in different
   // LPDR domains and the chain is shorter than the log.
-  kv::KvStore store({dht_cfg(32, 2, 22), 1}, 2);
+  kv::KvStore store({dht_cfg(32, 2, 22), 1},
+                    ReplicationSpec{2, SpreadPolicy::kNone});
   ProtocolDriver<placement::LocalDhtBackend> driver(store);
   const auto keys = make_keys(400);
   for (int n = 0; n < 16; ++n) store.add_node();
@@ -149,7 +161,7 @@ TEST(SerializationDomains, LocalUsesPerGroupDomains) {
 TEST(SerializationDomains, GridSchemesFallBackToTheArcLattice) {
   // HRW defines no native serialization domain; ranges map onto the
   // top-bits arc lattice (many domains, concurrent rounds).
-  kv::HrwKvStore store({23, 10}, 1);
+  kv::HrwKvStore store({23, 10}, ReplicationSpec{1, SpreadPolicy::kNone});
   ProtocolDriver<placement::HrwBackend> driver(store);
   const auto keys = make_keys(600);
   store.add_node();
@@ -176,14 +188,14 @@ TEST(ProtocolDriver, CapturesStrayFlushesAsImplicitEvents) {
   // Membership mutated through backend() directly produces no
   // begin/end bracket; the batches surface at the next flush and must
   // still be captured, keeping the totals aligned with the channel.
-  kv::ChKvStore store({24, 16}, 1);
+  kv::ChKvStore store({24, 16}, ReplicationSpec{1, SpreadPolicy::kNone});
   ProtocolDriver<placement::ChBackend> driver(store);
   store.add_node();
   const auto keys = make_keys(500);
   for (const auto& key : keys) store.put(key, "v");
 
   store.backend().add_node();  // bypasses the store's bookkeeping
-  const placement::MigrationStats reloc = store.relocation_stats();
+  const placement::MigrationStats reloc = store.stats().relocation;
   EXPECT_GT(reloc.keys_moved_total, 0u);
   EXPECT_EQ(driver.totals().handover_keys_total, reloc.keys_moved_total);
   EXPECT_GT(driver.recorded().size(), 0u);
@@ -194,7 +206,7 @@ TEST(ProtocolDriver, StrayBatchesAreNotAttributedToTheNextBracket) {
   // following store membership call must flush them as their own
   // implicit event *before* opening its bracket, or the previous
   // event's movement would be priced into the wrong rounds.
-  kv::ChKvStore store({27, 16}, 1);
+  kv::ChKvStore store({27, 16}, ReplicationSpec{1, SpreadPolicy::kNone});
   ProtocolDriver<placement::ChBackend> driver(store);
   store.add_node();
   const auto keys = make_keys(500);
@@ -213,7 +225,7 @@ TEST(ProtocolDriver, StrayBatchesAreNotAttributedToTheNextBracket) {
 }
 
 TEST(ProtocolDriver, ClearRestrictsTheLogToLaterEvents) {
-  kv::HrwKvStore store({25, 10}, 2);
+  kv::HrwKvStore store({25, 10}, ReplicationSpec{2, SpreadPolicy::kNone});
   ProtocolDriver<placement::HrwBackend> driver(store);
   const auto keys = make_keys(300);
   for (int n = 0; n < 6; ++n) store.add_node();
@@ -231,7 +243,7 @@ TEST(ProtocolDriver, ClearRestrictsTheLogToLaterEvents) {
 TEST(ProtocolDriver, ArrivalGapsDelayButNeverReorderDomains) {
   // The same log scheduled with spaced arrivals can only finish later;
   // messages are a property of the log, not the schedule.
-  kv::JumpKvStore store({26, 10}, 2);
+  kv::JumpKvStore store({26, 10}, ReplicationSpec{2, SpreadPolicy::kNone});
   ProtocolDriver<placement::JumpBackend> driver(store);
   const auto keys = make_keys(400);
   for (int n = 0; n < 6; ++n) store.add_node();

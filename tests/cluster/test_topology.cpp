@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -62,6 +63,38 @@ TEST(Topology, UnassignedNodesAreSyntheticSingletonDomains) {
   EXPECT_FALSE(topo.same_zone(0, 99));
   // Synthetic ids live outside the explicit map's accounting.
   EXPECT_EQ(topo.racks(), (std::vector<Topology::RackId>{5}));
+}
+
+TEST(Topology, RejectsExplicitIdsInTheSyntheticRange) {
+  // A synthetic-range rack would alias the singleton domain of an
+  // unassigned node: node 0 would share a "rack" with node 7.
+  Topology topo;
+  EXPECT_THROW(topo.assign(0, Topology::kSyntheticBit | 7), InvalidArgument);
+  EXPECT_THROW(topo.assign(0, 1, Topology::synthetic_rack(7)),
+               InvalidArgument);
+  // A refused assignment leaves the map untouched.
+  EXPECT_FALSE(topo.contains(0));
+  EXPECT_FALSE(topo.same_rack(0, 7));
+  EXPECT_FALSE(topo.same_zone(0, 7));
+  EXPECT_TRUE(topo.racks().empty());
+  // The largest explicit ids stay legal.
+  topo.assign(0, Topology::kSyntheticBit - 1, Topology::kSyntheticBit - 1);
+  EXPECT_EQ(topo.rack_of(0), Topology::kSyntheticBit - 1);
+}
+
+TEST(Topology, RejectsNegativeAndNonFiniteWeights) {
+  Topology topo;
+  topo.assign(0, 1, 0, 2.0);
+  EXPECT_THROW(topo.assign(1, 1, 0, -1.0), InvalidArgument);
+  EXPECT_THROW(topo.assign(1, 1, 0, std::nan("")), InvalidArgument);
+  EXPECT_THROW(topo.assign(1, 1, 0, HUGE_VAL), InvalidArgument);
+  // Re-assigning an existing node with a bad weight keeps its old entry.
+  EXPECT_THROW(topo.assign(0, 1, 0, -HUGE_VAL), InvalidArgument);
+  EXPECT_EQ(topo.rack_size(1), 1u);
+  EXPECT_EQ(topo.rack_weight(1), 2.0);
+  topo.assign(1, 1, 0, 0.0);  // zero weight is allowed
+  EXPECT_EQ(topo.rack_size(1), 2u);
+  EXPECT_EQ(topo.rack_weight(1), 2.0);
 }
 
 TEST(Topology, UniformLayoutIsDenseRowMajor) {

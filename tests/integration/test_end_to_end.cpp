@@ -89,7 +89,7 @@ TEST(EndToEnd, OneScenarioLoopDrivesEveryStoreBackend) {
     for (const auto c : store.keys_per_node()) resident += c;
     EXPECT_EQ(resident, 2000u);
     EXPECT_EQ(store.size(), 2000u);
-    EXPECT_GT(store.migration_stats().keys_moved_across_nodes, 0u);
+    EXPECT_GT(store.stats().relocation.keys_moved_across_nodes, 0u);
     return store.backend().sigma();
   };
   kv::KvStore local({cfg(8, 8, 31), 1});

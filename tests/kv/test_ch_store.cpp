@@ -21,14 +21,14 @@ TEST(ChKvStore, JoinMovesRoughlyAFairShare) {
   // Joining node n steals ~K/n keys; summed over joins 2..10 that is
   // K * (1/2 + ... + 1/10) ~ 1.93 K. Allow a wide band.
   const double moved =
-      static_cast<double>(store.migration_stats().keys_moved_total);
+      static_cast<double>(store.stats().relocation.keys_moved_total);
   EXPECT_GT(moved, 1.0 * kKeys);
   EXPECT_LT(moved, 3.0 * kKeys);
   // CH has no intra-node structure: every move crosses nodes, and no
   // key is ever re-bucketed.
-  EXPECT_EQ(store.migration_stats().keys_moved_across_nodes,
-            store.migration_stats().keys_moved_total);
-  EXPECT_EQ(store.migration_stats().keys_rebucketed, 0u);
+  EXPECT_EQ(store.stats().relocation.keys_moved_across_nodes,
+            store.stats().relocation.keys_moved_total);
+  EXPECT_EQ(store.stats().relocation.keys_rebucketed, 0u);
 }
 
 TEST(ChKvStore, LeaveMovesExactlyTheNodesKeys) {
@@ -38,10 +38,10 @@ TEST(ChKvStore, LeaveMovesExactlyTheNodesKeys) {
   for (int i = 0; i < kKeys; ++i) store.put("l" + std::to_string(i), "v");
   const auto before = store.keys_per_node();
   const std::uint64_t moved_before =
-      store.migration_stats().keys_moved_total;
+      store.stats().relocation.keys_moved_total;
   ASSERT_TRUE(store.remove_node(3));
   const std::uint64_t moved =
-      store.migration_stats().keys_moved_total - moved_before;
+      store.stats().relocation.keys_moved_total - moved_before;
   EXPECT_EQ(moved, before[3]);
   // The departed node's keys are reachable on survivors.
   EXPECT_EQ(store.keys_per_node()[3], 0u);
@@ -62,13 +62,13 @@ TEST(ChKvStore, LeaveAccountingMatchesOwnershipDiff) {
   std::vector<placement::NodeId> owner_before;
   for (const auto& key : keys) owner_before.push_back(store.owner_of(key));
   const std::uint64_t across_before =
-      store.migration_stats().keys_moved_across_nodes;
+      store.stats().relocation.keys_moved_across_nodes;
   ASSERT_TRUE(store.remove_node(2));
   std::uint64_t changed = 0;
   for (std::size_t i = 0; i < keys.size(); ++i) {
     if (store.owner_of(keys[i]) != owner_before[i]) ++changed;
   }
-  EXPECT_EQ(store.migration_stats().keys_moved_across_nodes - across_before,
+  EXPECT_EQ(store.stats().relocation.keys_moved_across_nodes - across_before,
             changed);
   EXPECT_GT(changed, 0u);
 }

@@ -299,14 +299,14 @@ TYPED_TEST(StoreSuite, MovementAccountingMatchesOwnershipDiffOnJoin) {
   for (const auto& key : keys) owner_before.push_back(store.owner_of(key));
 
   const std::uint64_t across_before =
-      store.migration_stats().keys_moved_across_nodes;
+      store.stats().relocation.keys_moved_across_nodes;
   store.add_node();
 
   std::uint64_t changed = 0;
   for (std::size_t i = 0; i < keys.size(); ++i) {
     if (store.owner_of(keys[i]) != owner_before[i]) ++changed;
   }
-  EXPECT_EQ(store.migration_stats().keys_moved_across_nodes - across_before,
+  EXPECT_EQ(store.stats().relocation.keys_moved_across_nodes - across_before,
             changed);
   EXPECT_GT(changed, 0u);
 }
@@ -321,10 +321,10 @@ TYPED_TEST(StoreSuite, FairShareMovementPerJoin) {
   }
   for (int i = 0; i < 15; ++i) store.add_node();
   const std::uint64_t before =
-      store.migration_stats().keys_moved_across_nodes;
+      store.stats().relocation.keys_moved_across_nodes;
   store.add_node();
   const std::uint64_t moved =
-      store.migration_stats().keys_moved_across_nodes - before;
+      store.stats().relocation.keys_moved_across_nodes - before;
   // Fair share at N=17 is ~K/17 ~ 1176; allow generous slack.
   EXPECT_LT(moved, kKeys / 4);
   EXPECT_GT(moved, kKeys / 60);
@@ -346,18 +346,18 @@ TEST(KvStore, IntraNodeVnodeHandoversAreNotCrossNodeTraffic) {
   KvStore store({cfg(8, 4, 21), 1});
   const auto n0 = store.add_node();
   for (int i = 0; i < 3000; ++i) store.put("m" + std::to_string(i), "x");
-  EXPECT_EQ(store.migration_stats().keys_moved_total, 0u);
+  EXPECT_EQ(store.stats().relocation.keys_moved_total, 0u);
 
   // A second vnode on the same node: keys move between vnodes but not
   // across nodes.
   store.backend().add_vnode(n0);
-  const auto after_same = store.migration_stats();
+  const auto after_same = store.stats().relocation;
   EXPECT_GT(after_same.keys_moved_total, 0u);
   EXPECT_EQ(after_same.keys_moved_across_nodes, 0u);
 
   // A vnode on a new node: now cross-node movement happens.
   store.add_node();
-  const auto after_cross = store.migration_stats();
+  const auto after_cross = store.stats().relocation;
   EXPECT_GT(after_cross.keys_moved_across_nodes, 0u);
   EXPECT_LE(after_cross.keys_moved_across_nodes,
             after_cross.keys_moved_total);
@@ -367,11 +367,11 @@ TEST(KvStore, SplitsRebucketWithoutMoving) {
   KvStore store({cfg(4, 4, 22), 1});
   store.add_node();
   for (int i = 0; i < 1000; ++i) store.put("r" + std::to_string(i), "v");
-  const auto before = store.migration_stats();
+  const auto before = store.stats().relocation;
   EXPECT_EQ(before.keys_rebucketed, 0u);
   // The second vnode forces one full split wave (V crosses 2^0).
   store.add_node();
-  const auto after = store.migration_stats();
+  const auto after = store.stats().relocation;
   EXPECT_GT(after.keys_rebucketed, 0u);
 }
 

@@ -30,6 +30,9 @@
 namespace cobalt::kv {
 namespace {
 
+using placement::ReplicationSpec;
+using placement::SpreadPolicy;
+
 dht::Config cfg(std::uint64_t pmin, std::uint64_t vmin, std::uint64_t seed) {
   dht::Config c;
   c.pmin = pmin;
@@ -44,43 +47,50 @@ StoreT make_store(std::uint64_t seed, std::size_t replication);
 
 template <>
 KvStore make_store<KvStore>(std::uint64_t seed, std::size_t replication) {
-  return KvStore({cfg(8, 8, seed), 1}, replication);
+  return KvStore({cfg(8, 8, seed), 1},
+                 ReplicationSpec{replication, SpreadPolicy::kNone});
 }
 
 template <>
 GlobalKvStore make_store<GlobalKvStore>(std::uint64_t seed,
                                         std::size_t replication) {
-  return GlobalKvStore({cfg(8, 1, seed), 1}, replication);
+  return GlobalKvStore({cfg(8, 1, seed), 1},
+                       ReplicationSpec{replication, SpreadPolicy::kNone});
 }
 
 template <>
 ChKvStore make_store<ChKvStore>(std::uint64_t seed,
                                 std::size_t replication) {
-  return ChKvStore({seed, 16}, replication);
+  return ChKvStore({seed, 16},
+                   ReplicationSpec{replication, SpreadPolicy::kNone});
 }
 
 template <>
 HrwKvStore make_store<HrwKvStore>(std::uint64_t seed,
                                   std::size_t replication) {
-  return HrwKvStore({seed, 12}, replication);
+  return HrwKvStore({seed, 12},
+                    ReplicationSpec{replication, SpreadPolicy::kNone});
 }
 
 template <>
 JumpKvStore make_store<JumpKvStore>(std::uint64_t seed,
                                     std::size_t replication) {
-  return JumpKvStore({seed, 12}, replication);
+  return JumpKvStore({seed, 12},
+                     ReplicationSpec{replication, SpreadPolicy::kNone});
 }
 
 template <>
 MaglevKvStore make_store<MaglevKvStore>(std::uint64_t seed,
                                         std::size_t replication) {
-  return MaglevKvStore({seed, 12}, replication);
+  return MaglevKvStore({seed, 12},
+                       ReplicationSpec{replication, SpreadPolicy::kNone});
 }
 
 template <>
 BoundedChKvStore make_store<BoundedChKvStore>(std::uint64_t seed,
                                               std::size_t replication) {
-  return BoundedChKvStore({seed, 16, 0.25, 12}, replication);
+  return BoundedChKvStore({seed, 16, 0.25, 12},
+                          ReplicationSpec{replication, SpreadPolicy::kNone});
 }
 
 template <typename StoreT>
@@ -173,15 +183,15 @@ TYPED_TEST(StoreConcurrencySuite, PooledRunMatchesSerialBitForBit) {
               pooled.replica_copies_per_node())
         << "k=" << k;
 
-    const auto& sm = serial.relocation_stats();
-    const auto& pm = pooled.relocation_stats();
+    const auto sm = serial.stats().relocation;
+    const auto pm = pooled.stats().relocation;
     EXPECT_EQ(sm.keys_moved_total, pm.keys_moved_total) << "k=" << k;
     EXPECT_EQ(sm.keys_moved_across_nodes, pm.keys_moved_across_nodes)
         << "k=" << k;
     EXPECT_EQ(sm.keys_rebucketed, pm.keys_rebucketed) << "k=" << k;
 
-    const ReplicationStats& sr = serial.replication_stats();
-    const ReplicationStats& pr = pooled.replication_stats();
+    const ReplicationStats sr = serial.stats().replication;
+    const ReplicationStats pr = pooled.stats().replication;
     EXPECT_EQ(sr.replica_writes, pr.replica_writes) << "k=" << k;
     EXPECT_EQ(sr.keys_rereplicated, pr.keys_rereplicated) << "k=" << k;
     EXPECT_EQ(sr.keys_lost, pr.keys_lost) << "k=" << k;
@@ -226,7 +236,7 @@ TYPED_TEST(StoreConcurrencySuite, ConcurrentDistinctKeyPutsAccountExactly) {
   // Every put was a distinct new key into a fixed 6-node cluster: the
   // fan-out accounting is exact, not approximate, under any
   // interleaving of the writers.
-  EXPECT_EQ(store.replication_stats().replica_writes,
+  EXPECT_EQ(store.stats().replication.replica_writes,
             kWriters * kPerWriter * 3);
   for (std::size_t w = 0; w < kWriters; ++w) {
     const std::string key = "w" + std::to_string(w) + "-0";
@@ -282,9 +292,9 @@ TYPED_TEST(StoreConcurrencySuite, ContendedGetsPutsScansAndChurnStayExact) {
           ASSERT_GE(seen, static_cast<std::size_t>(kStable));
         }
         if (round % 16 == 0) {
-          const auto snap = store.replication_stats_snapshot();
+          const auto snap = store.stats().replication;
           ASSERT_GE(snap.replica_writes, static_cast<std::uint64_t>(kStable));
-          (void)store.relocation_stats_snapshot();
+          (void)store.stats().relocation;
         }
         ++round;
       }
@@ -370,10 +380,10 @@ TYPED_TEST(StoreConcurrencySuite, ContendedGetsPutsScansAndChurnStayExact) {
     EXPECT_EQ(store.get(key),
               std::optional<std::string>("s" + std::to_string(i)));
   }
-  // Accounting stayed a consistent channel: the snapshot equals the
-  // quiescent reference accessors once the dust settles.
-  const ReplicationStats snap = store.replication_stats_snapshot();
-  const ReplicationStats& ref = store.replication_stats();
+  // Accounting stayed a consistent channel: once the dust settles, two
+  // quiescent reads agree (no batch is left pending to count).
+  const ReplicationStats snap = store.stats().replication;
+  const ReplicationStats ref = store.stats().replication;
   EXPECT_EQ(snap.replica_writes, ref.replica_writes);
   EXPECT_EQ(snap.keys_rereplicated, ref.keys_rereplicated);
   EXPECT_EQ(snap.rereplication_passes, ref.rereplication_passes);
@@ -531,7 +541,7 @@ TEST(StoreRaceRegression, ConcurrentFlushersDoNotRaceThePendingProbe) {
       std::uint64_t last_total = 0;
       int round = 0;
       while (!stop.load(std::memory_order_relaxed) && round < 3000) {
-        const auto stats = store.relocation_stats();
+        const auto stats = store.stats().relocation;
         ASSERT_GE(stats.keys_moved_total, last_total);  // totals only grow
         last_total = stats.keys_moved_total;
         store.put("f" + std::to_string(f) + "-" + std::to_string(round % 50),
@@ -553,19 +563,19 @@ TEST(StoreRaceRegression, ConcurrentFlushersDoNotRaceThePendingProbe) {
   stop.store(true);
   for (std::thread& t : flushers) t.join();
 
-  // Quiescent again: both spellings agree and the churn was counted.
-  const auto final_stats = store.relocation_stats();
+  // Quiescent again: a second read agrees and the churn was counted.
+  const auto final_stats = store.stats().relocation;
   EXPECT_GT(final_stats.keys_moved_total, 0u);
   EXPECT_EQ(final_stats.keys_moved_total,
-            store.relocation_stats_snapshot().keys_moved_total);
+            store.stats().relocation.keys_moved_total);
 }
 
-// Regression: replication_stats() used to hand back a reference to the
-// live accounting struct with no lock anywhere, so polling it during a
-// membership pass read the counters while rereplicate() was writing
-// them. It now returns a copy taken under the accounting lock; a
-// poller must see TSan-clean, monotonically growing counters while
-// churn and writers run.
+// Regression: the replication channel used to be handed back as a
+// reference to the live accounting struct with no lock anywhere, so
+// polling it during a membership pass read the counters while
+// rereplicate() was writing them. stats() returns a copy taken under
+// the accounting lock; a poller must see TSan-clean, monotonically
+// growing counters while churn and writers run.
 TEST(StoreRaceRegression, ReplicationStatsPolledDuringChurnIsCoherent) {
   auto store = make_store<KvStore>(4321, 3);
   for (int n = 0; n < 5; ++n) store.add_node();
@@ -586,7 +596,7 @@ TEST(StoreRaceRegression, ReplicationStatsPolledDuringChurnIsCoherent) {
   std::thread poller([&store, &stop] {
     ReplicationStats prev;
     while (!stop.load(std::memory_order_relaxed)) {
-      const ReplicationStats now = store.replication_stats();
+      const ReplicationStats now = store.stats().replication;
       ASSERT_GE(now.replica_writes, prev.replica_writes);
       ASSERT_GE(now.keys_rereplicated, prev.keys_rereplicated);
       ASSERT_GE(now.rereplication_passes, prev.rereplication_passes);
@@ -605,9 +615,7 @@ TEST(StoreRaceRegression, ReplicationStatsPolledDuringChurnIsCoherent) {
   writer.join();
   poller.join();
 
-  EXPECT_GT(store.replication_stats().rereplication_passes, 0u);
-  EXPECT_EQ(store.replication_stats().replica_writes,
-            store.replication_stats_snapshot().replica_writes);
+  EXPECT_GT(store.stats().replication.rereplication_passes, 0u);
 }
 
 TYPED_TEST(StoreConcurrencySuite, DetachReturnsToSerialMode) {

@@ -1,6 +1,7 @@
 // Tests for the backend-generic scenario drivers (sim/scenario.hpp)
 // and their protocol-instrumented variants (sim/protocol_cost.hpp):
-// the churn driver's incrementally maintained live set, the
+// the churn driver's incrementally maintained live set and its
+// behaviour on the paper's global and local approaches, the
 // movement-growth boundary conditions, the replication scenarios
 // (correlated failure, rolling upgrade), and the failure-during-repair
 // scenario where a second rack crashes while the first crash's
@@ -17,13 +18,18 @@
 
 #include "cluster/topology.hpp"
 #include "common/error.hpp"
+#include "dht/config.hpp"
 #include "kv/store.hpp"
-#include "placement/replication_spec.hpp"
+#include "placement/dht_backend.hpp"
 #include "placement/hrw_backend.hpp"
+#include "placement/replication_spec.hpp"
 #include "sim/protocol_cost.hpp"
 
 namespace cobalt::sim {
 namespace {
+
+using placement::ReplicationSpec;
+using placement::SpreadPolicy;
 
 TEST(ChurnDriver, HoldsThePopulationWithoutRescanningSlots) {
   // Long churn at a small population: node ids are never reused, so
@@ -61,6 +67,89 @@ TEST(ChurnDriver, DeterministicPerSeed) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+// Sustained churn on the paper's two approaches at one vnode per node:
+// the global approach can always drain, the local approach may refuse
+// a removal it cannot express as a group merge (counted, population
+// unchanged).
+
+dht::Config dht_cfg(std::uint64_t pmin, std::uint64_t vmin,
+                    std::uint64_t seed) {
+  dht::Config c;
+  c.pmin = pmin;
+  c.vmin = vmin;
+  c.seed = seed;
+  return c;
+}
+
+TEST(ChurnDriver, GlobalApproachNeverRefusesAndStaysBalanced) {
+  placement::GlobalDhtBackend backend({dht_cfg(8, 1, 1), 1});
+  const auto outcome = run_churn(backend, 40, 100, 1);
+  EXPECT_EQ(outcome.refused_removals, 0u);
+  EXPECT_EQ(outcome.completed_removals, 100u);
+  ASSERT_EQ(outcome.sigma_series.size(), 100u);
+  for (const double sigma : outcome.sigma_series) {
+    EXPECT_LT(sigma, 0.2);  // greedy keeps counts within ~2 of the mean
+  }
+}
+
+TEST(ChurnDriver, LocalApproachCountsEveryRemovalAndKeepsThePopulation) {
+  placement::LocalDhtBackend backend({dht_cfg(8, 8, 2), 1});
+  const auto outcome = run_churn(backend, 64, 150, 2);
+  ASSERT_EQ(outcome.sigma_series.size(), 150u);
+  // Small groups make some drains inexpressible (no cross-group
+  // merge): each one is counted, and the population stays put.
+  EXPECT_GT(outcome.completed_removals, 0u);
+  EXPECT_GT(outcome.refused_removals, 0u);
+  EXPECT_EQ(outcome.completed_removals + outcome.refused_removals, 150u);
+  EXPECT_EQ(backend.node_count(), 64u);
+  EXPECT_GT(backend.dht().group_count(), 0u);
+  for (const double sigma : outcome.sigma_series) {
+    EXPECT_GE(sigma, 0.0);
+    EXPECT_LT(sigma, 1.0);
+  }
+}
+
+TEST(ChurnDriver, LocalApproachRefusesNothingWithOneRoomyGroup) {
+  // With a single group (Vmin >= population) every removal is an
+  // intra-group redistribution; refusals can only come from the
+  // (rarely infeasible) count bound, which the single group's complete
+  // buddy set always satisfies.
+  placement::LocalDhtBackend backend({dht_cfg(8, 64, 3), 1});
+  const auto outcome = run_churn(backend, 48, 100, 3);
+  EXPECT_EQ(outcome.refused_removals, 0u);
+  EXPECT_EQ(backend.dht().group_count(), 1u);
+}
+
+TEST(ChurnDriver, LocalSigmaStaysInThePlateauBand) {
+  placement::LocalDhtBackend backend({dht_cfg(32, 32, 4), 1});
+  const auto outcome = run_churn(backend, 128, 200, 4);
+  ASSERT_EQ(outcome.sigma_series.size(), 200u);
+  double late = 0.0;
+  for (std::size_t i = 150; i < 200; ++i) late += outcome.sigma_series[i];
+  late /= 50.0;
+  // The plateau band of figure 4 at (32,32) is ~10%; churn should not
+  // blow it past a generous multiple.
+  EXPECT_LT(late, 0.30);
+}
+
+TEST(ChurnDriver, LocalApproachIsDeterministicPerSeed) {
+  const auto run_once = [] {
+    placement::LocalDhtBackend backend({dht_cfg(8, 8, 7), 1});
+    return run_churn(backend, 40, 60, 7);
+  };
+  const auto a = run_once();
+  const auto b = run_once();
+  EXPECT_EQ(a.sigma_series, b.sigma_series);
+  EXPECT_EQ(a.refused_removals, b.refused_removals);
+}
+
+TEST(ChurnDriver, RejectsPopulationsBelowTwo) {
+  placement::LocalDhtBackend local({dht_cfg(8, 8, 1), 1});
+  EXPECT_THROW((void)run_churn(local, 1, 10, 1), InvalidArgument);
+  placement::GlobalDhtBackend global({dht_cfg(8, 1, 1), 1});
+  EXPECT_THROW((void)run_churn(global, 0, 10, 1), InvalidArgument);
+}
+
 TEST(MovementGrowth, TargetOfTwoPerformsExactlyOneJoin) {
   // Boundary regression: target_nodes == 2 is one join past the
   // preload node and must be accepted, returning a one-element series.
@@ -72,7 +161,7 @@ TEST(MovementGrowth, TargetOfTwoPerformsExactlyOneJoin) {
   EXPECT_EQ(store.backend().node_count(), 2u);
   // The single join's movement is the store's entire movement total.
   EXPECT_EQ(moved[0],
-            static_cast<double>(store.migration_stats().keys_moved_total));
+            static_cast<double>(store.stats().relocation.keys_moved_total));
   EXPECT_GT(moved[0], 0.0);
   EXPECT_EQ(store.size(), keys.size());
 }
@@ -94,7 +183,7 @@ std::vector<std::string> scenario_keys(std::size_t count) {
 }
 
 TEST(CorrelatedFailure, UnreplicatedRackFailureLosesItsKeys) {
-  kv::HrwKvStore store({21, 10}, 1);
+  kv::HrwKvStore store({21, 10}, ReplicationSpec{1, SpreadPolicy::kNone});
   const auto keys = scenario_keys(1500);
   const auto outcome = run_correlated_failure(store, 16, 3, keys, 77);
   EXPECT_EQ(outcome.failed, 3u);  // HRW never refuses
@@ -110,7 +199,7 @@ TEST(CorrelatedFailure, UnreplicatedRackFailureLosesItsKeys) {
 
 TEST(CorrelatedFailure, ReplicationClosesTheLossWindow) {
   // A single-node "rack" with k=2: no key can lose both copies.
-  kv::ChKvStore store({22, 16}, 2);
+  kv::ChKvStore store({22, 16}, ReplicationSpec{2, SpreadPolicy::kNone});
   const auto keys = scenario_keys(1000);
   const auto outcome = run_correlated_failure(store, 12, 1, keys, 78);
   EXPECT_EQ(outcome.failed, 1u);
@@ -120,7 +209,7 @@ TEST(CorrelatedFailure, ReplicationClosesTheLossWindow) {
 
 TEST(CorrelatedFailure, RackChoiceIsDeterministicPerSeed) {
   const auto run_once = [] {
-    kv::HrwKvStore store({23, 10}, 2);
+    kv::HrwKvStore store({23, 10}, ReplicationSpec{2, SpreadPolicy::kNone});
     const auto keys = scenario_keys(800);
     const auto outcome = run_correlated_failure(store, 12, 3, keys, 79);
     return outcome.keys_rereplicated;
@@ -129,7 +218,7 @@ TEST(CorrelatedFailure, RackChoiceIsDeterministicPerSeed) {
 }
 
 TEST(CorrelatedFailure, RejectsDegenerateRacks) {
-  kv::HrwKvStore store({24, 10}, 2);
+  kv::HrwKvStore store({24, 10}, ReplicationSpec{2, SpreadPolicy::kNone});
   const auto keys = scenario_keys(10);
   EXPECT_THROW((void)run_correlated_failure(store, 8, 0, keys, 1),
                InvalidArgument);
@@ -138,7 +227,7 @@ TEST(CorrelatedFailure, RejectsDegenerateRacks) {
 }
 
 TEST(RollingUpgrade, SweepsTheFleetWithoutLosingKeys) {
-  kv::HrwKvStore store({25, 10}, 2);
+  kv::HrwKvStore store({25, 10}, ReplicationSpec{2, SpreadPolicy::kNone});
   const auto keys = scenario_keys(1200);
   const auto outcome = run_rolling_upgrade(store, 10, keys);
   EXPECT_EQ(outcome.upgraded, 10u);  // HRW never refuses a drain
@@ -160,7 +249,7 @@ TEST(FailureDuringRepair, SecondCrashLandsWhileRepairIsQueued) {
   // while the DES schedules both crashes' rounds: overlapping them can
   // only shorten the makespan against the quiescent-repair reference,
   // never change the message count.
-  kv::HrwKvStore store({31, 10}, 2);
+  kv::HrwKvStore store({31, 10}, ReplicationSpec{2, SpreadPolicy::kNone});
   const auto keys = scenario_keys(1200);
   const auto outcome = run_failure_during_repair(store, 14, 2, keys, 91);
   EXPECT_EQ(outcome.failed_first, 2u);  // HRW never refuses
@@ -179,36 +268,37 @@ TEST(FailureDuringRepair, AccountingMatchesTheStoreChannels) {
   // The crash-phase totals are the store's replication channel, bit
   // for bit (the driver is cleared after preload, so compare deltas
   // over the crash phase - which is the whole channel delta here).
-  kv::ChKvStore store({32, 16}, 3);
+  kv::ChKvStore store({32, 16}, ReplicationSpec{3, SpreadPolicy::kNone});
   const auto keys = scenario_keys(900);
-  const auto before_lost = store.replication_stats().keys_lost;
-  const auto before_copies = store.replication_stats().keys_rereplicated;
+  const auto before_lost = store.stats().replication.keys_lost;
+  const auto before_copies = store.stats().replication.keys_rereplicated;
   const auto outcome = run_failure_during_repair(store, 12, 2, keys, 92);
   EXPECT_EQ(outcome.keys_lost,
-            store.replication_stats().keys_lost - before_lost);
+            store.stats().replication.keys_lost - before_lost);
   EXPECT_EQ(outcome.totals.keys_lost, outcome.keys_lost);
   // Growth joins repair an empty store (zero copies) and preload puts
   // count as replica_writes, not repairs - so the whole channel delta
   // is the crash phase, which is exactly what the cleared driver saw.
   EXPECT_EQ(outcome.totals.repair_copies,
-            store.replication_stats().keys_rereplicated - before_copies);
+            store.stats().replication.keys_rereplicated - before_copies);
   EXPECT_EQ(outcome.totals.repair_copies, outcome.keys_rereplicated);
 }
 
 TEST(FailureDuringRepair, UnreplicatedCrashesLoseKeysReplicatedOnesLoseLess) {
   const auto keys = scenario_keys(1000);
-  kv::JumpKvStore unreplicated({33, 10}, 1);
+  kv::JumpKvStore unreplicated({33, 10},
+                               ReplicationSpec{1, SpreadPolicy::kNone});
   const auto k1 = run_failure_during_repair(unreplicated, 12, 2, keys, 93);
   EXPECT_GT(k1.keys_lost, 0u);  // no redundancy: both racks lose keys
 
-  kv::JumpKvStore replicated({33, 10}, 3);
+  kv::JumpKvStore replicated({33, 10}, ReplicationSpec{3, SpreadPolicy::kNone});
   const auto k3 = run_failure_during_repair(replicated, 12, 2, keys, 93);
   EXPECT_LT(k3.keys_lost, k1.keys_lost);
 }
 
 TEST(FailureDuringRepair, DeterministicPerSeed) {
   const auto run_once = [] {
-    kv::HrwKvStore store({34, 10}, 2);
+    kv::HrwKvStore store({34, 10}, ReplicationSpec{2, SpreadPolicy::kNone});
     const auto keys = scenario_keys(600);
     const auto outcome = run_failure_during_repair(store, 11, 2, keys, 94);
     return std::pair{outcome.keys_rereplicated,
@@ -218,7 +308,7 @@ TEST(FailureDuringRepair, DeterministicPerSeed) {
 }
 
 TEST(FailureDuringRepair, RejectsRacksThatLeaveNoSurvivor) {
-  kv::HrwKvStore store({35, 10}, 2);
+  kv::HrwKvStore store({35, 10}, ReplicationSpec{2, SpreadPolicy::kNone});
   const auto keys = scenario_keys(10);
   EXPECT_THROW((void)run_failure_during_repair(store, 8, 4, keys, 1),
                InvalidArgument);
@@ -234,7 +324,7 @@ TEST(RollingUpgrade, RefusedDrainsAreCountedAndSkipped) {
     c.pmin = 8;
     c.vmin = 8;
     c.seed = 26;
-    return kv::KvStore({c, 1}, 2);
+    return kv::KvStore({c, 1}, ReplicationSpec{2, SpreadPolicy::kNone});
   }();
   const auto keys = scenario_keys(600);
   const auto outcome = run_rolling_upgrade(store, 12, keys);

@@ -22,6 +22,9 @@
 namespace cobalt::sim {
 namespace {
 
+using placement::ReplicationSpec;
+using placement::SpreadPolicy;
+
 dht::Config cfg(std::uint64_t pmin, std::uint64_t vmin, std::uint64_t seed) {
   dht::Config c;
   c.pmin = pmin;
@@ -38,43 +41,50 @@ StoreT make_store(std::uint64_t seed, std::size_t replication);
 template <>
 kv::KvStore make_store<kv::KvStore>(std::uint64_t seed,
                                     std::size_t replication) {
-  return kv::KvStore({cfg(8, 8, seed), 1}, replication);
+  return kv::KvStore({cfg(8, 8, seed), 1},
+                     ReplicationSpec{replication, SpreadPolicy::kNone});
 }
 
 template <>
 kv::GlobalKvStore make_store<kv::GlobalKvStore>(std::uint64_t seed,
                                                 std::size_t replication) {
-  return kv::GlobalKvStore({cfg(8, 1, seed), 1}, replication);
+  return kv::GlobalKvStore({cfg(8, 1, seed), 1},
+                           ReplicationSpec{replication, SpreadPolicy::kNone});
 }
 
 template <>
 kv::ChKvStore make_store<kv::ChKvStore>(std::uint64_t seed,
                                         std::size_t replication) {
-  return kv::ChKvStore({seed, 16}, replication);
+  return kv::ChKvStore({seed, 16},
+                       ReplicationSpec{replication, SpreadPolicy::kNone});
 }
 
 template <>
 kv::HrwKvStore make_store<kv::HrwKvStore>(std::uint64_t seed,
                                           std::size_t replication) {
-  return kv::HrwKvStore({seed, 12}, replication);
+  return kv::HrwKvStore({seed, 12},
+                        ReplicationSpec{replication, SpreadPolicy::kNone});
 }
 
 template <>
 kv::JumpKvStore make_store<kv::JumpKvStore>(std::uint64_t seed,
                                             std::size_t replication) {
-  return kv::JumpKvStore({seed, 12}, replication);
+  return kv::JumpKvStore({seed, 12},
+                         ReplicationSpec{replication, SpreadPolicy::kNone});
 }
 
 template <>
 kv::MaglevKvStore make_store<kv::MaglevKvStore>(std::uint64_t seed,
                                                 std::size_t replication) {
-  return kv::MaglevKvStore({seed, 12}, replication);
+  return kv::MaglevKvStore({seed, 12},
+                           ReplicationSpec{replication, SpreadPolicy::kNone});
 }
 
 template <>
 kv::BoundedChKvStore make_store<kv::BoundedChKvStore>(std::uint64_t seed,
                                                       std::size_t replication) {
-  return kv::BoundedChKvStore({seed, 16, 0.25, 12}, replication);
+  return kv::BoundedChKvStore(
+      {seed, 16, 0.25, 12}, ReplicationSpec{replication, SpreadPolicy::kNone});
 }
 
 ServingSpec uniform_spec(std::size_t keys, std::size_t requests) {
