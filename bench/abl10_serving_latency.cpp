@@ -25,8 +25,8 @@
 // rotates onto different keys mid-stream).
 
 #include <cstdint>
-#include <functional>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,6 +36,7 @@
 #include "kv/store.hpp"
 #include "sim/serving.hpp"
 #include "support/figure.hpp"
+#include "support/schemes.hpp"
 
 namespace {
 
@@ -130,11 +131,7 @@ int main(int argc, char** argv) {
   const double util = fig.args().get_double("util", 0.7);
   const double slowdown = fig.args().get_double("slow", 8.0);
   const std::size_t joins = fig.args().get_uint("joins", 4);
-  const std::uint64_t pmin = fig.args().get_uint("pmin", 32);
-  const std::uint64_t vmin = fig.args().get_uint("vmin", 4);
-  const auto grid_bits =
-      static_cast<unsigned>(fig.args().get_uint("grid-bits", 14));
-  const double epsilon = fig.args().get_double("epsilon", 0.1);
+  const auto params = cobalt::bench::SchemeParams::from_flags(fig, 4);
   const std::string csv_dir =
       fig.options().csv_enabled() ? fig.options().csv_dir() : "off";
 
@@ -159,44 +156,6 @@ int main(int argc, char** argv) {
     spec.histogram_max_us = 50000.0;
     spec.histogram_buckets = 5000;
     return spec;
-  };
-
-  const auto local_factory = [&](std::uint64_t seed, std::size_t k) {
-    cobalt::dht::Config config;
-    config.pmin = pmin;
-    config.vmin = vmin;
-    config.seed = seed;
-    return cobalt::kv::KvStore({config, 1},
-                               ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-  const auto global_factory = [&](std::uint64_t seed, std::size_t k) {
-    cobalt::dht::Config config;
-    config.pmin = pmin;
-    config.vmin = 1;
-    config.seed = seed;
-    return cobalt::kv::GlobalKvStore({config, 1},
-                                     ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-  const auto ch_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::ChKvStore({seed, static_cast<std::size_t>(pmin)},
-                                 ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-  const auto hrw_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::HrwKvStore({seed, grid_bits},
-                                  ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-  const auto jump_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::JumpKvStore({seed, grid_bits},
-                                   ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-  const auto maglev_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::MaglevKvStore({seed, grid_bits},
-                                     ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-  const auto bounded_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::BoundedChKvStore(
-        {seed, static_cast<std::size_t>(pmin), epsilon, grid_bits},
-        ReplicationSpec{k, SpreadPolicy::kNone});
   };
 
   std::optional<cobalt::CsvWriter> latency_csv;
@@ -248,80 +207,58 @@ int main(int argc, char** argv) {
                             "mean (us)", "completed", "failed", "max queue"});
   // p99 per (scheme, policy) over k, for the chart/CSV and the checks.
   std::vector<Series> p99_series;
-  // p99 of cell [scheme][policy][k-1].
-  std::vector<std::vector<std::vector<double>>> matrix_p99;
+  // k = 1 primary-read p99 per scheme, for the headline check.
+  std::map<std::string, double> k1_primary_p99;
 
-  struct SchemeEntry {
-    std::string name;
-    std::uint64_t tag;
-    std::function<CellOutcome(std::size_t k, std::size_t policy_index,
-                              std::uint64_t variant, double rho,
-                              const cobalt::sim::ServingSpec& spec)>
-        run_cell;
-  };
-
-  // One generic cell runner per scheme: builds a fresh store, grows it
-  // to the population, runs the requested scenario variant.
+  // One cell: a fresh store of `scheme` grown to the population runs
+  // the requested scenario variant, averaged over --runs.
   //   variant 0 = steady, 1 = slow node, 2 = flash crowd, 3 = shift
-  const auto scheme_runner = [&](auto factory, std::uint64_t tag) {
-    return [&, factory, tag](std::size_t k, std::size_t policy_index,
-                             std::uint64_t variant, double /*rho*/,
-                             const cobalt::sim::ServingSpec& spec) {
-      CellOutcome cell;
-      for (std::size_t run = 0; run < fig.runs(); ++run) {
-        const std::uint64_t seed = cobalt::derive_seed(
-            fig.seed(), tag * 1000 + variant * 100 + k * 10 + policy_index,
-            run);
-        auto store = factory(seed, k);
-        for (std::size_t n = 0; n < population; ++n) store.add_node(1.0);
-        const auto policy = kPolicies[policy_index].policy;
-        if (variant == 1) {
-          accumulate(cell,
-                     cobalt::sim::run_slow_node(store, spec, policy, seed,
-                                                slowdown)
-                         .serving,
-                     spec.requests);
-        } else if (variant == 2) {
-          auto flash =
-              cobalt::sim::run_flash_crowd(store, spec, policy, seed, joins);
-          cell.repair_work_us += flash.repair_work_us;
-          accumulate(cell, flash.serving, spec.requests);
-        } else if (variant == 3) {
-          accumulate(cell,
-                     cobalt::sim::run_hotspot_shift(store, spec, policy, seed),
-                     spec.requests);
-        } else {
-          accumulate(cell,
-                     cobalt::sim::run_steady_serving(store, spec, policy,
-                                                     seed),
-                     spec.requests);
-        }
+  const auto run_cell = [&](const auto& scheme, std::size_t k,
+                            std::size_t policy_index, std::uint64_t variant,
+                            const cobalt::sim::ServingSpec& spec) {
+    const std::uint64_t tag = 100 + scheme.index;
+    CellOutcome cell;
+    for (std::size_t run = 0; run < fig.runs(); ++run) {
+      const std::uint64_t seed = cobalt::derive_seed(
+          fig.seed(), tag * 1000 + variant * 100 + k * 10 + policy_index,
+          run);
+      auto store =
+          scheme.store(seed, ReplicationSpec{k, SpreadPolicy::kNone});
+      for (std::size_t n = 0; n < population; ++n) store.add_node(1.0);
+      const auto policy = kPolicies[policy_index].policy;
+      if (variant == 1) {
+        accumulate(cell,
+                   cobalt::sim::run_slow_node(store, spec, policy, seed,
+                                              slowdown)
+                       .serving,
+                   spec.requests);
+      } else if (variant == 2) {
+        auto flash =
+            cobalt::sim::run_flash_crowd(store, spec, policy, seed, joins);
+        cell.repair_work_us += flash.repair_work_us;
+        accumulate(cell, flash.serving, spec.requests);
+      } else if (variant == 3) {
+        accumulate(cell,
+                   cobalt::sim::run_hotspot_shift(store, spec, policy, seed),
+                   spec.requests);
+      } else {
+        accumulate(cell,
+                   cobalt::sim::run_steady_serving(store, spec, policy, seed),
+                   spec.requests);
       }
-      average(cell, fig.runs());
-      return cell;
-    };
-  };
-
-  const std::vector<SchemeEntry> schemes = {
-      {"local", 100, scheme_runner(local_factory, 100)},
-      {"global", 101, scheme_runner(global_factory, 101)},
-      {"ch", 102, scheme_runner(ch_factory, 102)},
-      {"hrw", 103, scheme_runner(hrw_factory, 103)},
-      {"jump", 104, scheme_runner(jump_factory, 104)},
-      {"maglev", 105, scheme_runner(maglev_factory, 105)},
-      {"bounded-ch", 106, scheme_runner(bounded_factory, 106)},
+    }
+    average(cell, fig.runs());
+    return cell;
   };
 
   const cobalt::sim::ServingSpec steady_spec = make_spec(util);
-  for (const SchemeEntry& scheme : schemes) {
-    matrix_p99.emplace_back();
+  cobalt::bench::for_each_scheme(params, [&](const auto& scheme) {
     for (std::size_t p = 0; p < 3; ++p) {
-      matrix_p99.back().emplace_back();
       Series series{scheme.name + "/" + kPolicies[p].name + " p99 (us)", {}};
       bool p99_ordered = true;
       for (std::size_t k = 1; k <= kMaxReplication; ++k) {
         const CellOutcome cell =
-            scheme.run_cell(k, p, /*variant=*/0, util, steady_spec);
+            run_cell(scheme, k, p, /*variant=*/0, steady_spec);
         matrix.add_row({scheme.name + " k=" + std::to_string(k) + " " +
                             kPolicies[p].name,
                         cobalt::format_fixed(cell.p50, 1),
@@ -332,7 +269,7 @@ int main(int argc, char** argv) {
                         cobalt::format_fixed(cell.failed, 0),
                         cobalt::format_fixed(cell.max_queue, 0)});
         emit_cell("steady", scheme.name, k, kPolicies[p].name, cell);
-        matrix_p99.back().back().push_back(cell.p99);
+        if (k == 1 && p == 0) k1_primary_p99[scheme.name] = cell.p99;
         series.y.push_back(cell.p99);
         all_conserved = all_conserved && cell.conserved;
         p99_ordered = p99_ordered && cell.p99 >= cell.p50;
@@ -343,7 +280,7 @@ int main(int argc, char** argv) {
       fig.check(p99_ordered, scheme.name + " " + kPolicies[p].name +
                                  ": p99 >= p50 at every k");
     }
-  }
+  });
   std::cout << matrix.render();
 
   // --- gray failure: one slow node, primary vs least_loaded ----------
@@ -351,12 +288,20 @@ int main(int argc, char** argv) {
   cobalt::TextTable slow_table(
       {"scheme (k=3, slow node)", "policy", "p50 (us)", "p99 (us)",
        "max queue"});
-  std::vector<double> slow_primary_p99;
-  std::vector<double> slow_balanced_p99;
-  for (const SchemeEntry& scheme : schemes) {
+  // Per-scheme results of the three scenarios, for the checks.
+  struct ScenarioResults {
+    std::string name;
+    double slow_primary_p99 = 0.0;
+    double slow_balanced_p99 = 0.0;
+    double flash_repair_work = 0.0;
+  };
+  std::vector<ScenarioResults> scenarios;
+  cobalt::bench::for_each_scheme(params, [&](const auto& scheme) {
+    ScenarioResults& result =
+        scenarios.emplace_back(ScenarioResults{scheme.name});
     for (const std::size_t p : {std::size_t{0}, std::size_t{2}}) {
       const CellOutcome cell =
-          scheme.run_cell(kMaxReplication, p, /*variant=*/1, 0.5, slow_spec);
+          run_cell(scheme, kMaxReplication, p, /*variant=*/1, slow_spec);
       slow_table.add_row({scheme.name + " slow", kPolicies[p].name,
                           cobalt::format_fixed(cell.p50, 1),
                           cobalt::format_fixed(cell.p99, 1),
@@ -364,9 +309,10 @@ int main(int argc, char** argv) {
       emit_cell("slow_node", scheme.name, kMaxReplication, kPolicies[p].name,
                 cell);
       all_conserved = all_conserved && cell.conserved;
-      (p == 0 ? slow_primary_p99 : slow_balanced_p99).push_back(cell.p99);
+      (p == 0 ? result.slow_primary_p99 : result.slow_balanced_p99) =
+          cell.p99;
     }
-  }
+  });
   std::cout << slow_table.render();
 
   // --- flash crowd: joins mid-stream, repair in the queues -----------
@@ -379,11 +325,10 @@ int main(int argc, char** argv) {
                                      " nodes mid-run)",
                                  "p99 before (us)", "p99 after (us)",
                                  "repair work (us)"});
-  std::vector<double> flash_repair_work;
-  for (const SchemeEntry& scheme : schemes) {
-    const CellOutcome cell =
-        scheme.run_cell(kMaxReplication, /*policy=*/2, /*variant=*/2, 0.5,
-                        flash_spec);
+  std::size_t flash_row = 0;
+  cobalt::bench::for_each_scheme(params, [&](const auto& scheme) {
+    const CellOutcome cell = run_cell(scheme, kMaxReplication, /*policy=*/2,
+                                      /*variant=*/2, flash_spec);
     flash_table.add_row({scheme.name + " flash",
                          cobalt::format_fixed(cell.p99_before, 1),
                          cobalt::format_fixed(cell.p99_after, 1),
@@ -391,23 +336,23 @@ int main(int argc, char** argv) {
     emit_cell("flash_crowd", scheme.name, kMaxReplication, "least_loaded",
               cell);
     all_conserved = all_conserved && cell.conserved;
-    flash_repair_work.push_back(cell.repair_work_us);
-  }
+    scenarios[flash_row++].flash_repair_work = cell.repair_work_us;
+  });
   std::cout << flash_table.render();
 
   // --- hotspot shift: the hot set rotates mid-stream -----------------
   const cobalt::sim::ServingSpec shift_spec = make_spec(0.6);
   cobalt::TextTable shift_table({"scheme (k=1, hot set rotates)",
                                  "p99 before (us)", "p99 after (us)"});
-  for (const SchemeEntry& scheme : schemes) {
+  cobalt::bench::for_each_scheme(params, [&](const auto& scheme) {
     const CellOutcome cell =
-        scheme.run_cell(/*k=*/1, /*policy=*/0, /*variant=*/3, 0.6, shift_spec);
+        run_cell(scheme, /*k=*/1, /*policy=*/0, /*variant=*/3, shift_spec);
     shift_table.add_row({scheme.name + " shift",
                          cobalt::format_fixed(cell.p99_before, 1),
                          cobalt::format_fixed(cell.p99_after, 1)});
     emit_cell("hotspot_shift", scheme.name, 1, "primary", cell);
     all_conserved = all_conserved && cell.conserved;
-  }
+  });
   std::cout << shift_table.render();
 
   std::vector<double> ks;
@@ -428,33 +373,37 @@ int main(int argc, char** argv) {
 
   // The headline: under the hotspot stream at k=1, plain CH's largest
   // ring share crosses saturation while bounded CH's (1+eps) cap keeps
-  // every node under the knee.
-  const double ch_p99 = matrix_p99[2][0][0];
-  const double bounded_p99 = matrix_p99[6][0][0];
-  fig.check(bounded_p99 < ch_p99,
-            "bounded-ch: the (1+eps) load cap cuts hotspot p99 below plain "
-            "CH (" +
-                cobalt::format_fixed(bounded_p99, 0) + "us < " +
-                cobalt::format_fixed(ch_p99, 0) + "us)");
+  // every node under the knee. Both schemes must be enabled.
+  if (k1_primary_p99.contains("ch") &&
+      k1_primary_p99.contains("bounded-ch")) {
+    const double ch_p99 = k1_primary_p99["ch"];
+    const double bounded_p99 = k1_primary_p99["bounded-ch"];
+    fig.check(bounded_p99 < ch_p99,
+              "bounded-ch: the (1+eps) load cap cuts hotspot p99 below "
+              "plain CH (" +
+                  cobalt::format_fixed(bounded_p99, 0) + "us < " +
+                  cobalt::format_fixed(ch_p99, 0) + "us)");
+  }
 
   // Gray failure: queue-depth-probing reads route around the slow
   // node; primary reads are stuck behind its backlog.
-  for (std::size_t s = 0; s < schemes.size(); ++s) {
-    fig.check(slow_balanced_p99[s] < slow_primary_p99[s],
-              schemes[s].name +
+  for (const ScenarioResults& result : scenarios) {
+    fig.check(result.slow_balanced_p99 < result.slow_primary_p99,
+              result.name +
                   ": least_loaded routes around the slow node (p99 " +
-                  cobalt::format_fixed(slow_balanced_p99[s], 0) + "us < " +
-                  cobalt::format_fixed(slow_primary_p99[s], 0) + "us)");
+                  cobalt::format_fixed(result.slow_balanced_p99, 0) +
+                  "us < " +
+                  cobalt::format_fixed(result.slow_primary_p99, 0) + "us)");
   }
 
   // Every scheme relocates data on a join, so the flash crowd always
   // prices repair work into the serving queues.
-  for (std::size_t s = 0; s < schemes.size(); ++s) {
-    fig.check(flash_repair_work[s] > 0.0,
-              schemes[s].name +
+  for (const ScenarioResults& result : scenarios) {
+    fig.check(result.flash_repair_work > 0.0,
+              result.name +
                   ": the flash-crowd join put repair traffic in the "
                   "serving queues (" +
-                  cobalt::format_fixed(flash_repair_work[s], 0) + "us)");
+                  cobalt::format_fixed(result.flash_repair_work, 0) + "us)");
   }
 
   FigureHarness::note(

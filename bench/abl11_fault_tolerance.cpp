@@ -39,6 +39,7 @@
 #include "sim/protocol_cost.hpp"
 #include "sim/serving.hpp"
 #include "support/figure.hpp"
+#include "support/schemes.hpp"
 
 namespace {
 
@@ -141,11 +142,7 @@ int main(int argc, char** argv) {
   const std::size_t requests = fig.args().get_uint("requests", 6000);
   const double service_us = fig.args().get_double("service", 50.0);
   const double util = fig.args().get_double("util", 0.6);
-  const std::uint64_t pmin = fig.args().get_uint("pmin", 32);
-  const std::uint64_t vmin = fig.args().get_uint("vmin", 4);
-  const auto grid_bits =
-      static_cast<unsigned>(fig.args().get_uint("grid-bits", 14));
-  const double epsilon = fig.args().get_double("epsilon", 0.1);
+  const auto params = cobalt::bench::SchemeParams::from_flags(fig, 4);
   const std::string csv_dir =
       fig.options().csv_enabled() ? fig.options().csv_dir() : "off";
 
@@ -220,48 +217,13 @@ int main(int argc, char** argv) {
     return plan;
   };
 
-  const auto local_factory = [&](std::uint64_t seed, std::size_t reps) {
-    cobalt::dht::Config config;
-    config.pmin = pmin;
-    config.vmin = vmin;
-    config.seed = seed;
-    return cobalt::kv::KvStore({config, 1},
-                               ReplicationSpec{reps, SpreadPolicy::kNone});
-  };
-  const auto global_factory = [&](std::uint64_t seed, std::size_t reps) {
-    cobalt::dht::Config config;
-    config.pmin = pmin;
-    config.vmin = 1;
-    config.seed = seed;
-    return cobalt::kv::GlobalKvStore(
-        {config, 1}, ReplicationSpec{reps, SpreadPolicy::kNone});
-  };
-  const auto ch_factory = [&](std::uint64_t seed, std::size_t reps) {
-    return cobalt::kv::ChKvStore({seed, static_cast<std::size_t>(pmin)},
-                                 ReplicationSpec{reps, SpreadPolicy::kNone});
-  };
-  const auto hrw_factory = [&](std::uint64_t seed, std::size_t reps) {
-    return cobalt::kv::HrwKvStore({seed, grid_bits},
-                                  ReplicationSpec{reps, SpreadPolicy::kNone});
-  };
-  const auto jump_factory = [&](std::uint64_t seed, std::size_t reps) {
-    return cobalt::kv::JumpKvStore({seed, grid_bits},
-                                   ReplicationSpec{reps, SpreadPolicy::kNone});
-  };
-  const auto maglev_factory = [&](std::uint64_t seed, std::size_t reps) {
-    return cobalt::kv::MaglevKvStore(
-        {seed, grid_bits}, ReplicationSpec{reps, SpreadPolicy::kNone});
-  };
-  const auto bounded_factory = [&](std::uint64_t seed, std::size_t reps) {
-    return cobalt::kv::BoundedChKvStore(
-        {seed, static_cast<std::size_t>(pmin), epsilon, grid_bits},
-        ReplicationSpec{reps, SpreadPolicy::kNone});
-  };
-
   // One (scheme, profile) cell: the recorded churn executed message by
   // message, plus one faulted serving run, summed over --runs.
-  const auto run_cell = [&](std::uint64_t tag, std::size_t profile_index,
-                            const auto& factory) {
+  const auto run_cell = [&](const auto& scheme, std::size_t profile_index) {
+    const auto make = [&](std::uint64_t seed) {
+      return scheme.store(seed, ReplicationSpec{k, SpreadPolicy::kNone});
+    };
+    const std::uint64_t tag = 110 + scheme.index;
     const Profile& profile = kProfiles[profile_index];
     Cell cell;
     for (std::size_t run = 0; run < fig.runs(); ++run) {
@@ -274,7 +236,7 @@ int main(int argc, char** argv) {
       const std::uint64_t plan_seed =
           cobalt::derive_seed(fig.seed(), 0xFAu, run);
 
-      auto churn_store = factory(seed, k);
+      auto churn_store = make(seed);
       const auto plan = protocol_plan(profile, plan_seed);
       const auto churn = cobalt::sim::run_faulty_protocol_churn(
           churn_store, population, cycles, keys, seed, plan, {}, gap_us);
@@ -298,7 +260,7 @@ int main(int argc, char** argv) {
       cell.clean_makespan_us += churn.clean_schedule.makespan_us;
       cell.makespan_us += churn.exec.makespan_us;
 
-      auto serve_store = factory(cobalt::derive_seed(seed, 0x5Eu, 0), k);
+      auto serve_store = make(cobalt::derive_seed(seed, 0x5Eu, 0));
       for (std::size_t n = 0; n < population; ++n) serve_store.add_node();
       const auto splan = serving_plan(profile, plan_seed);
       const auto serving = cobalt::sim::run_faulty_serving(
@@ -361,21 +323,13 @@ int main(int argc, char** argv) {
   // the report, then recomputed for the byte-stability check.
   const auto run_matrix = [&] {
     std::vector<SchemeCells> matrix;
-    const auto run_scheme = [&](const std::string& name, std::uint64_t tag,
-                                const auto& factory) {
-      SchemeCells cells{name, {}};
+    cobalt::bench::for_each_scheme(params, [&](const auto& scheme) {
+      SchemeCells cells{scheme.name, {}};
       for (std::size_t p = 0; p < kProfileCount; ++p) {
-        cells.by_profile.push_back(run_cell(tag, p, factory));
+        cells.by_profile.push_back(run_cell(scheme, p));
       }
       matrix.push_back(std::move(cells));
-    };
-    run_scheme("local", 110, local_factory);
-    run_scheme("global", 111, global_factory);
-    run_scheme("ch", 112, ch_factory);
-    run_scheme("hrw", 113, hrw_factory);
-    run_scheme("jump", 114, jump_factory);
-    run_scheme("maglev", 115, maglev_factory);
-    run_scheme("bounded-ch", 116, bounded_factory);
+    });
     return matrix;
   };
 
@@ -419,12 +373,10 @@ int main(int argc, char** argv) {
   if (csv_dir != "off") {
     cobalt::CsvWriter csv(csv_dir + "/abl11.csv");
     csv.write_row(header);
-    std::size_t i = 0;
     for (const auto& scheme : matrix) {
       for (std::size_t p = 0; p < kProfileCount; ++p) {
         csv.write_row(csv_fields(scheme.name, kProfiles[p],
                                  scheme.by_profile[p]));
-        ++i;
       }
     }
     csv.close();

@@ -52,6 +52,7 @@
 #include "sim/scenario.hpp"
 #include "sim/serving.hpp"
 #include "support/figure.hpp"
+#include "support/schemes.hpp"
 
 namespace {
 
@@ -131,11 +132,7 @@ int main(int argc, char** argv) {
   const std::size_t requests = fig.args().get_uint("requests", 6000);
   const double service_us = fig.args().get_double("service", 50.0);
   const double util = fig.args().get_double("util", 0.6);
-  const std::uint64_t pmin = fig.args().get_uint("pmin", 32);
-  const std::uint64_t vmin = fig.args().get_uint("vmin", 8);
-  const auto grid_bits =
-      static_cast<unsigned>(fig.args().get_uint("grid-bits", 14));
-  const double epsilon = fig.args().get_double("epsilon", 0.1);
+  const auto params = cobalt::bench::SchemeParams::from_flags(fig, 8);
   const std::string csv_dir =
       fig.options().csv_enabled() ? fig.options().csv_dir() : "off";
 
@@ -176,64 +173,24 @@ int main(int argc, char** argv) {
   spec.write_fraction = 0.2;
   spec.write_deadline_us = 1000.0;
 
-  const auto local_factory = [&](std::uint64_t seed,
-                                 const ReplicationSpec& rspec) {
-    cobalt::dht::Config config;
-    config.pmin = pmin;
-    config.vmin = vmin;
-    config.seed = seed;
-    return cobalt::kv::KvStore({config, 1}, rspec);
-  };
-  const auto global_factory = [&](std::uint64_t seed,
-                                  const ReplicationSpec& rspec) {
-    cobalt::dht::Config config;
-    config.pmin = pmin;
-    config.vmin = 1;
-    config.seed = seed;
-    return cobalt::kv::GlobalKvStore({config, 1}, rspec);
-  };
-  const auto ch_factory = [&](std::uint64_t seed,
-                              const ReplicationSpec& rspec) {
-    return cobalt::kv::ChKvStore({seed, static_cast<std::size_t>(pmin)},
-                                 rspec);
-  };
-  const auto hrw_factory = [&](std::uint64_t seed,
-                               const ReplicationSpec& rspec) {
-    return cobalt::kv::HrwKvStore({seed, grid_bits}, rspec);
-  };
-  const auto jump_factory = [&](std::uint64_t seed,
-                                const ReplicationSpec& rspec) {
-    return cobalt::kv::JumpKvStore({seed, grid_bits}, rspec);
-  };
-  const auto maglev_factory = [&](std::uint64_t seed,
-                                  const ReplicationSpec& rspec) {
-    return cobalt::kv::MaglevKvStore({seed, grid_bits}, rspec);
-  };
-  const auto bounded_factory = [&](std::uint64_t seed,
-                                   const ReplicationSpec& rspec) {
-    return cobalt::kv::BoundedChKvStore(
-        {seed, static_cast<std::size_t>(pmin), epsilon, grid_bits}, rspec);
-  };
-
   /// The crash's repair rounds recorded through a ProtocolDriver and
   /// priced on the tiered model; returns {makespan_us, cross-rack
   /// request/ack legs} for one fan-out discipline.
-  const auto priced_repair = [&](const auto& factory, std::uint64_t seed,
+  const auto priced_repair = [&](const auto& scheme, std::uint64_t seed,
                                  const ReplicationSpec& rspec,
                                  bool multicast) {
-    auto store = factory(seed, rspec);
+    auto store = scheme.store(seed, rspec);
     for (std::size_t n = 0; n < population; ++n) store.add_node();
     store.set_topology(&topo);
     for (const std::string& key : keys) store.put(key, "v");
 
-    using StoreT = std::decay_t<decltype(store)>;
-    typename cobalt::cluster::ProtocolDriver<
-        typename StoreT::BackendType>::Options opts;
+    using Driver = cobalt::cluster::ProtocolDriver<
+        typename std::decay_t<decltype(scheme)>::BackendType>;
+    typename Driver::Options opts;
     opts.network = net;
     opts.topology = &topo;
     opts.multicast_repair = multicast;
-    cobalt::cluster::ProtocolDriver<typename StoreT::BackendType> driver(
-        store, opts);
+    Driver driver(store, opts);
 
     std::vector<cobalt::placement::NodeId> victims;
     for (const auto node : topo.nodes_in_rack(victim_rack)) {
@@ -251,15 +208,15 @@ int main(int argc, char** argv) {
   };
 
   // One (scheme, k, spread) cell, summed over --runs.
-  const auto run_cell = [&](std::uint64_t tag, std::size_t k,
-                            SpreadPolicy spread, const auto& factory) {
+  const auto run_cell = [&](const auto& scheme, std::uint64_t tag,
+                            std::size_t k, SpreadPolicy spread) {
     const ReplicationSpec rspec{k, spread};
     Cell cell;
     for (std::size_t run = 0; run < fig.runs(); ++run) {
       const std::uint64_t seed = cobalt::derive_seed(fig.seed(), tag, run);
 
       // Loss view.
-      auto crash_store = factory(seed, rspec);
+      auto crash_store = scheme.store(seed, rspec);
       const auto outcome = cobalt::sim::run_correlated_failure(
           crash_store, population, topo, victim_rack, keys);
       cell.keys_lost += outcome.keys_lost;
@@ -269,8 +226,8 @@ int main(int argc, char** argv) {
       cell.sigma_after += outcome.sigma_after;
 
       // Protocol view: same placement (same seed), both fan-outs.
-      const auto unicast = priced_repair(factory, seed, rspec, false);
-      const auto mcast = priced_repair(factory, seed, rspec, true);
+      const auto unicast = priced_repair(scheme, seed, rspec, false);
+      const auto mcast = priced_repair(scheme, seed, rspec, true);
       cell.unicast_makespan_us += unicast.first;
       cell.multicast_makespan_us += mcast.first;
       cell.cross_rack_msgs += unicast.second;
@@ -278,7 +235,8 @@ int main(int argc, char** argv) {
 
       // Serving view: the same rack partitioned away mid-stream,
       // reads failing over in proximity order.
-      auto serve_store = factory(cobalt::derive_seed(seed, 0x5Eu, 0), rspec);
+      auto serve_store =
+          scheme.store(cobalt::derive_seed(seed, 0x5Eu, 0), rspec);
       for (std::size_t n = 0; n < population; ++n) serve_store.add_node();
       serve_store.set_topology(&topo);
       cobalt::cluster::FaultPlan plan(seed);
@@ -337,27 +295,18 @@ int main(int argc, char** argv) {
   // the report, then recomputed for the byte-stability check.
   const auto run_matrix = [&] {
     std::vector<SchemeCells> matrix;
-    const auto run_scheme = [&](const std::string& name, std::uint64_t tag,
-                                const auto& factory) {
-      if (!fig.options().scheme_enabled(name)) return;
-      SchemeCells scheme{name, {}};
+    cobalt::bench::for_each_scheme(params, [&](const auto& scheme) {
+      const std::uint64_t tag = 120 + scheme.index;
+      SchemeCells& row = matrix.emplace_back(SchemeCells{scheme.name, {}});
       for (std::size_t ki = 0; ki < kKCount; ++ki) {
-        scheme.cells.emplace_back();
+        row.cells.emplace_back();
         for (std::size_t s = 0; s < kSpreadCount; ++s) {
-          scheme.cells.back().push_back(
-              run_cell(tag * 8 + ki * kSpreadCount + s, kKs[ki], kSpreads[s],
-                       factory));
+          row.cells.back().push_back(run_cell(scheme,
+                                              tag * 8 + ki * kSpreadCount + s,
+                                              kKs[ki], kSpreads[s]));
         }
       }
-      matrix.push_back(std::move(scheme));
-    };
-    run_scheme("local", 120, local_factory);
-    run_scheme("global", 121, global_factory);
-    run_scheme("ch", 122, ch_factory);
-    run_scheme("hrw", 123, hrw_factory);
-    run_scheme("jump", 124, jump_factory);
-    run_scheme("maglev", 125, maglev_factory);
-    run_scheme("bounded-ch", 126, bounded_factory);
+    });
     return matrix;
   };
 

@@ -21,9 +21,7 @@
 // movement, maglev's table-wide repopulation and bounded CH's cap
 // reshuffling add overhead above the fair share.
 
-#include <algorithm>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -31,6 +29,7 @@
 #include "kv/store.hpp"
 #include "sim/scenario.hpp"
 #include "support/figure.hpp"
+#include "support/schemes.hpp"
 
 int main(int argc, char** argv) {
   using cobalt::bench::FigureHarness;
@@ -47,14 +46,15 @@ int main(int argc, char** argv) {
   // CI smoke uses --schemes=local at 8192 joins to exercise the local
   // approach's group-split pressure through the store hot path
   // without paying for the table-driven schemes at that scale).
-  // Parsing and typo validation live in bench::Options.
-  const auto enabled = [&](const std::string& scheme) {
-    return fig.options().scheme_enabled(scheme);
-  };
-  const std::size_t ch_k = fig.args().get_uint("ch-partitions", 32);
-  const auto grid_bits =
-      static_cast<unsigned>(fig.args().get_uint("grid-bits", 14));
-  const double epsilon = fig.args().get_double("epsilon", 0.1);
+  // The DHT schemes run Pmin = Vmin = 32; both ring schemes place
+  // --ch-partitions points per node.
+  const cobalt::bench::SchemeParams params{
+      .pmin = 32,
+      .vmin = 32,
+      .ch_points = fig.args().get_uint("ch-partitions", 32),
+      .grid_bits = cobalt::bench::grid_bits_flag(fig.args(), 14),
+      .epsilon = fig.args().get_double("epsilon", 0.1),
+      .selection = &fig.options()};
 
   // Key population: synthetic URLs (exercises the real hash path).
   std::vector<std::string> keys;
@@ -64,32 +64,31 @@ int main(int argc, char** argv) {
                    std::to_string(i));
   }
 
-  cobalt::dht::Config config;
-  config.pmin = 32;
-  config.vmin = 32;
-  config.seed = fig.seed();
-
   // The same scenario loop, seven backends.
-  cobalt::kv::KvStore local({config, 1});
-  cobalt::kv::GlobalKvStore global({config, 1});
-  cobalt::kv::ChKvStore ch({fig.seed(), ch_k});
-  cobalt::kv::HrwKvStore hrw({fig.seed(), grid_bits});
-  cobalt::kv::JumpKvStore jump({fig.seed(), grid_bits});
-  cobalt::kv::MaglevKvStore maglev({fig.seed(), grid_bits});
-  cobalt::kv::BoundedChKvStore bounded(
-      {fig.seed(), ch_k, epsilon, grid_bits});
-  const auto run_scheme = [&](const std::string& scheme, auto& store) {
-    return enabled(scheme)
-               ? cobalt::sim::run_movement_growth(store, keys, fig.steps())
-               : std::vector<double>{};
+  struct Movement {
+    std::string name;
+    std::string label;           ///< series / check label
+    std::vector<double> moved;   ///< keys moved per join
+    bool rebucketed = false;     ///< any key re-bucketed on its node
+    bool all_cross_node = false; ///< every move crossed nodes
+    bool intact = false;         ///< no key lost
   };
-  const auto local_moved = run_scheme("local", local);
-  const auto global_moved = run_scheme("global", global);
-  const auto ch_moved = run_scheme("ch", ch);
-  const auto hrw_moved = run_scheme("hrw", hrw);
-  const auto jump_moved = run_scheme("jump", jump);
-  const auto maglev_moved = run_scheme("maglev", maglev);
-  const auto bounded_moved = run_scheme("bounded-ch", bounded);
+  std::vector<Movement> results;
+  cobalt::bench::for_each_scheme(params, [&](const auto& scheme) {
+    auto store = scheme.store(fig.seed());
+    Movement& row = results.emplace_back();
+    row.name = scheme.name;
+    row.label = scheme.name == "ch"           ? "CH"
+                : scheme.name == "hrw"        ? "HRW"
+                : scheme.name == "bounded-ch" ? "bounded CH"
+                                              : scheme.name;
+    row.moved = cobalt::sim::run_movement_growth(store, keys, fig.steps());
+    const auto relocation = store.stats().relocation;
+    row.rebucketed = relocation.keys_rebucketed != 0;
+    row.all_cross_node =
+        relocation.keys_moved_across_nodes == relocation.keys_moved_total;
+    row.intact = store.size() == key_count;
+  });
 
   std::vector<double> fair_share;
   std::vector<double> xs;
@@ -100,14 +99,8 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Series> series;
-  if (enabled("local")) series.push_back(Series{"local", local_moved});
-  if (enabled("global")) series.push_back(Series{"global", global_moved});
-  if (enabled("ch")) series.push_back(Series{"CH", ch_moved});
-  if (enabled("hrw")) series.push_back(Series{"HRW", hrw_moved});
-  if (enabled("jump")) series.push_back(Series{"jump", jump_moved});
-  if (enabled("maglev")) series.push_back(Series{"maglev", maglev_moved});
-  if (enabled("bounded-ch")) {
-    series.push_back(Series{"bounded CH", bounded_moved});
+  for (const Movement& row : results) {
+    series.push_back(Series{row.label, row.moved});
   }
   series.push_back(Series{"fair share K/N", fair_share});
   fig.print_table(xs, series, xs.size() / 16, /*percent=*/false, "nodes");
@@ -125,65 +118,47 @@ int main(int argc, char** argv) {
     }
     return m / f;
   };
-  const auto check_fair = [&](const std::string& label,
-                              const std::vector<double>& moved, double lo,
-                              double hi) {
-    const double ratio = tail_ratio(moved);
-    fig.check(ratio > lo && ratio < hi,
-              label + " moves a fair share per join (ratio " +
-                  cobalt::format_fixed(ratio, 2) + "x of K/N)");
-  };
-  if (enabled("local")) check_fair("local approach", local_moved, 0.3, 3.0);
-  if (enabled("global")) {
-    check_fair("global approach", global_moved, 0.3, 3.0);
-  }
-  if (enabled("ch")) check_fair("CH", ch_moved, 0.3, 3.0);
-  if (enabled("hrw")) check_fair("HRW", hrw_moved, 0.3, 3.0);
-  if (enabled("jump")) check_fair("jump", jump_moved, 0.3, 3.0);
   // Maglev repopulates its whole table per join and bounded CH
   // reshuffles overflow cells as the caps shrink: both may exceed the
   // fair share, but must stay within a small multiple of it.
-  if (enabled("maglev")) check_fair("maglev", maglev_moved, 0.3, 8.0);
-  if (enabled("bounded-ch")) {
-    check_fair("bounded CH", bounded_moved, 0.3, 8.0);
+  for (const Movement& row : results) {
+    const bool dht = row.name == "local" || row.name == "global";
+    const bool reshuffles = row.name == "maglev" || row.name == "bounded-ch";
+    const double ratio = tail_ratio(row.moved);
+    fig.check(ratio > 0.3 && ratio < (reshuffles ? 8.0 : 3.0),
+              (dht ? row.name + " approach" : row.label) +
+                  " moves a fair share per join (ratio " +
+                  cobalt::format_fixed(ratio, 2) + "x of K/N)");
   }
+  using cobalt::bench::find_scheme;
   // Minimal disruption: a jump join only steals what the new tail
   // bucket ends up owning, so it sits at (or below) the fair share.
-  if (enabled("jump")) {
-    fig.check(tail_ratio(jump_moved) < 1.5,
+  if (const Movement* jump = find_scheme(results, "jump")) {
+    fig.check(tail_ratio(jump->moved) < 1.5,
               "jump stays near the minimal-disruption bound");
   }
   // One vnode per node: every DHT handover crosses nodes, so the two
   // movement counters must agree; CH never re-buckets.
-  if (enabled("local")) {
-    fig.check(local.stats().relocation.keys_moved_across_nodes ==
-                  local.stats().relocation.keys_moved_total,
+  if (const Movement* local = find_scheme(results, "local")) {
+    fig.check(local->all_cross_node,
               "local: all movement crosses nodes at one vnode/node");
   }
-  if (enabled("ch")) {
-    fig.check(ch.stats().relocation.keys_rebucketed == 0,
-              "CH never re-buckets keys");
+  if (const Movement* ch = find_scheme(results, "ch")) {
+    fig.check(!ch->rebucketed, "CH never re-buckets keys");
   }
   // The grid-backed schemes report plain relocations only.
-  if (enabled("hrw") && enabled("jump") && enabled("maglev") &&
-      enabled("bounded-ch")) {
-    fig.check(hrw.stats().relocation.keys_rebucketed == 0 &&
-                  jump.stats().relocation.keys_rebucketed == 0 &&
-                  maglev.stats().relocation.keys_rebucketed == 0 &&
-                  bounded.stats().relocation.keys_rebucketed == 0,
+  const Movement* hrw = find_scheme(results, "hrw");
+  const Movement* jump = find_scheme(results, "jump");
+  const Movement* maglev = find_scheme(results, "maglev");
+  const Movement* bounded = find_scheme(results, "bounded-ch");
+  if (hrw && jump && maglev && bounded) {
+    fig.check(!hrw->rebucketed && !jump->rebucketed && !maglev->rebucketed &&
+                  !bounded->rebucketed,
               "HRW, jump, maglev and bounded CH never re-bucket keys");
   }
   // Integrity: no keys lost by any enabled store.
   bool none_lost = true;
-  if (enabled("local")) none_lost = none_lost && local.size() == key_count;
-  if (enabled("global")) none_lost = none_lost && global.size() == key_count;
-  if (enabled("ch")) none_lost = none_lost && ch.size() == key_count;
-  if (enabled("hrw")) none_lost = none_lost && hrw.size() == key_count;
-  if (enabled("jump")) none_lost = none_lost && jump.size() == key_count;
-  if (enabled("maglev")) none_lost = none_lost && maglev.size() == key_count;
-  if (enabled("bounded-ch")) {
-    none_lost = none_lost && bounded.size() == key_count;
-  }
+  for (const Movement& row : results) none_lost = none_lost && row.intact;
   fig.check(none_lost, "no keys lost through " +
                            std::to_string(fig.steps()) + " joins");
 

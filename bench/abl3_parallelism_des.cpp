@@ -24,7 +24,8 @@
 int main(int argc, char** argv) {
   using cobalt::bench::FigureHarness;
   using cobalt::cluster::NetworkModel;
-  using cobalt::cluster::ReplayResult;
+  using cobalt::cluster::CreationTrace;
+  using cobalt::cluster::ScheduleOutcome;
 
   FigureHarness fig(argc, argv, "abl3",
                     "Ablation A3: creation-protocol makespan, global vs "
@@ -40,6 +41,15 @@ int main(int argc, char** argv) {
   const std::size_t vnodes = fig.steps();
 
   NetworkModel network;
+  // A round of the trace model is one vnode creation; its size is the
+  // number of snodes holding a copy of the victim group's LPDR.
+  const auto mean_round_size = [](const CreationTrace& trace) {
+    double participants = 0.0;
+    for (const auto& creation : trace.creations) {
+      participants += static_cast<double>(creation.participants);
+    }
+    return participants / static_cast<double>(trace.creations.size());
+  };
   cobalt::TextTable table({"snodes", "scheme", "makespan (ms)", "messages",
                            "mean round size", "concurrency", "depth"});
 
@@ -55,16 +65,16 @@ int main(int argc, char** argv) {
     config.seed = fig.seed();
     const auto global_trace = cobalt::cluster::record_global_trace(
         config, snodes, vnodes);
-    const ReplayResult global_result =
+    const ScheduleOutcome global_result =
         cobalt::cluster::replay_trace(global_trace, network);
     table.add_row({std::to_string(snodes), "global",
                    cobalt::format_fixed(global_result.makespan_us / 1000.0, 2),
                    std::to_string(global_result.messages),
-                   cobalt::format_fixed(global_result.mean_participants, 1),
+                   cobalt::format_fixed(mean_round_size(global_trace), 1),
                    cobalt::format_fixed(global_result.concurrency, 2),
                    std::to_string(global_result.serialized_round_depth)});
 
-    ReplayResult local_at_32{};
+    ScheduleOutcome local_at_32{};
     for (const std::uint64_t vmin : vmins) {
       cobalt::dht::Config local_config;
       local_config.pmin = pmin;
@@ -72,14 +82,14 @@ int main(int argc, char** argv) {
       local_config.seed = fig.seed();
       const auto local_trace = cobalt::cluster::record_local_trace(
           local_config, snodes, vnodes);
-      const ReplayResult local_result =
+      const ScheduleOutcome local_result =
           cobalt::cluster::replay_trace(local_trace, network);
       if (vmin == 32) local_at_32 = local_result;
       table.add_row(
           {std::to_string(snodes), "local Vmin=" + std::to_string(vmin),
            cobalt::format_fixed(local_result.makespan_us / 1000.0, 2),
            std::to_string(local_result.messages),
-           cobalt::format_fixed(local_result.mean_participants, 1),
+           cobalt::format_fixed(mean_round_size(local_trace), 1),
            cobalt::format_fixed(local_result.concurrency, 2),
            std::to_string(local_result.serialized_round_depth)});
 

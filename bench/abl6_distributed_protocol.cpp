@@ -30,6 +30,7 @@
 #include "kv/store.hpp"
 #include "sim/protocol_cost.hpp"
 #include "support/figure.hpp"
+#include "support/schemes.hpp"
 
 using cobalt::placement::ReplicationSpec;
 using cobalt::placement::SpreadPolicy;
@@ -143,9 +144,19 @@ int main(int argc, char** argv) {
                                   "makespan (ms)", "exact"});
     const cobalt::cluster::FaultPlan clean_plan(fig.seed());
 
-    const auto exec_scheme = [&](const std::string& name, std::uint64_t tag,
-                                 const auto& factory) {
-      auto store = factory(cobalt::derive_seed(fig.seed(), tag, 0));
+    // The comparison schemes at this bench's Pmin and smallest Vmin.
+    const cobalt::bench::SchemeParams params{
+        .pmin = pmin,
+        .vmin = vmins.front(),
+        .ch_points = static_cast<std::size_t>(pmin),
+        .grid_bits = 14,
+        .epsilon = 0.1,
+        .selection = &fig.options()};
+    cobalt::bench::for_each_scheme(params, [&](const auto& scheme) {
+      const std::string& name = scheme.name;
+      const std::uint64_t tag = 60 + scheme.index;
+      auto store = scheme.store(cobalt::derive_seed(fig.seed(), tag, 0),
+                                ReplicationSpec{2, SpreadPolicy::kNone});
       const auto out = cobalt::sim::run_faulty_protocol_churn(
           store, population, cycles, churn_keys,
           cobalt::derive_seed(fig.seed(), tag, 0), clean_plan);
@@ -165,46 +176,6 @@ int main(int argc, char** argv) {
                            "priced schedule exactly (" +
                            std::to_string(out.exec.messages_sent) +
                            " messages)");
-    };
-
-    const std::uint64_t scheme_pmin = pmin;
-    exec_scheme("local", 60, [&](std::uint64_t seed) {
-      cobalt::dht::Config config;
-      config.pmin = scheme_pmin;
-      config.vmin = vmins.front();
-      config.seed = seed;
-      return cobalt::kv::KvStore({config, 1},
-                                 ReplicationSpec{2, SpreadPolicy::kNone});
-    });
-    exec_scheme("global", 61, [&](std::uint64_t seed) {
-      cobalt::dht::Config config;
-      config.pmin = scheme_pmin;
-      config.vmin = 1;
-      config.seed = seed;
-      return cobalt::kv::GlobalKvStore({config, 1},
-                                       ReplicationSpec{2, SpreadPolicy::kNone});
-    });
-    exec_scheme("ch", 62, [&](std::uint64_t seed) {
-      return cobalt::kv::ChKvStore(
-          {seed, static_cast<std::size_t>(scheme_pmin)},
-          ReplicationSpec{2, SpreadPolicy::kNone});
-    });
-    exec_scheme("hrw", 63, [&](std::uint64_t seed) {
-      return cobalt::kv::HrwKvStore({seed, 14u},
-                                    ReplicationSpec{2, SpreadPolicy::kNone});
-    });
-    exec_scheme("jump", 64, [&](std::uint64_t seed) {
-      return cobalt::kv::JumpKvStore({seed, 14u},
-                                     ReplicationSpec{2, SpreadPolicy::kNone});
-    });
-    exec_scheme("maglev", 65, [&](std::uint64_t seed) {
-      return cobalt::kv::MaglevKvStore({seed, 14u},
-                                       ReplicationSpec{2, SpreadPolicy::kNone});
-    });
-    exec_scheme("bounded-ch", 66, [&](std::uint64_t seed) {
-      return cobalt::kv::BoundedChKvStore(
-          {seed, static_cast<std::size_t>(scheme_pmin), 0.1, 14u},
-          ReplicationSpec{2, SpreadPolicy::kNone});
     });
     std::cout << exec_table.render();
   }

@@ -16,6 +16,7 @@
 
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -28,6 +29,7 @@
 #include "placement/maglev_backend.hpp"
 #include "sim/scenario.hpp"
 #include "support/figure.hpp"
+#include "support/schemes.hpp"
 
 namespace {
 
@@ -98,83 +100,101 @@ int main(int argc, char** argv) {
                    cobalt::format_fixed(out.refused * 100, 1)});
   };
 
+  // --schemes gates each row by its scheme name.
+  const auto enabled = [&](std::string_view scheme) {
+    return fig.options().scheme_enabled(scheme);
+  };
+
   // Global reference: always expressible removals, tight balance.
-  const auto global = run_scheme(
-      fig, 70, population, cycles, [&](std::uint64_t seed) {
-        cobalt::dht::Config config;
-        config.pmin = pmin;
-        config.vmin = 1;
-        config.seed = seed;
-        return cobalt::placement::GlobalDhtBackend({config, 1});
-      });
-  add_row("global", global);
-  fig.check(global.refused == 0.0, "global approach never refuses");
-  fig.check(global.churn_level < 0.05,
-            "global approach stays tightly balanced under churn (" +
-                cobalt::format_fixed(global.churn_level * 100, 2) + "%)");
+  if (enabled("global")) {
+    const auto global = run_scheme(
+        fig, 70, population, cycles, [&](std::uint64_t seed) {
+          cobalt::dht::Config config;
+          config.pmin = pmin;
+          config.vmin = 1;
+          config.seed = seed;
+          return cobalt::placement::GlobalDhtBackend({config, 1});
+        });
+    add_row("global", global);
+    fig.check(global.refused == 0.0, "global approach never refuses");
+    fig.check(global.churn_level < 0.05,
+              "global approach stays tightly balanced under churn (" +
+                  cobalt::format_fixed(global.churn_level * 100, 2) + "%)");
+  }
 
   // CH reference: removals always succeed; churn sits at the (flat)
   // growth level.
-  const auto ch = run_scheme(
-      fig, 71, population, cycles, [&](std::uint64_t seed) {
-        return cobalt::placement::ChBackend(
-            {seed, static_cast<std::size_t>(pmin)});
-      });
-  add_row("CH, " + std::to_string(pmin) + " partitions/node", ch);
-  fig.check(ch.refused == 0.0, "CH never refuses");
-  fig.check(ch.churn_level < 2.0 * ch.growth_plateau + 0.02,
-            "CH churn level stays near its growth level (" +
-                cobalt::format_fixed(ch.churn_level * 100, 1) + "% vs " +
-                cobalt::format_fixed(ch.growth_plateau * 100, 1) + "%)");
+  if (enabled("ch")) {
+    const auto ch = run_scheme(
+        fig, 71, population, cycles, [&](std::uint64_t seed) {
+          return cobalt::placement::ChBackend(
+              {seed, static_cast<std::size_t>(pmin)});
+        });
+    add_row("CH, " + std::to_string(pmin) + " partitions/node", ch);
+    fig.check(ch.refused == 0.0, "CH never refuses");
+    fig.check(ch.churn_level < 2.0 * ch.growth_plateau + 0.02,
+              "CH churn level stays near its growth level (" +
+                  cobalt::format_fixed(ch.churn_level * 100, 1) + "% vs " +
+                  cobalt::format_fixed(ch.growth_plateau * 100, 1) + "%)");
+  }
 
   // The table-driven alternatives: none of them can refuse a removal,
   // and their churn level should hold at their growth level (the grid
   // resamples identically regardless of membership history).
-  const auto grid_bits =
-      static_cast<unsigned>(fig.args().get_uint("grid-bits", 14));
+  const unsigned grid_bits = cobalt::bench::grid_bits_flag(fig.args(), 14);
   const double epsilon = fig.args().get_double("epsilon", 0.1);
 
-  const auto hrw = run_scheme(
-      fig, 72, population, cycles, [&](std::uint64_t seed) {
-        return cobalt::placement::HrwBackend({seed, grid_bits});
-      });
-  add_row("HRW (rendezvous)", hrw);
-  fig.check(hrw.refused == 0.0, "HRW never refuses");
+  if (enabled("hrw")) {
+    const auto hrw = run_scheme(
+        fig, 72, population, cycles, [&](std::uint64_t seed) {
+          return cobalt::placement::HrwBackend({seed, grid_bits});
+        });
+    add_row("HRW (rendezvous)", hrw);
+    fig.check(hrw.refused == 0.0, "HRW never refuses");
+  }
 
-  const auto jump = run_scheme(
-      fig, 73, population, cycles, [&](std::uint64_t seed) {
-        return cobalt::placement::JumpBackend({seed, grid_bits});
-      });
-  add_row("jump", jump);
-  fig.check(jump.refused == 0.0,
-            "jump never refuses (the bucket remap layer absorbs "
-            "non-tail removals)");
+  if (enabled("jump")) {
+    const auto jump = run_scheme(
+        fig, 73, population, cycles, [&](std::uint64_t seed) {
+          return cobalt::placement::JumpBackend({seed, grid_bits});
+        });
+    add_row("jump", jump);
+    fig.check(jump.refused == 0.0,
+              "jump never refuses (the bucket remap layer absorbs "
+              "non-tail removals)");
+  }
 
-  const auto maglev = run_scheme(
-      fig, 74, population, cycles, [&](std::uint64_t seed) {
-        return cobalt::placement::MaglevBackend({seed, grid_bits});
-      });
-  add_row("maglev", maglev);
-  fig.check(maglev.refused == 0.0, "maglev never refuses");
+  if (enabled("maglev")) {
+    const auto maglev = run_scheme(
+        fig, 74, population, cycles, [&](std::uint64_t seed) {
+          return cobalt::placement::MaglevBackend({seed, grid_bits});
+        });
+    add_row("maglev", maglev);
+    fig.check(maglev.refused == 0.0, "maglev never refuses");
+  }
 
-  const auto bounded = run_scheme(
-      fig, 75, population, cycles, [&](std::uint64_t seed) {
-        return cobalt::placement::BoundedChBackend(
-            {seed, static_cast<std::size_t>(pmin), epsilon, grid_bits});
-      });
-  add_row("bounded CH (eps=" + cobalt::format_fixed(epsilon, 2) + ")",
-          bounded);
-  fig.check(bounded.refused == 0.0, "bounded CH never refuses");
-  fig.check(bounded.churn_level < 2.0 * bounded.growth_plateau + 0.02,
-            "bounded CH churn level stays near its growth level (" +
-                cobalt::format_fixed(bounded.churn_level * 100, 1) +
-                "% vs " +
-                cobalt::format_fixed(bounded.growth_plateau * 100, 1) + "%)");
+  if (enabled("bounded-ch")) {
+    const auto bounded = run_scheme(
+        fig, 75, population, cycles, [&](std::uint64_t seed) {
+          return cobalt::placement::BoundedChBackend(
+              {seed, static_cast<std::size_t>(pmin), epsilon, grid_bits});
+        });
+    add_row("bounded CH (eps=" + cobalt::format_fixed(epsilon, 2) + ")",
+            bounded);
+    fig.check(bounded.refused == 0.0, "bounded CH never refuses");
+    fig.check(bounded.churn_level < 2.0 * bounded.growth_plateau + 0.02,
+              "bounded CH churn level stays near its growth level (" +
+                  cobalt::format_fixed(bounded.churn_level * 100, 1) +
+                  "% vs " +
+                  cobalt::format_fixed(bounded.growth_plateau * 100, 1) +
+                  "%)");
+  }
 
   // The local approach across group sizes.
   double refusal_small_vmin = 0.0;
   double refusal_large_vmin = 0.0;
   for (const std::uint64_t vmin : vmins) {
+    if (!enabled("local")) break;
     const auto local = run_scheme(
         fig, vmin, population, cycles, [&](std::uint64_t seed) {
           cobalt::dht::Config config;
@@ -199,10 +219,13 @@ int main(int argc, char** argv) {
 
   // Many small groups mean more Vmin-sized groups whose siblings have
   // split away: refusals should not decrease as groups shrink.
-  fig.check(refusal_small_vmin >= refusal_large_vmin,
-            "refusal rate does not improve with smaller groups (" +
-                cobalt::format_fixed(refusal_small_vmin * 100, 1) + "% vs " +
-                cobalt::format_fixed(refusal_large_vmin * 100, 1) + "%)");
+  if (enabled("local")) {
+    fig.check(refusal_small_vmin >= refusal_large_vmin,
+              "refusal rate does not improve with smaller groups (" +
+                  cobalt::format_fixed(refusal_small_vmin * 100, 1) +
+                  "% vs " +
+                  cobalt::format_fixed(refusal_large_vmin * 100, 1) + "%)");
+  }
   FigureHarness::note(
       "refusals are the honest boundary of the deletion extension: the "
       "model defines no cross-group partition merge (only the local "

@@ -17,7 +17,8 @@
 //     construction - drains are graceful).
 //
 // Every scheme runs the same store-level loops over kv::Store<Backend>;
-// a scheme is one backend factory, exactly as in fig9/abl2/abl7.
+// the schemes and their construction come from the shared table
+// (support/schemes.hpp).
 
 #include <cstdint>
 #include <iostream>
@@ -29,6 +30,7 @@
 #include "kv/store.hpp"
 #include "sim/scenario.hpp"
 #include "support/figure.hpp"
+#include "support/schemes.hpp"
 
 namespace {
 
@@ -99,11 +101,7 @@ int main(int argc, char** argv) {
   const std::size_t population = fig.steps();
   const std::size_t rack = fig.args().get_uint("rack", 3);
   const std::size_t key_count = fig.args().get_uint("keys", 4000);
-  const std::uint64_t pmin = fig.args().get_uint("pmin", 32);
-  const std::uint64_t vmin = fig.args().get_uint("vmin", 8);
-  const auto grid_bits =
-      static_cast<unsigned>(fig.args().get_uint("grid-bits", 14));
-  const double epsilon = fig.args().get_double("epsilon", 0.1);
+  const auto params = cobalt::bench::SchemeParams::from_flags(fig, 8);
 
   std::vector<std::string> keys;
   keys.reserve(key_count);
@@ -115,45 +113,6 @@ int main(int argc, char** argv) {
       {"scheme", "k", "keys lost (%)", "failure re-repl (/key)",
        "upgrade re-repl (/key)", "refused (%)"});
 
-  // One factory per scheme; each builds a replicated store at factor k.
-  const auto local_factory = [&](std::uint64_t seed, std::size_t k) {
-    cobalt::dht::Config config;
-    config.pmin = pmin;
-    config.vmin = vmin;
-    config.seed = seed;
-    return cobalt::kv::KvStore({config, 1},
-                               ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-  const auto global_factory = [&](std::uint64_t seed, std::size_t k) {
-    cobalt::dht::Config config;
-    config.pmin = pmin;
-    config.vmin = 1;
-    config.seed = seed;
-    return cobalt::kv::GlobalKvStore({config, 1},
-                                     ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-  const auto ch_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::ChKvStore({seed, static_cast<std::size_t>(pmin)},
-                                 ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-  const auto hrw_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::HrwKvStore({seed, grid_bits},
-                                  ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-  const auto jump_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::JumpKvStore({seed, grid_bits},
-                                   ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-  const auto maglev_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::MaglevKvStore({seed, grid_bits},
-                                     ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-  const auto bounded_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::BoundedChKvStore(
-        {seed, static_cast<std::size_t>(pmin), epsilon, grid_bits},
-        ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-
   // The full matrix, one row per (scheme, k); the CSV gets one series
   // per (scheme, metric) over the k axis.
   std::vector<Series> csv_series;
@@ -162,20 +121,24 @@ int main(int argc, char** argv) {
     ks.push_back(static_cast<double>(k));
   }
 
-  const auto run_scheme = [&](const std::string& scheme, std::uint64_t tag,
-                              const auto& factory) {
-    std::vector<CellOutcome> cells;
-    // --schemes=... skips the others entirely; their checks are
-    // skipped too (empty cell vectors below).
-    if (!fig.options().scheme_enabled(scheme)) return cells;
-    Series lost{scheme + " lost (%)", {}};
-    Series failure{scheme + " failure re-repl (/key)", {}};
-    Series upgrade{scheme + " upgrade re-repl (/key)", {}};
+  struct SchemeCells {
+    std::string name;
+    std::vector<CellOutcome> cells;  ///< index i is k = i + 1
+  };
+  std::vector<SchemeCells> results;
+  cobalt::bench::for_each_scheme(params, [&](const auto& scheme) {
+    const auto make = [&](std::uint64_t seed, std::size_t k) {
+      return scheme.store(seed, ReplicationSpec{k, SpreadPolicy::kNone});
+    };
+    const std::string& name = scheme.name;
+    Series lost{name + " lost (%)", {}};
+    Series failure{name + " failure re-repl (/key)", {}};
+    Series upgrade{name + " upgrade re-repl (/key)", {}};
+    SchemeCells& row = results.emplace_back(SchemeCells{name, {}});
     for (std::size_t k = 1; k <= kMaxReplication; ++k) {
-      const CellOutcome cell =
-          run_cell(fig, tag, population, rack, keys, k, factory);
-      table.add_row({scheme + " k=" + std::to_string(k),
-                     std::to_string(k),
+      const CellOutcome cell = run_cell(fig, 80 + scheme.index, population,
+                                        rack, keys, k, make);
+      table.add_row({name + " k=" + std::to_string(k), std::to_string(k),
                      cobalt::format_fixed(cell.lost_fraction * 100, 2),
                      cobalt::format_fixed(cell.failure_rereplication, 3),
                      cobalt::format_fixed(cell.upgrade_rereplication, 3),
@@ -183,67 +146,48 @@ int main(int argc, char** argv) {
       lost.y.push_back(cell.lost_fraction * 100);
       failure.y.push_back(cell.failure_rereplication);
       upgrade.y.push_back(cell.upgrade_rereplication);
-      cells.push_back(cell);
+      row.cells.push_back(cell);
     }
     csv_series.push_back(std::move(lost));
     csv_series.push_back(std::move(failure));
     csv_series.push_back(std::move(upgrade));
-    return cells;
-  };
-
-  const auto local = run_scheme("local", 80, local_factory);
-  const auto global = run_scheme("global", 81, global_factory);
-  const auto ch = run_scheme("ch", 82, ch_factory);
-  const auto hrw = run_scheme("hrw", 83, hrw_factory);
-  const auto jump = run_scheme("jump", 84, jump_factory);
-  const auto maglev = run_scheme("maglev", 85, maglev_factory);
-  const auto bounded = run_scheme("bounded-ch", 86, bounded_factory);
+  });
 
   std::cout << table.render();
   fig.write_csv(ks, csv_series, "replicas");
 
-  // The claims of the ablation, per scheme. Index i is k = i + 1.
-  struct Named {
-    std::string name;
-    const std::vector<CellOutcome>* cells;
-  };
-  const std::vector<Named> schemes = {
-      {"local", &local},   {"global", &global}, {"ch", &ch},
-      {"hrw", &hrw},       {"jump", &jump},     {"maglev", &maglev},
-      {"bounded-ch", &bounded}};
-
-  for (const auto& [name, cells] : schemes) {
-    if (cells->empty()) continue;  // skipped via --schemes
+  // The claims of the ablation, per scheme.
+  for (const auto& [name, cells] : results) {
     // k = 1 means no redundancy: a rack failure must lose keys. (The
     // local approach may refuse enough of the rack to dodge losses at
     // tiny scale; its check still holds at defaults.)
-    fig.check((*cells)[0].lost_fraction > 0.0,
+    fig.check(cells[0].lost_fraction > 0.0,
               name + ": an unreplicated rack failure loses keys (" +
-                  cobalt::format_fixed((*cells)[0].lost_fraction * 100, 2) +
+                  cobalt::format_fixed(cells[0].lost_fraction * 100, 2) +
                   "%)");
     // Replication closes the window: each extra copy shrinks losses by
     // roughly the rack-fraction factor; require at least a halving.
-    fig.check((*cells)[1].lost_fraction <
-                  0.5 * (*cells)[0].lost_fraction + 1e-9,
+    fig.check(cells[1].lost_fraction <
+                  0.5 * cells[0].lost_fraction + 1e-9,
               name + ": k=2 at least halves correlated-failure loss (" +
-                  cobalt::format_fixed((*cells)[1].lost_fraction * 100, 2) +
+                  cobalt::format_fixed(cells[1].lost_fraction * 100, 2) +
                   "% vs " +
-                  cobalt::format_fixed((*cells)[0].lost_fraction * 100, 2) +
+                  cobalt::format_fixed(cells[0].lost_fraction * 100, 2) +
                   "%)");
-    fig.check((*cells)[2].lost_fraction <=
-                  (*cells)[1].lost_fraction + 1e-9,
+    fig.check(cells[2].lost_fraction <=
+                  cells[1].lost_fraction + 1e-9,
               name + ": loss keeps shrinking at k=3");
     // Redundancy is not free: repairing a richer replica set costs
     // more copies, in both scenarios.
-    fig.check((*cells)[2].upgrade_rereplication >
-                  (*cells)[0].upgrade_rereplication,
+    fig.check(cells[2].upgrade_rereplication >
+                  cells[0].upgrade_rereplication,
               name + ": upgrade repair mass grows with k (" +
-                  cobalt::format_fixed((*cells)[2].upgrade_rereplication, 2) +
+                  cobalt::format_fixed(cells[2].upgrade_rereplication, 2) +
                   " vs " +
-                  cobalt::format_fixed((*cells)[0].upgrade_rereplication, 2) +
+                  cobalt::format_fixed(cells[0].upgrade_rereplication, 2) +
                   " copies/key)");
-    fig.check((*cells)[2].failure_rereplication >
-                  (*cells)[0].failure_rereplication,
+    fig.check(cells[2].failure_rereplication >
+                  cells[0].failure_rereplication,
               name + ": failure repair mass grows with k");
   }
 

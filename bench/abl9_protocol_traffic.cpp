@@ -31,6 +31,7 @@
 #include "kv/store.hpp"
 #include "sim/protocol_cost.hpp"
 #include "support/figure.hpp"
+#include "support/schemes.hpp"
 
 namespace {
 
@@ -124,11 +125,7 @@ int main(int argc, char** argv) {
   const std::size_t cycles = fig.args().get_uint("cycles", 48);
   const std::size_t rack = fig.args().get_uint("rack", 3);
   const std::size_t key_count = fig.args().get_uint("keys", 4000);
-  const std::uint64_t pmin = fig.args().get_uint("pmin", 32);
-  const std::uint64_t vmin = fig.args().get_uint("vmin", 4);
-  const auto grid_bits =
-      static_cast<unsigned>(fig.args().get_uint("grid-bits", 14));
-  const double epsilon = fig.args().get_double("epsilon", 0.1);
+  const auto params = cobalt::bench::SchemeParams::from_flags(fig, 4);
 
   std::vector<std::string> keys;
   keys.reserve(key_count);
@@ -140,63 +137,30 @@ int main(int argc, char** argv) {
                            "makespan (ms)", "concurrency", "handover keys",
                            "repair copies", "repair overlap (x)"});
 
-  const auto local_factory = [&](std::uint64_t seed, std::size_t k) {
-    cobalt::dht::Config config;
-    config.pmin = pmin;
-    config.vmin = vmin;
-    config.seed = seed;
-    return cobalt::kv::KvStore({config, 1},
-                               ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-  const auto global_factory = [&](std::uint64_t seed, std::size_t k) {
-    cobalt::dht::Config config;
-    config.pmin = pmin;
-    config.vmin = 1;
-    config.seed = seed;
-    return cobalt::kv::GlobalKvStore({config, 1},
-                                     ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-  const auto ch_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::ChKvStore({seed, static_cast<std::size_t>(pmin)},
-                                 ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-  const auto hrw_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::HrwKvStore({seed, grid_bits},
-                                  ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-  const auto jump_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::JumpKvStore({seed, grid_bits},
-                                   ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-  const auto maglev_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::MaglevKvStore({seed, grid_bits},
-                                     ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-  const auto bounded_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::BoundedChKvStore(
-        {seed, static_cast<std::size_t>(pmin), epsilon, grid_bits},
-        ReplicationSpec{k, SpreadPolicy::kNone});
-  };
-
   std::vector<Series> csv_series;
   std::vector<double> ks;
   for (std::size_t k = 1; k <= kMaxReplication; ++k) {
     ks.push_back(static_cast<double>(k));
   }
 
-  const auto run_scheme = [&](const std::string& scheme, std::uint64_t tag,
-                              const auto& factory) {
-    std::vector<CellOutcome> cells;
-    // --schemes=... skips the others entirely; their checks are
-    // skipped too (empty cell vectors below).
-    if (!fig.options().scheme_enabled(scheme)) return cells;
-    Series messages{scheme + " messages", {}};
-    Series makespan{scheme + " makespan (ms)", {}};
-    Series depth{scheme + " depth", {}};
+  struct SchemeCells {
+    std::string name;
+    std::vector<CellOutcome> cells;  ///< index i is k = i + 1
+  };
+  std::vector<SchemeCells> results;
+  cobalt::bench::for_each_scheme(params, [&](const auto& scheme) {
+    const auto make = [&](std::uint64_t seed, std::size_t k) {
+      return scheme.store(seed, ReplicationSpec{k, SpreadPolicy::kNone});
+    };
+    const std::string& name = scheme.name;
+    Series messages{name + " messages", {}};
+    Series makespan{name + " makespan (ms)", {}};
+    Series depth{name + " depth", {}};
+    SchemeCells& row = results.emplace_back(SchemeCells{name, {}});
     for (std::size_t k = 1; k <= kMaxReplication; ++k) {
-      const CellOutcome cell = run_cell(fig, tag, population, cycles, rack,
-                                        keys, k, factory);
-      table.add_row({scheme + " k=" + std::to_string(k), std::to_string(k),
+      const CellOutcome cell = run_cell(fig, 90 + scheme.index, population,
+                                        cycles, rack, keys, k, make);
+      table.add_row({name + " k=" + std::to_string(k), std::to_string(k),
                      cobalt::format_fixed(cell.rounds, 0),
                      cobalt::format_fixed(cell.messages, 0),
                      cobalt::format_fixed(cell.depth, 0),
@@ -208,49 +172,30 @@ int main(int argc, char** argv) {
       messages.y.push_back(cell.messages);
       makespan.y.push_back(cell.makespan_ms);
       depth.y.push_back(cell.depth);
-      cells.push_back(cell);
+      row.cells.push_back(cell);
     }
     csv_series.push_back(std::move(messages));
     csv_series.push_back(std::move(makespan));
     csv_series.push_back(std::move(depth));
-    return cells;
-  };
-
-  const auto local = run_scheme("local", 90, local_factory);
-  const auto global = run_scheme("global", 91, global_factory);
-  const auto ch = run_scheme("ch", 92, ch_factory);
-  const auto hrw = run_scheme("hrw", 93, hrw_factory);
-  const auto jump = run_scheme("jump", 94, jump_factory);
-  const auto maglev = run_scheme("maglev", 95, maglev_factory);
-  const auto bounded = run_scheme("bounded-ch", 96, bounded_factory);
+  });
 
   std::cout << table.render();
   fig.write_csv(ks, csv_series, "replicas");
 
-  struct Named {
-    std::string name;
-    const std::vector<CellOutcome>* cells;
-  };
-  const std::vector<Named> schemes = {
-      {"local", &local},   {"global", &global}, {"ch", &ch},
-      {"hrw", &hrw},       {"jump", &jump},     {"maglev", &maglev},
-      {"bounded-ch", &bounded}};
-
-  for (const auto& [name, cells] : schemes) {
-    if (cells->empty()) continue;  // skipped via --schemes
+  for (const auto& [name, cells] : results) {
     for (std::size_t k = 0; k < kMaxReplication; ++k) {
-      fig.check((*cells)[k].accounting_exact,
+      fig.check(cells[k].accounting_exact,
                 name + " k=" + std::to_string(k + 1) +
                     ": DES payload totals equal the store's relocation and "
                     "replication channels bit for bit");
     }
     // Admitting the second crash while repair is queued can only help:
     // the serialized (quiescent-repair) reference is never faster.
-    fig.check((*cells)[kMaxReplication - 1].repair_overlap >= 1.0 - 1e-9,
+    fig.check(cells[kMaxReplication - 1].repair_overlap >= 1.0 - 1e-9,
               name + ": failure-during-repair overlap never beats the "
               "serialized reference (x" +
                   cobalt::format_fixed(
-                      (*cells)[kMaxReplication - 1].repair_overlap, 2) +
+                      cells[kMaxReplication - 1].repair_overlap, 2) +
                   ")");
   }
 
@@ -258,21 +203,27 @@ int main(int argc, char** argv) {
   // recorded creation traces (cross-scheme comparisons need both sides
   // enabled): the global approach's one GPDR admits every round
   // through one queue...
-  if (!global.empty()) {
-    fig.check(global[0].depth >= global[0].rounds - 0.5,
+  using cobalt::bench::find_scheme;
+  const SchemeCells* local = find_scheme(results, "local");
+  const SchemeCells* global = find_scheme(results, "global");
+  const SchemeCells* ch = find_scheme(results, "ch");
+  if (global != nullptr) {
+    fig.check(global->cells[0].depth >= global->cells[0].rounds - 0.5,
               "global: every round serializes through the one GPDR "
               "(depth == rounds)");
   }
   // ... while per-group LPDRs (and per-arc domains) overlap rounds, so
   // at equal churn the local approach completes sooner.
-  if (!local.empty() && !global.empty()) {
-    fig.check(local[0].makespan_ms < global[0].makespan_ms,
+  if (local != nullptr && global != nullptr) {
+    fig.check(local->cells[0].makespan_ms < global->cells[0].makespan_ms,
               "local: per-group domains beat the global GPDR on makespan (" +
-                  cobalt::format_fixed(local[0].makespan_ms, 1) + "ms < " +
-                  cobalt::format_fixed(global[0].makespan_ms, 1) + "ms)");
+                  cobalt::format_fixed(local->cells[0].makespan_ms, 1) +
+                  "ms < " +
+                  cobalt::format_fixed(global->cells[0].makespan_ms, 1) +
+                  "ms)");
   }
-  if (!ch.empty() && !global.empty()) {
-    fig.check(ch[0].depth < global[0].depth,
+  if (ch != nullptr && global != nullptr) {
+    fig.check(ch->cells[0].depth < global->cells[0].depth,
               "ch: per-arc domains cut the serialized-round depth below "
               "global's single queue");
   }

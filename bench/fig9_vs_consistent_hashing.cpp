@@ -17,7 +17,9 @@
 // well, which is the point of the comparison.
 
 #include <iostream>
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/table.hpp"
@@ -30,6 +32,7 @@
 #include "sim/growth.hpp"
 #include "sim/scenario.hpp"
 #include "support/figure.hpp"
+#include "support/schemes.hpp"
 
 namespace {
 
@@ -73,9 +76,16 @@ int main(int argc, char** argv) {
   const std::vector<std::uint64_t> vmins =
       fig.args().get_uint_list("vmin", {32, 64, 128, 256, 512});
 
+  // --schemes gates each curve: `ch` the CH sweep, `local` the Vmin
+  // sweep, every other name its own curve. Checks comparing two
+  // curves run only when both are present.
+  const auto enabled = [&](std::string_view scheme) {
+    return fig.options().scheme_enabled(scheme);
+  };
   std::vector<Series> series;
 
   for (const std::uint64_t k : ch_ks) {
+    if (!enabled("ch")) break;
     series.push_back(growth_series(
         fig, "CH, " + std::to_string(k) + " partitions/node", 1000 + k,
         [k](std::uint64_t seed) {
@@ -85,7 +95,9 @@ int main(int argc, char** argv) {
     std::cout << "  swept CH k=" << k << "\n";
   }
 
+  const std::size_t local_first = series.size();
   for (const std::uint64_t vmin : vmins) {
+    if (!enabled("local")) break;
     series.push_back(growth_series(
         fig, "local, Vmin=" + std::to_string(vmin), vmin,
         [pmin, vmin](std::uint64_t seed) {
@@ -97,16 +109,28 @@ int main(int argc, char** argv) {
         }));
     std::cout << "  swept local Vmin=" << vmin << "\n";
   }
+  const std::size_t local_last = series.size();  // exclusive
 
-  series.push_back(growth_series(
-      fig, "global (limit)", 2000, [pmin](std::uint64_t seed) {
-        cobalt::dht::Config config;
-        config.pmin = pmin;
-        config.vmin = 1;
-        config.seed = seed;
-        return cobalt::placement::GlobalDhtBackend({config, 1});
-      }));
-  std::cout << "  swept global\n";
+  // One curve per remaining scheme; `level` keeps its tail level by
+  // scheme name and `progress` names it on the progress line.
+  std::map<std::string, double> level;
+  const auto sweep = [&](const std::string& scheme, const std::string& label,
+                         const char* progress, std::uint64_t tag,
+                         const auto& make) {
+    if (!enabled(scheme)) return;
+    series.push_back(growth_series(fig, label, tag, make));
+    level[scheme] = tail_mean(series.back().y);
+    std::cout << "  swept " << progress << "\n";
+  };
+
+  sweep("global", "global (limit)", "global", 2000,
+        [pmin](std::uint64_t seed) {
+          cobalt::dht::Config config;
+          config.pmin = pmin;
+          config.vmin = 1;
+          config.seed = seed;
+          return cobalt::placement::GlobalDhtBackend({config, 1});
+        });
 
   // The industry-standard alternatives (one adapter each, same loop).
   // The default grid resolution keeps >= 64 cells per node at the
@@ -117,31 +141,25 @@ int main(int argc, char** argv) {
          adaptive_bits < 20) {
     ++adaptive_bits;
   }
-  const auto grid_bits = static_cast<unsigned>(
-      fig.args().get_uint("grid-bits", adaptive_bits));
-  series.push_back(growth_series(
-      fig, "HRW (rendezvous)", 3001, [grid_bits](std::uint64_t seed) {
-        return cobalt::placement::HrwBackend({seed, grid_bits});
-      }));
-  std::cout << "  swept HRW\n";
-  series.push_back(growth_series(
-      fig, "jump", 3002, [grid_bits](std::uint64_t seed) {
-        return cobalt::placement::JumpBackend({seed, grid_bits});
-      }));
-  std::cout << "  swept jump\n";
-  series.push_back(growth_series(
-      fig, "maglev", 3003, [grid_bits](std::uint64_t seed) {
-        return cobalt::placement::MaglevBackend({seed, grid_bits});
-      }));
-  std::cout << "  swept maglev\n";
+  const unsigned grid_bits =
+      cobalt::bench::grid_bits_flag(fig.args(), adaptive_bits);
+  sweep("hrw", "HRW (rendezvous)", "HRW", 3001,
+        [grid_bits](std::uint64_t seed) {
+          return cobalt::placement::HrwBackend({seed, grid_bits});
+        });
+  sweep("jump", "jump", "jump", 3002, [grid_bits](std::uint64_t seed) {
+    return cobalt::placement::JumpBackend({seed, grid_bits});
+  });
+  sweep("maglev", "maglev", "maglev", 3003, [grid_bits](std::uint64_t seed) {
+    return cobalt::placement::MaglevBackend({seed, grid_bits});
+  });
   const double epsilon = fig.args().get_double("epsilon", 0.1);
-  series.push_back(growth_series(
-      fig, "bounded CH (eps=" + cobalt::format_fixed(epsilon, 2) + ")",
-      3004, [pmin, epsilon, grid_bits](std::uint64_t seed) {
-        return cobalt::placement::BoundedChBackend(
-            {seed, static_cast<std::size_t>(pmin), epsilon, grid_bits});
-      }));
-  std::cout << "  swept bounded CH\n";
+  sweep("bounded-ch",
+        "bounded CH (eps=" + cobalt::format_fixed(epsilon, 2) + ")",
+        "bounded CH", 3004, [pmin, epsilon, grid_bits](std::uint64_t seed) {
+          return cobalt::placement::BoundedChBackend(
+              {seed, static_cast<std::size_t>(pmin), epsilon, grid_bits});
+        });
 
   const auto xs = cobalt::bench::one_to_n(fig.steps());
   fig.print_table(xs, series, fig.steps() / 16, /*percent=*/true,
@@ -151,26 +169,28 @@ int main(int argc, char** argv) {
   fig.write_csv(xs, series, "nodes");
 
   // --- qualitative checks ---
-  const double ch32 = tail_mean(series[0].y);
-  const double ch64 = tail_mean(series[1].y);
-  fig.check(ch64 < ch32,
-            "CH with 64 partitions/node beats CH with 32 (" +
-                cobalt::format_fixed(ch64 * 100, 1) + "% < " +
-                cobalt::format_fixed(ch32 * 100, 1) + "%)");
-  // The paper's CH levels: ~19% (k=32) and ~13.5% (k=64).
-  fig.check(ch32 > 0.12 && ch32 < 0.28,
-            "CH k=32 level near the paper's ~19%; measured " +
-                cobalt::format_fixed(ch32 * 100, 1) + "%");
-  fig.check(ch64 > 0.08 && ch64 < 0.20,
-            "CH k=64 level near the paper's ~13.5%; measured " +
-                cobalt::format_fixed(ch64 * 100, 1) + "%");
+  const bool have_ch = local_first >= 2;  // the CH sweep leads
+  const bool have_local = local_last > local_first;
+  const double ch32 = have_ch ? tail_mean(series[0].y) : 0.0;
+  const double ch64 = have_ch ? tail_mean(series[1].y) : 0.0;
+  if (have_ch) {
+    fig.check(ch64 < ch32,
+              "CH with 64 partitions/node beats CH with 32 (" +
+                  cobalt::format_fixed(ch64 * 100, 1) + "% < " +
+                  cobalt::format_fixed(ch32 * 100, 1) + "%)");
+    // The paper's CH levels: ~19% (k=32) and ~13.5% (k=64).
+    fig.check(ch32 > 0.12 && ch32 < 0.28,
+              "CH k=32 level near the paper's ~19%; measured " +
+                  cobalt::format_fixed(ch32 * 100, 1) + "%");
+    fig.check(ch64 > 0.08 && ch64 < 0.20,
+              "CH k=64 level near the paper's ~13.5%; measured " +
+                  cobalt::format_fixed(ch64 * 100, 1) + "%");
+  }
 
   // Every local configuration in the sweep beats both CH curves
   // ("it is still able to show better values than the reference
   // model... when properly parameterized").
-  const std::size_t local_first = ch_ks.size();
-  const std::size_t local_last = local_first + vmins.size();  // exclusive
-  for (std::size_t i = local_first; i < local_last; ++i) {
+  for (std::size_t i = local_first; have_ch && i < local_last; ++i) {
     const double local = tail_mean(series[i].y);
     fig.check(local < ch64,
               series[i].label + " beats CH k=64 (" +
@@ -183,33 +203,40 @@ int main(int argc, char** argv) {
               series[i].label + " improves on " + series[i - 1].label);
   }
   // The global approach bounds the local family from below.
-  const double global_level = tail_mean(series[local_last].y);
-  fig.check(global_level < tail_mean(series[local_first].y),
-            "global approach lies below local Vmin=" +
-                std::to_string(vmins.front()) + " (" +
-                cobalt::format_fixed(global_level * 100, 1) + "%)");
+  if (have_local && level.contains("global")) {
+    const double global_level = level["global"];
+    fig.check(global_level < tail_mean(series[local_first].y),
+              "global approach lies below local Vmin=" +
+                  std::to_string(vmins.front()) + " (" +
+                  cobalt::format_fixed(global_level * 100, 1) + "%)");
+  }
 
   // The alternatives: maglev's near-uniform table fill and the bounded
   // load cap both sit clearly below plain CH; HRW and jump pay the
   // sampling noise of the ownership grid, reported as a note.
-  const std::size_t alt_first = local_last + 1;
-  const double hrw = tail_mean(series[alt_first].y);
-  const double jump = tail_mean(series[alt_first + 1].y);
-  const double maglev = tail_mean(series[alt_first + 2].y);
-  const double bounded = tail_mean(series[alt_first + 3].y);
-  fig.check(maglev < ch32,
-            "maglev's table fill beats CH k=32 (" +
-                cobalt::format_fixed(maglev * 100, 1) + "% < " +
-                cobalt::format_fixed(ch32 * 100, 1) + "%)");
-  fig.check(bounded < ch32,
-            "the (1+eps) load cap pulls bounded CH below plain CH k=32 (" +
-                cobalt::format_fixed(bounded * 100, 1) + "% < " +
-                cobalt::format_fixed(ch32 * 100, 1) + "%)");
-  FigureHarness::note(
-      "HRW at " + cobalt::format_fixed(hrw * 100, 1) + "% and jump at " +
-      cobalt::format_fixed(jump * 100, 1) +
-      "% include the grid-sampling noise of their 2^" +
-      std::to_string(grid_bits) + "-cell ownership tables");
+  if (have_ch && level.contains("maglev")) {
+    const double maglev = level["maglev"];
+    fig.check(maglev < ch32,
+              "maglev's table fill beats CH k=32 (" +
+                  cobalt::format_fixed(maglev * 100, 1) + "% < " +
+                  cobalt::format_fixed(ch32 * 100, 1) + "%)");
+  }
+  if (have_ch && level.contains("bounded-ch")) {
+    const double bounded = level["bounded-ch"];
+    fig.check(bounded < ch32,
+              "the (1+eps) load cap pulls bounded CH below plain CH k=32 (" +
+                  cobalt::format_fixed(bounded * 100, 1) + "% < " +
+                  cobalt::format_fixed(ch32 * 100, 1) + "%)");
+  }
+  if (level.contains("hrw") && level.contains("jump")) {
+    const double hrw = level["hrw"];
+    const double jump = level["jump"];
+    FigureHarness::note(
+        "HRW at " + cobalt::format_fixed(hrw * 100, 1) + "% and jump at " +
+        cobalt::format_fixed(jump * 100, 1) +
+        "% include the grid-sampling noise of their 2^" +
+        std::to_string(grid_bits) + "-cell ownership tables");
+  }
 
   return fig.exit_code();
 }

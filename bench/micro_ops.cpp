@@ -29,6 +29,7 @@
 #include "dht/snapshot.hpp"
 #include "hashing/hash.hpp"
 #include "kv/store.hpp"
+#include "support/schemes.hpp"
 
 namespace {
 
@@ -236,67 +237,22 @@ BENCHMARK(BM_DistributedProtocol)->Arg(128)->Arg(512);
 
 constexpr std::size_t kStoreBenchKeys = 20000;
 
-/// Per-scheme store factory with a comparable footprint (mirrors the
+/// The comparison schemes at a comparable footprint (mirrors the
 /// typed store tests: one vnode / one moderate point set per node).
-template <typename StoreT>
-StoreT make_bench_store(std::uint64_t seed, std::size_t k);
-
-template <>
-cobalt::kv::KvStore make_bench_store<cobalt::kv::KvStore>(
-    std::uint64_t /*seed*/, std::size_t k) {
-  return cobalt::kv::KvStore({config_for(32, 8), 1},
-                             ReplicationSpec{k, SpreadPolicy::kNone});
-}
-
-template <>
-cobalt::kv::GlobalKvStore make_bench_store<cobalt::kv::GlobalKvStore>(
-    std::uint64_t /*seed*/, std::size_t k) {
-  return cobalt::kv::GlobalKvStore({config_for(32, 1), 1},
-                                   ReplicationSpec{k, SpreadPolicy::kNone});
-}
-
-template <>
-cobalt::kv::ChKvStore make_bench_store<cobalt::kv::ChKvStore>(
-    std::uint64_t seed, std::size_t k) {
-  return cobalt::kv::ChKvStore({seed, 32},
-                               ReplicationSpec{k, SpreadPolicy::kNone});
-}
-
-template <>
-cobalt::kv::HrwKvStore make_bench_store<cobalt::kv::HrwKvStore>(
-    std::uint64_t seed, std::size_t k) {
-  return cobalt::kv::HrwKvStore({seed, 12},
-                                ReplicationSpec{k, SpreadPolicy::kNone});
-}
-
-template <>
-cobalt::kv::JumpKvStore make_bench_store<cobalt::kv::JumpKvStore>(
-    std::uint64_t seed, std::size_t k) {
-  return cobalt::kv::JumpKvStore({seed, 12},
-                                 ReplicationSpec{k, SpreadPolicy::kNone});
-}
-
-template <>
-cobalt::kv::MaglevKvStore make_bench_store<cobalt::kv::MaglevKvStore>(
-    std::uint64_t seed, std::size_t k) {
-  return cobalt::kv::MaglevKvStore({seed, 12},
-                                   ReplicationSpec{k, SpreadPolicy::kNone});
-}
-
-template <>
-cobalt::kv::BoundedChKvStore make_bench_store<cobalt::kv::BoundedChKvStore>(
-    std::uint64_t seed, std::size_t k) {
-  return cobalt::kv::BoundedChKvStore({seed, 32, 0.25, 12},
-                                      ReplicationSpec{k, SpreadPolicy::kNone});
-}
+const cobalt::bench::SchemeParams kBenchSchemes{.pmin = 32,
+                                                .vmin = 8,
+                                                .ch_points = 32,
+                                                .grid_bits = 12,
+                                                .epsilon = 0.25,
+                                                .selection = nullptr};
 
 std::string bench_key(std::uint64_t i) {
   return "bench/" + std::to_string(i);
 }
 
-template <typename StoreT>
-void BM_StorePut(benchmark::State& state) {
-  auto store = make_bench_store<StoreT>(42, 1);
+template <typename Scheme>
+void BM_StorePut(benchmark::State& state, const Scheme& scheme) {
+  auto store = scheme.store(42);
   for (int i = 0; i < 16; ++i) store.add_node();
   std::uint64_t i = 0;
   for (auto _ : state) {
@@ -305,9 +261,9 @@ void BM_StorePut(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-template <typename StoreT>
-void BM_StoreGet(benchmark::State& state) {
-  auto store = make_bench_store<StoreT>(43, 1);
+template <typename Scheme>
+void BM_StoreGet(benchmark::State& state, const Scheme& scheme) {
+  auto store = scheme.store(43);
   for (int i = 0; i < 16; ++i) store.add_node();
   for (std::uint64_t i = 0; i < kStoreBenchKeys; ++i) {
     store.put(bench_key(i), "v");
@@ -325,15 +281,16 @@ void BM_StoreGet(benchmark::State& state) {
 /// accounting plus the ranged repair; at k = 3 it additionally pays the
 /// fallback-replica repair pass. range(0) is the repair pool size
 /// (1 = the serial engine, no pool attached).
-template <typename StoreT, std::size_t kReplication>
-void BM_StoreMembershipEvents(benchmark::State& state) {
+template <typename Scheme>
+void BM_StoreMembershipEvents(benchmark::State& state, const Scheme& scheme,
+                              std::size_t k) {
   constexpr int kJoins = 16;
   const auto threads = static_cast<std::size_t>(state.range(0));
   std::optional<cobalt::ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
   for (auto _ : state) {
     state.PauseTiming();
-    auto store = make_bench_store<StoreT>(44, kReplication);
+    auto store = scheme.store(44, ReplicationSpec{k, SpreadPolicy::kNone});
     if (pool) store.set_thread_pool(&*pool);
     for (std::size_t n = 0; n < 4; ++n) store.add_node();
     for (std::uint64_t i = 0; i < kStoreBenchKeys; ++i) {
@@ -353,12 +310,14 @@ void BM_StoreMembershipEvents(benchmark::State& state) {
 /// private bounded lane (stripe exclusive). The shared store is built
 /// once per instantiation (thread-safe local static) so every
 /// thread-count cell measures the same resident population.
-template <typename StoreT>
-void BM_StoreContendedMix(benchmark::State& state) {
+template <typename Scheme>
+void BM_StoreContendedMix(benchmark::State& state, const Scheme& scheme) {
   struct Shared {
-    StoreT store;
+    cobalt::kv::Store<typename Scheme::BackendType> store;
     cobalt::ThreadPool pool;
-    Shared() : store(make_bench_store<StoreT>(45, 3)), pool(2) {
+    explicit Shared(const Scheme& scheme)
+        : store(scheme.store(45, ReplicationSpec{3, SpreadPolicy::kNone})),
+          pool(2) {
       for (int n = 0; n < 8; ++n) store.add_node();
       for (std::uint64_t i = 0; i < kStoreBenchKeys; ++i) {
         store.put(bench_key(i), "v");
@@ -366,7 +325,7 @@ void BM_StoreContendedMix(benchmark::State& state) {
       store.set_thread_pool(&pool);
     }
   };
-  static Shared shared;
+  static Shared shared(scheme);
   const int t = state.thread_index();
   Xoshiro256 rng(static_cast<std::uint64_t>(100 + t));
   const std::string lane = "lane" + std::to_string(t) + "/";
@@ -382,40 +341,41 @@ void BM_StoreContendedMix(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-template <typename StoreT>
-void register_store_benches(const char* scheme) {
-  const std::string name(scheme);
-  benchmark::RegisterBenchmark(("store_put/" + name).c_str(),
-                               BM_StorePut<StoreT>);
-  benchmark::RegisterBenchmark(("store_get/" + name).c_str(),
-                               BM_StoreGet<StoreT>);
-  benchmark::RegisterBenchmark(("store_event_k1/" + name).c_str(),
-                               BM_StoreMembershipEvents<StoreT, 1>)
-      ->ArgName("threads")
-      ->Arg(1)
-      ->Arg(2)
-      ->Arg(4);
-  benchmark::RegisterBenchmark(("store_repair_k3/" + name).c_str(),
-                               BM_StoreMembershipEvents<StoreT, 3>)
-      ->ArgName("threads")
-      ->Arg(1)
-      ->Arg(2)
-      ->Arg(4);
-  benchmark::RegisterBenchmark(("store_contended_mix/" + name).c_str(),
-                               BM_StoreContendedMix<StoreT>)
-      ->Threads(1)
-      ->Threads(2)
-      ->Threads(4);
-}
-
 void register_all_store_benches() {
-  register_store_benches<cobalt::kv::KvStore>("local");
-  register_store_benches<cobalt::kv::GlobalKvStore>("global");
-  register_store_benches<cobalt::kv::ChKvStore>("ch");
-  register_store_benches<cobalt::kv::HrwKvStore>("hrw");
-  register_store_benches<cobalt::kv::JumpKvStore>("jump");
-  register_store_benches<cobalt::kv::MaglevKvStore>("maglev");
-  register_store_benches<cobalt::kv::BoundedChKvStore>("bounded-ch");
+  cobalt::bench::for_each_scheme(kBenchSchemes, [](const auto& scheme) {
+    const std::string& name = scheme.name;
+    benchmark::RegisterBenchmark(("store_put/" + name).c_str(),
+                                 [scheme](benchmark::State& state) {
+                                   BM_StorePut(state, scheme);
+                                 });
+    benchmark::RegisterBenchmark(("store_get/" + name).c_str(),
+                                 [scheme](benchmark::State& state) {
+                                   BM_StoreGet(state, scheme);
+                                 });
+    benchmark::RegisterBenchmark(("store_event_k1/" + name).c_str(),
+                                 [scheme](benchmark::State& state) {
+                                   BM_StoreMembershipEvents(state, scheme, 1);
+                                 })
+        ->ArgName("threads")
+        ->Arg(1)
+        ->Arg(2)
+        ->Arg(4);
+    benchmark::RegisterBenchmark(("store_repair_k3/" + name).c_str(),
+                                 [scheme](benchmark::State& state) {
+                                   BM_StoreMembershipEvents(state, scheme, 3);
+                                 })
+        ->ArgName("threads")
+        ->Arg(1)
+        ->Arg(2)
+        ->Arg(4);
+    benchmark::RegisterBenchmark(("store_contended_mix/" + name).c_str(),
+                                 [scheme](benchmark::State& state) {
+                                   BM_StoreContendedMix(state, scheme);
+                                 })
+        ->Threads(1)
+        ->Threads(2)
+        ->Threads(4);
+  });
 }
 
 }  // namespace

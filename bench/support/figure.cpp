@@ -1,6 +1,8 @@
 #include "support/figure.hpp"
 
 #include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <numeric>
 
@@ -10,6 +12,30 @@
 #include "common/table.hpp"
 
 namespace cobalt::bench {
+
+namespace {
+
+// A rejected flag surfaces as a cobalt::InvalidArgument escaping main.
+// Report it and exit with status 2 instead of aborting, so scripts and
+// ctests see an ordinary failure rather than a crash.
+[[noreturn]] void exit_on_rejected_flag() {
+  if (const std::exception_ptr error = std::current_exception()) {
+    try {
+      std::rethrow_exception(error);
+    } catch (const InvalidArgument& rejected) {
+      std::cout.flush();
+      std::cerr << "error: " << rejected.what() << "\n";
+      std::_Exit(2);
+    } catch (...) {
+    }
+  }
+  std::abort();
+}
+
+[[maybe_unused]] const std::terminate_handler kDefaultTerminate =
+    std::set_terminate(exit_on_rejected_flag);
+
+}  // namespace
 
 FigureHarness::FigureHarness(int argc, char** argv, std::string figure_id,
                              std::string title, std::size_t default_runs,

@@ -4,7 +4,9 @@
 // options (--runs, --vnodes, --seed, --csv, --chart), downsampled series
 // tables in the console, CSV emission, ASCII charts, and simple
 // "expected shape" checks that compare measured curves against the
-// qualitative behaviour the paper reports.
+// qualitative behaviour the paper reports. A rejected flag
+// (cobalt::InvalidArgument escaping main) prints "error: ..." and
+// exits with status 2 instead of aborting.
 
 #pragma once
 

@@ -10,8 +10,8 @@
 //
 // FigureHarness owns an instance and exposes it through options(), so
 // drivers stop re-parsing "csv"/"chart"/"checks" ad hoc and the
-// --schemes grammar (validated against the known scheme names, typos
-// fail loudly) is written once instead of per bench.
+// --schemes grammar (validated against all_schemes(), typos fail
+// loudly) is written once instead of per bench.
 
 #pragma once
 
@@ -26,16 +26,14 @@ namespace cobalt::bench {
 class Options {
  public:
   /// The seven placement schemes of the comparison benches, in the
-  /// canonical presentation order.
+  /// canonical presentation order (the rows of for_each_scheme,
+  /// support/schemes.hpp).
   static const std::vector<std::string>& all_schemes();
 
-  /// Parses the shared flags out of `args`. `known_schemes` is the
-  /// vocabulary --schemes is validated against (defaults to the seven
-  /// canonical names); an unknown token throws InvalidArgument -
-  /// silently matching nothing would turn a CI smoke into a vacuous
-  /// green.
-  explicit Options(const CliParser& args,
-                   std::vector<std::string> known_schemes = all_schemes());
+  /// Parses the shared flags out of `args`. A --schemes token outside
+  /// all_schemes() throws InvalidArgument - silently matching nothing
+  /// would turn a CI smoke into a vacuous green.
+  explicit Options(const CliParser& args);
 
   /// CSV output directory; meaningless when csv_enabled() is false
   /// (--csv=off).
@@ -53,16 +51,10 @@ class Options {
   /// the name appears in the comma-separated list).
   [[nodiscard]] bool scheme_enabled(std::string_view scheme) const;
 
-  /// The validation vocabulary this instance was built with.
-  [[nodiscard]] const std::vector<std::string>& known_schemes() const {
-    return known_schemes_;
-  }
-
  private:
   std::string csv_dir_;
   bool chart_;
   bool checks_enforced_;
-  std::vector<std::string> known_schemes_;
   std::vector<std::string> selected_;  ///< empty means "all"
 };
 

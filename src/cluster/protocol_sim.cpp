@@ -157,8 +157,8 @@ ScheduleOutcome schedule_rounds(std::span<const Round> rounds) {
   return outcome;
 }
 
-ReplayResult replay_trace(const CreationTrace& trace,
-                          const NetworkModel& network) {
+ScheduleOutcome replay_trace(const CreationTrace& trace,
+                             const NetworkModel& network) {
   COBALT_REQUIRE(trace.snodes >= 1, "trace has no snodes");
   COBALT_REQUIRE(trace.domains >= 1, "trace has no domains");
 
@@ -167,7 +167,6 @@ ReplayResult replay_trace(const CreationTrace& trace,
   // trace-replay convention).
   std::vector<Round> rounds;
   rounds.reserve(trace.creations.size());
-  double participant_sum = 0.0;
   for (const CreationRecord& creation : trace.creations) {
     COBALT_REQUIRE(creation.domain < trace.domains,
                    "trace references an unknown domain");
@@ -183,18 +182,8 @@ ReplayResult replay_trace(const CreationTrace& trace,
                                             creation.transfers);
     round.spawned_domains = creation.spawned_domains;
     rounds.push_back(std::move(round));
-    participant_sum += static_cast<double>(creation.participants);
   }
-
-  const ScheduleOutcome outcome = schedule_rounds(rounds);
-  ReplayResult result;
-  result.makespan_us = outcome.makespan_us;
-  result.messages = outcome.messages;
-  result.concurrency = outcome.concurrency;
-  result.serialized_round_depth = outcome.serialized_round_depth;
-  result.mean_participants =
-      participant_sum / static_cast<double>(trace.creations.size());
-  return result;
+  return schedule_rounds(rounds);
 }
 
 }  // namespace cobalt::cluster

@@ -114,18 +114,12 @@ CreationTrace record_local_trace(dht::Config config, std::size_t snodes,
 CreationTrace record_global_trace(dht::Config config, std::size_t snodes,
                                   std::size_t vnodes);
 
-/// Aggregate results of replaying a trace through the network model.
-struct ReplayResult {
-  SimTime makespan_us = 0.0;       ///< completion time of the last round
-  std::uint64_t messages = 0;      ///< total protocol messages
-  double mean_participants = 0.0;  ///< average round size
-  double concurrency = 0.0;        ///< sum of round durations / makespan
-  std::size_t serialized_round_depth = 0;  ///< longest one-domain chain
-};
-
 /// Replays `trace` on the DES: all creations arrive at time 0, are
-/// admitted FIFO per domain, and overlap across domains.
-ReplayResult replay_trace(const CreationTrace& trace,
-                          const NetworkModel& network);
+/// admitted FIFO per domain, and overlap across domains. A round here
+/// is one vnode creation (its participants are in `trace.creations`);
+/// ProtocolDriver rounds are per (event, domain) relocation batches -
+/// docs/ARCHITECTURE.md explains why the two models stay separate.
+ScheduleOutcome replay_trace(const CreationTrace& trace,
+                             const NetworkModel& network);
 
 }  // namespace cobalt::cluster

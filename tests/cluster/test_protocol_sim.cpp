@@ -121,8 +121,15 @@ TEST(ProtocolReplay, LocalBeatsGlobalOnMakespanAndMessages) {
   const auto local_result = replay_trace(local_trace, net);
   EXPECT_LT(local_result.makespan_us, 0.5 * global_result.makespan_us);
   EXPECT_LT(local_result.messages, global_result.messages);
-  EXPECT_LT(local_result.mean_participants,
-            global_result.mean_participants);
+  // Mean round size: snodes per creation round, from the traces.
+  const auto mean_round_size = [](const CreationTrace& trace) {
+    double participants = 0.0;
+    for (const auto& creation : trace.creations) {
+      participants += static_cast<double>(creation.participants);
+    }
+    return participants / static_cast<double>(trace.creations.size());
+  };
+  EXPECT_LT(mean_round_size(local_trace), mean_round_size(global_trace));
   EXPECT_GT(local_result.concurrency, 1.5);
 }
 
@@ -147,6 +154,15 @@ TEST(ProtocolReplay, ReportsTheSerializedRoundDepth) {
   }
   const auto result = replay_trace(trace, NetworkModel{});
   EXPECT_EQ(result.serialized_round_depth, 6u);
+}
+
+TEST(ProtocolReplay, EmptyTraceIsZero) {
+  CreationTrace trace;
+  trace.snodes = 2;
+  const ScheduleOutcome outcome = replay_trace(trace, NetworkModel{});
+  EXPECT_DOUBLE_EQ(outcome.makespan_us, 0.0);
+  EXPECT_DOUBLE_EQ(outcome.concurrency, 0.0);
+  EXPECT_EQ(outcome.rounds, 0u);
 }
 
 TEST(ScheduleRounds, EmptyLogIsZero) {
