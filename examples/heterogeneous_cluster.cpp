@@ -7,7 +7,8 @@
 // proportionally), loads a KV dataset, and prints each node's share
 // next to its capacity - then shows an enrollment-level *change*
 // (section 2.1.2: enrollment "is not necessarily static"): one node
-// upgrades at runtime via resize_node.
+// upgrades at runtime via resize_node, run as one membership event
+// through the store's bracket (Store::mutate).
 //
 //   ./heterogeneous_cluster [--nodes=9] [--keys=90000] [--base-vnodes=6]
 
@@ -79,7 +80,10 @@ int main(int argc, char** argv) {
   const std::size_t before_vnodes = store.backend().vnodes_of(ids[0]);
   const std::uint64_t moved_before =
       store.stats().relocation.keys_moved_across_nodes;
-  store.backend().resize_node(ids[0], 4.0);
+  (void)store.mutate(cobalt::kv::MembershipEventKind::kJoin,
+                     [&ids](auto& backend) {
+                       return backend.resize_node(ids[0], 4.0);
+                     });
   auto upgraded = capacities;
   upgraded[0] = 4.0;
   std::cout << "\n>>> node 0 upgrades 1x -> 4x: enrolling "

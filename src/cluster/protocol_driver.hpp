@@ -81,10 +81,6 @@ class ProtocolDriver final : public kv::StoreEventSink {
     /// Round cost model (latencies, payload rates).
     NetworkModel network{};
 
-    /// Lattice width for schemes without a native serialization
-    /// domain (see placement::arc_serialization_domain).
-    std::uint32_t arc_domain_bits = 8;
-
     /// When set, rounds are priced at the tier of the links they
     /// actually cross (NetworkModel::handover_duration_tiered). Null
     /// keeps the flat pricing - byte-identical to pre-topology runs.
@@ -127,12 +123,6 @@ class ProtocolDriver final : public kv::StoreEventSink {
   ProtocolDriver& operator=(const ProtocolDriver&) = delete;
 
   // --- kv::StoreEventSink --------------------------------------------
-
-  void on_membership_begin(kv::MembershipEventKind kind) override {
-    (void)kind;
-    finalize_event();  // close an implicit (stray-flush) event first
-    in_event_ = true;
-  }
 
   void on_relocation_batch(HashIndex first, HashIndex last,
                            placement::NodeId from, placement::NodeId to,
@@ -189,10 +179,8 @@ class ProtocolDriver final : public kv::StoreEventSink {
   /// Batch totals so far (always current, even mid-event).
   [[nodiscard]] const ProtocolTotals& totals() const { return totals_; }
 
-  /// The recorded rounds in admission order (finalizes a pending
-  /// implicit event first).
-  [[nodiscard]] const std::vector<RecordedRound>& recorded() {
-    finalize_event();
+  /// The recorded rounds in admission order.
+  [[nodiscard]] const std::vector<RecordedRound>& recorded() const {
     return log_;
   }
 
@@ -200,7 +188,6 @@ class ProtocolDriver final : public kv::StoreEventSink {
   /// the preload phase so the schedule covers only the protocol under
   /// study).
   void clear() {
-    finalize_event();
     log_.clear();
     totals_ = {};
   }
@@ -212,8 +199,7 @@ class ProtocolDriver final : public kv::StoreEventSink {
   /// once (maximal queueing - the trace-replay convention), a positive
   /// gap spaces the membership events out so later events land while
   /// earlier repair rounds may still be queued.
-  [[nodiscard]] ScheduleOutcome run(SimTime inter_event_gap_us = 0.0) {
-    finalize_event();
+  [[nodiscard]] ScheduleOutcome run(SimTime inter_event_gap_us = 0.0) const {
     std::vector<Round> rounds;
     rounds.reserve(log_.size());
     for (const RecordedRound& recorded : log_) {
@@ -232,8 +218,7 @@ class ProtocolDriver final : public kv::StoreEventSink {
   /// run to quiescence before the next event's are admitted (as if
   /// each change waited for repair to drain). Sum of the per-event
   /// makespans; message totals are unchanged by scheduling.
-  [[nodiscard]] ScheduleOutcome run_serialized() {
-    finalize_event();
+  [[nodiscard]] ScheduleOutcome run_serialized() const {
     ScheduleOutcome total;
     std::vector<Round> event_rounds;
     std::size_t i = 0;
@@ -276,8 +261,7 @@ class ProtocolDriver final : public kv::StoreEventSink {
   /// exactly its priced message count) - execute_rounds on a clean
   /// FaultPlan reproduces run(gap)'s makespan.
   [[nodiscard]] std::vector<FaultRound> fault_rounds(
-      SimTime inter_event_gap_us = 0.0) {
-    finalize_event();
+      SimTime inter_event_gap_us = 0.0) const {
     const NetworkModel& net = options_.network;
     std::vector<FaultRound> rounds;
     rounds.reserve(log_.size());
@@ -312,7 +296,7 @@ class ProtocolDriver final : public kv::StoreEventSink {
   /// knobs - backoff, timeouts, re-plan budget - pass through.
   [[nodiscard]] FaultExecOutcome run_faulty(
       const FaultPlan& plan, FaultExecutorOptions exec_options = {},
-      SimTime inter_event_gap_us = 0.0) {
+      SimTime inter_event_gap_us = 0.0) const {
     exec_options.network = options_.network;
     const std::vector<FaultRound> rounds = fault_rounds(inter_event_gap_us);
     return execute_rounds(rounds, plan, exec_options);
@@ -339,8 +323,7 @@ class ProtocolDriver final : public kv::StoreEventSink {
   }
 
   [[nodiscard]] std::uint32_t domain_of(HashIndex index) const {
-    return placement::serialization_domain_of(store_.backend(), index,
-                                              options_.arc_domain_bits);
+    return placement::serialization_domain_of(store_.backend(), index);
   }
 
   /// Closes the open event: one handover round and one repair round
@@ -348,7 +331,6 @@ class ProtocolDriver final : public kv::StoreEventSink {
   /// running totals_.events doubles as the event id of the rounds
   /// being closed (events are numbered in finalization order).
   void finalize_event() {
-    if (open_.empty() && !in_event_) return;
     const NetworkModel& net = options_.network;
     for (const auto& [domain, work] : open_) {
       if (work.cross_ranges + work.local_ranges > 0) {
@@ -399,7 +381,6 @@ class ProtocolDriver final : public kv::StoreEventSink {
       }
     }
     open_.clear();
-    in_event_ = false;
     ++totals_.events;
   }
 
@@ -408,7 +389,6 @@ class ProtocolDriver final : public kv::StoreEventSink {
   /// Open (in-flight) event's per-domain accumulation; ordered map so
   /// round emission order is deterministic.
   std::map<std::uint32_t, DomainWork> open_;
-  bool in_event_ = false;
   std::vector<RecordedRound> log_;
   ProtocolTotals totals_;
 };

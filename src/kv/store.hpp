@@ -39,9 +39,9 @@
 //     changed.
 //     Events are *batched*: the observer callbacks record only the
 //     event ranges, and the keys inside them are counted in one
-//     deferred pass (at the next repair, mutation or stats read -
-//     always before the resident keys can change, so the totals are
-//     exactly the seed's).
+//     deferred pass inside the membership event that fired them,
+//     before its repair pass and before any resident key can change
+//     (so the totals are exactly the seed's).
 //   * stats().replication - ReplicationStats maintained by the store's
 //     re-replication passes: key copies created to repair replica
 //     sets, and keys lost to correlated failures. At k == 1 the
@@ -66,23 +66,26 @@
 // actually examined (against repair_shards_total as the denominator),
 // so "an event that relocated nothing repairs nothing" is observable.
 //
-// Membership must change through the store (add_node / remove_node /
-// fail_nodes) for the replication bookkeeping to stay aligned;
-// mutating membership through backend() directly bypasses the
-// re-replication pass (relocation accounting still works, as before) -
-// the store then falls back from the per-shard fast paths of
-// keys_per_node()/for_each_on_node() to per-bucket owner derivation
-// until the next repair pass realigns the materialized sets.
+// One membership path. The backend changes only inside the store's
+// membership bracket: exclusive backend hold -> mutation -> dirty
+// collection -> relocation flush -> repair pass -> sink end.
+// add_node / remove_node / fail_nodes / set_topology run through it,
+// and so does every scheme-specific change (vnode-level elasticity,
+// enrollment resizes) via mutate(kind, change); backend() is
+// read-only. Outside a bracket the materialized sets are therefore
+// always aligned with the backend: rank 0 of every resident bucket is
+// owner_of, and no relocation event is pending.
 //
 // Threading model (opt-in). By default the store is the serial data
 // structure above: no locks, no atomics on any hot path. Attaching a
 // worker pool (set_thread_pool()) switches it into concurrent mode:
 //   * backend_mutex_ (a shared_mutex): membership events hold it
-//     exclusively end to end (mutation, dirty collection, repair,
-//     sink brackets); every call that reads the backend or flushes
-//     pending accounting holds it shared (put, erase, owner_of,
-//     read_node_of, the per-node accounting surfaces, stats
-//     snapshots). Point gets and scans never touch it.
+//     exclusively end to end (mutation, dirty collection, relocation
+//     flush, repair, sink brackets); every call that reads the backend
+//     or must not interleave with an event's accounting holds it
+//     shared (put, erase, owner_of, read_node_of, the per-node
+//     accounting surfaces, stats snapshots). Point gets and scans
+//     never touch it.
 //   * ShardIndex locks: one structure lock over the shard tiling plus
 //     32 hash-striped content locks (see shard_index.hpp). Point
 //     reads take the structure lock shared and one stripe shared;
@@ -119,19 +122,17 @@
 // by one thread produces bit-identical results with and without a
 // pool. Detaching (set_thread_pool(nullptr)) restores the serial
 // mode; both switches require the store to be externally quiescent.
-// In concurrent mode membership must go through the store (direct
-// backend() mutation is unsupported there); stats() is safe from
-// racing threads.
+// stats() is safe from racing threads.
 
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -294,19 +295,14 @@ class Store final : private placement::RelocationObserver {
   /// attaching before the first node. Requires external quiescence in
   /// concurrent mode, like every reconfiguration surface here.
   void set_topology(const cluster::Topology* topology) {
-    const MaybeUniqueLock backend_lock(backend_mutex_, concurrent_);
-    backend_.set_topology(topology);
-    if (spec_.spread == placement::SpreadPolicy::kNone || spec_.k == 1 ||
-        backend_.node_count() == 0) {
-      return;  // placement is unchanged; nothing to repair
-    }
-    if (event_sink_ != nullptr) {
-      flush_relocations();  // stray batches are not this event's
-      event_sink_->on_membership_begin(MembershipEventKind::kJoin);
-    }
-    full_dirty_ = true;
-    rereplicate(/*crash=*/false);
-    if (event_sink_ != nullptr) event_sink_->on_membership_end();
+    // Placement depends on the map only under a spread policy at k > 1.
+    const bool replaces = spec_.spread != placement::SpreadPolicy::kNone &&
+                          spec_.k > 1 && backend_.node_count() > 0;
+    membership(MembershipEventKind::kJoin,
+               replaces ? Repair::kFull : Repair::kNone,
+               [topology](Backend& backend, DirtyRanges&) {
+                 backend.set_topology(topology);
+               });
   }
 
   /// The attached topology (null while detached).
@@ -332,45 +328,18 @@ class Store final : private placement::RelocationObserver {
   /// re-replication pass that repairs the materialized replica sets
   /// (see stats().replication). remove_node is a *graceful drain*: it
   /// returns false when the scheme refuses the removal (the node
-  /// stays; see placement/backend.hpp), and never loses keys.
+  /// stays; see placement/backend.hpp), and never loses keys. A refused
+  /// drain may still have rebalanced internally (the local approach's
+  /// aborted decommission), so its pass runs either way.
   placement::NodeId add_node(double capacity = 1.0) {
-    const MaybeUniqueLock backend_lock(backend_mutex_, concurrent_);
-    if (event_sink_ != nullptr) {
-      // Batches still pending from direct backend() mutation belong to
-      // an implicit event, not to this bracket: flush them to the sink
-      // before opening it (the counts are unchanged by flushing early;
-      // no resident key can have moved since, every mutation flushes).
-      flush_relocations();
-      event_sink_->on_membership_begin(MembershipEventKind::kJoin);
-    }
-    placement::NodeId id;
-    {
-      const MembershipScope scope(in_membership_);
-      id = backend_.add_node(capacity);
-    }
-    collect_dirty();
-    rereplicate(/*crash=*/false);
-    if (event_sink_ != nullptr) event_sink_->on_membership_end();
-    return id;
+    return mutate(MembershipEventKind::kJoin, [capacity](Backend& backend) {
+      return backend.add_node(capacity);
+    });
   }
   bool remove_node(placement::NodeId node) {
-    const MaybeUniqueLock backend_lock(backend_mutex_, concurrent_);
-    if (event_sink_ != nullptr) {
-      flush_relocations();  // stray batches are not this drain's (see add_node)
-      event_sink_->on_membership_begin(MembershipEventKind::kDrain);
-    }
-    bool removed;
-    {
-      const MembershipScope scope(in_membership_);
-      removed = backend_.remove_node(node);
-    }
-    // A refused drain may still have rebalanced internally (the local
-    // approach's aborted decommission), so the dirty collection and
-    // the pass run either way.
-    collect_dirty();
-    rereplicate(/*crash=*/false);
-    if (event_sink_ != nullptr) event_sink_->on_membership_end();
-    return removed;
+    return mutate(MembershipEventKind::kDrain, [node](Backend& backend) {
+      return backend.remove_node(node);
+    });
   }
 
   /// Removes `nodes` as one *correlated crash*: all removals are
@@ -383,23 +352,40 @@ class Store final : private placement::RelocationObserver {
   /// cluster: the last live node always survives). Returns the number
   /// of removals that completed; the repair pass runs regardless.
   std::size_t fail_nodes(std::span<const placement::NodeId> nodes) {
-    const MaybeUniqueLock backend_lock(backend_mutex_, concurrent_);
-    if (event_sink_ != nullptr) {
-      flush_relocations();  // stray batches are not this crash's (see add_node)
-      event_sink_->on_membership_begin(MembershipEventKind::kCrash);
-    }
-    std::size_t failed = 0;
-    for (const placement::NodeId node : nodes) {
-      if (backend_.node_count() < 2 || !backend_.is_live(node)) continue;
-      {
-        const MembershipScope scope(in_membership_);
-        if (backend_.remove_node(node)) ++failed;
-      }
-      collect_dirty();
-    }
-    rereplicate(/*crash=*/true);
-    if (event_sink_ != nullptr) event_sink_->on_membership_end();
-    return failed;
+    return membership(
+        MembershipEventKind::kCrash, Repair::kPerStep,
+        [this, nodes](Backend& backend, DirtyRanges& dirty) {
+          std::size_t failed = 0;
+          for (const placement::NodeId node : nodes) {
+            if (backend.node_count() < 2 || !backend.is_live(node)) continue;
+            if (backend.remove_node(node)) ++failed;
+            collect_dirty(dirty);
+          }
+          return failed;
+        });
+  }
+
+  /// Runs `change(backend)` as one membership event of `kind` and
+  /// returns its result - the only way to change the backend, for the
+  /// scheme-specific calls the store does not wrap (e.g. the DHT
+  /// adapters' add_vnode / remove_vnode / resize_node):
+  ///
+  ///   store.mutate(kv::MembershipEventKind::kJoin,
+  ///                [n](auto& backend) { return backend.add_vnode(n); });
+  ///
+  /// `change` makes one backend membership call: the repair pass
+  /// plans from the backend's dirty report of its last call. kCrash
+  /// counts keys whose whole materialized set died as lost. A change
+  /// that throws after moving placement is repaired inside a balanced
+  /// sink bracket before the exception propagates; one rejected before
+  /// it moved anything leaves no event behind.
+  template <typename F>
+  decltype(auto) mutate(MembershipEventKind kind, F&& change) {
+    return membership(
+        kind, Repair::kPlanned,
+        [&change](Backend& backend, DirtyRanges&) -> decltype(auto) {
+          return change(backend);
+        });
   }
 
   /// Inserts or updates; returns true when the key was new. The write
@@ -409,7 +395,6 @@ class Store final : private placement::RelocationObserver {
     const MaybeSharedLock backend_lock(backend_mutex_, concurrent_);
     COBALT_REQUIRE(backend_.node_count() >= 1,
                    "the store needs at least one node before writes");
-    flush_relocations();  // pending events count pre-mutation keys
     const HashIndex h = hash_key(key);
     std::uint64_t writes = 0;
     bool inserted = false;
@@ -466,7 +451,6 @@ class Store final : private placement::RelocationObserver {
   /// Deletes; returns true when the key existed.
   bool erase(const std::string& key) {
     const MaybeSharedLock backend_lock(backend_mutex_, concurrent_);
-    flush_relocations();  // pending events count pre-mutation keys
     const HashIndex h = hash_key(key);
     if (!concurrent_) {
       const ShardIndex::StructureExclusiveLock structure(index_,
@@ -618,33 +602,24 @@ class Store final : private placement::RelocationObserver {
 
   /// Keys currently resident per *primary* node (index = NodeId;
   /// departed nodes report 0). Replica copies are not counted; see
-  /// replica_copies_per_node() for the serving footprint. While the
-  /// materialized sets are aligned (always, unless membership was
-  /// mutated through backend() directly) this is one cached count per
-  /// shard; the fallback re-derives the owner per bucket.
+  /// replica_copies_per_node() for the serving footprint. One cached
+  /// count per uniform shard (the materialized sets are aligned with
+  /// the backend between membership events).
   [[nodiscard]] std::vector<std::size_t> keys_per_node() const {
     const MaybeSharedLock backend_lock(backend_mutex_, concurrent_);
     const ShardIndex::StructureSharedLock structure(index_, concurrent_);
     const ShardIndex::AllStripesSharedLock stripes(index_, concurrent_);
     std::vector<std::size_t> counts(backend_.node_slot_count(), 0);
-    if (aligned_) {
-      for (const ShardIndex::Shard& s : index_.shards()) {
-        if (s.buckets.empty()) continue;
-        if (s.override_count == 0) {  // one arc, one bounds check
-          counts.at(s.replicas.front()) +=
-              static_cast<std::size_t>(s.entry_count);
-          continue;
-        }
-        for (const ShardIndex::Bucket& bucket : s.buckets) {
-          counts.at(effective_replicas(s, bucket).front()) +=
-              bucket.entries.size();
-        }
-      }
-      return counts;
-    }
     for (const ShardIndex::Shard& s : index_.shards()) {
+      if (s.buckets.empty()) continue;
+      if (s.override_count == 0) {  // one arc, one bounds check
+        counts.at(s.replicas.front()) +=
+            static_cast<std::size_t>(s.entry_count);
+        continue;
+      }
       for (const ShardIndex::Bucket& bucket : s.buckets) {
-        counts.at(backend_.owner_of(bucket.hash)) += bucket.entries.size();
+        counts.at(effective_replicas(s, bucket).front()) +=
+            bucket.entries.size();
       }
     }
     return counts;
@@ -693,10 +668,9 @@ class Store final : private placement::RelocationObserver {
     }
   }
 
-  /// Visits the pairs a single node is *primary* for. While the
-  /// materialized sets are aligned, shards whose range the backend
-  /// maps entirely to other nodes are skipped without touching their
-  /// buckets.
+  /// Visits the pairs a single node is *primary* for. Uniform shards
+  /// whose materialized primary is another node are skipped without
+  /// touching their buckets.
   void for_each_on_node(
       placement::NodeId node,
       const std::function<void(const std::string& key,
@@ -707,14 +681,11 @@ class Store final : private placement::RelocationObserver {
     const ShardIndex::AllStripesSharedLock stripes(index_, concurrent_);
     for (const ShardIndex::Shard& s : index_.shards()) {
       if (s.buckets.empty()) continue;
-      const bool uniform = aligned_ && s.override_count == 0;
+      const bool uniform = s.override_count == 0;
       if (uniform && s.replicas.front() != node) continue;  // skip the shard
       for (const ShardIndex::Bucket& bucket : s.buckets) {
-        if (!uniform) {
-          const placement::NodeId owner =
-              aligned_ ? effective_replicas(s, bucket).front()
-                       : backend_.owner_of(bucket.hash);
-          if (owner != node) continue;
+        if (!uniform && effective_replicas(s, bucket).front() != node) {
+          continue;
         }
         for (const ShardIndex::Entry& entry : bucket.entries) {
           visit(entry.first, entry.second);
@@ -762,14 +733,14 @@ class Store final : private placement::RelocationObserver {
     return static_cast<std::size_t>(index_.count_range(first, last));
   }
 
-  /// Both movement-accounting channels in one coherent read: pending
-  /// relocation events are flushed, then both structs are copied under
-  /// a single accounting hold - safe from any thread in concurrent
-  /// mode, and the two channels are guaranteed to describe the same
-  /// instant.
+  /// Both movement-accounting channels in one coherent read: the
+  /// shared backend hold waits out an in-flight membership event (so
+  /// no event is counted into one channel but not yet the other), and
+  /// both structs are copied under a single accounting hold - safe
+  /// from any thread in concurrent mode, and the two channels are
+  /// guaranteed to describe the same instant.
   [[nodiscard]] StatsSnapshot stats() const {
     const MaybeSharedLock backend_lock(backend_mutex_, concurrent_);
-    flush_relocations();
     const MaybeLockGuard acc(accounting_mutex_, concurrent_);
     return {relocation_stats_, replication_stats_};
   }
@@ -789,29 +760,78 @@ class Store final : private placement::RelocationObserver {
   /// synchronized - introspect quiescently in concurrent mode.
   [[nodiscard]] const ShardIndex& shard_index() const { return index_; }
 
-  /// The placement backend (scheme-specific surface: the DHT adapters
-  /// expose the balancer and vnode-level elasticity, the CH adapter
-  /// the ring). Changing membership through it bypasses the
-  /// re-replication bookkeeping - prefer the store's membership calls
-  /// (and in concurrent mode direct mutation is unsupported: the
-  /// fallback accounting paths assume the serial mode).
-  [[nodiscard]] Backend& backend() { return backend_; }
+  /// The placement backend, read-only (scheme-specific queries: the
+  /// DHT adapters expose the balancer, the CH adapter the ring).
+  /// Changes go through mutate().
   [[nodiscard]] const Backend& backend() const { return backend_; }
 
  private:
-  /// RAII setter of in_membership_: exception-safe even when a
-  /// membership precondition throws mid-call (a stuck flag would make
-  /// later direct backend() mutations skip the full_dirty_ fallback).
-  class MembershipScope {
-   public:
-    explicit MembershipScope(bool& flag) : flag_(flag) { flag_ = true; }
-    ~MembershipScope() { flag_ = false; }
-    MembershipScope(const MembershipScope&) = delete;
-    MembershipScope& operator=(const MembershipScope&) = delete;
+  /// The k > 1 repair plan of one membership event: the backends'
+  /// replica_dirty_ranges, one collection per backend call.
+  using DirtyRanges = std::vector<placement::HashRange>;
 
-   private:
-    bool& flag_;
+  /// How a membership bracket plans its repair pass.
+  enum class Repair {
+    kPlanned,  ///< the dirty report of the change's one backend call
+    kPerStep,  ///< the change collected a report after each call
+    kFull,     ///< every resident bucket (the placement rule changed)
+    kNone,     ///< placement unchanged: no pass, no sink bracket
   };
+
+  /// The one membership bracket: under the exclusive backend hold, runs
+  /// `change(backend_, dirty)` and completes the event (see
+  /// complete_membership) - the sink bracket opens only after the
+  /// change returned.
+  template <typename F>
+  auto membership(MembershipEventKind kind, Repair repair, F&& change)
+      -> std::invoke_result_t<F&, Backend&, DirtyRanges&> {
+    const MaybeUniqueLock backend_lock(backend_mutex_, concurrent_);
+    DirtyRanges dirty;
+    if constexpr (std::is_void_v<
+                      std::invoke_result_t<F&, Backend&, DirtyRanges&>>) {
+      run_change(kind, repair, dirty, [&] { change(backend_, dirty); });
+      complete_membership(kind, repair, dirty);
+    } else {
+      auto result = run_change(kind, repair, dirty,
+                               [&] { return change(backend_, dirty); });
+      complete_membership(kind, repair, dirty);
+      return result;
+    }
+  }
+
+  /// Runs the change of a bracket. A change that throws after moving
+  /// placement (relocation events or collected ranges pending) still
+  /// completes its event - balanced, repaired - before the exception
+  /// propagates; one rejected up front leaves no event behind.
+  template <typename Run>
+  decltype(auto) run_change(MembershipEventKind kind, Repair repair,
+                            DirtyRanges& dirty, Run&& run)
+      COBALT_REQUIRES(backend_mutex_) {
+    try {
+      return run();
+    } catch (...) {
+      if (!pending_events_.empty() || !dirty.empty()) {
+        // The throwing call's own report: a per-step change had no
+        // chance to collect it.
+        if (repair == Repair::kPerStep) collect_dirty(dirty);
+        complete_membership(kind, repair, dirty);
+      }
+      throw;
+    }
+  }
+
+  /// The event tail of the bracket: dirty collection (kPlanned), sink
+  /// begin, relocation flush, repair pass, sink end.
+  void complete_membership(MembershipEventKind kind, Repair repair,
+                           DirtyRanges& dirty)
+      COBALT_REQUIRES(backend_mutex_) {
+    if (repair == Repair::kNone) return;
+    if (repair == Repair::kPlanned) collect_dirty(dirty);
+    if (event_sink_ != nullptr) event_sink_->on_membership_begin(kind);
+    rereplicate(kind == MembershipEventKind::kCrash, repair == Repair::kFull,
+                dirty);
+    if (event_sink_ != nullptr) event_sink_->on_membership_end();
+  }
 
   /// One not-yet-counted relocation event (the batched accounting:
   /// callbacks record, flush_relocations() counts).
@@ -971,25 +991,16 @@ class Store final : private placement::RelocationObserver {
   }
 
   /// Counts the keys inside the pending relocation events, in event
-  /// order. Runs before any mutation of the resident keys and before
-  /// any stats read, so every event is counted against exactly the
-  /// key population it found when it fired - the seed's per-event
+  /// order. Runs inside the membership bracket that fired them, before
+  /// its repair pass (the exclusive backend hold keeps every writer
+  /// out), so every event is counted against exactly the key
+  /// population it found when it fired - the seed's per-event
   /// count_range, batched. Concurrent mode counts the event ranges in
-  /// parallel on the pool (counting mutates nothing, and the shared
-  /// stripe hold keeps writers out), then applies and emits serially
-  /// in event order - same totals, same sink stream.
-  ///
-  /// The nothing-pending fast path reads an atomic flag, not the event
-  /// vector: the vector is accounting-guarded, and racing flushers
-  /// (all under the shared backend hold) clear it under that lock - an
-  /// unlocked .empty() probe against it was a data race. The flag is
-  /// only raised under the exclusive backend hold (the observer
-  /// callbacks), so a shared-holding reader seeing it down is ordered
-  /// after the raise it might have missed.
-  void flush_relocations() const COBALT_REQUIRES_SHARED(backend_mutex_) {
-    if (!relocations_pending_.load(std::memory_order_acquire)) return;
+  /// parallel on the pool (counting mutates nothing), then applies and
+  /// emits serially in event order - same totals, same sink stream.
+  void flush_relocations() COBALT_REQUIRES(backend_mutex_) {
+    if (pending_events_.empty()) return;
     const MaybeLockGuard acc(accounting_mutex_, concurrent_);
-    if (pending_events_.empty()) return;  // another flusher won the race
     if (!concurrent_) {
       const ShardIndex::StructureSharedLock structure(index_,
                                                       /*engage=*/false);
@@ -1018,7 +1029,6 @@ class Store final : private placement::RelocationObserver {
       }
     }
     pending_events_.clear();
-    relocations_pending_.store(false, std::memory_order_release);
   }
 
   /// Counts one pending event's range, on a pool worker. The worker
@@ -1035,7 +1045,7 @@ class Store final : private placement::RelocationObserver {
 
   /// Applies one counted relocation event to the stats channel and the
   /// sink (the shared tail of both flush modes).
-  void count_relocation(const PendingEvent& event, std::uint64_t keys) const
+  void count_relocation(const PendingEvent& event, std::uint64_t keys)
       COBALT_REQUIRES(accounting_mutex_) {
     if (event.rebucket) {
       relocation_stats_.keys_rebucketed += keys;
@@ -1054,43 +1064,47 @@ class Store final : private placement::RelocationObserver {
     }
   }
 
-  /// Folds the backend's dirty report for the membership operation
-  /// that just ran into the pending repair plan (k > 1 only; the
-  /// k == 1 plan is exactly the relocated/rebucketed ranges the
-  /// observer recorded). A change of the clamped replica target (the
-  /// cluster crossing size k) invalidates every materialized set size,
-  /// so the next pass falls back to a full scan.
-  void collect_dirty() COBALT_REQUIRES(backend_mutex_) {
+  /// Appends the backend's dirty report for the membership call that
+  /// just ran to `dirty` (k > 1 only; the k == 1 plan is exactly the
+  /// relocated/rebucketed ranges the observer recorded).
+  void collect_dirty(DirtyRanges& dirty) const {
     if (spec_.k == 1) return;
-    if (replica_target() != last_repair_target_) {
-      full_dirty_ = true;
-    }
-    if (full_dirty_) return;
-    const auto ranges = backend_.replica_dirty_ranges(
-        spec_.with_k(replica_target()));
-    pending_dirty_.insert(pending_dirty_.end(), ranges.begin(),
-                          ranges.end());
+    const auto ranges =
+        backend_.replica_dirty_ranges(spec_.with_k(replica_target()));
+    dirty.insert(dirty.end(), ranges.begin(), ranges.end());
   }
 
-  /// The repair pass: re-derives the materialized replica sets inside
-  /// the planned ranges and counts the copies a deployment would
-  /// transfer to get from the materialized sets to the desired ones.
-  /// With `crash` set, a bucket whose materialized set has no live
-  /// survivor is counted lost. A full-scan fallback is the plan
-  /// [0, kMaxIndex] through the same walk. Concurrent mode hands the
+  /// The repair pass: flushes the event's relocation batches, then
+  /// re-derives the materialized replica sets inside the planned
+  /// ranges and counts the copies a deployment would transfer to get
+  /// from the materialized sets to the desired ones. The plan is the
+  /// event's ownership-changing ranges at k == 1 and its `dirty`
+  /// reports at k > 1; `full` (or a change of the clamped replica
+  /// target - the cluster crossing size k invalidates every
+  /// materialized set size) makes it the plan [0, kMaxIndex] through
+  /// the same walk. With `crash` set, a bucket whose materialized set
+  /// has no live survivor is counted lost. Concurrent mode hands the
   /// plan to the shard-parallel pass (see repair_plan_parallel).
   ///
   /// The whole pass runs under the accounting lock in concurrent mode
   /// (uncontended: the exclusive backend hold already excludes every
-  /// other accountant - the lock is for the analysis and for the
-  /// live-reference stats readers, which hold no backend cover).
-  void rereplicate(bool crash) COBALT_REQUIRES(backend_mutex_) {
-    flush_relocations();
-    if (backend_.node_count() == 0) {
-      pending_repair_.clear();
-      pending_dirty_.clear();
-      return;
+  /// other accountant - the lock is for the analysis).
+  void rereplicate(bool crash, bool full, DirtyRanges& dirty)
+      COBALT_REQUIRES(backend_mutex_) {
+    std::vector<placement::HashRange> plan;
+    if (spec_.k == 1) {
+      // A buddy merge may hand the odd half over *implicitly* (the DHT
+      // adapters account that as rebucketing, not movement - see
+      // dht_backend.hpp), so rebucketed ranges are checked too (for
+      // pure splits the check is a no-op).
+      for (const PendingEvent& event : pending_events_) {
+        if (event.rebucket || event.from != event.to) {
+          plan.push_back({event.first, event.last});
+        }
+      }
     }
+    flush_relocations();
+    if (backend_.node_count() == 0) return;
     const MaybeLockGuard acc_lock(accounting_mutex_, concurrent_);
     ++replication_stats_.rereplication_passes;
     {
@@ -1098,19 +1112,10 @@ class Store final : private placement::RelocationObserver {
       replication_stats_.repair_shards_total += index_.shard_count();
     }
     const std::size_t target = replica_target();
-
-    bool full = false;
-    std::vector<placement::HashRange> plan;
-    if (spec_.k == 1) {
-      plan = std::move(pending_repair_);
-    } else if (full_dirty_ || target != last_repair_target_) {
-      full = true;
-    } else {
-      plan = std::move(pending_dirty_);
+    if (spec_.k > 1) {
+      full = full || target != last_repair_target_;
+      if (!full) plan = std::move(dirty);
     }
-    pending_repair_.clear();
-    pending_dirty_.clear();
-    full_dirty_ = false;
     last_repair_target_ = target;
 
     if (full) {
@@ -1120,7 +1125,6 @@ class Store final : private placement::RelocationObserver {
       if (plan.empty()) {
         // Nothing can have changed: the pass costs nothing - the
         // refused-drain / no-op-event fast exit of the shard design.
-        aligned_ = true;
         return;
       }
     }
@@ -1148,7 +1152,6 @@ class Store final : private placement::RelocationObserver {
                           target);
       }
     }
-    aligned_ = true;
   }
 
   /// The shard-parallel repair pass (concurrent mode; the surrounding
@@ -1479,56 +1482,28 @@ class Store final : private placement::RelocationObserver {
   // pure accounting - routing already derives the new owner. The
   // callbacks only record; counting is deferred to flush_relocations()
   // (one batched pass per membership event instead of a range walk per
-  // callback). In concurrent mode the callbacks only ever fire on the
-  // membership thread, under its exclusive backend hold - the claim
-  // below. The base interface is unannotated (virtual dispatch is
-  // outside the analysis), so the claim checks these bodies, not the
-  // backend's call sites; the pending-event queue additionally takes
-  // the accounting lock, because flushers mutate it under only the
-  // *shared* backend hold.
+  // callback). The callbacks only ever fire inside a membership
+  // bracket, under its exclusive backend hold - the claim below. The
+  // base interface is unannotated (virtual dispatch is outside the
+  // analysis), so the claim checks these bodies, not the backend's
+  // call sites.
   void on_relocate(HashIndex first, HashIndex last, placement::NodeId from,
                    placement::NodeId to) override
       COBALT_REQUIRES(backend_mutex_) {
-    {
-      const MaybeLockGuard acc(accounting_mutex_, concurrent_);
-      pending_events_.push_back({first, last, from, to, /*rebucket=*/false});
-    }
-    relocations_pending_.store(true, std::memory_order_release);
-    if (from != to) {
-      aligned_ = false;
-      // Remember where ownership changed so the k == 1 repair pass can
-      // visit only the affected shards (see rereplicate()).
-      if (spec_.k == 1) pending_repair_.push_back({first, last});
-      // A stray event (membership mutated through backend() directly)
-      // leaves no queryable dirty report behind; the next pass falls
-      // back to the full scan the seed always ran.
-      if (spec_.k > 1 && !in_membership_) full_dirty_ = true;
-    }
+    pending_events_.push_back({first, last, from, to, /*rebucket=*/false});
   }
 
   void on_rebucket(HashIndex first, HashIndex last) override
       COBALT_REQUIRES(backend_mutex_) {
-    {
-      const MaybeLockGuard acc(accounting_mutex_, concurrent_);
-      pending_events_.push_back({first, last, placement::kInvalidNode,
-                                 placement::kInvalidNode, /*rebucket=*/true});
-    }
-    relocations_pending_.store(true, std::memory_order_release);
-    // A buddy merge may hand the odd half over *implicitly* (the DHT
-    // adapters account that as rebucketing, not movement - see
-    // dht_backend.hpp), so the k == 1 repair must check these ranges
-    // too (for pure splits the check is a no-op) and the per-shard
-    // owner fast paths cannot trust alignment until the next pass.
-    aligned_ = false;
-    if (spec_.k == 1) pending_repair_.push_back({first, last});
-    if (spec_.k > 1 && !in_membership_) full_dirty_ = true;
+    pending_events_.push_back({first, last, placement::kInvalidNode,
+                               placement::kInvalidNode, /*rebucket=*/true});
   }
 
-  /// Unguarded by design: mutated only under the exclusive backend
-  /// hold (membership) and read by everyone - but through calls the
-  /// analysis cannot attribute to a capability (the backend is a
-  /// separate object). The linter's raw-lock rule plus the membership
-  /// claims in this header are the cover.
+  /// Unguarded by design: mutated only inside the membership bracket
+  /// (exclusive backend hold) and read by everyone - but through calls
+  /// the analysis cannot attribute to a capability (the backend is a
+  /// separate object). The linter's raw-lock rule, the const-only
+  /// backend() and the bracket's claims are the cover.
   Backend backend_;
   hashing::Algorithm algorithm_;
   /// The configured replication (immutable). The topology it spreads
@@ -1540,39 +1515,14 @@ class Store final : private placement::RelocationObserver {
   /// Counted-batch consumer (protocol DES); see set_event_sink().
   /// Unguarded: set while quiescent, read-only afterwards.
   StoreEventSink* event_sink_ = nullptr;
-  mutable placement::MigrationStats relocation_stats_
+  placement::MigrationStats relocation_stats_
       COBALT_GUARDED_BY(accounting_mutex_);
   ReplicationStats replication_stats_ COBALT_GUARDED_BY(accounting_mutex_);
-  /// Relocation events recorded but not yet counted (see
-  /// flush_relocations()).
-  mutable std::vector<PendingEvent> pending_events_
-      COBALT_GUARDED_BY(accounting_mutex_);
-  /// Raised when an observer callback records a pending event, lowered
-  /// by the flush that counts them: the lock-free nothing-pending
-  /// probe of flush_relocations().
-  mutable std::atomic<bool> relocations_pending_{false};
-  /// k == 1 repair plan: ownership-changing ranges of the in-flight
-  /// membership event.
-  std::vector<placement::HashRange> pending_repair_
-      COBALT_GUARDED_BY(backend_mutex_);
-  /// k > 1 repair plan: the backends' replica_dirty_ranges, one
-  /// collection per membership operation.
-  std::vector<placement::HashRange> pending_dirty_
-      COBALT_GUARDED_BY(backend_mutex_);
-  /// Set when the clamped replica target changed since the last pass
-  /// (materialized set sizes are stale everywhere) or a stray event
-  /// arrived outside a store membership call: full-scan repair.
-  bool full_dirty_ COBALT_GUARDED_BY(backend_mutex_) = false;
-  /// True while a store membership call is driving the backend (events
-  /// arriving outside are direct backend() mutations).
-  bool in_membership_ COBALT_GUARDED_BY(backend_mutex_) = false;
+  /// Relocation events of the in-flight membership event, recorded but
+  /// not yet counted (see flush_relocations()); empty between events.
+  std::vector<PendingEvent> pending_events_ COBALT_GUARDED_BY(backend_mutex_);
+  /// The clamped replica target of the last repair pass.
   std::size_t last_repair_target_ COBALT_GUARDED_BY(backend_mutex_) = 0;
-  /// True while every resident bucket's materialized rank 0 equals
-  /// backend().owner_of (maintained by the repair passes; cleared by
-  /// ownership-changing events until the next pass). Written only
-  /// under the exclusive backend hold in concurrent mode; every reader
-  /// holds it shared.
-  bool aligned_ COBALT_GUARDED_BY(backend_mutex_) = true;
   /// Reusable desired-run buffer of the serial repair walk.
   std::vector<DesiredRun> runs_scratch_ COBALT_GUARDED_BY(backend_mutex_);
   /// Worker pool of the concurrent mode (nullptr = serial mode; see
@@ -1584,8 +1534,8 @@ class Store final : private placement::RelocationObserver {
   /// set while quiescent.
   bool concurrent_ = false;
   /// Membership/read lock of the concurrent mode: membership events
-  /// hold it exclusively end to end; backend readers and accounting
-  /// flushers hold it shared. Point gets never touch it.
+  /// hold it exclusively end to end; backend readers and stats readers
+  /// hold it shared. Point gets never touch it.
   mutable SharedMutex backend_mutex_;
   /// Orders the stats channels between holders of the shared backend
   /// lock (concurrent puts, snapshot readers); a membership event's

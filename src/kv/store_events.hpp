@@ -16,12 +16,11 @@
 // message/latency costs all derive from these callbacks, so their
 // totals agree bit for bit by construction (and a ctest asserts it).
 //
-// Callbacks arrive in event order, bracketed by on_membership_begin /
-// on_membership_end for changes driven through the store's membership
-// calls. Relocation batches may also arrive *outside* a bracket: the
-// store flushes pending accounting lazily, so events caused by direct
-// backend() mutation surface at the next mutation or stats read
-// (consumers treat them as an implicit membership event).
+// Callbacks arrive in event order, every batch inside one
+// on_membership_begin / on_membership_end bracket: the backend changes
+// only through the store's membership bracket, which opens the sink
+// bracket after its mutation returned and flushes the event's batches
+// before closing it.
 
 #pragma once
 
@@ -33,8 +32,9 @@ namespace cobalt::kv {
 
 /// What kind of membership change a bracketed event stream describes.
 enum class MembershipEventKind {
-  kJoin,   ///< add_node
-  kDrain,  ///< remove_node (graceful; may have been refused)
+  kJoin,   ///< add_node, or a mutate() that enrolls (e.g. add_vnode)
+  kDrain,  ///< remove_node (graceful; may have been refused), or a
+           ///< mutate() that withdraws (e.g. remove_vnode)
   kCrash,  ///< fail_nodes (correlated batch; repair may count losses)
 };
 
@@ -45,7 +45,8 @@ class StoreEventSink {
  public:
   virtual ~StoreEventSink() = default;
 
-  /// A membership change driven through the store began.
+  /// A membership change driven through the store began (its mutation
+  /// has returned; its batches follow).
   virtual void on_membership_begin(MembershipEventKind kind) {
     (void)kind;
   }

@@ -163,19 +163,20 @@ inline std::uint32_t arc_serialization_domain(HashIndex index,
   return static_cast<std::uint32_t>(index >> (HashSpace::kBits - bits));
 }
 
+/// Lattice width of the default serialization domain: 256 arcs.
+inline constexpr std::uint32_t kArcDomainBits = 8;
+
 /// The serialization domain of `index` under `backend`: the scheme's
-/// own hook when it defines one, the `default_bits`-bit arc lattice
+/// own hook when it defines one, the kArcDomainBits arc lattice
 /// otherwise. This is the dispatch surface the protocol DES
 /// (cluster::ProtocolDriver) maps event ranges through.
 template <PlacementBackend B>
-std::uint32_t serialization_domain_of(const B& backend, HashIndex index,
-                                      std::uint32_t default_bits = 8) {
+std::uint32_t serialization_domain_of(const B& backend, HashIndex index) {
   if constexpr (HasSerializationDomain<B>) {
-    (void)default_bits;
     return backend.serialization_domain(index);
   } else {
     (void)backend;
-    return arc_serialization_domain(index, default_bits);
+    return arc_serialization_domain(index, kArcDomainBits);
   }
 }
 

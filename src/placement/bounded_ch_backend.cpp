@@ -14,10 +14,10 @@ BoundedChBackend::BoundedChBackend(Options options)
 }
 
 NodeId BoundedChBackend::add_node(double capacity) {
-  COBALT_REQUIRE(capacity > 0.0, "node capacity must be positive");
+  const std::size_t points =
+      scaled_enrollment(options_.virtual_servers, capacity);
   node_weight_.push_back(capacity);
-  const ch::NodeId node = ring_.add_node(
-      scaled_enrollment(options_.virtual_servers, capacity), nullptr);
+  const ch::NodeId node = ring_.add_node(points, nullptr);
   rebuild();
   return static_cast<NodeId>(node);
 }

@@ -27,11 +27,11 @@ std::size_t DhtBackend<DhtT>::target_vnodes(double capacity) const {
 
 template <typename DhtT>
 NodeId DhtBackend<DhtT>::add_node(double capacity) {
+  const std::size_t count = target_vnodes(capacity);
   last_event_ranges_.clear();
   const dht::SNodeId snode = dht_.add_snode(capacity);
   node_live_.push_back(true);
   ++live_nodes_;
-  const std::size_t count = target_vnodes(capacity);
   for (std::size_t v = 0; v < count; ++v) dht_.create_vnode(snode);
   return static_cast<NodeId>(snode);
 }
@@ -204,9 +204,9 @@ void DhtBackend<DhtT>::remove_vnode(dht::VNodeId id) {
 template <typename DhtT>
 bool DhtBackend<DhtT>::resize_node(NodeId node, double capacity) {
   COBALT_REQUIRE(is_live(node), "node is not live");
+  const std::size_t target = target_vnodes(capacity);
   last_event_ranges_.clear();
   const auto snode = static_cast<dht::SNodeId>(node);
-  const std::size_t target = target_vnodes(capacity);
   while (dht_.snode(snode).vnodes.size() < target) dht_.create_vnode(snode);
   while (dht_.snode(snode).vnodes.size() > target) {
     try {

@@ -25,7 +25,7 @@ double HrwBackend::score(std::size_t cell, NodeId node) const {
 }
 
 NodeId HrwBackend::add_node(double capacity) {
-  COBALT_REQUIRE(capacity > 0.0, "node capacity must be positive");
+  require_capacity(capacity);
   const auto id = static_cast<NodeId>(node_live_.size());
   node_weight_.push_back(capacity);
   node_draw_.push_back(rng_.next());

@@ -8,7 +8,7 @@ MaglevBackend::MaglevBackend(Options options)
     : options_(options), table_(options.table_bits), rng_(options.seed) {}
 
 NodeId MaglevBackend::add_node(double capacity) {
-  COBALT_REQUIRE(capacity > 0.0, "node capacity must be positive");
+  require_capacity(capacity);
   const auto id = static_cast<NodeId>(node_live_.size());
   const std::size_t slots = table_.size();
   node_weight_.push_back(capacity);

@@ -31,12 +31,28 @@ using NodeId = std::uint32_t;
 /// Sentinel for "no node".
 inline constexpr NodeId kInvalidNode = ~NodeId{0};
 
+/// Most units (vnodes, ring points) one node may enroll: unit ids are
+/// 32-bit (dht::VNodeId), so no node can hold more.
+inline constexpr double kMaxEnrollment = 4294967295.0;
+
+/// The one node-capacity rule of every backend: finite, positive, and
+/// small enough that its enrollment at `baseline` units per
+/// capacity-1.0 node fits kMaxEnrollment (the weighted schemes, which
+/// enroll no units, check a baseline of one). Throws InvalidArgument
+/// before the backend changes anything.
+inline void require_capacity(double capacity, std::size_t baseline = 1) {
+  COBALT_REQUIRE(std::isfinite(capacity) && capacity > 0.0,
+                 "node capacity must be positive and finite");
+  COBALT_REQUIRE(static_cast<double>(baseline) * capacity <= kMaxEnrollment,
+                 "node capacity enrolls more units than a node can hold");
+}
+
 /// Units (vnodes, ring points) a node of relative `capacity` enrolls
 /// when a capacity-1.0 node enrolls `baseline` of them: rounded to
 /// nearest, at least one (the enrollment rule of section 2.1.2).
 /// Shared by every backend so the rounding policy lives in one place.
 inline std::size_t scaled_enrollment(std::size_t baseline, double capacity) {
-  COBALT_REQUIRE(capacity > 0.0, "node capacity must be positive");
+  require_capacity(capacity, baseline);
   const auto scaled = static_cast<std::size_t>(
       std::llround(static_cast<double>(baseline) * capacity));
   return scaled < 1 ? 1 : scaled;

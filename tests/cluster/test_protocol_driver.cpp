@@ -2,15 +2,23 @@
 // the one-accounting-source invariant (DES-derived handover and repair
 // totals bit-identical to the store's relocation/replication channels
 // over random churn, on all seven backends), the serialization-domain
-// structure per scheme, and the scheduling surfaces.
+// structure per scheme, the store's membership bracket as the driver
+// sees it (rejected calls leave no event; vnode-level changes through
+// Store::mutate keep replicas and totals aligned), and the scheduling
+// surfaces.
 
 #include "cluster/protocol_driver.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "dht/local_dht.hpp"
+#include "hashing/hash.hpp"
 #include "kv/store.hpp"
 #include "sim/protocol_cost.hpp"
 
@@ -50,10 +58,8 @@ void expect_lockstep(MakeStore make) {
     const auto outcome =
         sim::run_protocol_churn(store, 8, 20, keys, /*seed=*/1234 + k);
 
-    // Read the channels first (the read flushes any pending batches
-    // into both the stats and the already-detached totals snapshot
-    // below would miss them otherwise - after a completed scenario
-    // nothing is pending, but the order keeps the test honest).
+    // Between brackets no batch is pending, so the channels and the
+    // detached totals snapshot describe the same completed events.
     const placement::MigrationStats reloc = store.stats().relocation;
     const kv::ReplicationStats repl = store.stats().replication;
 
@@ -184,44 +190,175 @@ TEST(SerializationDomains, ArcLatticeIsTheTopBits) {
                InvalidArgument);
 }
 
-TEST(ProtocolDriver, CapturesStrayFlushesAsImplicitEvents) {
-  // Membership mutated through backend() directly produces no
-  // begin/end bracket; the batches surface at the next flush and must
-  // still be captured, keeping the totals aligned with the channel.
-  kv::ChKvStore store({24, 16}, ReplicationSpec{1, SpreadPolicy::kNone});
-  ProtocolDriver<placement::ChBackend> driver(store);
-  store.add_node();
-  const auto keys = make_keys(500);
-  for (const auto& key : keys) store.put(key, "v");
+/// Counts the sink brackets a store emits (and checks they nest).
+class RecordingSink final : public kv::StoreEventSink {
+ public:
+  void on_membership_begin(kv::MembershipEventKind) override {
+    EXPECT_FALSE(open_) << "begin inside an open bracket";
+    open_ = true;
+    ++begins_;
+  }
+  void on_relocation_batch(HashIndex, HashIndex, placement::NodeId,
+                           placement::NodeId, std::uint64_t, bool) override {
+    EXPECT_TRUE(open_) << "relocation batch outside a bracket";
+  }
+  void on_repair_batch(HashIndex, HashIndex, std::uint64_t, std::uint64_t,
+                       std::size_t) override {  // raw-k-ok: sink payload
+    EXPECT_TRUE(open_) << "repair batch outside a bracket";
+  }
+  void on_membership_end() override {
+    EXPECT_TRUE(open_) << "end without a begin";
+    open_ = false;
+    ++ends_;
+  }
 
-  store.backend().add_node();  // bypasses the store's bookkeeping
-  const placement::MigrationStats reloc = store.stats().relocation;
-  EXPECT_GT(reloc.keys_moved_total, 0u);
-  EXPECT_EQ(driver.totals().handover_keys_total, reloc.keys_moved_total);
-  EXPECT_GT(driver.recorded().size(), 0u);
+  [[nodiscard]] bool open() const { return open_; }
+  [[nodiscard]] int begins() const { return begins_; }
+  [[nodiscard]] int ends() const { return ends_; }
+
+ private:
+  bool open_ = false;
+  int begins_ = 0;
+  int ends_ = 0;
+};
+
+/// A membership call rejected before it changed anything opens no
+/// sink bracket: the driver records exactly the one successful join.
+template <typename StoreT>
+void expect_rejected_join_leaves_no_event(StoreT& store) {
+  using Backend = typename StoreT::BackendType;
+  store.add_node();
+  for (const auto& key : make_keys(300)) store.put(key, "v");
+  {
+    ProtocolDriver<Backend> driver(store);
+    EXPECT_THROW((void)store.add_node(-2.0), InvalidArgument);
+    store.add_node();
+    EXPECT_EQ(driver.totals().events, 1u);
+  }
+  RecordingSink sink;
+  store.set_event_sink(&sink);
+  EXPECT_THROW((void)store.add_node(-2.0), InvalidArgument);
+  EXPECT_EQ(sink.begins(), 0);
+  store.add_node();
+  EXPECT_EQ(sink.begins(), 1);
+  EXPECT_EQ(sink.ends(), 1);
+  EXPECT_FALSE(sink.open());
+  store.set_event_sink(nullptr);
 }
 
-TEST(ProtocolDriver, StrayBatchesAreNotAttributedToTheNextBracket) {
-  // A direct backend() mutation leaves pending batches behind; a
-  // following store membership call must flush them as their own
-  // implicit event *before* opening its bracket, or the previous
-  // event's movement would be priced into the wrong rounds.
-  kv::ChKvStore store({27, 16}, ReplicationSpec{1, SpreadPolicy::kNone});
-  ProtocolDriver<placement::ChBackend> driver(store);
-  store.add_node();
-  const auto keys = make_keys(500);
-  for (const auto& key : keys) store.put(key, "v");
-  driver.clear();
+TEST(ProtocolDriver, RejectedJoinOpensNoBracket) {
+  kv::ChKvStore ch({24, 16}, ReplicationSpec{1, SpreadPolicy::kNone});
+  expect_rejected_join_leaves_no_event(ch);
+  kv::KvStore local({dht_cfg(32, 8, 27), 2},
+                    ReplicationSpec{2, SpreadPolicy::kNone});
+  expect_rejected_join_leaves_no_event(local);
+}
 
-  store.backend().add_node();  // stray: bypasses the store's bookkeeping
-  store.add_node();            // bracketed join
-  EXPECT_EQ(driver.totals().events, 2u);  // implicit event + the join
-  const auto& log = driver.recorded();
-  ASSERT_FALSE(log.empty());
-  EXPECT_EQ(log.front().event, 0u);  // the stray movement came first
-  bool join_recorded = false;
-  for (const auto& round : log) join_recorded |= round.event == 1u;
-  EXPECT_TRUE(join_recorded);
+/// After every bracket: each key's materialized replica set is the
+/// backend's spec-keyed set, and the driver's totals equal the store's
+/// two channels.
+template <typename StoreT>
+void expect_bracket_consistent(
+    const StoreT& store,
+    const ProtocolDriver<typename StoreT::BackendType>& driver,
+    const std::vector<std::string>& keys) {
+  const kv::StatsSnapshot stats = store.stats();
+  const ProtocolTotals& totals = driver.totals();
+  EXPECT_EQ(totals.handover_keys_total, stats.relocation.keys_moved_total);
+  EXPECT_EQ(totals.handover_keys_cross,
+            stats.relocation.keys_moved_across_nodes);
+  EXPECT_EQ(totals.rebucket_keys, stats.relocation.keys_rebucketed);
+  EXPECT_EQ(totals.repair_copies, stats.replication.keys_rereplicated);
+  EXPECT_EQ(totals.keys_lost, stats.replication.keys_lost);
+  const ReplicationSpec spec = store.replication_spec();
+  const ReplicationSpec target =
+      spec.with_k(std::min(spec.k, store.backend().node_count()));
+  for (const std::string& key : keys) {
+    const HashIndex h =
+        hashing::hash_bytes(hashing::Algorithm::kXxh64, key.data(), key.size());
+    ASSERT_EQ(store.replicas_of(key), store.backend().replica_set(h, target))
+        << "key " << key;
+  }
+}
+
+/// A vnode of the local approach whose removal is refused: a Vmin-sized
+/// group whose sibling has split further cannot merge (see
+/// LocalDht.RemoveUnsupportedWhenSiblingSplitFurther).
+std::optional<dht::VNodeId> refused_removal(const dht::LocalDht& dht,
+                                            std::uint64_t vmin) {
+  const std::vector<std::uint32_t> live = dht.live_groups();
+  for (const std::uint32_t slot : live) {
+    const dht::Group& group = dht.group(slot);
+    if (group.members.size() != vmin || group.id.depth() < 1) continue;
+    const bool sibling_alive =
+        std::any_of(live.begin(), live.end(), [&](std::uint32_t other) {
+          return dht.group(other).id == group.id.sibling();
+        });
+    if (!sibling_alive) return group.members.front();
+  }
+  return std::nullopt;
+}
+
+template <typename StoreT>
+class MutateBracketSuite : public ::testing::Test {};
+
+using DhtStores = ::testing::Types<kv::KvStore, kv::GlobalKvStore>;
+TYPED_TEST_SUITE(MutateBracketSuite, DhtStores);
+
+TYPED_TEST(MutateBracketSuite, VnodeElasticityRunsThroughTheBracket) {
+  using Backend = typename TypeParam::BackendType;
+  constexpr bool kLocal = std::is_same_v<TypeParam, kv::KvStore>;
+  const auto keys = make_keys(400);
+  for (std::size_t k = 1; k <= 3; ++k) {
+    bool refused = false;
+    for (std::uint64_t seed = 1; seed <= 16 && !refused; ++seed) {
+      TypeParam store({dht_cfg(4, kLocal ? 4 : 1, 40 + seed), 2},
+                      ReplicationSpec{k, SpreadPolicy::kNone});
+      ProtocolDriver<Backend> driver(store);
+      std::vector<placement::NodeId> nodes;
+      for (int n = 0; n < 3; ++n) nodes.push_back(store.add_node());
+      for (const auto& key : keys) store.put(key, "v");
+      expect_bracket_consistent(store, driver, keys);
+
+      using kv::MembershipEventKind;
+      store.mutate(MembershipEventKind::kJoin, [&](Backend& backend) {
+        return backend.add_vnode(nodes[0]);
+      });
+      expect_bracket_consistent(store, driver, keys);
+      (void)store.mutate(MembershipEventKind::kJoin, [&](Backend& backend) {
+        return backend.resize_node(nodes[1], 4.0);
+      });
+      EXPECT_EQ(store.backend().vnodes_of(nodes[1]), 8u);
+      expect_bracket_consistent(store, driver, keys);
+      (void)store.mutate(MembershipEventKind::kDrain, [&](Backend& backend) {
+        return backend.resize_node(nodes[1], 1.0);
+      });
+      expect_bracket_consistent(store, driver, keys);
+      if constexpr (kLocal) {
+        // Grow one node until a removal the local approach must refuse
+        // exists, then drive that removal through the bracket.
+        for (int v = 0; v < 80 && !refused; ++v) {
+          store.mutate(MembershipEventKind::kJoin, [&](Backend& backend) {
+            return backend.add_vnode(nodes[2]);
+          });
+          const auto victim = refused_removal(store.backend().dht(), 4);
+          if (!victim) continue;
+          const std::uint64_t events = driver.totals().events;
+          EXPECT_THROW(store.mutate(MembershipEventKind::kDrain,
+                                    [&](Backend& backend) {
+                                      backend.remove_vnode(*victim);
+                                    }),
+                       dht::UnsupportedTopology);
+          EXPECT_EQ(driver.totals().events, events);  // rejected up front
+          expect_bracket_consistent(store, driver, keys);
+          refused = true;
+        }
+      } else {
+        refused = true;  // only the local approach refuses
+      }
+    }
+    EXPECT_TRUE(refused) << "no refusal topology found at k=" << k;
+  }
 }
 
 TEST(ProtocolDriver, ClearRestrictsTheLogToLaterEvents) {

@@ -350,7 +350,8 @@ TEST(KvStore, IntraNodeVnodeHandoversAreNotCrossNodeTraffic) {
 
   // A second vnode on the same node: keys move between vnodes but not
   // across nodes.
-  store.backend().add_vnode(n0);
+  store.mutate(MembershipEventKind::kJoin,
+               [n0](auto& backend) { return backend.add_vnode(n0); });
   const auto after_same = store.stats().relocation;
   EXPECT_GT(after_same.keys_moved_total, 0u);
   EXPECT_EQ(after_same.keys_moved_across_nodes, 0u);

@@ -515,14 +515,13 @@ TYPED_TEST(StoreConcurrencySuite, PooledScanSeesAConsistentPerShardView) {
   EXPECT_EQ(low, store.keys_in_range(0, mid));
 }
 
-// Regression: flush_relocations() used to probe pending_events_.empty()
-// without the accounting lock as its fast path. Two concurrent
-// flushers - any mix of stats readers and writers, since every put
-// flushes - then raced the probe against the other's clear(). The fast
-// path is now an atomic pending flag and the container probe sits
-// behind the accounting lock, so this mix must be TSan-clean, and the
-// relocation totals must still come out exact (every flusher counts
-// each pending event exactly once or not at all).
+// Regression: flush_relocations() used to run lazily from every put
+// and stats read, and its unlocked pending_events_.empty() probe raced
+// another flusher's clear(). The flush now runs only inside the
+// membership bracket, under the exclusive backend hold, so stats
+// readers and writers racing churn never flush at all. This mix must
+// stay TSan-clean, every read must see monotone totals, and the
+// relocation totals must come out exact (each event counted once).
 TEST(StoreRaceRegression, ConcurrentFlushersDoNotRaceThePendingProbe) {
   auto store = make_store<KvStore>(1234, 2);
   for (int n = 0; n < 5; ++n) store.add_node();
@@ -536,8 +535,8 @@ TEST(StoreRaceRegression, ConcurrentFlushersDoNotRaceThePendingProbe) {
   std::vector<std::thread> flushers;
   for (int f = 0; f < 2; ++f) {
     flushers.emplace_back([&store, &stop, f] {
-      // Alternate the two flushing surfaces: the stats read and a
-      // mutation in a private key lane.
+      // Alternate the two surfaces that used to flush: the stats read
+      // and a mutation in a private key lane.
       std::uint64_t last_total = 0;
       int round = 0;
       while (!stop.load(std::memory_order_relaxed) && round < 3000) {
@@ -550,8 +549,8 @@ TEST(StoreRaceRegression, ConcurrentFlushersDoNotRaceThePendingProbe) {
       }
     });
   }
-  // Churn keeps the observers enqueueing fresh pending events for the
-  // flushers to race over.
+  // Churn keeps membership brackets (each with its own flush) running
+  // against the readers and writers.
   for (int event = 0; event < 8; ++event) {
     if (event % 2 == 0) {
       store.add_node();

@@ -10,11 +10,14 @@
 //     ends up owning (catches wrap-around and off-by-one range
 //     reporting in the adapters);
 //   * the scenario drivers of sim/scenario.hpp run unmodified over
-//     every backend.
+//     every backend;
+//   * a capacity no backend can honour (NaN, infinite, huge, zero,
+//     negative) is rejected before the membership changes.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -219,6 +222,24 @@ TYPED_TEST(BackendPropertySuite, DeterministicPerSeed) {
     return backend.quotas();
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TYPED_TEST(BackendPropertySuite, UnusableCapacityIsRejectedUnchanged) {
+  // Regression: inf and 1e300 scaled to a 2^63-unit enrollment (and
+  // HRW/maglev took inf as a weight) instead of failing.
+  auto backend = make_backend<TypeParam>(707);
+  for (int n = 0; n < 3; ++n) backend.add_node();
+  const std::size_t nodes = backend.node_count();
+  const std::size_t slots = backend.node_slot_count();
+  for (const double capacity :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), 1e300, 0.0, -1.0}) {
+    EXPECT_THROW((void)backend.add_node(capacity), InvalidArgument)
+        << "capacity " << capacity;
+    EXPECT_EQ(backend.node_count(), nodes);
+    EXPECT_EQ(backend.node_slot_count(), slots);
+  }
 }
 
 TYPED_TEST(BackendPropertySuite, SchemeNamesAreNonEmptyAndStable) {
