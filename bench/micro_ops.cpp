@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark): costs of the core operations -
 // hashing, dyadic arithmetic, routing lookups, vnode creation in both
 // approaches, group splitting pressure, CH joins, and the KV store's
-// hot path (put / get / membership events / repair passes) across all
-// seven placement schemes.
+// hot path (put / get / membership events / repair passes) and the
+// rack-spread replica walk, across all seven placement schemes.
 //
 // `--json[=path]` additionally writes the results as google-benchmark
 // JSON (default path BENCH_store_hotpath.json); the checked-in
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "ch/ring.hpp"
+#include "cluster/topology.hpp"
 #include "common/dyadic.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -225,6 +226,18 @@ BENCHMARK(BM_DistributedProtocol)->Arg(128)->Arg(512);
 //                            a 7:1 get:put mix driven by T bench
 //                            threads against one shard-concurrent
 //                            store (the read-scaling surface)
+//   placement_spread_walk/<scheme>/crashed:C
+//                            one k=3 rack-spread replica set per
+//                            iteration (the store's repair and write
+//                            path under a rack topology); C = 0 is 48
+//                            nodes in 12 racks after a churn round
+//                            (departed nodes stay in their racks'
+//                            counts, so the pigeonhole cap is 11
+//                            while 3-4 nodes reach 3 racks), C = 1 is
+//                            3 racks of 4 with one rack crashed (the
+//                            cap of 9 exceeds the 8 live nodes and
+//                            only 2 racks remain, so no walk stops
+//                            early)
 //
 // The threads axis: for the membership benches T is the size of the
 // cobalt::ThreadPool the store runs its shard-parallel repair and
@@ -341,6 +354,49 @@ void BM_StoreContendedMix(benchmark::State& state, const Scheme& scheme) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
+/// One iteration = one k=3 rack-spread replica set at the next of a
+/// fixed ring of probe points. range(0) picks the topology (see the
+/// family comment above): 0 = a churned 48-node, 12-rack cluster,
+/// 1 = 3 racks of 4 with rack 2 crashed.
+template <typename Scheme>
+void BM_PlacementSpreadWalk(benchmark::State& state, const Scheme& scheme) {
+  using Backend = typename Scheme::BackendType;
+  const bool crashed = state.range(0) != 0;
+  const std::size_t racks = crashed ? 3 : 12;
+  const std::size_t per_rack = 4;
+  cobalt::cluster::Topology topo =
+      cobalt::cluster::Topology::uniform(racks, per_rack);
+  Backend backend(scheme.options_for(46));
+  for (std::size_t n = 0; n < racks * per_rack; ++n) backend.add_node();
+  if (crashed) {
+    for (const auto node : topo.nodes_in_rack(2)) {
+      (void)backend.remove_node(node);
+    }
+  } else {
+    // One churn round: a node leaves each rack and a fresh one joins
+    // it; the departed node stays assigned (a scheme may refuse the
+    // drain, then the node simply stays).
+    for (std::size_t r = 0; r < racks; ++r) {
+      const auto rack = static_cast<cobalt::cluster::Topology::RackId>(r);
+      (void)backend.remove_node(topo.nodes_in_rack(rack).front());
+      topo.assign(backend.add_node(), rack);
+    }
+  }
+  backend.set_topology(&topo);
+  const ReplicationSpec spec{3, SpreadPolicy::kRack};
+  std::vector<cobalt::HashIndex> points(1024);
+  Xoshiro256 rng(47);
+  for (auto& point : points) point = rng.next();
+  std::vector<cobalt::placement::NodeId> out;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    backend.replica_set_into(points[i++ & 1023u], spec, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
 void register_all_store_benches() {
   cobalt::bench::for_each_scheme(kBenchSchemes, [](const auto& scheme) {
     const std::string& name = scheme.name;
@@ -375,6 +431,13 @@ void register_all_store_benches() {
         ->Threads(1)
         ->Threads(2)
         ->Threads(4);
+    benchmark::RegisterBenchmark(("placement_spread_walk/" + name).c_str(),
+                                 [scheme](benchmark::State& state) {
+                                   BM_PlacementSpreadWalk(state, scheme);
+                                 })
+        ->ArgName("crashed")
+        ->Arg(0)
+        ->Arg(1);
   });
 }
 

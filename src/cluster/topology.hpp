@@ -26,6 +26,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -75,6 +76,7 @@ class Topology {
     rack_entry(rack).add(weight);
     rack_zone_[rack] = zone;
     zones_.try_emplace(zone);
+    sort_domain_sizes();
   }
 
   /// Uniform grid builder: `racks` racks of `nodes_per_rack` nodes,
@@ -97,6 +99,7 @@ class Topology {
   /// Operator-facing failure-domain names ("rack-a12", "eu-west-1b").
   void name_rack(RackId rack, std::string name) {
     rack_entry(rack).name = std::move(name);
+    sort_domain_sizes();
   }
   void name_zone(ZoneId zone, std::string name) {
     zones_[zone].name = std::move(name);
@@ -187,28 +190,17 @@ class Topology {
   /// "sum of the k-1 largest domain sizes" nodes. Unassigned nodes
   /// are singleton domains, so domains outside the explicit map
   /// contribute size 1 and never raise the bound. Returns >= k.
+  /// O(k) and allocation-free: it reads the descending size arrays
+  /// that assign() and name_rack() re-sort. Every rack entry counts,
+  /// emptied or named-only ones as size 0; a zone counts while some
+  /// rack maps to it.
   std::size_t spread_bound(std::size_t k, bool by_zone = false) const {
     if (k <= 1) return k;
-    std::vector<std::size_t> sizes;
-    if (by_zone) {
-      std::unordered_map<ZoneId, std::size_t> zone_sizes;
-      for (const auto& [rack, zone] : rack_zone_) {
-        zone_sizes[zone] += rack_size(rack);
-      }
-      sizes.reserve(zone_sizes.size());
-      for (const auto& [zone, size] : zone_sizes) sizes.push_back(size);
-    } else {
-      sizes.reserve(racks_.size());
-      for (const auto& [rack, entry] : racks_) sizes.push_back(entry.count);
-    }
-    std::sort(sizes.begin(), sizes.end(), std::greater<>());
+    const std::vector<std::size_t>& sizes =
+        by_zone ? zone_sizes_desc_ : rack_sizes_desc_;
+    const std::size_t taken = std::min(k - 1, sizes.size());
     std::size_t capacity = 0;  // of the k-1 largest domains
-    std::size_t taken = 0;
-    for (std::size_t s : sizes) {
-      if (taken == k - 1) break;
-      capacity += s;
-      ++taken;
-    }
+    for (std::size_t i = 0; i < taken; ++i) capacity += sizes[i];
     // Remaining slots (if fewer explicit domains than k-1) are filled
     // by singleton domains of size 1.
     capacity += (k - 1) - taken;
@@ -238,10 +230,37 @@ class Topology {
 
   DomainEntry& rack_entry(RackId rack) { return racks_[rack]; }
 
+  /// Re-sorts spread_bound's inputs after a change to the map: every
+  /// rack's node count, and every mapped zone's summed count. The map
+  /// is built up front, so this stays off the placement path.
+  void sort_domain_sizes() {
+    rack_sizes_desc_.clear();
+    rack_sizes_desc_.reserve(racks_.size());
+    for (const auto& [rack, entry] : racks_) {
+      rack_sizes_desc_.push_back(entry.count);
+    }
+    std::sort(rack_sizes_desc_.begin(), rack_sizes_desc_.end(),
+              std::greater<>());
+    std::unordered_map<ZoneId, std::size_t> zone_sizes;
+    for (const auto& [rack, zone] : rack_zone_) {
+      zone_sizes[zone] += rack_size(rack);
+    }
+    zone_sizes_desc_.clear();
+    zone_sizes_desc_.reserve(zone_sizes.size());
+    for (const auto& [zone, size] : zone_sizes) {
+      zone_sizes_desc_.push_back(size);
+    }
+    std::sort(zone_sizes_desc_.begin(), zone_sizes_desc_.end(),
+              std::greater<>());
+  }
+
   std::unordered_map<NodeId, Placement> nodes_;
   std::unordered_map<RackId, DomainEntry> racks_;
   std::unordered_map<RackId, ZoneId> rack_zone_;
   std::unordered_map<ZoneId, DomainEntry> zones_;
+  // spread_bound's inputs, each sorted descending.
+  std::vector<std::size_t> rack_sizes_desc_;
+  std::vector<std::size_t> zone_sizes_desc_;
 };
 
 }  // namespace cobalt::cluster

@@ -11,11 +11,15 @@
 //                      (section 2.1.2 of the paper);
 //   * routing        - owner_of(index): the node responsible for a
 //                      hash index;
-//   * replication    - replica_set_into(index, k, out): the ranked
-//                      distinct nodes that hold the k copies of a key
-//                      hashed at index (rank 0 is always
+//   * replication    - replica_set_into(index, k, out, stop): the
+//                      ranked distinct nodes that hold the k copies of
+//                      a key hashed at index (rank 0 is always
 //                      owner_of(index)), written into a caller-owned
-//                      buffer - the scheme's raw ranked walk;
+//                      buffer - the scheme's raw ranked walk. The
+//                      optional WalkStop (types.hpp) ends the walk
+//                      early with a prefix of the full answer; it
+//                      defaults to none, so three-argument calls walk
+//                      to min(k, node_count());
 //   * repair planning - replica_dirty_ranges(k): the hash ranges
 //                      outside of which replica_set(., k) is
 //                      *guaranteed* unchanged by the backend's most
@@ -96,7 +100,7 @@ concept PlacementBackend =
     std::derived_from<B, ReplicationSurface<B>> &&
     requires(B backend, const B const_backend, double capacity, NodeId node,
              HashIndex index, std::size_t replicas, std::vector<NodeId>& out,
-             RelocationObserver* observer) {
+             WalkStop stop, RelocationObserver* observer) {
       typename B::Options;
 
       // Membership.
@@ -109,7 +113,11 @@ concept PlacementBackend =
       // Replication: the raw ranked walk - distinct owners of the k
       // copies of a key hashed at `index`, element 0 == owner_of(index),
       // written into `out` (cleared first) so bulk repair loops reuse one
-      // buffer instead of allocating a vector per key.
+      // buffer instead of allocating a vector per key. `stop` is called
+      // after each new node and ends the walk when it answers true.
+      {
+        const_backend.replica_set_into(index, replicas, out, stop)
+      } -> std::same_as<void>;
       {
         const_backend.replica_set_into(index, replicas, out)
       } -> std::same_as<void>;

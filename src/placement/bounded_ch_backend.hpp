@@ -81,10 +81,11 @@ class BoundedChBackend final : public ReplicationSurface<BoundedChBackend> {
   /// walk, first-encounter order), so replicas respect the load caps
   /// the scheme exists to enforce - walking the raw ring instead could
   /// rank an at-capacity node as a fallback.
-  /// The set is written into `out` (cleared first).
+  /// The set is written into `out` (cleared first); `stop` may end
+  /// the walk early (see WalkStop).
   void replica_set_into(HashIndex index, std::size_t k,
-                        std::vector<NodeId>& out) const {
-    grid_replica_walk_into(grid_, index, k, out);
+                        std::vector<NodeId>& out, WalkStop stop = {}) const {
+    grid_replica_walk_into(grid_, index, k, node_count(), out, stop);
   }
 
   /// Replica sets change only where a forward cell walk can reach a

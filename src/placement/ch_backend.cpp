@@ -38,7 +38,8 @@ NodeId ChBackend::owner_of(HashIndex index) const {
 }
 
 void ChBackend::replica_set_into(HashIndex index, std::size_t k,
-                                 std::vector<NodeId>& out) const {
+                                 std::vector<NodeId>& out,
+                                 WalkStop stop) const {
   COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");
   COBALT_REQUIRE(ring_.node_count() >= 1, "the backend has no nodes");
   const std::size_t want =
@@ -55,6 +56,7 @@ void ChBackend::replica_set_into(HashIndex index, std::size_t k,
     const auto node = static_cast<NodeId>(it->second);
     if (std::find(out.begin(), out.end(), node) == out.end()) {
       out.push_back(node);
+      if (stop(node)) return;
     }
   }
 }

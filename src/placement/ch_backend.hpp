@@ -61,9 +61,10 @@ class ChBackend final : public ReplicationSurface<ChBackend> {
   /// classic CH successor walk (Chord/Dynamo replication) - the ring
   /// points at or after `index`, wrapping, skipping points of nodes
   /// that already hold a lower-ranked copy.
-  /// The set is written into `out` (cleared first).
+  /// The set is written into `out` (cleared first); `stop` may end
+  /// the walk early (see WalkStop).
   void replica_set_into(HashIndex index, std::size_t k,
-                        std::vector<NodeId>& out) const;
+                        std::vector<NodeId>& out, WalkStop stop = {}) const;
 
   /// A key's replica set changes only when its successor walk crosses
   /// a ring point the last membership event inserted or removed: each

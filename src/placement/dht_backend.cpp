@@ -68,7 +68,8 @@ NodeId DhtBackend<DhtT>::owner_of(HashIndex index) const {
 
 template <typename DhtT>
 void DhtBackend<DhtT>::replica_set_into(HashIndex index, std::size_t k,
-                                        std::vector<NodeId>& out) const {
+                                        std::vector<NodeId>& out,
+                                        WalkStop stop) const {
   COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");
   COBALT_REQUIRE(live_nodes_ >= 1, "the backend has no nodes");
   const std::size_t want = k < live_nodes_ ? k : live_nodes_;
@@ -85,6 +86,7 @@ void DhtBackend<DhtT>::replica_set_into(HashIndex index, std::size_t k,
     const auto node = static_cast<NodeId>(dht_.vnode(hit.owner).snode);
     if (std::find(out.begin(), out.end(), node) == out.end()) {
       out.push_back(node);
+      if (stop(node)) return;
     }
     hit = dht_.partition_map().successor(hit.partition);
   }

@@ -79,9 +79,10 @@ class DhtBackend final : public ReplicationSurface<DhtBackend<DhtT>>,
   /// snode already holds a lower-ranked copy. Successor partitions are
   /// how the paper's model expresses adjacency, so this is the direct
   /// analogue of CH's successor-replication.
-  /// The set is written into `out` (cleared first).
+  /// The set is written into `out` (cleared first); `stop` may end
+  /// the walk early (see WalkStop).
   void replica_set_into(HashIndex index, std::size_t k,
-                        std::vector<NodeId>& out) const;
+                        std::vector<NodeId>& out, WalkStop stop = {}) const;
 
   /// A key's replica set changes only when its successor walk crosses
   /// a partition the last membership event transferred, split or

@@ -76,10 +76,21 @@ bool HrwBackend::remove_node(NodeId node) {
 }
 
 void HrwBackend::replica_set_into(HashIndex index, std::size_t k,
-                                  std::vector<NodeId>& out) const {
+                                  std::vector<NodeId>& out,
+                                  WalkStop stop) const {
   COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");
   COBALT_REQUIRE(live_nodes_ >= 1, "the backend has no nodes");
   const std::size_t cell = grid_.cell_of(index);
+  const std::size_t want = k < live_nodes_ ? k : live_nodes_;
+  out.clear();
+  out.reserve(want);
+  // The stored winner decides rank 0 even in the (measure-zero) event
+  // of a score tie, keeping replica_set exactly consistent with
+  // owner_of; the other live nodes follow in (score desc, id asc)
+  // order, so the k-prefix invariant of the concept holds.
+  const NodeId owner = grid_.owner(cell);
+  out.push_back(owner);
+  if (stop(owner) || want == 1) return;
   // Thread-local, not a member: the store's repair pass calls this
   // concurrently from pool workers, and each worker keeps its own
   // allocation-free ranking buffer.
@@ -87,31 +98,23 @@ void HrwBackend::replica_set_into(HashIndex index, std::size_t k,
   ranked.clear();
   ranked.reserve(live_nodes_);
   for (NodeId node = 0; node < node_live_.size(); ++node) {
-    if (node_live_[node]) ranked.emplace_back(score(cell, node), node);
+    if (node_live_[node] && node != owner) {
+      ranked.emplace_back(score(cell, node), node);
+    }
   }
-  const std::size_t want = k < ranked.size() ? k : ranked.size();
-  std::partial_sort(ranked.begin(),
-                    ranked.begin() + static_cast<std::ptrdiff_t>(want),
-                    ranked.end(), [](const auto& a, const auto& b) {
-                      if (a.first != b.first) return a.first > b.first;
-                      return a.second < b.second;
-                    });
-  out.clear();
-  out.reserve(want);
-  for (std::size_t rank = 0; rank < want; ++rank) {
-    out.push_back(ranked[rank].second);
-  }
-  // The stored winner decides rank 0 even in the (measure-zero) event
-  // of a score tie, keeping replica_set exactly consistent with
-  // owner_of; moving it to the front keeps the remaining ranks in
-  // score order, so the k-prefix invariant of the concept holds.
-  const NodeId owner = grid_.owner(cell);
-  const auto it = std::find(out.begin(), out.end(), owner);
-  if (it == out.end()) {
-    out.pop_back();
-    out.insert(out.begin(), owner);
-  } else {
-    std::rotate(out.begin(), it, it + 1);
+  // A max-heap in rank order, popped lazily: a walk that stops after a
+  // few ranks never orders the rest.
+  const auto ranks_below = [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return a.second > b.second;
+  };
+  std::make_heap(ranked.begin(), ranked.end(), ranks_below);
+  auto heap_end = ranked.end();
+  while (out.size() < want) {
+    std::pop_heap(ranked.begin(), heap_end, ranks_below);
+    --heap_end;
+    out.push_back(heap_end->second);
+    if (stop(heap_end->second)) return;
   }
 }
 

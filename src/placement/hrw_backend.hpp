@@ -68,12 +68,13 @@ class HrwBackend final : public ReplicationSurface<HrwBackend> {
   /// live nodes in descending rendezvous-score order for the cell
   /// containing `index` - HRW's native replication rule (every rank is
   /// an independent rendezvous, so replica placement inherits the
-  /// weighting). Rank 0 is the grid's stored winner.
+  /// weighting). Rank 0 is the grid's stored winner; the other ranks
+  /// are heap pops, so a walk `stop` ends early never sorts the rest.
   /// The set is written into `out` (cleared first); the score ranking
   /// reuses a thread-local scratch buffer, so concurrent const calls
   /// (the store's shard-parallel repair) are safe.
   void replica_set_into(HashIndex index, std::size_t k,
-                        std::vector<NodeId>& out) const;
+                        std::vector<NodeId>& out, WalkStop stop = {}) const;
 
   /// Rank 0 changes exactly on the grid's changed cells, but every
   /// deeper rank is an independent rendezvous: a join can score into
@@ -112,9 +113,11 @@ class HrwBackend final : public ReplicationSurface<HrwBackend> {
   /// The rendezvous weight `node` joined with (0 when departed).
   [[nodiscard]] double weight_of(NodeId node) const;
 
- private:
-  /// The weighted rendezvous score of (cell, node).
+  /// The weighted rendezvous score of (cell, node): the key of the
+  /// replica ranking (score descending, ties by ascending id).
   [[nodiscard]] double score(std::size_t cell, NodeId node) const;
+
+ private:
 
   Options options_;
   RangeGrid grid_;

@@ -71,10 +71,11 @@ class JumpBackend final : public ReplicationSurface<JumpBackend> {
   /// cell, first-encounter order). Jump hash itself defines no replica
   /// rule; probing the materialized table keeps the set exactly
   /// consistent with owner_of.
-  /// The set is written into `out` (cleared first).
+  /// The set is written into `out` (cleared first); `stop` may end
+  /// the walk early (see WalkStop).
   void replica_set_into(HashIndex index, std::size_t k,
-                        std::vector<NodeId>& out) const {
-    grid_replica_walk_into(grid_, index, k, out);
+                        std::vector<NodeId>& out, WalkStop stop = {}) const {
+    grid_replica_walk_into(grid_, index, k, node_count(), out, stop);
   }
 
   /// Replica sets change only where a forward cell walk can reach a

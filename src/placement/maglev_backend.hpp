@@ -73,10 +73,11 @@ class MaglevBackend final : public ReplicationSurface<MaglevBackend> {
   /// lookup-table probe (forward slot walk from the owning slot,
   /// first-encounter order) - the maglev analogue of successor
   /// replication, exactly consistent with owner_of.
-  /// The set is written into `out` (cleared first).
+  /// The set is written into `out` (cleared first); `stop` may end
+  /// the walk early (see WalkStop).
   void replica_set_into(HashIndex index, std::size_t k,
-                        std::vector<NodeId>& out) const {
-    grid_replica_walk_into(table_, index, k, out);
+                        std::vector<NodeId>& out, WalkStop stop = {}) const {
+    grid_replica_walk_into(table_, index, k, node_count(), out, stop);
   }
 
   /// The table refill reshuffles slots table-wide, but the refill diff

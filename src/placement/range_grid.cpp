@@ -75,16 +75,19 @@ std::vector<double> grid_quotas(const RangeGrid& grid,
 }
 
 void grid_replica_walk_into(const RangeGrid& grid, HashIndex index,
-                            std::size_t k, std::vector<NodeId>& out) {
+                            std::size_t k, std::size_t live_nodes,
+                            std::vector<NodeId>& out, WalkStop stop) {
   COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");
   out.clear();
+  const std::size_t want = std::min(k, live_nodes);
   const std::size_t cells = grid.size();
   const std::size_t start = grid.cell_of(index);
-  for (std::size_t step = 0; step < cells && out.size() < k; ++step) {
+  for (std::size_t step = 0; step < cells && out.size() < want; ++step) {
     const NodeId owner = grid.owner((start + step) & (cells - 1));
     if (owner == kInvalidNode) continue;  // pre-bootstrap grid only
     if (std::find(out.begin(), out.end(), owner) == out.end()) {
       out.push_back(owner);
+      if (stop(owner)) return;
     }
   }
 }

@@ -103,14 +103,18 @@ std::vector<double> grid_quotas(const RangeGrid& grid,
 
 /// The replica_set of a grid-backed scheme: walk the cells forward from
 /// the cell containing `index` (wrapping), collecting distinct owners
-/// in first-encounter order, until `k` nodes are found or the walk
-/// comes full circle. Element 0 is the grid's own owner_of(index), so
-/// the result satisfies the rank-0 invariant of the PlacementBackend
-/// concept by construction; the walk only ever sees live nodes because
-/// membership events reassign every cell of a departed owner. `out` is
-/// cleared first.
+/// in first-encounter order, until min(k, live_nodes) nodes are found,
+/// `stop` fires, or the walk comes full circle. `live_nodes` is the
+/// backend's node_count(): the grid holds no more distinct owners, so
+/// a deeper k would only scan every cell for owners that are not
+/// there. Element 0 is the grid's own owner_of(index), so the result
+/// satisfies the rank-0 invariant of the PlacementBackend concept by
+/// construction; the walk only ever sees live nodes because membership
+/// events reassign every cell of a departed owner. `out` is cleared
+/// first.
 void grid_replica_walk_into(const RangeGrid& grid, HashIndex index,
-                            std::size_t k, std::vector<NodeId>& out);
+                            std::size_t k, std::size_t live_nodes,
+                            std::vector<NodeId>& out, WalkStop stop = {});
 
 /// The replica_dirty_ranges of a walk-replicated grid scheme: every
 /// changed cell run of the grid's most recent assign(), expanded

@@ -8,11 +8,19 @@
 //
 // All seven adapters share one implementation, ReplicationSurface
 // below, which every adapter inherits and which runs the spread
-// post-filter over the adapter's raw ranked walk: take it to a pigeonhole
-// probe depth (Topology::spread_bound guarantees that many distinct
-// nodes span >= k domains), reorder it so the first appearance of each
-// failure domain comes first (in rank order), append the skipped
-// same-domain candidates (in rank order), truncate to k.
+// post-filter over the adapter's raw ranked walk: walk until the prefix
+// holds k distinct failure domains (a WalkStop ends the walk there),
+// reorder it so the first appearance of each failure domain comes
+// first (in rank order), append the skipped same-domain candidates (in
+// rank order), truncate to k. The pigeonhole probe depth
+// (Topology::spread_bound: that many distinct nodes always span >= k
+// domains) only caps the walk; it is reached when the live nodes span
+// fewer than k domains, and then phase 2 below fills the set.
+//
+// Stopping early cannot change the answer: the spread set is the first
+// k domain first-appearances of the raw walk, and the raw walk is
+// prefix-stable, so once its prefix holds k fresh domains no deeper
+// rank can displace one of them.
 //
 // Contracts, extending the raw-walk contracts in backend.hpp:
 //   - element 0 is still exactly owner_of(index): the owner's domain
@@ -27,10 +35,13 @@
 //     raw walk *verbatim* — bit-identical placement, zero overhead.
 //
 // Dirty ranges under a spec are the raw dirty ranges taken at the
-// probe depth (+1 node to cover the depth shrink after a departure):
-// the spread set at a point is a pure function of the raw walk prefix
-// at probe depth, so any spread-set change implies a raw-walk change
-// within that prefix — the raw ranges are a conservative cover.
+// probe depth (+1 node to cover the depth shrink after a departure),
+// not at the stop depth: the spread set at a point is a pure function
+// of the raw walk prefix at probe depth, so any spread-set change
+// implies a raw-walk change within that prefix — the raw ranges are a
+// conservative cover. The stop depth varies by point and is not known
+// to the dirty report, so the report keeps the probe depth; a tighter
+// depth would change the repair plan and the sink stream it drives.
 
 #pragma once
 
@@ -85,53 +96,53 @@ inline std::uint32_t spread_domain_of(const cluster::Topology& topo,
                                        : topo.rack_of(node);
 }
 
-}  // namespace detail
+/// The early exit of a spread walk: notes for each node the walk
+/// appends whether it is the first of its failure domain, and stops
+/// the walk at the k-th such node; order() then builds the spread set
+/// from those marks, so no domain is looked up twice. Lives on the
+/// caller's stack for one walk; `domains` and `first` start empty.
+struct SpreadStop {
+  const cluster::Topology& topo;
+  SpreadPolicy policy;
+  std::size_t k;
+  std::vector<std::uint32_t>& domains;  ///< distinct domains, in walk order
+  std::vector<char>& first;             ///< per walked node: fresh domain?
 
-/// Reorders a raw ranked walk into spread order and truncates to k:
-/// first appearance of each failure domain (rank order), then the
-/// skipped candidates (rank order). Rank 0 never moves.
-inline void spread_truncate(const cluster::Topology& topo, SpreadPolicy policy,
-                            std::size_t k, std::vector<NodeId>& walk) {
-  if (policy == SpreadPolicy::kNone || walk.size() <= 1 || k <= 1) {
-    if (walk.size() > k) walk.resize(k);
-    return;
+  bool operator()(NodeId node) {
+    const std::uint32_t domain = spread_domain_of(topo, node, policy);
+    const bool fresh =
+        std::find(domains.begin(), domains.end(), domain) == domains.end();
+    if (fresh) domains.push_back(domain);
+    first.push_back(fresh ? 1 : 0);
+    return domains.size() == k;
   }
-  thread_local std::vector<NodeId> ordered;
-  thread_local std::vector<std::uint32_t> domains;
-  thread_local std::vector<char> taken;
-  const std::size_t n = walk.size();
-  domains.clear();
-  domains.reserve(n);
-  for (NodeId node : walk) {
-    domains.push_back(detail::spread_domain_of(topo, node, policy));
-  }
-  taken.assign(n, 0);
-  ordered.clear();
-  ordered.reserve(std::min(n, k));
-  for (std::size_t i = 0; i < n && ordered.size() < k; ++i) {
-    bool fresh = true;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (domains[j] == domains[i]) {
-        fresh = false;
-        break;
-      }
+
+  /// Reorders the marked `walk` into spread order: the first
+  /// appearances (rank order), then the skipped candidates (rank
+  /// order), truncated to k.
+  void order(std::vector<NodeId>& walk) const {
+    thread_local std::vector<NodeId> ordered;
+    const std::size_t n = walk.size();
+    ordered.clear();
+    ordered.reserve(std::min(n, k));
+    for (std::size_t i = 0; i < n && ordered.size() < k; ++i) {
+      if (first[i]) ordered.push_back(walk[i]);
     }
-    if (fresh) {
-      ordered.push_back(walk[i]);
-      taken[i] = 1;
+    for (std::size_t i = 0; i < n && ordered.size() < k; ++i) {
+      if (!first[i]) ordered.push_back(walk[i]);
     }
+    walk.assign(ordered.begin(), ordered.end());
   }
-  for (std::size_t i = 0; i < n && ordered.size() < k; ++i) {
-    if (!taken[i]) ordered.push_back(walk[i]);
-  }
-  walk.assign(ordered.begin(), ordered.end());
-}
+};
+
+}  // namespace detail
 
 /// The replication surface every adapter inherits (CRTP): the one
 /// implementation of everything derived from a scheme's raw ranked
 /// walk. An adapter `B` defines only
 ///   void replica_set_into(HashIndex, std::size_t k,
-///                         std::vector<NodeId>& out) const;
+///                         std::vector<NodeId>& out,
+///                         WalkStop stop = {}) const;
 ///   std::vector<HashRange> replica_dirty_ranges(std::size_t k) const;
 /// (the raw walk and its dirty report, see backend.hpp) and re-exports
 /// this base's overloads of those two names with using-declarations,
@@ -156,8 +167,9 @@ class ReplicationSurface {
     return out;
   }
 
-  /// The spread replica set: raw walk to the pigeonhole probe depth,
-  /// then spread_truncate. SpreadPolicy::kNone, or no topology
+  /// The spread replica set: the raw walk, stopped at its k-th
+  /// distinct failure domain (the pigeonhole probe depth only caps it),
+  /// then put in spread order. SpreadPolicy::kNone, or no topology
   /// attached, is the raw walk verbatim.
   void replica_set_into(HashIndex index, const ReplicationSpec& spec,
                         std::vector<NodeId>& out) const {
@@ -165,16 +177,25 @@ class ReplicationSurface {
       self().replica_set_into(index, spec.k, out);
       return;
     }
-    // Backends clamp the walk to the live node count themselves, so the
-    // static pigeonhole bound needs no live-count correction here.
-    self().replica_set_into(index, probe_bound(spec), out);
-    spread_truncate(*topology_, spec.spread, spec.k, out);
+    // The stop's buffers are per thread, so concurrent repair workers
+    // share nothing. Every backend clamps the walk to its live node
+    // count, so the static pigeonhole cap needs no live-count
+    // correction here.
+    thread_local std::vector<std::uint32_t> domains;
+    thread_local std::vector<char> first;
+    domains.clear();
+    first.clear();
+    detail::SpreadStop stop{*topology_, spec.spread, spec.k, domains, first};
+    self().replica_set_into(index, probe_bound(spec), out,
+                            WalkStop::of(stop));
+    stop.order(out);
   }
 
   /// Conservative dirty cover for the spread walk: the raw dirty ranges
-  /// at the probe depth. The +1 covers departures - the walk one rank
-  /// past the post-event live count is what the pre-event spread set
-  /// may have consumed.
+  /// at the probe depth, the cap of every stopped walk (see the header
+  /// comment for why not the stop depth). The +1 covers departures -
+  /// the walk one rank past the post-event live count is what the
+  /// pre-event spread set may have consumed.
   [[nodiscard]] std::vector<HashRange> replica_dirty_ranges(
       const ReplicationSpec& spec) const {
     if (!spreads(spec)) return self().replica_dirty_ranges(spec.k);

@@ -31,6 +31,32 @@ using NodeId = std::uint32_t;
 /// Sentinel for "no node".
 inline constexpr NodeId kInvalidNode = ~NodeId{0};
 
+/// The optional early exit of a raw ranked walk (the fourth argument of
+/// a backend's replica_set_into): the walk calls it after appending
+/// each new distinct node and, when it answers true, returns the
+/// prefix it holds. The raw walk is prefix-stable, so that prefix is
+/// exactly the first entries of the unstopped walk. Non-owning - a
+/// function pointer plus the caller's state - so an empty stop costs
+/// one null test and a set one allocates nothing.
+struct WalkStop {
+  bool (*fn)(void* state, NodeId node) = nullptr;
+  void* state = nullptr;
+
+  /// A stop calling `predicate(node)`; `predicate` must outlive the walk.
+  template <typename Predicate>
+  static WalkStop of(Predicate& predicate) {
+    return {[](void* state, NodeId node) {
+              return (*static_cast<Predicate*>(state))(node);
+            },
+            &predicate};
+  }
+
+  /// True when the walk should return after appending `node`.
+  bool operator()(NodeId node) const {
+    return fn != nullptr && fn(state, node);
+  }
+};
+
 /// Most units (vnodes, ring points) one node may enroll: unit ids are
 /// 32-bit (dht::VNodeId), so no node can hold more.
 inline constexpr double kMaxEnrollment = 4294967295.0;

@@ -15,8 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "cluster/fault_injection.hpp"
@@ -126,6 +130,118 @@ TEST(Topology, SpreadBoundIsThePigeonholeDepth) {
   // An empty map is all singletons: the bound degenerates to k.
   const Topology empty;
   EXPECT_EQ(empty.spread_bound(3), 3u);
+}
+
+/// A second model of the map, kept beside a Topology under test, with
+/// spread_bound computed the way the size-array version replaced: sort
+/// every rack entry's node count (named-only racks count as 0), or
+/// every mapped zone's summed count, and take the k-1 largest.
+class ShadowTopology {
+ public:
+  void assign(placement::NodeId node, Topology::RackId rack,
+              Topology::ZoneId zone) {
+    node_rack_[node] = rack;
+    racks_.insert(rack);
+    rack_zone_[rack] = zone;
+  }
+  void name_rack(Topology::RackId rack) { racks_.insert(rack); }
+
+  std::size_t spread_bound(std::size_t k, bool by_zone) const {
+    if (k <= 1) return k;
+    std::vector<std::size_t> sizes;
+    if (by_zone) {
+      std::map<Topology::ZoneId, std::size_t> zone_sizes;
+      for (const auto& [rack, zone] : rack_zone_) {
+        zone_sizes[zone] += rack_size(rack);
+      }
+      for (const auto& [zone, size] : zone_sizes) sizes.push_back(size);
+    } else {
+      for (const Topology::RackId rack : racks_) {
+        sizes.push_back(rack_size(rack));
+      }
+    }
+    std::sort(sizes.begin(), sizes.end(), std::greater<>());
+    std::size_t capacity = 0;
+    std::size_t taken = 0;
+    for (const std::size_t size : sizes) {
+      if (taken == k - 1) break;
+      capacity += size;
+      ++taken;
+    }
+    capacity += (k - 1) - taken;
+    return std::max(k, capacity + 1);
+  }
+
+ private:
+  std::size_t rack_size(Topology::RackId rack) const {
+    std::size_t count = 0;
+    for (const auto& [node, r] : node_rack_) count += r == rack ? 1 : 0;
+    return count;
+  }
+
+  std::map<placement::NodeId, Topology::RackId> node_rack_;
+  std::set<Topology::RackId> racks_;
+  std::map<Topology::RackId, Topology::ZoneId> rack_zone_;
+};
+
+TEST(Topology, SpreadBoundTracksEveryReassignment) {
+  Topology topo;
+  ShadowTopology shadow;
+  const auto assign = [&](placement::NodeId node, Topology::RackId rack,
+                          Topology::ZoneId zone) {
+    topo.assign(node, rack, zone);
+    shadow.assign(node, rack, zone);
+  };
+  const auto expect_same = [&](const char* step) {
+    for (std::size_t k = 1; k <= 6; ++k) {
+      for (const bool by_zone : {false, true}) {
+        EXPECT_EQ(topo.spread_bound(k, by_zone),
+                  shadow.spread_bound(k, by_zone))
+            << step << ": k=" << k << " by_zone=" << by_zone;
+      }
+    }
+  };
+
+  // uniform(4, 3, 2), replayed through assign.
+  for (placement::NodeId node = 0; node < 12; ++node) {
+    assign(node, node / 3, (node / 3) % 2);
+  }
+  for (std::size_t k = 1; k <= 6; ++k) {
+    for (const bool by_zone : {false, true}) {
+      EXPECT_EQ(Topology::uniform(4, 3, 2).spread_bound(k, by_zone),
+                shadow.spread_bound(k, by_zone));
+    }
+  }
+  expect_same("uniform");
+
+  // Naming a rack nobody is in adds a size-0 rack (but no zone); with
+  // only four racks it fills the fifth of the k-1 = 5 slots at k = 6.
+  topo.name_rack(40, "rack-spare");
+  shadow.name_rack(40);
+  expect_same("name_rack of an empty rack");
+
+  // Uneven growth: a big rack in a new zone, a singleton rack.
+  for (placement::NodeId node = 12; node < 18; ++node) assign(node, 7, 3);
+  assign(18, 8, 0);
+  expect_same("assign");
+
+  // A node moves rack (and its old rack shrinks), then a whole rack
+  // moves zone (the last assignment wins for the rack).
+  assign(0, 7, 3);
+  expect_same("rack reassignment");
+  assign(3, 1, 4);
+  expect_same("zone reassignment");
+
+  // Emptying rack 8 keeps it as a size-0 rack in zone 0; emptying zone
+  // 4's only rack drops nothing from the rack list.
+  assign(18, 2, 0);
+  expect_same("emptied rack");
+  for (const placement::NodeId node : {3u, 4u, 5u}) assign(node, 7, 3);
+  expect_same("emptied zone rack");
+
+  // Moving the emptied rack to another zone empties zone 4.
+  assign(5, 1, 3);
+  expect_same("zone left without racks");
 }
 
 // --- NetworkModel tier pricing --------------------------------------

@@ -3,7 +3,9 @@
 //   * a scripted churn run on a pooled store vs a serial reference,
 //     asserting bit-identical results - sizes, tiling, both stats
 //     channels and the full counted event-sink stream (the
-//     deterministic-merge guarantee of the shard-parallel passes);
+//     deterministic-merge guarantee of the shard-parallel passes) -
+//     at raw k = 1 and k = 3 and at k = 3 rack spread with a
+//     whole-rack crash;
 //   * exact accounting under genuinely concurrent writers; and
 //   * a contended get/put/scan/churn mix - the ThreadSanitizer
 //     workhorse (the tsan CI job runs this binary across all seven
@@ -25,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/topology.hpp"
 #include "common/thread_pool.hpp"
 
 namespace cobalt::kv {
@@ -43,54 +46,54 @@ dht::Config cfg(std::uint64_t pmin, std::uint64_t vmin, std::uint64_t seed) {
 
 /// Per-backend replicated-store factory with a comparable footprint.
 template <typename StoreT>
-StoreT make_store(std::uint64_t seed, std::size_t replication);
+StoreT make_store(std::uint64_t seed, std::size_t replication,
+                  SpreadPolicy spread = SpreadPolicy::kNone);
 
 template <>
-KvStore make_store<KvStore>(std::uint64_t seed, std::size_t replication) {
-  return KvStore({cfg(8, 8, seed), 1},
-                 ReplicationSpec{replication, SpreadPolicy::kNone});
+KvStore make_store<KvStore>(std::uint64_t seed, std::size_t replication,
+                            SpreadPolicy spread) {
+  return KvStore({cfg(8, 8, seed), 1}, ReplicationSpec{replication, spread});
 }
 
 template <>
 GlobalKvStore make_store<GlobalKvStore>(std::uint64_t seed,
-                                        std::size_t replication) {
+                                        std::size_t replication,
+                                        SpreadPolicy spread) {
   return GlobalKvStore({cfg(8, 1, seed), 1},
-                       ReplicationSpec{replication, SpreadPolicy::kNone});
+                       ReplicationSpec{replication, spread});
 }
 
 template <>
-ChKvStore make_store<ChKvStore>(std::uint64_t seed,
-                                std::size_t replication) {
-  return ChKvStore({seed, 16},
-                   ReplicationSpec{replication, SpreadPolicy::kNone});
+ChKvStore make_store<ChKvStore>(std::uint64_t seed, std::size_t replication,
+                                SpreadPolicy spread) {
+  return ChKvStore({seed, 16}, ReplicationSpec{replication, spread});
 }
 
 template <>
-HrwKvStore make_store<HrwKvStore>(std::uint64_t seed,
-                                  std::size_t replication) {
-  return HrwKvStore({seed, 12},
-                    ReplicationSpec{replication, SpreadPolicy::kNone});
+HrwKvStore make_store<HrwKvStore>(std::uint64_t seed, std::size_t replication,
+                                  SpreadPolicy spread) {
+  return HrwKvStore({seed, 12}, ReplicationSpec{replication, spread});
 }
 
 template <>
-JumpKvStore make_store<JumpKvStore>(std::uint64_t seed,
-                                    std::size_t replication) {
-  return JumpKvStore({seed, 12},
-                     ReplicationSpec{replication, SpreadPolicy::kNone});
+JumpKvStore make_store<JumpKvStore>(std::uint64_t seed, std::size_t replication,
+                                    SpreadPolicy spread) {
+  return JumpKvStore({seed, 12}, ReplicationSpec{replication, spread});
 }
 
 template <>
 MaglevKvStore make_store<MaglevKvStore>(std::uint64_t seed,
-                                        std::size_t replication) {
-  return MaglevKvStore({seed, 12},
-                       ReplicationSpec{replication, SpreadPolicy::kNone});
+                                        std::size_t replication,
+                                        SpreadPolicy spread) {
+  return MaglevKvStore({seed, 12}, ReplicationSpec{replication, spread});
 }
 
 template <>
 BoundedChKvStore make_store<BoundedChKvStore>(std::uint64_t seed,
-                                              std::size_t replication) {
+                                              std::size_t replication,
+                                              SpreadPolicy spread) {
   return BoundedChKvStore({seed, 16, 0.25, 12},
-                          ReplicationSpec{replication, SpreadPolicy::kNone});
+                          ReplicationSpec{replication, spread});
 }
 
 template <typename StoreT>
@@ -160,6 +163,73 @@ void run_script(StoreT& store) {
   }
 }
 
+/// The rack-spread variant of run_script: twelve nodes in four racks of
+/// three, a join outside the topology (a synthetic singleton rack), a
+/// drain, and a whole-rack crash (rack 1) that leaves the spread walk
+/// fewer fresh racks to find.
+template <typename StoreT>
+void run_rack_script(StoreT& store) {
+  for (int n = 0; n < 12; ++n) store.add_node();
+  for (int i = 0; i < 400; ++i) {
+    store.put("key" + std::to_string(i), "v" + std::to_string(i));
+  }
+  store.add_node();
+  store.remove_node(2);
+  for (int i = 400; i < 600; ++i) {
+    store.put("key" + std::to_string(i), "v" + std::to_string(i));
+  }
+  const std::vector<placement::NodeId> rack_one{3, 4, 5};
+  store.fail_nodes(rack_one);
+  for (int i = 0; i < 100; ++i) {
+    store.erase("key" + std::to_string(i * 5));
+  }
+  store.add_node();
+}
+
+/// Asserts that a pooled run reproduced its serial reference bit for
+/// bit: sizes, tiling, both stats channels, the counted event stream
+/// and a sample of keys.
+template <typename StoreT>
+void expect_same_run(const StoreT& serial, const StoreT& pooled,
+                     const RecordingSink& serial_sink,
+                     const RecordingSink& pooled_sink,
+                     const std::string& label) {
+  EXPECT_EQ(serial.size(), pooled.size()) << label;
+  EXPECT_EQ(serial.shard_index().shard_count(),
+            pooled.shard_index().shard_count())
+      << label;
+  EXPECT_EQ(serial.keys_per_node(), pooled.keys_per_node()) << label;
+  EXPECT_EQ(serial.replica_copies_per_node(), pooled.replica_copies_per_node())
+      << label;
+
+  const auto sm = serial.stats().relocation;
+  const auto pm = pooled.stats().relocation;
+  EXPECT_EQ(sm.keys_moved_total, pm.keys_moved_total) << label;
+  EXPECT_EQ(sm.keys_moved_across_nodes, pm.keys_moved_across_nodes) << label;
+  EXPECT_EQ(sm.keys_rebucketed, pm.keys_rebucketed) << label;
+
+  const ReplicationStats sr = serial.stats().replication;
+  const ReplicationStats pr = pooled.stats().replication;
+  EXPECT_EQ(sr.replica_writes, pr.replica_writes) << label;
+  EXPECT_EQ(sr.keys_rereplicated, pr.keys_rereplicated) << label;
+  EXPECT_EQ(sr.keys_lost, pr.keys_lost) << label;
+  EXPECT_EQ(sr.rereplication_passes, pr.rereplication_passes) << label;
+  EXPECT_EQ(sr.repair_shards_visited, pr.repair_shards_visited) << label;
+  EXPECT_EQ(sr.repair_shards_total, pr.repair_shards_total) << label;
+
+  // The counted event streams must be identical line for line: the
+  // parallel passes merge per-worker accounting and emit in plan
+  // order, so the DES consumer cannot tell the modes apart.
+  EXPECT_EQ(serial_sink.log(), pooled_sink.log()) << label;
+
+  for (int i = 0; i < 700; i += 13) {
+    const std::string key = "key" + std::to_string(i);
+    EXPECT_EQ(serial.get(key), pooled.get(key)) << key;
+    EXPECT_EQ(serial.replicas_of(key), pooled.replicas_of(key)) << key;
+    EXPECT_EQ(serial.read_node_of(key), pooled.read_node_of(key)) << key;
+  }
+}
+
 TYPED_TEST(StoreConcurrencySuite, PooledRunMatchesSerialBitForBit) {
   for (const std::size_t k : {std::size_t{1}, std::size_t{3}}) {
     auto serial = make_store<TypeParam>(4242, k);
@@ -174,44 +244,31 @@ TYPED_TEST(StoreConcurrencySuite, PooledRunMatchesSerialBitForBit) {
     run_script(serial);
     run_script(pooled);
 
-    EXPECT_EQ(serial.size(), pooled.size()) << "k=" << k;
-    EXPECT_EQ(serial.shard_index().shard_count(),
-              pooled.shard_index().shard_count())
-        << "k=" << k;
-    EXPECT_EQ(serial.keys_per_node(), pooled.keys_per_node()) << "k=" << k;
-    EXPECT_EQ(serial.replica_copies_per_node(),
-              pooled.replica_copies_per_node())
-        << "k=" << k;
-
-    const auto sm = serial.stats().relocation;
-    const auto pm = pooled.stats().relocation;
-    EXPECT_EQ(sm.keys_moved_total, pm.keys_moved_total) << "k=" << k;
-    EXPECT_EQ(sm.keys_moved_across_nodes, pm.keys_moved_across_nodes)
-        << "k=" << k;
-    EXPECT_EQ(sm.keys_rebucketed, pm.keys_rebucketed) << "k=" << k;
-
-    const ReplicationStats sr = serial.stats().replication;
-    const ReplicationStats pr = pooled.stats().replication;
-    EXPECT_EQ(sr.replica_writes, pr.replica_writes) << "k=" << k;
-    EXPECT_EQ(sr.keys_rereplicated, pr.keys_rereplicated) << "k=" << k;
-    EXPECT_EQ(sr.keys_lost, pr.keys_lost) << "k=" << k;
-    EXPECT_EQ(sr.rereplication_passes, pr.rereplication_passes) << "k=" << k;
-    EXPECT_EQ(sr.repair_shards_visited, pr.repair_shards_visited)
-        << "k=" << k;
-    EXPECT_EQ(sr.repair_shards_total, pr.repair_shards_total) << "k=" << k;
-
-    // The counted event streams must be identical line for line: the
-    // parallel passes merge per-worker accounting and emit in plan
-    // order, so the DES consumer cannot tell the modes apart.
-    EXPECT_EQ(serial_sink.log(), pooled_sink.log()) << "k=" << k;
-
-    for (int i = 0; i < 700; i += 13) {
-      const std::string key = "key" + std::to_string(i);
-      EXPECT_EQ(serial.get(key), pooled.get(key)) << key;
-      EXPECT_EQ(serial.replicas_of(key), pooled.replicas_of(key)) << key;
-      EXPECT_EQ(serial.read_node_of(key), pooled.read_node_of(key)) << key;
-    }
+    expect_same_run(serial, pooled, serial_sink, pooled_sink,
+                    "k=" + std::to_string(k));
   }
+}
+
+TYPED_TEST(StoreConcurrencySuite, PooledRackSpreadRunMatchesSerialBitForBit) {
+  // Spread placement on the parallel repair path: every worker runs
+  // stopped spread walks at once, each with its own stop state.
+  const cluster::Topology topo = cluster::Topology::uniform(4, 3);
+  auto serial = make_store<TypeParam>(4243, 3, SpreadPolicy::kRack);
+  auto pooled = make_store<TypeParam>(4243, 3, SpreadPolicy::kRack);
+  serial.set_topology(&topo);
+  pooled.set_topology(&topo);
+  RecordingSink serial_sink;
+  RecordingSink pooled_sink;
+  serial.set_event_sink(&serial_sink);
+  pooled.set_event_sink(&pooled_sink);
+  ThreadPool pool(4);
+  pooled.set_thread_pool(&pool);
+
+  run_rack_script(serial);
+  run_rack_script(pooled);
+
+  expect_same_run(serial, pooled, serial_sink, pooled_sink, "k=3 rack");
+  EXPECT_GT(serial.stats().replication.keys_rereplicated, 0u);
 }
 
 TYPED_TEST(StoreConcurrencySuite, ConcurrentDistinctKeyPutsAccountExactly) {

@@ -10,12 +10,18 @@
 //   * the set for k is a prefix of the set for k' > k (the ranking is
 //     independent of how many replicas are requested);
 //   * departed nodes leave every replica set;
-//   * the result is deterministic for a fixed membership.
+//   * the result is deterministic for a fixed membership;
+//   * a WalkStop cuts the walk to a prefix, and the stopped rack and
+//     zone spread sets equal the full-depth definition (walk to
+//     spread_bound, then reorder) on uneven, churned, partly
+//     unassigned and crashed-rack topologies.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cluster/topology.hpp"
@@ -455,6 +461,188 @@ TYPED_TEST(ReplicaSetSuite, SpreadDirtyRangesCoverEverySpreadSetChange) {
           << "event " << event << ": spread replica set of point "
           << points[p] << " changed outside every dirty range";
     }
+  }
+}
+
+// --- the stopped spread walk against its full-depth definition -------
+
+/// The spread set as defined without an early exit: the raw walk taken
+/// to the full pigeonhole depth, then the first appearance of each
+/// failure domain (rank order), then the skipped candidates (rank
+/// order), truncated to k.
+template <typename B>
+std::vector<NodeId> full_depth_spread(const B& backend,
+                                      const cluster::Topology& topo,
+                                      SpreadPolicy policy, std::size_t k,
+                                      HashIndex point) {
+  const bool by_zone = policy == SpreadPolicy::kZone;
+  const auto walk = backend.replica_set(point, topo.spread_bound(k, by_zone));
+  std::vector<std::uint32_t> seen;
+  std::vector<NodeId> fresh;
+  std::vector<NodeId> skipped;
+  for (const NodeId node : walk) {
+    const std::uint32_t domain =
+        by_zone ? topo.zone_of(node) : topo.rack_of(node);
+    if (std::find(seen.begin(), seen.end(), domain) == seen.end()) {
+      seen.push_back(domain);
+      fresh.push_back(node);
+    } else {
+      skipped.push_back(node);
+    }
+  }
+  fresh.insert(fresh.end(), skipped.begin(), skipped.end());
+  if (fresh.size() > k) fresh.resize(k);
+  return fresh;
+}
+
+/// Every rack and zone spread set at k = 2..4 equals the full-depth
+/// definition.
+template <typename B>
+void expect_spread_matches_full_depth(const B& backend,
+                                      const cluster::Topology& topo,
+                                      std::uint64_t seed,
+                                      const char* scenario) {
+  for (const SpreadPolicy policy : {SpreadPolicy::kRack, SpreadPolicy::kZone}) {
+    for (std::size_t k = 2; k <= 4; ++k) {
+      for (const HashIndex point : probe_points(60, seed)) {
+        ASSERT_EQ(backend.replica_set(point, ReplicationSpec{k, policy}),
+                  full_depth_spread(backend, topo, policy, k, point))
+            << scenario << ": " << spread_policy_name(policy) << " k=" << k
+            << " point " << point;
+      }
+    }
+  }
+}
+
+TYPED_TEST(ReplicaSetSuite, StoppedSpreadWalkMatchesTheFullDepthDefinition) {
+  // Uneven racks (5, 4, 2, 2, 1 nodes) over three uneven zones, node
+  // ids interleaved across racks.
+  auto backend = make_backend<TypeParam>(318);
+  const std::vector<cluster::Topology::RackId> rack_of_node{
+      0, 1, 0, 2, 1, 0, 3, 1, 0, 2, 4, 1, 0, 3};
+  const std::vector<cluster::Topology::ZoneId> zone_of_rack{0, 1, 0, 2, 2};
+  cluster::Topology topo;
+  for (NodeId node = 0; node < rack_of_node.size(); ++node) {
+    backend.add_node();
+    topo.assign(node, rack_of_node[node], zone_of_rack[rack_of_node[node]]);
+  }
+  backend.set_topology(&topo);
+  expect_spread_matches_full_depth(backend, topo, 101, "uneven racks");
+
+  // Departed nodes stay assigned, so they still count in the bound.
+  // Schemes may refuse a drain (the local approach).
+  for (const NodeId node : {NodeId{1}, NodeId{5}, NodeId{8}}) {
+    (void)backend.remove_node(node);
+  }
+  expect_spread_matches_full_depth(backend, topo, 103, "departed nodes");
+
+  // Joins outside the topology are synthetic singleton domains.
+  for (int n = 0; n < 3; ++n) backend.add_node();
+  expect_spread_matches_full_depth(backend, topo, 107, "synthetic nodes");
+}
+
+TYPED_TEST(ReplicaSetSuite, StoppedSpreadWalkFallsBackAfterARackCrash) {
+  // Three racks, one per zone; rack 2 crashes, so k = 3 and k = 4 find
+  // fewer live domains than k: the stop never fires, the walk runs to
+  // the cap (clamped to the live count, since the bound of 13 exceeds
+  // it) and phase 2 fills the set.
+  auto backend = make_backend<TypeParam>(319);
+  for (int n = 0; n < 12; ++n) backend.add_node();
+  const cluster::Topology topo = cluster::Topology::uniform(3, 4, 3);
+  backend.set_topology(&topo);
+  for (const NodeId node : topo.nodes_in_rack(2)) {
+    (void)backend.remove_node(node);
+  }
+  expect_spread_matches_full_depth(backend, topo, 109, "crashed rack");
+  for (const HashIndex point : probe_points(30, 113)) {
+    const auto replicas =
+        backend.replica_set(point, ReplicationSpec{4, SpreadPolicy::kRack});
+    ASSERT_EQ(replicas.size(), 4u);
+    ASSERT_TRUE(all_distinct(replicas));
+    EXPECT_LT(distinct_domains(replicas,
+                               [&](NodeId n) { return topo.rack_of(n); }),
+              4u)
+        << "four racks cannot exist: the fallback filled the set";
+  }
+}
+
+/// A stop firing at the j-th node yields exactly the first j entries
+/// of the unstopped walk, and sees every appended node in order (the
+/// spread stop relies on both); a stop that never fires leaves the walk
+/// (clamped to the live count) untouched.
+template <typename B>
+void expect_stops_cut_prefixes(const B& backend, std::uint64_t seed) {
+  std::vector<NodeId> out;
+  for (const HashIndex point : probe_points(20, seed)) {
+    const auto full = backend.replica_set(point, backend.node_count());
+    for (std::size_t j = 1; j <= full.size(); ++j) {
+      std::vector<NodeId> seen;
+      auto fire_at_j = [&](NodeId node) {
+        seen.push_back(node);
+        return seen.size() == j;
+      };
+      backend.replica_set_into(point, full.size(), out,
+                               WalkStop::of(fire_at_j));
+      const std::vector<NodeId> prefix(
+          full.begin(), full.begin() + static_cast<std::ptrdiff_t>(j));
+      ASSERT_EQ(out, prefix) << "point " << point << " stop at " << j;
+      ASSERT_EQ(seen, out);
+    }
+    std::vector<NodeId> seen;
+    auto never = [&](NodeId node) {
+      seen.push_back(node);
+      return false;
+    };
+    backend.replica_set_into(point, full.size() + 5, out, WalkStop::of(never));
+    ASSERT_EQ(out, full);
+    ASSERT_EQ(seen, full);
+  }
+}
+
+TYPED_TEST(ReplicaSetSuite, StoppedWalkReturnsThePrefixOfTheUnstoppedWalk) {
+  auto backend = make_backend<TypeParam>(320);
+  for (int n = 0; n < 10; ++n) backend.add_node();
+  (void)backend.remove_node(3);
+  expect_stops_cut_prefixes(backend, 127);
+
+  // A lone node is still reported to the stop, so a spread walk over
+  // it has its one domain marked.
+  auto single = make_backend<TypeParam>(322);
+  const NodeId only = single.add_node();
+  expect_stops_cut_prefixes(single, 137);
+  const cluster::Topology topo = cluster::Topology::uniform(2, 2);
+  single.set_topology(&topo);
+  const ReplicationSpec spec{3, SpreadPolicy::kRack};
+  for (const HashIndex point : probe_points(10, 139)) {
+    EXPECT_EQ(single.replica_set(point, spec), std::vector<NodeId>{only});
+  }
+}
+
+TEST(HrwReplicaOrder, LazyRanksMatchSortingEveryScore) {
+  // HRW yields the stored owner, then pops the others off a heap; the
+  // result must equal sorting every live node's score (descending,
+  // ties by ascending id) behind the owner.
+  HrwBackend backend({321, 10});
+  for (int n = 0; n < 12; ++n) backend.add_node(n % 3 == 0 ? 2.5 : 1.0);
+  (void)backend.remove_node(2);
+  (void)backend.remove_node(7);
+  for (const HashIndex point : probe_points(80, 131)) {
+    const std::size_t cell = backend.grid().cell_of(point);
+    const NodeId owner = backend.owner_of(point);
+    std::vector<std::pair<double, NodeId>> scored;
+    for (NodeId node = 0; node < backend.node_slot_count(); ++node) {
+      if (backend.is_live(node) && node != owner) {
+        scored.emplace_back(backend.score(cell, node), node);
+      }
+    }
+    std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
+      if (a.first != b.first) return a.first > b.first;
+      return a.second < b.second;
+    });
+    std::vector<NodeId> expected{owner};
+    for (const auto& [score, node] : scored) expected.push_back(node);
+    EXPECT_EQ(backend.replica_set(point, backend.node_count()), expected)
+        << "point " << point;
   }
 }
 
