@@ -222,6 +222,12 @@ BENCHMARK(BM_DistributedProtocol)->Arg(128)->Arg(512);
 //                            membership events on a loaded k=3 store
 //                            (each event runs the fallback-replica
 //                            repair pass - the abl8 hot path)
+//   store_repair_k3_rack/<scheme>
+//                            one drain plus one join into the drained
+//                            node's rack on a loaded k=3 rack-spread
+//                            store of 48 nodes in 12 racks (the
+//                            churn_rack_k3 event pair: dirty report,
+//                            relocation flush and repair pass, serial)
 //   store_contended_mix/<scheme>/threads:T
 //                            a 7:1 get:put mix driven by T bench
 //                            threads against one shard-concurrent
@@ -315,6 +321,37 @@ void BM_StoreMembershipEvents(benchmark::State& state, const Scheme& scheme,
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kJoins);
+}
+
+/// One iteration = a drain of node 5 and a join into its rack, on a
+/// k=3 rack-spread store of 48 nodes in 12 racks of 4 preloaded with
+/// kStoreBenchKeys keys (setup untimed, fresh each iteration). A scheme
+/// that refuses the drain still pays its event and the join.
+template <typename Scheme>
+void BM_StoreRackRepair(benchmark::State& state, const Scheme& scheme) {
+  constexpr std::size_t kRacks = 12;
+  constexpr std::size_t kPerRack = 4;
+  constexpr cobalt::placement::NodeId kVictim = 5;
+  for (auto _ : state) {
+    state.PauseTiming();
+    cobalt::cluster::Topology topo =
+        cobalt::cluster::Topology::uniform(kRacks, kPerRack);
+    auto store = scheme.store(48, ReplicationSpec{3, SpreadPolicy::kRack});
+    store.set_topology(&topo);
+    for (std::size_t n = 0; n < kRacks * kPerRack; ++n) store.add_node();
+    for (std::uint64_t i = 0; i < kStoreBenchKeys; ++i) {
+      store.put(bench_key(i), "v");
+    }
+    const auto rack = topo.rack_of(kVictim);
+    state.ResumeTiming();
+    (void)store.remove_node(kVictim);
+    topo.assign(static_cast<cobalt::placement::NodeId>(
+                    store.backend().node_slot_count()),
+                rack);
+    store.add_node();
+    benchmark::DoNotOptimize(store.stats().replication.rereplication_passes);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
 }
 
 /// A 7:1 get:put mix from T google-benchmark driver threads against
@@ -424,6 +461,10 @@ void register_all_store_benches() {
         ->Arg(1)
         ->Arg(2)
         ->Arg(4);
+    benchmark::RegisterBenchmark(("store_repair_k3_rack/" + name).c_str(),
+                                 [scheme](benchmark::State& state) {
+                                   BM_StoreRackRepair(state, scheme);
+                                 });
     benchmark::RegisterBenchmark(("store_contended_mix/" + name).c_str(),
                                  [scheme](benchmark::State& state) {
                                    BM_StoreContendedMix(state, scheme);

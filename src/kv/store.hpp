@@ -193,10 +193,11 @@ struct ReplicationStats {
   /// store, one per fail_nodes batch).
   std::uint64_t rereplication_passes = 0;
 
-  /// Shards examined across repair passes - the pass-visit counter.
-  /// With range-planned repair this tracks the event's dirty mass: an
-  /// event that relocated nothing (e.g. a refused drain) visits zero
-  /// shards even at k > 1.
+  /// Shards examined across repair passes - the pass-visit counter,
+  /// each distinct shard once per pass however many plan ranges touch
+  /// it. With range-planned repair this tracks the event's dirty mass:
+  /// an event that relocated nothing (e.g. a refused drain) visits
+  /// zero shards even at k > 1.
   std::uint64_t repair_shards_visited = 0;
 
   /// Shards resident at the start of each pass, summed over passes
@@ -1128,20 +1129,30 @@ class Store final : private placement::RelocationObserver {
         return;
       }
     }
-    // Ranges are disjoint and ascending; a shard overlapping two
-    // ranges is visited once per range but only over each range's
-    // own span, so no bucket repairs twice.
+    // Ranges are disjoint and ascending; a shard overlapping several
+    // ranges is walked once per range but only over each range's own
+    // span, so no bucket repairs twice. It counts as one visit, and an
+    // empty one refreshes its cached set once per pass.
     if (concurrent_) {
       repair_plan_parallel(plan, target, crash);
     } else {
       const ShardIndex::StructureExclusiveLock structure(index_,
                                                          /*engage=*/false);
+      std::size_t last_visited = index_.shard_count();  // none yet
       for (const placement::HashRange& range : plan) {
         RepairAcc acc;
         std::size_t i = index_.shard_of(range.first);
         while (i < index_.shard_count() &&
                index_.shard_first(i) <= range.last) {
-          ++replication_stats_.repair_shards_visited;
+          // Splits stay inside the range that caused them, so a shard
+          // the previous range reached keeps its index here.
+          const bool revisit = i == last_visited;
+          last_visited = i;
+          if (revisit && index_.shard(i).buckets.empty()) {
+            ++i;
+            continue;
+          }
+          if (!revisit) ++replication_stats_.repair_shards_visited;
           i += repair_shard(i, range.first, range.last, target, crash, acc);
         }
         replication_stats_.keys_rereplicated += acc.copies;
@@ -1187,10 +1198,10 @@ class Store final : private placement::RelocationObserver {
             work.push_back({i, {}, {}, false});
           }
           work.back().spans.push_back({r, plan[r].first, plan[r].last, {}});
-          ++replication_stats_.repair_shards_visited;
         }
       }
     }
+    replication_stats_.repair_shards_visited += work.size();
     parallel_for(*pool_, work.size(), [this, &work, target, crash](
                                           std::size_t t) {
       repair_shard_task(work[t], target, crash);
@@ -1238,14 +1249,14 @@ class Store final : private placement::RelocationObserver {
     const ShardIndex::StructureSharedLock structure(index_);
     const ShardIndex::ShardSpanLock span(index_, task.shard);
     ShardIndex::Shard& s = index_.shard(task.shard);
+    if (s.buckets.empty()) {
+      // Nothing to account; refresh the cached set once, so future
+      // puts in this shard usually match it.
+      desired_replicas_into(s.first, target, scratch);
+      if (s.replicas != scratch) s.replicas = scratch;
+      return;
+    }
     for (SpanWork& sp : task.spans) {
-      if (s.buckets.empty()) {
-        // Nothing to account; refresh the cached set so future puts
-        // in this range usually match it.
-        desired_replicas_into(s.first, target, scratch);
-        if (s.replicas != scratch) s.replicas = scratch;
-        continue;
-      }
       if (sp.lo > s.first || sp.hi < index_.shard_last(task.shard)) {
         patch_shard(s, sp.lo, sp.hi, target, crash, scratch, sp.acc);
         continue;

@@ -66,9 +66,10 @@
 //     recent membership event lies inside some returned range;
 //   * a conservative superset is allowed - up to the full range for
 //     schemes whose fallback ranking genuinely reshuffles everywhere
-//     (HRW's per-cell score order, maglev's table refill) - but an
-//     event that cannot have changed any replica set must report no
-//     covering range (ideally empty), so no-op events cost no repair;
+//     (maglev's table refill), and for the one event that arms HRW's
+//     exact-cell tracker - but an event that cannot have changed any
+//     replica set must report no covering range (ideally empty), so
+//     no-op events cost no repair;
 //   * the result describes only the most recent event; callers
 //     accumulate across events themselves (kv::Store queries after
 //     every membership call).

@@ -9,6 +9,16 @@
 
 namespace cobalt::placement {
 
+namespace {
+
+/// The replica ranking: score descending, ties by ascending id.
+bool outranks(const std::pair<double, NodeId>& a,
+              const std::pair<double, NodeId>& b) {
+  return a.first != b.first ? a.first > b.first : a.second < b.second;
+}
+
+}  // namespace
+
 HrwBackend::HrwBackend(Options options)
     : options_(options),
       grid_(options.grid_bits),
@@ -32,8 +42,37 @@ NodeId HrwBackend::add_node(double capacity) {
   node_live_.push_back(true);
   ++live_nodes_;
 
+  // The tracked replica sets (when armed) change only where the new
+  // node enters them: it outranks a set's lowest member, or it opens a
+  // failure domain while the live nodes span fewer than k of them.
+  const bool track = begin_spread_event();
+  bool opens_domain = true;
+  std::vector<std::uint32_t> live_domains;
+  if (track) {
+    for (NodeId node = 0; node < id; ++node) {
+      if (!node_live_[node]) continue;
+      const std::uint32_t domain = spread_.domain[node];
+      if (domain == spread_.domain[id]) opens_domain = false;
+      if (std::find(live_domains.begin(), live_domains.end(), domain) ==
+          live_domains.end()) {
+        live_domains.push_back(domain);
+      }
+    }
+  }
+  const bool few_domains = live_domains.size() < spread_.k;
+
   // The new node wins exactly the cells where its score beats the
-  // stored winner; every other cell is untouched.
+  // stored winner; every other cell is untouched. The same pass lists
+  // the cells whose tracked set it may enter without branching on the
+  // score (a branch on a value one log() away stalls the loop); the
+  // second pass updates just those.
+  auto& entrants = spread_.entrants;
+  entrants.resize(track ? grid_.size() : 0);
+  std::size_t entering = 0;
+  const bool every_cell =
+      spread_.filled < spread_.k || (opens_domain && few_domains);
+  const double* const lowest =
+      track ? &spread_.score_at(0, spread_.k - 1) : nullptr;
   std::vector<NodeId> next(grid_.owners());
   for (std::size_t cell = 0; cell < next.size(); ++cell) {
     const double s = score(cell, id);
@@ -41,7 +80,16 @@ NodeId HrwBackend::add_node(double capacity) {
       winning_score_[cell] = s;
       next[cell] = id;
     }
+    if (track) {
+      entrants[entering] = {cell, s};
+      entering += static_cast<std::size_t>(every_cell | (s >= lowest[cell]));
+    }
   }
+  for (std::size_t i = 0; i < entering; ++i) {
+    const auto [cell, s] = entrants[i];
+    if (join_spread(cell, id, s, opens_domain, few_domains)) mark_spread(cell);
+  }
+  if (track) spread_.filled = std::min(spread_.k, live_nodes_);
   grid_.assign(std::move(next), observer_);
   return id;
 }
@@ -72,6 +120,20 @@ bool HrwBackend::remove_node(NodeId node) {
     winning_score_[cell] = best;
   }
   grid_.assign(std::move(next), observer_);
+
+  // Only the tracked sets holding the departed node can change.
+  if (begin_spread_event()) {
+    for (std::size_t cell = 0; cell < grid_.size(); ++cell) {
+      std::size_t rank = 0;
+      while (rank < spread_.filled && spread_.node_at(cell, rank) != node) {
+        ++rank;
+      }
+      if (rank == spread_.filled) continue;
+      walk_spread(cell);
+      if (store_spread(cell)) mark_spread(cell);
+    }
+    spread_.filled = std::min(spread_.k, live_nodes_);
+  }
   return true;
 }
 
@@ -119,20 +181,188 @@ void HrwBackend::replica_set_into(HashIndex index, std::size_t k,
 }
 
 std::vector<HashRange> HrwBackend::replica_dirty_ranges(std::size_t k) const {
-  COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");
-  if (k == 1) {
+  return replica_dirty_ranges(ReplicationSpec{k, SpreadPolicy::kNone});
+}
+
+std::vector<HashRange> HrwBackend::replica_dirty_ranges(
+    const ReplicationSpec& spec) const {
+  COBALT_REQUIRE(spec.k >= 1, "a replica set needs at least one member");
+  std::vector<HashRange> dirty;
+  if (spec.k == 1) {
     // Rank 0 is the stored grid winner: exactly the changed cells.
-    std::vector<HashRange> dirty;
     for (const auto& [run_first, run_last] : grid_.last_changes()) {
       dirty.push_back(
           {grid_.cell_first(run_first), grid_.cell_last(run_last)});
     }
     return dirty;
   }
-  // Deeper ranks are independent rendezvous draws; any event can
-  // reorder any cell's top k (see the header note).
-  if (node_slot_count() == 0) return {};
-  return {{0, HashSpace::kMaxIndex}};
+  if (live_nodes_ == 0) return dirty;
+  const SpreadPolicy policy =
+      topology() == nullptr ? SpreadPolicy::kNone : spec.spread;
+  if (!spread_.armed || spread_.k != spec.k || spread_.policy != policy) {
+    arm_spread(spec.k, policy);
+  }
+  if (spread_.full) return {{0, HashSpace::kMaxIndex}};
+  for (const auto& [run_first, run_last] : spread_.changed) {
+    dirty.push_back({grid_.cell_first(run_first), grid_.cell_last(run_last)});
+  }
+  return dirty;
+}
+
+void HrwBackend::arm_spread(std::size_t k, SpreadPolicy policy) const {
+  spread_.armed = true;
+  spread_.k = k;
+  spread_.policy = policy;
+  spread_.filled = 0;
+  spread_.cells = grid_.size();
+  spread_.nodes.assign(grid_.size() * k, kInvalidNode);
+  spread_.scores.assign(grid_.size() * k, 0.0);
+  load_domains();
+  for (std::size_t cell = 0; cell < grid_.size(); ++cell) {
+    walk_spread(cell);
+    store_spread(cell);
+  }
+  spread_.filled = std::min(k, live_nodes_);
+  spread_.full = true;
+  spread_.changed.clear();
+}
+
+void HrwBackend::load_domains() const {
+  spread_.domain.resize(node_live_.size());
+  for (NodeId node = 0; node < node_live_.size(); ++node) {
+    if (!node_live_[node]) continue;
+    spread_.domain[node] =
+        spread_.policy == SpreadPolicy::kNone
+            ? node
+            : detail::spread_domain_of(*topology(), node, spread_.policy);
+  }
+}
+
+bool HrwBackend::begin_spread_event() const {
+  if (!spread_.armed) return false;
+  spread_.full = false;
+  spread_.changed.clear();
+  load_domains();
+  return true;
+}
+
+void HrwBackend::mark_spread(std::size_t cell) const {
+  if (!spread_.changed.empty() && spread_.changed.back().second + 1 == cell) {
+    spread_.changed.back().second = cell;
+  } else {
+    spread_.changed.emplace_back(cell, cell);
+  }
+}
+
+void HrwBackend::walk_spread(std::size_t cell) const {
+  // The stopped spread walk of replica_set_into, on the per-event
+  // domain array: pop live nodes in rank order until k domains.
+  auto& heap = spread_.heap;
+  heap.clear();
+  for (NodeId node = 0; node < node_live_.size(); ++node) {
+    if (node_live_[node]) heap.emplace_back(score(cell, node), node);
+  }
+  const auto ranks_below = [](const auto& a, const auto& b) {
+    return outranks(b, a);
+  };
+  std::make_heap(heap.begin(), heap.end(), ranks_below);
+  auto& walked = spread_.walked;
+  walked.clear();
+  std::size_t domains = 0;
+  for (auto end = heap.end(); end != heap.begin() && domains < spread_.k;
+       --end) {
+    std::pop_heap(heap.begin(), end, ranks_below);
+    const std::uint32_t domain = spread_.domain[(end - 1)->second];
+    const bool fresh =
+        std::none_of(walked.begin(), walked.end(), [&](const auto& e) {
+          return spread_.domain[e.second] == domain;
+        });
+    if (fresh) ++domains;
+    walked.push_back(*(end - 1));
+  }
+}
+
+bool HrwBackend::join_spread(std::size_t cell, NodeId node, double s,
+                             bool opens_domain, bool few_domains) const {
+  SpreadCells& t = spread_;
+  const std::size_t k = t.k;
+  const std::size_t filled = t.filled;
+  const std::pair<double, NodeId> joiner{s, node};
+  const auto member = [&](std::size_t rank) {
+    return std::pair<double, NodeId>{t.score_at(cell, rank),
+                                     t.node_at(cell, rank)};
+  };
+  const bool full = filled == k;
+  if (full && !(opens_domain && few_domains) &&
+      !outranks(joiner, member(k - 1))) {
+    return false;  // below the set's lowest member (sets are rank-ordered)
+  }
+  if (full && !few_domains) {
+    // Every member leads its own domain: the joiner displaces its
+    // domain's member if it outranks it, else the lowest member.
+    std::size_t at = k - 1;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (t.domain[t.node_at(cell, i)] != t.domain[node]) continue;
+      if (!outranks(joiner, member(i))) return false;
+      at = i;
+      break;
+    }
+    for (; at > 0 && outranks(joiner, member(at - 1)); --at) {
+      t.node_at(cell, at) = t.node_at(cell, at - 1);
+      t.score_at(cell, at) = t.score_at(cell, at - 1);
+    }
+    t.node_at(cell, at) = node;
+    t.score_at(cell, at) = s;
+    return true;
+  }
+  // Fewer than k live domains (or members): the spread set of the old
+  // set plus the joiner, which holds every live domain's leader.
+  auto& merged = t.walked;
+  merged.clear();
+  for (std::size_t i = 0; i < filled; ++i) {
+    if (merged.size() == i && outranks(joiner, member(i))) {
+      merged.push_back(joiner);
+    }
+    merged.push_back(member(i));
+  }
+  if (merged.size() == filled) merged.push_back(joiner);
+  return store_spread(cell);
+}
+
+bool HrwBackend::store_spread(std::size_t cell) const {
+  // The spread set of the ranked `walked`: its first k domain leaders,
+  // topped up with its best-ranked other nodes. Ranks and domains are
+  // fixed, so the set's membership decides its spread order; the set is
+  // kept in rank order.
+  SpreadCells& t = spread_;
+  const auto& walked = t.walked;
+  auto& first = t.first;
+  first.resize(walked.size());
+  std::size_t leaders = 0;
+  for (std::size_t i = 0; i < walked.size(); ++i) {
+    const std::uint32_t domain = t.domain[walked[i].second];
+    first[i] = std::none_of(walked.begin(), walked.begin() + i,
+                            [&](const auto& e) {
+                              return t.domain[e.second] == domain;
+                            });
+    leaders += first[i];
+  }
+  std::size_t take_leaders = std::min(t.k, leaders);
+  std::size_t take_rest = std::min(t.k - take_leaders, walked.size() - leaders);
+  std::size_t size = 0;
+  bool changed = false;
+  for (std::size_t i = 0; i < walked.size(); ++i) {
+    std::size_t& quota = first[i] ? take_leaders : take_rest;
+    if (quota == 0) continue;
+    --quota;
+    if (size >= t.filled || t.node_at(cell, size) != walked[i].second) {
+      changed = true;
+    }
+    t.node_at(cell, size) = walked[i].second;
+    t.score_at(cell, size) = walked[i].first;
+    ++size;
+  }
+  return changed || size != t.filled;
 }
 
 double HrwBackend::sigma() const { return relative_stddev(quotas()); }

@@ -16,12 +16,33 @@
 // against each cell's stored winning score, O(cells)); a leave
 // recomputes only the cells the departed node owned (O(cells owned x
 // live nodes), i.e. O(cells) in expectation).
+//
+// Dirty ranges at k > 1 are exact cells. Every rank is an independent
+// rendezvous, so no range structure bounds where a deeper rank moved;
+// instead the backend keeps, per cell, the replica set of one tracked
+// spec (k node ids plus their scores, in rank order: ranks and domains
+// are fixed, so membership decides the spread order) and reports
+// exactly the cells whose set an event changed:
+//   - arming: the first spec-keyed dirty query, or one with a
+//     different spec, walks every cell and answers the full range for
+//     that event; set_topology drops the tracked sets;
+//   - join of n: a cell can change only when n outranks the lowest
+//     member of its set, or n opens a failure domain with no live node
+//     while the live nodes span fewer than k domains; the new set is
+//     the spread order of the old set plus n, truncated to k - O(k),
+//     and exact, since every node outside the set is either not the
+//     first of its domain or ranks below the fill;
+//   - leave of n: only the cells whose set holds n re-walk.
+// SpreadPolicy::kNone (or no topology) is the same tracker with every
+// node its own domain. Domains are looked up once per event into a
+// per-slot array.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -46,7 +67,6 @@ class HrwBackend final : public ReplicationSurface<HrwBackend> {
  public:
   using Options = HrwBackendOptions;
   using ReplicationSurface::replica_set_into;
-  using ReplicationSurface::replica_dirty_ranges;
 
   explicit HrwBackend(Options options);
 
@@ -76,14 +96,28 @@ class HrwBackend final : public ReplicationSurface<HrwBackend> {
   void replica_set_into(HashIndex index, std::size_t k,
                         std::vector<NodeId>& out, WalkStop stop = {}) const;
 
-  /// Rank 0 changes exactly on the grid's changed cells, but every
-  /// deeper rank is an independent rendezvous: a join can score into
-  /// any cell's top k and a leave can vacate it, so for k > 1 every
-  /// membership event honestly dirties the full range (this is the
-  /// price of HRW's per-rank independence, and why its repair pass
-  /// stays table-wide in the abl8 comparison).
+  /// The raw walk's dirty report: the grid's changed cells at k == 1,
+  /// the tracked cells of ReplicationSpec{k, kNone} above.
   [[nodiscard]] std::vector<HashRange> replica_dirty_ranges(
       std::size_t k) const;
+
+  /// The spec-keyed dirty report, replacing the base's depth cover:
+  /// exactly the cells whose replica set under `spec` the most recent
+  /// membership event changed (see the header note). A query for a
+  /// spec other than the tracked one re-arms the tracker and answers
+  /// the full range. Arming writes the tracker, so the query must not
+  /// race membership calls or other dirty queries - the store makes it
+  /// inside its exclusive membership bracket.
+  [[nodiscard]] std::vector<HashRange> replica_dirty_ranges(
+      const ReplicationSpec& spec) const;
+
+  /// Attaches the failure-domain map (see ReplicationSurface) and
+  /// drops the tracked replica sets, which were spread over the old
+  /// map.
+  void set_topology(const cluster::Topology* topology) {
+    ReplicationSurface::set_topology(topology);
+    spread_.armed = false;
+  }
 
   [[nodiscard]] std::size_t node_count() const { return live_nodes_; }
   [[nodiscard]] std::size_t node_slot_count() const {
@@ -118,6 +152,53 @@ class HrwBackend final : public ReplicationSurface<HrwBackend> {
   [[nodiscard]] double score(std::size_t cell, NodeId node) const;
 
  private:
+  /// The replica sets of one tracked spec, one per grid cell, and the
+  /// cells the most recent event changed (see the header note).
+  struct SpreadCells {
+    bool armed = false;
+    std::size_t k = 0;
+    SpreadPolicy policy = SpreadPolicy::kNone;  ///< kNone: node = domain
+    std::size_t filled = 0;       ///< set size: min(k, live nodes)
+    std::size_t cells = 0;
+    // Rank-major: rank r of every cell is one contiguous run, so a
+    // join's scan compares against one dense array of lowest scores.
+    std::vector<NodeId> nodes;    ///< k per cell, in rank order
+    std::vector<double> scores;   ///< the matching rendezvous scores
+    bool full = true;             ///< the last report is the full range
+    std::vector<std::pair<std::size_t, std::size_t>> changed;  ///< runs
+    std::vector<std::uint32_t> domain;  ///< per node slot, this event
+    // Scratch of one event: a join's (cell, score) candidates; of one
+    // walk or merge: the ranking heap, the ranked (score, node) prefix
+    // and its first-of-domain marks.
+    std::vector<std::pair<std::size_t, double>> entrants;
+    std::vector<std::pair<double, NodeId>> heap;
+    std::vector<std::pair<double, NodeId>> walked;
+    std::vector<char> first;
+
+    NodeId& node_at(std::size_t cell, std::size_t rank) {
+      return nodes[rank * cells + cell];
+    }
+    double& score_at(std::size_t cell, std::size_t rank) {
+      return scores[rank * cells + cell];
+    }
+  };
+
+  /// Walks every cell into the tracker for (k, policy).
+  void arm_spread(std::size_t k, SpreadPolicy policy) const;
+  /// Refills the per-slot domain array from the topology.
+  void load_domains() const;
+  /// Ranks `cell`'s live nodes into `walked` until k domains appear.
+  void walk_spread(std::size_t cell) const;
+  /// Writes the spread set of the ranked `walked` into `cell`'s set;
+  /// true when the set changed.
+  bool store_spread(std::size_t cell) const;
+  /// Updates `cell`'s set for the join of `node` scoring `s`.
+  bool join_spread(std::size_t cell, NodeId node, double s,
+                   bool opens_domain, bool few_domains) const;
+  /// Begins one event's tracker update; false when none is armed.
+  bool begin_spread_event() const;
+  /// Records `cell` as changed by the current event.
+  void mark_spread(std::size_t cell) const;
 
   Options options_;
   RangeGrid grid_;
@@ -128,6 +209,9 @@ class HrwBackend final : public ReplicationSurface<HrwBackend> {
   std::size_t live_nodes_ = 0;
   Xoshiro256 rng_;
   RelocationObserver* observer_ = nullptr;
+  // Written by the const dirty query (arming) as well as by membership
+  // calls; both run under the caller's exclusive hold.
+  mutable SpreadCells spread_;
 };
 
 }  // namespace cobalt::placement

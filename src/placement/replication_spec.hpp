@@ -35,19 +35,27 @@
 //     raw walk *verbatim* — bit-identical placement, zero overhead.
 //
 // Dirty ranges under a spec are the raw dirty ranges taken at the
-// probe depth (+1 node to cover the depth shrink after a departure),
-// not at the stop depth: the spread set at a point is a pure function
-// of the raw walk prefix at probe depth, so any spread-set change
-// implies a raw-walk change within that prefix — the raw ranges are a
-// conservative cover. The stop depth varies by point and is not known
-// to the dirty report, so the report keeps the probe depth; a tighter
-// depth would change the repair plan and the sink stream it drives.
+// pigeonhole depth of the *live* nodes, B_live: one more than the k-1
+// largest live domains hold, so any B_live distinct live nodes span k
+// domains and every stopped walk ends within that prefix. The report
+// takes the raw ranges at B_live + 1 (the extra node covers the domain
+// a departure shrank: the pre-event walk may have needed one node
+// more), capped at node_count + 1 and at the placement cap
+// Topology::spread_bound, which counts the departed node too and so
+// also bounds the pre-event walk. The spread set at a point is a pure
+// function of that raw prefix, so any spread-set change implies a
+// raw-walk change inside it - the raw ranges are a conservative cover.
+// Departed nodes still count in the topology (and so in the placement
+// cap) but not in B_live, which keeps the report near the 3-4 nodes a
+// stopped walk actually reaches once churn has grown the racks. HRW
+// replaces this cover with exact cells (see hrw_backend.hpp).
 
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "cluster/topology.hpp"
@@ -149,6 +157,8 @@ struct SpreadStop {
 /// which its own members would otherwise hide. The base adds the
 /// vector convenience, the ReplicationSpec-keyed forms (the spread
 /// post-filter above over the raw walk) and the topology they consult.
+/// HRW alone replaces the spec-keyed dirty report (and set_topology)
+/// with its exact-cell tracker; see hrw_backend.hpp.
 template <typename Backend>
 class ReplicationSurface {
  public:
@@ -192,15 +202,14 @@ class ReplicationSurface {
   }
 
   /// Conservative dirty cover for the spread walk: the raw dirty ranges
-  /// at the probe depth, the cap of every stopped walk (see the header
-  /// comment for why not the stop depth). The +1 covers departures -
-  /// the walk one rank past the post-event live count is what the
-  /// pre-event spread set may have consumed.
+  /// at the live pigeonhole depth (see the header comment).
   [[nodiscard]] std::vector<HashRange> replica_dirty_ranges(
       const ReplicationSpec& spec) const {
     if (!spreads(spec)) return self().replica_dirty_ranges(spec.k);
-    return self().replica_dirty_ranges(std::max(
-        spec.k, std::min(self().node_count() + 1, probe_bound(spec))));
+    const std::size_t depth =
+        std::min(self().node_count(), live_bound(spec)) + 1;
+    return self().replica_dirty_ranges(
+        std::max(spec.k, std::min(depth, probe_bound(spec))));
   }
 
   /// The failure-domain map the spread filter consults; null (the
@@ -222,6 +231,34 @@ class ReplicationSurface {
   [[nodiscard]] bool spreads(const ReplicationSpec& spec) const {
     return spec.spread != SpreadPolicy::kNone && topology_ != nullptr &&
            spec.k > 1;
+  }
+
+  /// The pigeonhole depth of a spreading `spec` over the live nodes:
+  /// the k-1 largest live domains plus one (unassigned nodes are
+  /// singleton domains, as in Topology::spread_bound).
+  [[nodiscard]] std::size_t live_bound(const ReplicationSpec& spec) const {
+    thread_local std::vector<std::uint32_t> domains;
+    thread_local std::vector<std::size_t> sizes;
+    domains.clear();
+    sizes.clear();
+    const Backend& backend = self();
+    for (NodeId node = 0; node < backend.node_slot_count(); ++node) {
+      if (backend.is_live(node)) {
+        domains.push_back(
+            detail::spread_domain_of(*topology_, node, spec.spread));
+      }
+    }
+    std::sort(domains.begin(), domains.end());
+    for (std::size_t i = 0; i < domains.size(); ++i) {
+      if (i == 0 || domains[i] != domains[i - 1]) sizes.push_back(0);
+      ++sizes.back();
+    }
+    const std::size_t taken = std::min(spec.k - 1, sizes.size());
+    std::partial_sort(sizes.begin(), sizes.begin() + taken, sizes.end(),
+                      std::greater<>());
+    std::size_t capacity = (spec.k - 1) - taken;
+    for (std::size_t i = 0; i < taken; ++i) capacity += sizes[i];
+    return capacity + 1;
   }
 
   /// The pigeonhole probe depth of a spreading `spec`.

@@ -100,10 +100,14 @@ struct HashRange {
 /// every covered shard exactly once.
 inline void coalesce_ranges(std::vector<HashRange>& ranges) {
   if (ranges.size() < 2) return;
-  std::sort(ranges.begin(), ranges.end(),
-            [](const HashRange& a, const HashRange& b) {
-              return a.first < b.first;
-            });
+  const auto by_first = [](const HashRange& a, const HashRange& b) {
+    return a.first < b.first;
+  };
+  // Reports usually arrive ascending (HRW's exact cells, thousands of
+  // them); only an unordered report pays for the sort.
+  if (!std::is_sorted(ranges.begin(), ranges.end(), by_first)) {
+    std::sort(ranges.begin(), ranges.end(), by_first);
+  }
   std::size_t out = 0;
   for (std::size_t i = 1; i < ranges.size(); ++i) {
     HashRange& merged = ranges[out];

@@ -1,9 +1,11 @@
 // Tests for the replicated key-value store: one typed suite drives the
 // replication layer of kv::Store over all seven placement backends
 // through identical scenarios - write fan-out, graceful drains,
-// correlated crashes, and the separation of the relocation and
+// correlated crashes, the separation of the relocation and
 // re-replication accounting channels (the two stats surfaces of
-// kv/store.hpp).
+// kv/store.hpp), and a placement oracle: after every event of a rack,
+// zone and plain k = 3 churn script, serial and pooled, each key's
+// materialized set is the backend's spread set.
 
 #include "kv/store.hpp"
 
@@ -13,6 +15,10 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "cluster/topology.hpp"
+#include "common/thread_pool.hpp"
+#include "hashing/hash.hpp"
 
 namespace cobalt::kv {
 namespace {
@@ -30,54 +36,54 @@ dht::Config cfg(std::uint64_t pmin, std::uint64_t vmin, std::uint64_t seed) {
 
 /// Per-backend replicated-store factory with a comparable footprint.
 template <typename StoreT>
-StoreT make_store(std::uint64_t seed, std::size_t replication);
+StoreT make_store(std::uint64_t seed, std::size_t replication,
+                  SpreadPolicy spread = SpreadPolicy::kNone);
 
 template <>
-KvStore make_store<KvStore>(std::uint64_t seed, std::size_t replication) {
-  return KvStore({cfg(8, 8, seed), 1},
-                 ReplicationSpec{replication, SpreadPolicy::kNone});
+KvStore make_store<KvStore>(std::uint64_t seed, std::size_t replication,
+                            SpreadPolicy spread) {
+  return KvStore({cfg(8, 8, seed), 1}, ReplicationSpec{replication, spread});
 }
 
 template <>
 GlobalKvStore make_store<GlobalKvStore>(std::uint64_t seed,
-                                        std::size_t replication) {
+                                        std::size_t replication,
+                                        SpreadPolicy spread) {
   return GlobalKvStore({cfg(8, 1, seed), 1},
-                       ReplicationSpec{replication, SpreadPolicy::kNone});
+                       ReplicationSpec{replication, spread});
 }
 
 template <>
-ChKvStore make_store<ChKvStore>(std::uint64_t seed,
-                                std::size_t replication) {
-  return ChKvStore({seed, 16},
-                   ReplicationSpec{replication, SpreadPolicy::kNone});
+ChKvStore make_store<ChKvStore>(std::uint64_t seed, std::size_t replication,
+                                SpreadPolicy spread) {
+  return ChKvStore({seed, 16}, ReplicationSpec{replication, spread});
 }
 
 template <>
-HrwKvStore make_store<HrwKvStore>(std::uint64_t seed,
-                                  std::size_t replication) {
-  return HrwKvStore({seed, 12},
-                    ReplicationSpec{replication, SpreadPolicy::kNone});
+HrwKvStore make_store<HrwKvStore>(std::uint64_t seed, std::size_t replication,
+                                  SpreadPolicy spread) {
+  return HrwKvStore({seed, 12}, ReplicationSpec{replication, spread});
 }
 
 template <>
-JumpKvStore make_store<JumpKvStore>(std::uint64_t seed,
-                                    std::size_t replication) {
-  return JumpKvStore({seed, 12},
-                     ReplicationSpec{replication, SpreadPolicy::kNone});
+JumpKvStore make_store<JumpKvStore>(std::uint64_t seed, std::size_t replication,
+                                    SpreadPolicy spread) {
+  return JumpKvStore({seed, 12}, ReplicationSpec{replication, spread});
 }
 
 template <>
 MaglevKvStore make_store<MaglevKvStore>(std::uint64_t seed,
-                                        std::size_t replication) {
-  return MaglevKvStore({seed, 12},
-                       ReplicationSpec{replication, SpreadPolicy::kNone});
+                                        std::size_t replication,
+                                        SpreadPolicy spread) {
+  return MaglevKvStore({seed, 12}, ReplicationSpec{replication, spread});
 }
 
 template <>
 BoundedChKvStore make_store<BoundedChKvStore>(std::uint64_t seed,
-                                              std::size_t replication) {
+                                              std::size_t replication,
+                                              SpreadPolicy spread) {
   return BoundedChKvStore({seed, 16, 0.25, 12},
-                          ReplicationSpec{replication, SpreadPolicy::kNone});
+                          ReplicationSpec{replication, spread});
 }
 
 template <typename StoreT>
@@ -587,6 +593,115 @@ TYPED_TEST(ReplicatedStoreSuite, CrashAfterChurnLeavesAccountingConserved) {
   for (const std::string& key : keys) {
     const placement::NodeId node = store.read_node_of(key);
     EXPECT_TRUE(store.backend().is_live(node)) << key;
+  }
+}
+
+
+// --- the placement oracle -------------------------------------------
+
+/// Keys whose materialized replica set differs from the backend's
+/// spread set at the store's clamped spec.
+template <typename StoreT>
+std::size_t spread_mismatches(const StoreT& store,
+                              const std::vector<std::string>& keys) {
+  const auto& backend = store.backend();
+  const ReplicationSpec spec = store.replication_spec();
+  const ReplicationSpec clamped =
+      spec.with_k(std::min(spec.k, backend.node_count()));
+  std::size_t mismatches = 0;
+  for (const std::string& key : keys) {
+    const HashIndex h =
+        hashing::hash_bytes(hashing::Algorithm::kXxh64, key.data(), key.size());
+    if (store.replicas_of(key) != backend.replica_set(h, clamped)) {
+      ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+TYPED_TEST(ReplicatedStoreSuite, EveryEventLeavesEachKeyOnItsSpreadSet) {
+  // The planned repair must land every key on exactly the replica set
+  // placement defines, whatever the dirty reports left out, and count
+  // no shard twice in one pass. The script runs joins into racks,
+  // drains, whole-rack crashes, a phase with fewer live racks (zones)
+  // than k, and joins outside the topology.
+  for (const SpreadPolicy policy :
+       {SpreadPolicy::kRack, SpreadPolicy::kZone, SpreadPolicy::kNone}) {
+    for (const bool pooled : {false, true}) {
+      const std::string label = std::string(spread_policy_name(policy)) +
+                                (pooled ? " pooled" : " serial");
+      // Six racks of two over three zones; rack r is in zone r % 3.
+      cluster::Topology topo = cluster::Topology::uniform(6, 2, 3);
+      auto store = make_store<TypeParam>(977, 3, policy);
+      ThreadPool pool(3);
+      if (pooled) store.set_thread_pool(&pool);
+      store.set_topology(&topo);
+      std::vector<std::string> keys;
+      int event = 0;
+      const auto check = [&](const char* what) {
+        ++event;
+        ASSERT_EQ(spread_mismatches(store, keys), 0u)
+            << label << ", event " << event << " (" << what << ")";
+        // Each pass counts a shard once, however many ranges touch it.
+        const ReplicationStats stats = store.stats().replication;
+        ASSERT_LE(stats.repair_shards_visited, stats.repair_shards_total)
+            << label << ", event " << event << " (" << what << ")";
+      };
+      const auto join = [&](cluster::Topology::RackId rack) {
+        topo.assign(static_cast<placement::NodeId>(
+                        store.backend().node_slot_count()),
+                    rack, topo.zone_of_rack(rack));
+        store.add_node();
+        check("join");
+      };
+      const auto drain = [&](cluster::Topology::RackId rack) {
+        for (const placement::NodeId node : topo.nodes_in_rack(rack)) {
+          if (!store.backend().is_live(node)) continue;
+          (void)store.remove_node(node);
+          check("drain");
+          return;
+        }
+      };
+      const auto crash_rack = [&](cluster::Topology::RackId rack) {
+        std::vector<placement::NodeId> victims;
+        for (const placement::NodeId node : topo.nodes_in_rack(rack)) {
+          if (store.backend().is_live(node)) victims.push_back(node);
+        }
+        store.fail_nodes(victims);
+        check("rack crash");
+      };
+
+      for (int n = 0; n < 12; ++n) store.add_node();
+      for (int i = 0; i < 800; ++i) {
+        keys.push_back("oracle-" + std::to_string(i));
+        store.put(keys.back(), "v");
+      }
+      check("preload");
+      for (const cluster::Topology::RackId rack : {0u, 3u, 5u, 1u}) {
+        join(rack);
+      }
+      for (const cluster::Topology::RackId rack : {0u, 3u, 5u}) drain(rack);
+      crash_rack(2);
+      join(2);
+      // Racks 1, 2, 4 and 5 go: racks 0 and 3 (both zone 0) remain,
+      // fewer live domains than k under either spread.
+      for (const cluster::Topology::RackId rack : {1u, 2u, 4u, 5u}) {
+        crash_rack(rack);
+      }
+      join(0);
+      join(3);
+      join(4);  // reopens a domain
+      for (int n = 0; n < 2; ++n) {
+        store.add_node();  // unassigned: a singleton rack and zone
+        check("synthetic join");
+      }
+      join(5);
+      crash_rack(0);
+      drain(3);
+      drain(4);
+      join(1);
+      store.set_topology(nullptr);
+    }
   }
 }
 

@@ -417,49 +417,189 @@ TYPED_TEST(ReplicaSetSuite, SpreadReplicaSetIntoMatchesReplicaSet) {
   }
 }
 
-TYPED_TEST(ReplicaSetSuite, SpreadDirtyRangesCoverEverySpreadSetChange) {
-  // The spec-keyed dirty-range contract, with a topology that only
-  // covers the initial population: later joins land in synthetic
-  // singleton racks, stressing the mixed real/synthetic domain case.
-  auto backend = make_backend<TypeParam>(317);
-  for (int n = 0; n < 6; ++n) backend.add_node();
-  const cluster::Topology topo = cluster::Topology::uniform(3, 2);
-  backend.set_topology(&topo);
-  const auto points = probe_points(80, 89);
-  Xoshiro256 rng(97);
-  const ReplicationSpec spec{2, SpreadPolicy::kRack};
+/// The live nodes of `backend`, ascending.
+template <typename B>
+std::vector<NodeId> live_nodes(const B& backend) {
+  std::vector<NodeId> live;
+  for (NodeId node = 0; node < backend.node_slot_count(); ++node) {
+    if (backend.is_live(node)) live.push_back(node);
+  }
+  return live;
+}
 
-  for (int event = 0; event < 12; ++event) {
-    std::vector<std::vector<NodeId>> before;
-    before.reserve(points.size());
+/// The spec-keyed dirty-range contract over a scripted churn: after
+/// every event (a join, a drain, or a whole-rack crash - one removal
+/// per backend call, with the reports of the calls accumulated), any
+/// probe point whose spread set changed lies inside a reported range.
+/// Joins land in a random rack of `topo`, or (when `synthetic`) in a
+/// singleton rack outside it. The report is armed before the script,
+/// so HRW answers with its exact cells from the first event on.
+template <typename B>
+void expect_spread_dirty_cover(std::uint64_t seed, std::size_t initial,
+                               cluster::Topology topo,
+                               const ReplicationSpec& spec, bool synthetic,
+                               const char* label) {
+  auto backend = make_backend<B>(seed);
+  for (std::size_t n = 0; n < initial; ++n) backend.add_node();
+  backend.set_topology(&topo);
+  const auto points = probe_points(120, seed + 1);
+  Xoshiro256 rng(seed + 2);
+  const auto query = [&] {
+    return backend.replica_dirty_ranges(
+        spec.with_k(std::min(spec.k, backend.node_count())));
+  };
+  const auto snapshot = [&] {
+    std::vector<std::vector<NodeId>> sets;
     for (const HashIndex point : points) {
-      before.push_back(backend.replica_set(point, spec));
+      sets.push_back(backend.replica_set(
+          point, spec.with_k(std::min(spec.k, backend.node_count()))));
+    }
+    return sets;
+  };
+  const auto join = [&] {
+    if (!synthetic) {
+      const auto rack = static_cast<cluster::Topology::RackId>(
+          rng.next_below(topo.rack_count()));
+      topo.assign(static_cast<NodeId>(backend.node_slot_count()), rack,
+                  topo.zone_of_rack(rack));
+    }
+    backend.add_node();
+  };
+  (void)query();
+
+  for (int event = 0; event < 16; ++event) {
+    auto before = snapshot();
+    std::vector<HashRange> dirty;
+    const std::vector<NodeId> live = live_nodes(backend);
+    if (event % 5 == 4) {
+      // A whole-rack crash: every live node of one rack, one call each.
+      const NodeId victim = live[rng.next_below(live.size())];
+      for (const NodeId node : live) {
+        if (topo.rack_of(node) != topo.rack_of(victim)) continue;
+        if (backend.node_count() < 2) break;
+        (void)backend.remove_node(node);
+        const auto ranges = query();
+        dirty.insert(dirty.end(), ranges.begin(), ranges.end());
+      }
+    } else if (rng.next_below(3) == 0 && live.size() > 4) {
+      if (!backend.remove_node(live[rng.next_below(live.size())])) {
+        // A refused drain is its own event; diff only the join.
+        before = snapshot();
+        join();
+      }
+      dirty = query();
+    } else {
+      join();
+      dirty = query();
     }
 
-    if (rng.next_below(3) == 0 && backend.node_count() > 4) {
-      std::vector<NodeId> live;
-      for (NodeId node = 0; node < backend.node_slot_count(); ++node) {
-        if (backend.is_live(node)) live.push_back(node);
-      }
-      const NodeId victim = live[static_cast<std::size_t>(
-          rng.next_below(live.size()))];
-      if (!backend.remove_node(victim)) {
-        before.clear();
-        for (const HashIndex point : points) {
-          before.push_back(backend.replica_set(point, spec));
-        }
-        backend.add_node();
-      }
+    const auto after = snapshot();
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      if (after[p] == before[p]) continue;
+      EXPECT_TRUE(covered(dirty, points[p]))
+          << label << " event " << event << ": spread replica set of point "
+          << points[p] << " changed outside every dirty range";
+    }
+  }
+}
+
+TYPED_TEST(ReplicaSetSuite, SpreadDirtyRangesCoverEverySpreadSetChange) {
+  // A topology that only covers the initial population: later joins
+  // land in synthetic singleton racks (the mixed real/synthetic case).
+  expect_spread_dirty_cover<TypeParam>(
+      317, 6, cluster::Topology::uniform(3, 2),
+      ReplicationSpec{2, SpreadPolicy::kRack}, true, "k=2 rack synthetic");
+  // Four racks of three over three zones (zone 0 holds two racks):
+  // crashes can leave fewer live zones than k.
+  const auto topo = cluster::Topology::uniform(4, 3, 3);
+  for (const SpreadPolicy policy :
+       {SpreadPolicy::kRack, SpreadPolicy::kZone, SpreadPolicy::kNone}) {
+    expect_spread_dirty_cover<TypeParam>(
+        331, 12, topo, ReplicationSpec{3, policy}, false,
+        spread_policy_name(policy));
+  }
+}
+
+/// Share of the hash space `ranges` cover.
+double dirty_mass(std::vector<HashRange> ranges) {
+  coalesce_ranges(ranges);
+  double mass = 0.0;
+  for (const HashRange& range : ranges) {
+    mass += (static_cast<double>(range.last - range.first) + 1.0) * 0x1.0p-64;
+  }
+  return mass;
+}
+
+TEST(HrwSpreadDirtyCells, JoinsAndLeavesDirtyASmallShare) {
+  // Once armed, HRW reports the cells whose spread set changed, not the
+  // whole space: on 48 nodes in 12 racks an event moves about k/48 of
+  // the sets.
+  for (const SpreadPolicy policy : {SpreadPolicy::kRack, SpreadPolicy::kNone}) {
+    HrwBackend backend({41, 12});
+    cluster::Topology topo = cluster::Topology::uniform(12, 4);
+    for (int n = 0; n < 48; ++n) backend.add_node();
+    backend.set_topology(&topo);
+    const ReplicationSpec spec{3, policy};
+    EXPECT_EQ(dirty_mass(backend.replica_dirty_ranges(spec)), 1.0)
+        << "arming answers the full range";
+    Xoshiro256 rng(43);
+    for (int event = 0; event < 12; ++event) {
+      const std::vector<NodeId> live = live_nodes(backend);
+      const NodeId victim = live[rng.next_below(live.size())];
+      const auto rack = topo.rack_of(victim);
+      ASSERT_TRUE(backend.remove_node(victim));
+      EXPECT_LT(dirty_mass(backend.replica_dirty_ranges(spec)), 0.25)
+          << spread_policy_name(policy) << " leave " << event;
+      topo.assign(static_cast<NodeId>(backend.node_slot_count()), rack);
+      backend.add_node();
+      EXPECT_LT(dirty_mass(backend.replica_dirty_ranges(spec)), 0.25)
+          << spread_policy_name(policy) << " join " << event;
+    }
+  }
+}
+
+// --- the live-node dirty depth of the walk-ordered schemes ----------
+
+template <typename B>
+class WalkDirtySuite : public ::testing::Test {};
+
+using WalkBackends =
+    ::testing::Types<LocalDhtBackend, GlobalDhtBackend, ChBackend,
+                     JumpBackend, MaglevBackend, BoundedChBackend>;
+TYPED_TEST_SUITE(WalkDirtySuite, WalkBackends);
+
+TYPED_TEST(WalkDirtySuite, LiveDepthReportNestsInTheCapDepthReport) {
+  // The spread report at the live-node depth is the raw report at a
+  // depth no deeper than the placement cap's, so it lies inside the
+  // raw report at that cap (departed nodes keep the cap high here).
+  auto backend = make_backend<TypeParam>(337);
+  cluster::Topology topo = cluster::Topology::uniform(12, 4);
+  for (int n = 0; n < 48; ++n) backend.add_node();
+  backend.set_topology(&topo);
+  const ReplicationSpec spec{3, SpreadPolicy::kRack};
+  Xoshiro256 rng(347);
+  for (int event = 0; event < 16; ++event) {
+    if (event % 2 == 0) {
+      const std::vector<NodeId> live = live_nodes(backend);
+      (void)backend.remove_node(live[rng.next_below(live.size())]);
     } else {
+      const auto rack = static_cast<cluster::Topology::RackId>(
+          rng.next_below(topo.rack_count()));
+      topo.assign(static_cast<NodeId>(backend.node_slot_count()), rack);
       backend.add_node();
     }
-
-    const auto dirty = backend.replica_dirty_ranges(spec);
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      if (backend.replica_set(points[p], spec) == before[p]) continue;
-      EXPECT_TRUE(covered(dirty, points[p]))
-          << "event " << event << ": spread replica set of point "
-          << points[p] << " changed outside every dirty range";
+    const std::size_t cap = std::max(
+        spec.k, std::min(backend.node_count() + 1, topo.spread_bound(spec.k)));
+    auto wide = backend.replica_dirty_ranges(cap);
+    coalesce_ranges(wide);
+    for (const HashRange& range : backend.replica_dirty_ranges(spec)) {
+      EXPECT_TRUE(std::any_of(wide.begin(), wide.end(),
+                              [&](const HashRange& w) {
+                                return w.first <= range.first &&
+                                       range.last <= w.last;
+                              }))
+          << "event " << event << ": [" << range.first << ", " << range.last
+          << "] lies outside the cap-depth report";
     }
   }
 }
