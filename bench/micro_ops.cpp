@@ -4,6 +4,9 @@
 // hot path (put / get / membership events / repair passes) and the
 // rack-spread replica walk, across all seven placement schemes.
 //
+// `--keys=N` sets the key count of the store_bytes_per_key family
+// (default 200000; the 10M-key stretch is `--keys=10000000`).
+//
 // `--json[=path]` additionally writes the results as google-benchmark
 // JSON (default path BENCH_store_hotpath.json); the checked-in
 // BENCH_store_hotpath.json tracks the store hot-path trajectory as
@@ -11,7 +14,11 @@
 // docs/BENCHMARKS.md for the schema).
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <sstream>
@@ -228,6 +235,14 @@ BENCHMARK(BM_DistributedProtocol)->Arg(128)->Arg(512);
 //                            store of 48 nodes in 12 racks (the
 //                            churn_rack_k3 event pair: dirty report,
 //                            relocation flush and repair pass, serial)
+//   store_bytes_per_key/<scheme>/keys:N
+//                            one preload of N keys (kv_point_1m's
+//                            shape: ~13-byte keys, 4-byte values) into
+//                            a fresh k=3 store of 24 nodes; the time
+//                            is the preload, the counters are the heap
+//                            it grew by per key (mallinfo2) and the
+//                            share of entries carrying a replica-set
+//                            override
 //   store_contended_mix/<scheme>/threads:T
 //                            a 7:1 get:put mix driven by T bench
 //                            threads against one shard-concurrent
@@ -354,6 +369,44 @@ void BM_StoreRackRepair(benchmark::State& state, const Scheme& scheme) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
 }
 
+/// Key count of the store_bytes_per_key family (--keys=N).
+std::int64_t bytes_per_key_keys = 200000;
+
+/// Heap bytes in use, as the allocator counts them.
+double heap_bytes() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<double>(info.uordblks + info.hblkhd);
+}
+
+/// One iteration = a preload of range(0) keys into a fresh k=3 store
+/// of 24 nodes, timed by hand so the store's construction and teardown
+/// stay outside. Counters: bytes_per_key (the heap the preload grew by,
+/// per key) and override_frac (entries whose replica set is not their
+/// shard's, per key).
+template <typename Scheme>
+void BM_StoreBytesPerKey(benchmark::State& state, const Scheme& scheme) {
+  const auto keys = static_cast<std::uint64_t>(state.range(0));
+  const std::string value = "vvvv";
+  for (auto _ : state) {
+    auto store = scheme.store(49, ReplicationSpec{3, SpreadPolicy::kNone});
+    for (int n = 0; n < 24; ++n) store.add_node();
+    const double heap_before = heap_bytes();
+    const auto start = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < keys; ++i) store.put(bench_key(i), value);
+    state.SetIterationTime(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
+    const double heap = heap_bytes() - heap_before;
+    std::uint64_t overrides = 0;
+    for (const auto& shard : store.shard_index().shards()) {
+      overrides += shard.override_count();
+    }
+    state.counters["bytes_per_key"] = heap / static_cast<double>(keys);
+    state.counters["override_frac"] =
+        static_cast<double>(overrides) / static_cast<double>(keys);
+  }
+}
+
 /// A 7:1 get:put mix from T google-benchmark driver threads against
 /// one shared shard-concurrent store: gets hit the preloaded keys
 /// (structure + one stripe, both shared), puts cycle each thread's
@@ -465,6 +518,15 @@ void register_all_store_benches() {
                                  [scheme](benchmark::State& state) {
                                    BM_StoreRackRepair(state, scheme);
                                  });
+    benchmark::RegisterBenchmark(("store_bytes_per_key/" + name).c_str(),
+                                 [scheme](benchmark::State& state) {
+                                   BM_StoreBytesPerKey(state, scheme);
+                                 })
+        ->ArgName("keys")
+        ->Arg(bytes_per_key_keys)
+        ->UseManualTime()
+        ->Iterations(1)
+        ->Unit(benchmark::kMillisecond);
     benchmark::RegisterBenchmark(("store_contended_mix/" + name).c_str(),
                                  [scheme](benchmark::State& state) {
                                    BM_StoreContendedMix(state, scheme);
@@ -498,6 +560,13 @@ int main(int argc, char** argv) {
       it = args.erase(it);
     } else if (std::strncmp(*it, "--json=", 7) == 0) {
       out_flag = std::string("--benchmark_out=") + (*it + 7);
+      it = args.erase(it);
+    } else if (std::strncmp(*it, "--keys=", 7) == 0) {
+      bytes_per_key_keys = std::strtoll(*it + 7, nullptr, 10);
+      if (bytes_per_key_keys < 1) {
+        std::fprintf(stderr, "error: --keys must be a positive count\n");
+        return 2;
+      }
       it = args.erase(it);
     } else {
       ++it;

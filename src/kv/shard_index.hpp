@@ -1,30 +1,50 @@
 // cobalt/kv/shard_index.hpp
 //
-// The KV store's resident-key index: hash-range shards backed by
-// sorted bucket vectors, replacing the seed's node-based
-// std::map<HashIndex, Bucket>.
+// The KV store's resident-key index: hash-range shards, each stored
+// as flat arrays over one byte arena.
 //
 // A shard covers one contiguous, inclusive range of R_h; the shards
 // tile the whole range (shard i covers [shards[i].first,
-// shards[i+1].first - 1], the last one up to 2^64 - 1). Within a shard
-// the buckets are sorted by hash and binary-searched, so point
-// operations cost one shard binary search plus one bucket binary
-// search over at most kSplitBuckets contiguous elements - the cache
-// behaviour a red-black tree walk cannot offer - and range counts sum
-// cached per-shard entry totals instead of walking every bucket.
+// shards[i+1].first - 1], the last one up to 2^64 - 1). Point
+// operations cost one shard binary search plus one binary search over
+// the shard's sorted hash array (at most kSplitBuckets distinct
+// hashes), and range counts sum per-shard entry totals instead of
+// walking entries.
 //
-// The materialized replica set lives on the *shard*, not the bucket:
-// the store's repair passes split shards at replica-set arc boundaries
-// (when the arcs are at least kMinArcBuckets wide) so a shard lies
-// inside one arc, which collapses the seed's one heap-allocated
-// std::vector<NodeId> per resident hash to one per shard and lets
-// repair planning skip whole shards by range. Where that cannot hold
-// cheaply - a write into a range whose boundary no repair has seen
-// yet, or schemes whose arcs are finer than kMinArcBuckets (the
-// cell-grained grids) - the affected buckets keep a per-bucket
-// *override* instead: O(1) at write time and never worse than the
-// seed's per-bucket storage, dissolved whenever a repair finds the
-// range uniform again.
+// Flat layout. A shard keeps its entries as parallel arrays, sorted by
+// hash, one slot per resident entry:
+//   * hashes  - the sorted HashIndex array (colliding keys sit inline
+//     as adjacent equal hashes, so no per-hash container exists);
+//   * offsets - uint32_t positions of each entry's record in the
+//     shard's byte arena, one record per entry laid out as
+//     [varint key_len][varint value_len][key][value];
+//   * sets    - one byte per entry, an index into the shard's palette.
+// An overwrite of equal value length happens in place; erases and
+// resized overwrites leave garbage, compacted as soon as it exceeds
+// the live bytes. A write that would push an arena past its uint32_t
+// offset range fails with COBALT_REQUIRE instead of wrapping. At
+// 13-byte keys and 4-byte values an entry costs 8 + 4 + 1 + 19 bytes
+// plus vector slack: about 50 bytes of heap per key, against about
+// 194 for the seed's one Bucket (with two heap vectors) per hash.
+//
+// The materialized replica sets live in a per-shard *palette*: the
+// distinct sets stored back to back in one NodeId array, each with a
+// 32-bit fingerprint that keeps the search for a set short. Index 0 is
+// the shard's own set; an entry whose index is not 0 carries an
+// *override* (1 byte). The store's repair passes split shards at
+// replica-set arc boundaries (when the arcs are at least
+// kMinArcBuckets wide) so a shard lies inside one arc; where that
+// cannot hold cheaply - a write into a range whose boundary no repair
+// has seen yet, or schemes whose arcs are finer than kMinArcBuckets
+// (the cell-grained grids) - entries take another palette index,
+// dissolved whenever a repair finds the range uniform again. Every
+// piece a split makes is re-anchored: its set 0 becomes the most
+// common set among its entries (the stored sets only, no backend
+// call), so a size split inside one arc leaves no overrides behind.
+// Overrides are not rare: while a split copied the parent's set into
+// its tail, 99.8% of kv_point_1m's preloaded entries carried one;
+// re-anchored, 1.7% do (the shards straddling an arc boundary), and
+// about half of the cell-grained schemes' entries do at 200k keys.
 //
 // The index is a pure container: it never talks to a placement
 // backend. The store decides replica sets and arc boundaries; the
@@ -36,26 +56,27 @@
 // mode - see kv/store.hpp "Threading model"; single-threaded callers
 // never touch a lock). Two levels:
 //   * structure_mutex_ - a reader/writer lock over the *tiling*: the
-//     shards_ vector layout (shard count, boundaries, the bucket
-//     vectors' identities). Point readers and in-shard writers hold
-//     it shared; split/merge (put overflow, erase of a shard's last
-//     bucket, the repair pass's regrouping) hold it exclusive.
+//     shard vectors (shard count, boundaries). Point readers
+//     and in-shard writers hold it shared; split/merge (put overflow,
+//     erase of a shard's last entry, the repair pass's regrouping)
+//     hold it exclusive.
 //   * stripe locks - kLockStripes reader/writer locks tiling R_h by
-//     its top bits. A reader of one bucket holds the single stripe of
+//     its top bits. A reader of one entry holds the single stripe of
 //     its hash shared; a writer mutating anything inside shard i
-//     (bucket entries, replica overrides, entry counts) holds the
-//     shard's whole stripe span exclusive, ascending. Because a
-//     bucket's stripe always lies inside its shard's span, one
-//     in-shard writer excludes exactly the readers of that shard -
-//     which is what lets gets proceed against shards not under
-//     repair while pool workers repair other shards.
+//     (entries, arena, palette) holds the shard's whole stripe span
+//     exclusive, ascending. Because an entry's stripe always lies
+//     inside its shard's span, one in-shard writer excludes exactly
+//     the readers of that shard - which is what lets gets proceed
+//     against shards not under repair while pool workers repair other
+//     shards.
 // Lock order: structure before stripes, stripes ascending. The
 // cross-shard total_entries_ counter is atomic so disjoint in-shard
 // writers need no shared lock for it.
 //
 // Compile-time model (see common/thread_annotations.hpp). The tiling
-// is literal: shards_ is GUARDED_BY(structure_mutex_) and structural
-// mutators REQUIRE it exclusive. The stripe table is not - Thread
+// is literal: shards_ and firsts_ are GUARDED_BY(structure_mutex_),
+// and structural mutators REQUIRE it exclusive. The stripe table is
+// not - Thread
 // Safety Analysis cannot track a loop over an array of locks - so one
 // logical capability, stripes_cap_, stands for "adequate cover over
 // shard contents": the span/stripe RAII types below claim it on
@@ -72,7 +93,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <limits>
+#include <memory>
+#include <ranges>
+#include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -83,59 +108,160 @@
 
 namespace cobalt::kv {
 
-/// Hash-range shards over sorted bucket vectors.
+/// Hash-range shards over flat per-shard arrays and byte arenas.
 class ShardIndex {
  public:
-  /// One resident key with its value.
-  using Entry = std::pair<std::string, std::string>;
+  /// A replica set as stored: a view into a shard's palette (valid
+  /// until the shard's next write).
+  using ReplicaSet = std::span<const placement::NodeId>;
 
-  /// One hash position's resident keys (collisions are possible but
-  /// vanishingly rare at Bh = 64, so almost always one entry; order
-  /// within a bucket is unspecified).
-  struct Bucket {
-    HashIndex hash = 0;
-    std::vector<Entry> entries;
+  /// "No such entry" (Shard::find).
+  static constexpr std::size_t npos = ~std::size_t{0};
 
-    /// Materialized replica-set override: empty means "the shard's
-    /// set applies" (the common case); non-empty when this bucket's
-    /// set differs from its shard's cached one (see the header).
-    std::vector<placement::NodeId> replicas;
-  };
+  /// Replica sets one shard's palette can hold (the per-entry index is
+  /// one byte). A shard holds at most kSplitBuckets + 1 distinct
+  /// hashes and the entries at one hash share a set, so its referenced
+  /// sets always fit; unreferenced ones are dropped once they could
+  /// outnumber the referenced ones (see Shard::intern).
+  static constexpr std::size_t kMaxSets = 256;
 
-  /// One contiguous hash range with its resident buckets and the
-  /// materialized replica set shared by every non-overriding bucket.
-  struct Shard {
-    /// First hash index covered (the end is the next shard's first
-    /// minus one; the last shard ends at HashSpace::kMaxIndex).
-    HashIndex first = 0;
+  /// Largest arena a shard can address through its uint32_t offsets.
+  static constexpr std::size_t kMaxArenaBytes =
+      std::numeric_limits<std::uint32_t>::max();
 
-    /// Cached sum of entries over the shard's buckets.
-    std::uint64_t entry_count = 0;
+  /// One contiguous hash range's resident entries (see the header:
+  /// sorted hashes, record offsets and palette indices over one byte
+  /// arena) and the palette of their materialized replica sets. The
+  /// range itself is tiling metadata (shard_first / shard_last).
+  class Shard {
+   public:
+    /// Resident entries.
+    [[nodiscard]] std::size_t size() const { return hashes_.size(); }
+    [[nodiscard]] bool empty() const { return hashes_.empty(); }
 
-    /// Buckets carrying a replica override (fast-path gate: 0 lets
+    /// Distinct resident hashes (entries minus inline collisions): the
+    /// count the split rule and the repair's arc regrouping use.
+    [[nodiscard]] std::size_t distinct_hashes() const {
+      return hashes_.size() - collisions_;
+    }
+
+    /// Entries whose palette index is not 0 (fast-path gate: 0 lets
     /// per-node counts and repairs treat the shard as one arc).
-    std::uint32_t override_count = 0;
+    [[nodiscard]] std::size_t override_count() const {
+      return override_count_;
+    }
 
-    /// Resident buckets, sorted by hash.
-    std::vector<Bucket> buckets;
+    [[nodiscard]] HashIndex hash(std::size_t pos) const {
+      return hashes_[pos];
+    }
+    [[nodiscard]] std::string_view key(std::size_t pos) const;
+    [[nodiscard]] std::string_view value(std::size_t pos) const;
 
-    /// Materialized replica set of every non-overriding resident
-    /// bucket (rank order; empty only while the shard has never been
-    /// written).
-    std::vector<placement::NodeId> replicas;
+    /// The shard's own set (palette index 0; empty only while the
+    /// shard has never been written).
+    [[nodiscard]] ReplicaSet replicas() const {
+      return set_ends_.empty() ? ReplicaSet{} : palette_set(0);
+    }
+
+    /// The materialized replica set of the entry at `pos`.
+    [[nodiscard]] ReplicaSet replicas(std::size_t pos) const {
+      return palette_set(sets_[pos]);
+    }
+
+    /// First position whose hash is >= `hash` (size() if none).
+    [[nodiscard]] std::size_t lower_bound(HashIndex hash) const;
+    /// First position whose hash is > `hash` (size() if none).
+    [[nodiscard]] std::size_t upper_bound(HashIndex hash) const;
+    /// End of the run of entries sharing the hash at `pos`.
+    [[nodiscard]] std::size_t run_end(std::size_t pos) const;
+    /// Position of `key` among the entries at `hash`, or npos.
+    [[nodiscard]] std::size_t find(HashIndex hash, std::string_view key) const;
+
+    /// Arena bytes in use (live records plus garbage).
+    [[nodiscard]] std::size_t arena_bytes() const { return arena_.size(); }
+    /// Arena bytes held by erased or superseded records.
+    [[nodiscard]] std::size_t garbage_bytes() const { return garbage_; }
+
+    /// Makes `replicas` the materialized set of the entries in
+    /// [first_pos, end_pos) (an override unless it equals set 0).
+    void set_replicas(std::size_t first_pos, std::size_t end_pos,
+                      ReplicaSet replicas);
+
+    /// Makes `replicas` the shard's set and drops every override (the
+    /// repair pass found the shard to be one arc; on an empty shard,
+    /// the set future puts are checked against).
+    void adopt(ReplicaSet replicas);
+
+   private:
+    friend class ShardIndex;
+
+    [[nodiscard]] ReplicaSet palette_set(std::size_t index) const {
+      const std::size_t begin = index == 0 ? 0 : set_ends_[index - 1];
+      return {palette_.data() + begin, set_ends_[index] - begin};
+    }
+    [[nodiscard]] std::size_t palette_size() const {
+      return set_ends_.size();
+    }
+    /// The palette index of `replicas`, appending it when new (first
+    /// dropping unreferenced sets once they may outnumber the rest).
+    std::uint8_t intern(ReplicaSet replicas);
+    /// Rebuilds the palette from the referenced sets only, with set
+    /// `anchor` as the new index 0.
+    void repack(std::size_t anchor);
+    /// repack() around the most common set among the entries (set 0
+    /// wins ties, then the lowest index); an empty shard keeps set 0.
+    void reanchor();
+    /// The median distinct hash (the size split's boundary).
+    [[nodiscard]] HashIndex median_hash() const;
+    /// Bytes of the record at `pos`.
+    [[nodiscard]] std::size_t record_bytes(std::size_t pos) const;
+    /// Appends one record to the arena and returns its offset. Fails
+    /// (COBALT_REQUIRE, nothing changed) when the arena cannot address
+    /// it even after compaction.
+    std::uint32_t append_record(std::string_view key, std::string_view value);
+    /// Rewrites the arena with the live records only, in entry order.
+    void compact() { rebuild_arena(arena_); }
+    /// Makes the arena exactly the records `offsets_` addresses in
+    /// `source` (this shard's arena, or a split parent's).
+    void rebuild_arena(const std::vector<char>& source);
+    void compact_if_sparse() {
+      if (garbage_ > arena_.size() - garbage_) compact();
+    }
+    /// Inserts an entry at `pos` (the end of its hash's run).
+    void insert_at(std::size_t pos, HashIndex hash, std::string_view key,
+                   std::string_view value, ReplicaSet replicas);
+    /// Removes the entry at `pos`.
+    void remove_at(std::size_t pos);
+    /// Counts adjacent equal hashes from scratch.
+    void recount_collisions();
+
+    std::vector<HashIndex> hashes_;
+    std::vector<std::uint32_t> offsets_;
+    std::vector<std::uint8_t> sets_;
+    std::vector<char> arena_;
+    /// The palette's sets back to back; set j ends at set_ends_[j] and
+    /// has fingerprint set_tags_[j].
+    std::vector<placement::NodeId> palette_;
+    std::vector<std::uint32_t> set_ends_;
+    std::vector<std::uint32_t> set_tags_;
+    std::uint32_t garbage_ = 0;
+    std::uint32_t override_count_ = 0;
+    std::uint32_t collisions_ = 0;
+    /// The palette index intern() returned last (a search hint).
+    std::uint8_t last_set_ = 0;
   };
 
-  /// Buckets per shard above which an insert splits the shard at its
-  /// median bucket. This bounds the per-insert memmove (the sorted
-  /// vector's cost) and the bucket binary search; 128 keeps the move
-  /// under ~4 KB while shard-level binary search stays shallow even
-  /// at millions of keys.
+  /// Distinct hashes per shard above which an insert of a new hash
+  /// splits the shard at its median hash. This bounds the per-insert
+  /// memmove of the flat arrays and the hash binary search; 128 keeps
+  /// both small while shard-level binary search stays shallow even at
+  /// millions of keys.
   static constexpr std::size_t kSplitBuckets = 128;
 
-  /// Minimum average buckets per piece for a repair pass to split a
-  /// shard at replica-set arc boundaries: arcs finer than this (the
-  /// cell-grained grid schemes) stay as per-bucket overrides instead
-  /// of fragmenting the tiling into per-cell shards.
+  /// Minimum average distinct hashes per piece for a repair pass to
+  /// split a shard at replica-set arc boundaries: arcs finer than this
+  /// (the cell-grained grid schemes) stay as overrides instead of
+  /// fragmenting the tiling into per-cell shards.
   static constexpr std::size_t kMinArcBuckets = 16;
 
   /// Stripe-lock table size (a power of two; 32 stripes keep sibling
@@ -148,24 +274,30 @@ class ShardIndex {
   static constexpr unsigned kLockStripeBits = 5;  // log2(kLockStripes)
 
   /// An index starts as one empty shard covering all of R_h.
-  ShardIndex() : shards_(1) {}
+  ShardIndex() : firsts_(1, 0) {
+    shards_.push_back(std::make_unique<Shard>());
+  }
 
   [[nodiscard]] std::size_t shard_count() const
       COBALT_REQUIRES_SHARED(structure_mutex_) {
     return shards_.size();
   }
-  [[nodiscard]] const std::vector<Shard>& shards() const
+  /// Every shard in range order, as `const Shard&`.
+  [[nodiscard]] auto shards() const
       COBALT_REQUIRES_SHARED(structure_mutex_, stripes_cap_) {
-    return shards_;
+    return std::views::transform(
+        shards_, [](const std::unique_ptr<Shard>& s) -> const Shard& {
+          return *s;
+        });
   }
   [[nodiscard]] Shard& shard(std::size_t i)
       COBALT_REQUIRES_SHARED(structure_mutex_)
           COBALT_REQUIRES(stripes_cap_) {
-    return shards_[i];
+    return *shards_[i];
   }
   [[nodiscard]] const Shard& shard(std::size_t i) const
       COBALT_REQUIRES_SHARED(structure_mutex_, stripes_cap_) {
-    return shards_[i];
+    return *shards_[i];
   }
 
   /// First hash index covered by shard `i`. Tiling metadata like
@@ -174,14 +306,13 @@ class ShardIndex {
   /// loops test shard boundaries before taking any stripe).
   [[nodiscard]] HashIndex shard_first(std::size_t i) const
       COBALT_REQUIRES_SHARED(structure_mutex_) {
-    return shards_[i].first;
+    return firsts_[i];
   }
 
   /// Last hash index covered by shard `i` (inclusive).
   [[nodiscard]] HashIndex shard_last(std::size_t i) const
       COBALT_REQUIRES_SHARED(structure_mutex_) {
-    return i + 1 < shards_.size() ? shards_[i + 1].first - 1
-                                  : HashSpace::kMaxIndex;
+    return i + 1 < firsts_.size() ? firsts_[i + 1] - 1 : HashSpace::kMaxIndex;
   }
 
   /// Total resident entries across all shards (atomic: disjoint
@@ -195,67 +326,46 @@ class ShardIndex {
   [[nodiscard]] std::size_t shard_of(HashIndex index) const
       COBALT_REQUIRES_SHARED(structure_mutex_);
 
-  /// The bucket at exactly `hash` inside shard `shard_index`, or
-  /// nullptr. The mutable overload hands out a writable reference into
-  /// shard contents, so it demands the content capability exclusively.
-  [[nodiscard]] Bucket* find_bucket(std::size_t shard_index, HashIndex hash)
-      COBALT_REQUIRES_SHARED(structure_mutex_) COBALT_REQUIRES(stripes_cap_);
-  [[nodiscard]] const Bucket* find_bucket(std::size_t shard_index,
-                                          HashIndex hash) const
-      COBALT_REQUIRES_SHARED(structure_mutex_, stripes_cap_);
-
-  /// Where insert_bucket put a bucket: the shard actually holding it
-  /// (an oversized shard is split at its median first, so this may be
-  /// the input shard + 1) and the bucket's position in that shard.
-  struct BucketSlot {
-    std::size_t shard;
-    std::size_t position;
-  };
-
-  /// Inserts an empty bucket at `hash` into the shard containing it
-  /// (which must be shard `shard_index` before any split). The bucket
-  /// must not already exist. May split an oversized shard, so the
-  /// caller needs the structure lock *exclusive* unless it verified no
-  /// split is possible (buckets.size() < kSplitBuckets) under its
-  /// span - the store's optimistic put path.
-  BucketSlot insert_bucket(std::size_t shard_index, HashIndex hash)
+  /// Inserts `key` -> `value` at `hash` into shard `shard_index` (which
+  /// must contain the hash and not hold the key), after any entries
+  /// already at that hash, with `replicas` as its materialized set (the
+  /// first entry of an empty shard makes it the shard's set). A new
+  /// hash in a shard already holding kSplitBuckets distinct hashes
+  /// splits the shard at its median hash, so the caller needs the
+  /// structure lock *exclusive* unless it verified no split is possible
+  /// (the hash is resident, or distinct_hashes() < kSplitBuckets) under
+  /// its span - the store's optimistic put path.
+  void insert(std::size_t shard_index, HashIndex hash, std::string_view key,
+              std::string_view value, ReplicaSet replicas)
       COBALT_REQUIRES_SHARED(structure_mutex_) COBALT_REQUIRES(stripes_cap_);
 
-  /// Removes the (empty) bucket at `hash`; a shard left without
-  /// buckets is merged into a neighbour (the tiling never fragments on
-  /// a pure-erase workload) - always structural, hence the exclusive
-  /// structure requirement.
-  void erase_bucket(std::size_t shard_index, HashIndex hash)
+  /// Overwrites the value of the entry at `pos` of shard `shard_index`.
+  void assign(std::size_t shard_index, std::size_t pos, std::string_view value)
+      COBALT_REQUIRES_SHARED(structure_mutex_) COBALT_REQUIRES(stripes_cap_);
+
+  /// Removes the entry at `pos` of a shard that keeps at least one
+  /// other entry (no structural change).
+  void erase_in_shard(std::size_t shard_index, std::size_t pos)
+      COBALT_REQUIRES_SHARED(structure_mutex_) COBALT_REQUIRES(stripes_cap_);
+
+  /// Removes the entry at `pos`; a shard left without entries folds
+  /// into a neighbour (the tiling never fragments on a pure-erase
+  /// workload) - structural, hence the exclusive structure
+  /// requirement.
+  void erase(std::size_t shard_index, std::size_t pos)
       COBALT_REQUIRES(structure_mutex_, stripes_cap_);
-
-  /// Adjusts the entry-count caches after the store added (`delta` =
-  /// +1) or removed (-1) one entry in shard `shard_index`.
-  void add_entries(std::size_t shard_index, std::int64_t delta)
-      COBALT_REQUIRES_SHARED(structure_mutex_)
-          COBALT_REQUIRES(stripes_cap_) {
-    shards_[shard_index].entry_count =
-        static_cast<std::uint64_t>(static_cast<std::int64_t>(
-            shards_[shard_index].entry_count) + delta);
-    total_entries_.fetch_add(static_cast<std::uint64_t>(delta),
-                             std::memory_order_relaxed);
-  }
 
   /// Splits shard `i` at `boundary` (which must lie strictly inside
   /// its range): shard i keeps [first, boundary - 1], a new shard i+1
-  /// takes [boundary, old end] with the buckets at or above `boundary`
-  /// and a copy of the replica set.
+  /// takes [boundary, old end] with the entries at or above `boundary`
+  /// (a boundary is a hash value, so equal hashes never separate). Both
+  /// pieces are re-anchored on their most common set; an empty piece
+  /// keeps the parent's set.
   void split_shard(std::size_t i, HashIndex boundary)
       COBALT_REQUIRES(structure_mutex_, stripes_cap_);
 
-  /// Merges shard `i + 1` into shard `i`. The caller must keep the
-  /// non-overriding buckets meaningful: merge only equal-set
-  /// neighbours, or pairs where one side has no buckets (the
-  /// bucket-less side's cached set is only a write-path hint).
-  void merge_with_next(std::size_t i)
-      COBALT_REQUIRES(structure_mutex_, stripes_cap_);
-
   /// Entries whose hash falls inside [first, last]: whole shards by
-  /// cached count, boundary shards by bucket scan.
+  /// size, boundary shards by binary search.
   [[nodiscard]] std::uint64_t count_range(HashIndex first,
                                           HashIndex last) const
       COBALT_REQUIRES_SHARED(structure_mutex_, stripes_cap_);
@@ -406,7 +516,7 @@ class ShardIndex {
         COBALT_REQUIRES_SHARED(index.structure_mutex_)
             COBALT_ACQUIRE(index.stripes_cap_)
         : span_(engage ? StripeSpanLock(
-                             index, stripe_of(index.shards_[shard].first),
+                             index, stripe_of(index.firsts_[shard]),
                              stripe_of(index.shard_last(shard)),
                              /*shared=*/false)
                        : StripeSpanLock()) {}
@@ -427,7 +537,7 @@ class ShardIndex {
         COBALT_REQUIRES_SHARED(index.structure_mutex_)
             COBALT_ACQUIRE_SHARED(index.stripes_cap_)
         : span_(engage ? StripeSpanLock(
-                             index, stripe_of(index.shards_[shard].first),
+                             index, stripe_of(index.firsts_[shard]),
                              stripe_of(index.shard_last(shard)),
                              /*shared=*/true)
                        : StripeSpanLock()) {}
@@ -493,7 +603,18 @@ class ShardIndex {
   mutable Capability stripes_cap_;
 
  private:
-  std::vector<Shard> shards_ COBALT_GUARDED_BY(structure_mutex_);
+  /// Removes the entry at `pos` of shard `shard_index` and updates the
+  /// entry counts.
+  void remove_entry(std::size_t shard_index, std::size_t pos)
+      COBALT_REQUIRES_SHARED(structure_mutex_) COBALT_REQUIRES(stripes_cap_);
+
+  /// The tiling: shard i covers [firsts_[i], firsts_[i + 1] - 1]. The
+  /// starts are a dense array of their own, so shard_of's binary search
+  /// and a split's insertion move 8 bytes per shard, and each shard
+  /// lives behind a pointer that a split never moves.
+  std::vector<HashIndex> firsts_ COBALT_GUARDED_BY(structure_mutex_);
+  std::vector<std::unique_ptr<Shard>> shards_
+      COBALT_GUARDED_BY(structure_mutex_);
   std::atomic<std::uint64_t> total_entries_{0};
   mutable std::array<SharedMutex, kLockStripes> stripes_;
 };

@@ -9,8 +9,9 @@
 // reports the same movement accounting.
 //
 // Keys are hashed into R_h and held by the kv::ShardIndex (hash-range
-// shards over sorted bucket vectors - see shard_index.hpp); the
-// responsible node of a bucket is *derived* from the backend on read,
+// shards over flat sorted arrays and one byte arena each - see
+// shard_index.hpp); the responsible node of a key is *derived* from
+// the backend on read,
 // so membership changes move no bytes inside the store - only the
 // accounting moves, fed by the backend's RelocationObserver events
 // (the real cost a deployment would pay in network traffic).
@@ -25,8 +26,10 @@
 // distinct from primary relocation (see the two stats surfaces below).
 // The materialized set is stored per *shard*: the store keeps every
 // shard inside one replica-set arc (splitting shards at the
-// boundaries its repair passes and write path discover), so the seed's
-// per-bucket replica vector collapses to one per shard. Reads can be
+// boundaries its repair passes and write path discover), and a key
+// whose set differs from its shard's takes a one-byte index into the
+// shard's palette of sets instead of the seed's per-bucket replica
+// vector. Reads can be
 // served by any live materialized replica (read_node_of()); a key
 // whose whole materialized replica set dies in one correlated failure
 // is counted lost.
@@ -61,7 +64,7 @@
 // the event relocated or rebucketed are visited (as in the seed); at
 // k > 1 the pass visits only the shards overlapping the backend's
 // replica_dirty_ranges() - the concept's guarantee of where fallback
-// replicas can have changed - instead of every bucket in the store.
+// replicas can have changed - instead of every key in the store.
 // ReplicationStats::repair_shards_visited counts the shards each pass
 // actually examined (against repair_shards_total as the denominator),
 // so "an event that relocated nothing repairs nothing" is observable.
@@ -73,7 +76,7 @@
 // and so does every scheme-specific change (vnode-level elasticity,
 // enrollment resizes) via mutate(kind, change); backend() is
 // read-only. Outside a bracket the materialized sets are therefore
-// always aligned with the backend: rank 0 of every resident bucket is
+// always aligned with the backend: rank 0 of every resident key is
 // owner_of, and no relocation event is pending.
 //
 // Threading model (opt-in). By default the store is the serial data
@@ -132,6 +135,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -164,8 +168,8 @@ struct ReplicationStats {
   /// materialized replica (k copies at full replication).
   std::uint64_t replica_writes = 0;
 
-  /// Key copies created by re-replication passes: for every bucket,
-  /// one per key per node that entered the bucket's replica set. This
+  /// Key copies created by re-replication passes: one per key per node
+  /// that entered the key's replica set. This
   /// is the repair traffic of a deployment - the figure-of-merit of
   /// ablation A8.
   std::uint64_t keys_rereplicated = 0;
@@ -392,7 +396,7 @@ class Store final : private placement::RelocationObserver {
   /// Inserts or updates; returns true when the key was new. The write
   /// fans out to every node of the key's replica set (replica_writes).
   /// Requires at least one node.
-  bool put(const std::string& key, std::string value) {
+  bool put(const std::string& key, std::string_view value) {
     const MaybeSharedLock backend_lock(backend_mutex_, concurrent_);
     COBALT_REQUIRE(backend_.node_count() >= 1,
                    "the store needs at least one node before writes");
@@ -402,7 +406,7 @@ class Store final : private placement::RelocationObserver {
     if (!concurrent_) {
       const ShardIndex::StructureExclusiveLock structure(index_,
                                                          /*engage=*/false);
-      inserted = put_body(index_.shard_of(h), h, key, std::move(value),
+      inserted = put_body(index_.shard_of(h), h, key, value,
                           writes);
     } else {
       bool done = false;
@@ -410,12 +414,14 @@ class Store final : private placement::RelocationObserver {
         const ShardIndex::StructureSharedLock structure(index_);
         const std::size_t i = index_.shard_of(h);
         const ShardIndex::ShardSpanLock span(index_, i);
-        // A brand-new bucket landing in a full shard makes insert_bucket
-        // split the shard - a structural change the shared tiling hold
-        // cannot cover; everything else stays inside this shard.
-        if (index_.find_bucket(i, h) != nullptr ||
-            index_.shard(i).buckets.size() < ShardIndex::kSplitBuckets) {
-          inserted = put_body(i, h, key, std::move(value), writes);
+        // A brand-new hash landing in a full shard makes insert() split
+        // the shard - a structural change the shared tiling hold cannot
+        // cover; everything else stays inside this shard.
+        const ShardIndex::Shard& s = index_.shard(i);
+        const std::size_t at = s.lower_bound(h);
+        if ((at < s.size() && s.hash(at) == h) ||
+            s.distinct_hashes() < ShardIndex::kSplitBuckets) {
+          inserted = put_body(i, h, key, value, writes);
           done = true;
         }
       }
@@ -423,7 +429,7 @@ class Store final : private placement::RelocationObserver {
         // Structural retry: the tiling may have changed between the two
         // holds (another writer split first), so everything re-derives.
         const ShardIndex::StructureExclusiveLock structure(index_);
-        inserted = put_body(index_.shard_of(h), h, key, std::move(value),
+        inserted = put_body(index_.shard_of(h), h, key, value,
                             writes);
       }
     }
@@ -441,12 +447,10 @@ class Store final : private placement::RelocationObserver {
     const ShardIndex::StructureSharedLock structure(index_, concurrent_);
     const std::size_t i = index_.shard_of(h);
     const ShardIndex::StripeSharedLock stripe(index_, h, concurrent_);
-    const ShardIndex::Bucket* bucket = index_.find_bucket(i, h);
-    if (bucket == nullptr) return std::nullopt;
-    for (const ShardIndex::Entry& entry : bucket->entries) {
-      if (entry.first == key) return entry.second;
-    }
-    return std::nullopt;
+    const ShardIndex::Shard& s = index_.shard(i);
+    const std::size_t pos = s.find(h, key);
+    if (pos == ShardIndex::npos) return std::nullopt;
+    return std::string(s.value(pos));
   }
 
   /// Deletes; returns true when the key existed.
@@ -458,27 +462,18 @@ class Store final : private placement::RelocationObserver {
                                                          /*engage=*/false);
       return erase_body(index_.shard_of(h), h, key);
     }
-    bool structural = false;
     {
       const ShardIndex::StructureSharedLock structure(index_);
       const std::size_t i = index_.shard_of(h);
       const ShardIndex::ShardSpanLock span(index_, i);
-      ShardIndex::Bucket* bucket = index_.find_bucket(i, h);
-      if (bucket == nullptr) return false;
-      for (std::size_t e = 0; e < bucket->entries.size(); ++e) {
-        if (bucket->entries[e].first != key) continue;
-        // Removing the bucket's last entry erases the bucket, which
-        // can merge shards - structural; retry below.
-        if (bucket->entries.size() == 1) {
-          structural = true;
-          break;
-        }
-        bucket->entries[e] = std::move(bucket->entries.back());
-        bucket->entries.pop_back();
-        index_.add_entries(i, -1);
+      const std::size_t pos = index_.shard(i).find(h, key);
+      if (pos == ShardIndex::npos) return false;
+      // Removing a shard's last entry merges it away - structural;
+      // retry below.
+      if (index_.shard(i).size() > 1) {
+        index_.erase_in_shard(i, pos);
         return true;
       }
-      if (!structural) return false;
     }
     const ShardIndex::StructureExclusiveLock structure(index_);
     return erase_body(index_.shard_of(h), h, key);
@@ -505,9 +500,11 @@ class Store final : private placement::RelocationObserver {
     const ShardIndex::StructureSharedLock structure(index_, concurrent_);
     const std::size_t i = index_.shard_of(h);
     const ShardIndex::StripeSharedLock stripe(index_, h, concurrent_);
-    const ShardIndex::Bucket* bucket = index_.find_bucket(i, h);
-    if (bucket == nullptr || !bucket_holds(*bucket, key)) return {};
-    return effective_replicas(index_.shard(i), *bucket);
+    const ShardIndex::Shard& s = index_.shard(i);
+    const std::size_t pos = s.find(h, key);
+    if (pos == ShardIndex::npos) return {};
+    const ShardIndex::ReplicaSet replicas = s.replicas(pos);
+    return {replicas.begin(), replicas.end()};
   }
 
   /// A node that can serve a read of `key`: the lowest-ranked live
@@ -521,12 +518,10 @@ class Store final : private placement::RelocationObserver {
     const ShardIndex::StructureSharedLock structure(index_, concurrent_);
     const std::size_t i = index_.shard_of(h);
     const ShardIndex::StripeSharedLock stripe(index_, h, concurrent_);
-    const ShardIndex::Bucket* bucket = index_.find_bucket(i, h);
-    if (bucket == nullptr || !bucket_holds(*bucket, key)) {
-      return placement::kInvalidNode;
-    }
-    for (const placement::NodeId node :
-         effective_replicas(index_.shard(i), *bucket)) {
+    const ShardIndex::Shard& s = index_.shard(i);
+    const std::size_t pos = s.find(h, key);
+    if (pos == ShardIndex::npos) return placement::kInvalidNode;
+    for (const placement::NodeId node : s.replicas(pos)) {
       if (backend_.is_live(node)) return node;
     }
     return placement::kInvalidNode;
@@ -560,12 +555,10 @@ class Store final : private placement::RelocationObserver {
       const ShardIndex::StructureSharedLock structure(index_, concurrent_);
       const std::size_t i = index_.shard_of(h);
       const ShardIndex::StripeSharedLock stripe(index_, h, concurrent_);
-      const ShardIndex::Bucket* bucket = index_.find_bucket(i, h);
-      if (bucket == nullptr || !bucket_holds(*bucket, key)) {
-        return placement::kInvalidNode;
-      }
-      for (const placement::NodeId node :
-           effective_replicas(index_.shard(i), *bucket)) {
+      const ShardIndex::Shard& s = index_.shard(i);
+      const std::size_t pos = s.find(h, key);
+      if (pos == ShardIndex::npos) return placement::kInvalidNode;
+      for (const placement::NodeId node : s.replicas(pos)) {
         if (backend_.is_live(node)) live.push_back(node);
       }
     }
@@ -612,15 +605,13 @@ class Store final : private placement::RelocationObserver {
     const ShardIndex::AllStripesSharedLock stripes(index_, concurrent_);
     std::vector<std::size_t> counts(backend_.node_slot_count(), 0);
     for (const ShardIndex::Shard& s : index_.shards()) {
-      if (s.buckets.empty()) continue;
-      if (s.override_count == 0) {  // one arc, one bounds check
-        counts.at(s.replicas.front()) +=
-            static_cast<std::size_t>(s.entry_count);
+      if (s.empty()) continue;
+      if (s.override_count() == 0) {  // one arc, one bounds check
+        counts.at(s.replicas().front()) += s.size();
         continue;
       }
-      for (const ShardIndex::Bucket& bucket : s.buckets) {
-        counts.at(effective_replicas(s, bucket).front()) +=
-            bucket.entries.size();
+      for (std::size_t pos = 0; pos < s.size(); ++pos) {
+        counts.at(s.replicas(pos).front()) += 1;
       }
     }
     return counts;
@@ -637,41 +628,38 @@ class Store final : private placement::RelocationObserver {
     const ShardIndex::AllStripesSharedLock stripes(index_, concurrent_);
     std::vector<std::size_t> counts(backend_.node_slot_count(), 0);
     for (const ShardIndex::Shard& s : index_.shards()) {
-      if (s.entry_count == 0) continue;
-      if (s.override_count == 0) {  // one arc, one check per rank
-        for (const placement::NodeId node : s.replicas) {
-          counts.at(node) += static_cast<std::size_t>(s.entry_count);
+      if (s.empty()) continue;
+      if (s.override_count() == 0) {  // one arc, one check per rank
+        for (const placement::NodeId node : s.replicas()) {
+          counts.at(node) += s.size();
         }
         continue;
       }
-      for (const ShardIndex::Bucket& bucket : s.buckets) {
-        for (const placement::NodeId node : effective_replicas(s, bucket)) {
-          counts.at(node) += bucket.entries.size();
+      for (std::size_t pos = 0; pos < s.size(); ++pos) {
+        for (const placement::NodeId node : s.replicas(pos)) {
+          counts.at(node) += 1;
         }
       }
     }
     return counts;
   }
 
-  /// Visits every (key, value) pair in hash-range order (order within
-  /// one bucket is unspecified).
+  /// Visits every (key, value) pair in hash-range order (order among
+  /// colliding keys is unspecified).
   void for_each(const std::function<void(const std::string& key,
                                          const std::string& value)>& visit)
       const {
     const ShardIndex::StructureSharedLock structure(index_, concurrent_);
     const ShardIndex::AllStripesSharedLock stripes(index_, concurrent_);
+    Visitor visitor{visit};
     for (const ShardIndex::Shard& s : index_.shards()) {
-      for (const ShardIndex::Bucket& bucket : s.buckets) {
-        for (const ShardIndex::Entry& entry : bucket.entries) {
-          visit(entry.first, entry.second);
-        }
-      }
+      for (std::size_t pos = 0; pos < s.size(); ++pos) visitor(s, pos);
     }
   }
 
   /// Visits the pairs a single node is *primary* for. Uniform shards
   /// whose materialized primary is another node are skipped without
-  /// touching their buckets.
+  /// touching their entries.
   void for_each_on_node(
       placement::NodeId node,
       const std::function<void(const std::string& key,
@@ -680,25 +668,21 @@ class Store final : private placement::RelocationObserver {
     COBALT_REQUIRE(node < backend_.node_slot_count(), "unknown node id");
     const ShardIndex::StructureSharedLock structure(index_, concurrent_);
     const ShardIndex::AllStripesSharedLock stripes(index_, concurrent_);
+    Visitor visitor{visit};
     for (const ShardIndex::Shard& s : index_.shards()) {
-      if (s.buckets.empty()) continue;
-      const bool uniform = s.override_count == 0;
-      if (uniform && s.replicas.front() != node) continue;  // skip the shard
-      for (const ShardIndex::Bucket& bucket : s.buckets) {
-        if (!uniform && effective_replicas(s, bucket).front() != node) {
-          continue;
-        }
-        for (const ShardIndex::Entry& entry : bucket.entries) {
-          visit(entry.first, entry.second);
-        }
+      if (s.empty()) continue;
+      const bool uniform = s.override_count() == 0;
+      if (uniform && s.replicas().front() != node) continue;  // skip the shard
+      for (std::size_t pos = 0; pos < s.size(); ++pos) {
+        if (uniform || s.replicas(pos).front() == node) visitor(s, pos);
       }
     }
   }
 
   /// Visits every resident (key, value) whose hash falls inside
-  /// [first, last], in ascending hash order (order within one bucket
-  /// is unspecified) - the range scan riding the sorted bucket
-  /// vectors. In concurrent mode each shard is read under its stripe
+  /// [first, last], in ascending hash order (order among colliding keys
+  /// is unspecified) - the range scan riding the sorted hash arrays.
+  /// In concurrent mode each shard is read under its stripe
   /// span held shared, so the scan never blocks point reads and is
   /// consistent per shard (a concurrent writer may land between
   /// shards; quiesce for a full snapshot).
@@ -708,19 +692,14 @@ class Store final : private placement::RelocationObserver {
       const {
     if (first > last) return;
     const ShardIndex::StructureSharedLock structure(index_, concurrent_);
+    Visitor visitor{visit};
     for (std::size_t i = index_.shard_of(first);
          i < index_.shard_count() && index_.shard_first(i) <= last; ++i) {
       const ShardIndex::ShardSpanSharedLock span(index_, i, concurrent_);
       const ShardIndex::Shard& s = index_.shard(i);
-      auto it = std::lower_bound(
-          s.buckets.begin(), s.buckets.end(), first,
-          [](const ShardIndex::Bucket& bucket, HashIndex value) {
-            return bucket.hash < value;
-          });
-      for (; it != s.buckets.end() && it->hash <= last; ++it) {
-        for (const ShardIndex::Entry& entry : it->entries) {
-          visit(entry.first, entry.second);
-        }
+      for (std::size_t pos = s.lower_bound(first);
+           pos < s.size() && s.hash(pos) <= last; ++pos) {
+        visitor(s, pos);
       }
     }
   }
@@ -775,7 +754,7 @@ class Store final : private placement::RelocationObserver {
   enum class Repair {
     kPlanned,  ///< the dirty report of the change's one backend call
     kPerStep,  ///< the change collected a report after each call
-    kFull,     ///< every resident bucket (the placement rule changed)
+    kFull,     ///< every resident key (the placement rule changed)
     kNone,     ///< placement unchanged: no pass, no sink bracket
   };
 
@@ -855,12 +834,11 @@ class Store final : private placement::RelocationObserver {
     std::uint64_t cross_zone = 0;
   };
 
-  /// One run of consecutive buckets sharing a desired replica set
+  /// One run of consecutive entries sharing a desired replica set
   /// (computed by a repair visit before any structural change).
   struct DesiredRun {
-    HashIndex first_hash;  // hash of the run's first bucket
-    std::size_t buckets;
-    std::uint64_t entries;
+    HashIndex first_hash;  // hash of the run's first entry
+    std::size_t entries;
     std::vector<placement::NodeId> replicas;
   };
 
@@ -885,21 +863,23 @@ class Store final : private placement::RelocationObserver {
     return hashing::hash_bytes(algorithm_, key.data(), key.size());
   }
 
-  [[nodiscard]] static bool bucket_holds(const ShardIndex::Bucket& bucket,
-                                         const std::string& key) {
-    for (const ShardIndex::Entry& entry : bucket.entries) {
-      if (entry.first == key) return true;
-    }
-    return false;
-  }
+  /// Hands arena entries to a (key, value) callback as std::strings,
+  /// reusing two buffers across one walk.
+  struct Visitor {
+    using Visit = std::function<void(const std::string&, const std::string&)>;
 
-  /// The materialized replica set of one bucket: its override when it
-  /// carries one, the shard's cached set otherwise.
-  [[nodiscard]] static const std::vector<placement::NodeId>&
-  effective_replicas(const ShardIndex::Shard& s,
-                     const ShardIndex::Bucket& bucket) {
-    return bucket.replicas.empty() ? s.replicas : bucket.replicas;
-  }
+    explicit Visitor(const Visit& visit) : visit(visit) {}
+
+    const Visit& visit;
+    std::string key;
+    std::string value;
+
+    void operator()(const ShardIndex::Shard& s, std::size_t pos) {
+      key.assign(s.key(pos));
+      value.assign(s.value(pos));
+      visit(key, value);
+    }
+  };
 
   /// k clamped to the live node count (replica_set cannot return more
   /// distinct nodes than exist - and asking for fewer keeps the grid
@@ -932,63 +912,47 @@ class Store final : private placement::RelocationObserver {
   /// exclusive structure lock (which carries the stripe capability).
   /// `writes` receives the replica fan-out (the caller adds it to the
   /// stats under its own accounting rules).
-  bool put_body(std::size_t i, HashIndex h, const std::string& key,
-                std::string&& value, std::uint64_t& writes)
+  bool put_body(std::size_t i, HashIndex h, std::string_view key,
+                std::string_view value, std::uint64_t& writes)
       COBALT_REQUIRES_SHARED(backend_mutex_, index_.structure_mutex_)
           COBALT_REQUIRES(index_.stripes_cap_) {
     static thread_local std::vector<placement::NodeId> scratch;
-    ShardIndex::Bucket* bucket = index_.find_bucket(i, h);
-    if (bucket == nullptr) {
+    const ShardIndex::Shard& s = index_.shard(i);
+    const std::size_t at = s.lower_bound(h);
+    if (at == s.size() || s.hash(at) != h) {
       // A new hash materializes its replica set now, exactly like the
-      // seed's first-put materialization - but allocation-free in the
-      // common case: when the derived set matches the shard's cached
-      // one nothing is stored per bucket; otherwise the shard
+      // seed's first-put materialization: when the derived set matches
+      // the shard's it costs nothing per entry; otherwise the shard
       // straddles an arc boundary a repair pass has not regrouped yet
-      // and the bucket keeps a per-bucket override (dissolved by the
-      // next repair of the range).
+      // and the entry takes an override (dissolved by the next repair
+      // of the range).
       desired_replicas_into(h, replica_target(), scratch);
-      if (index_.shard(i).replicas.empty()) {
-        index_.shard(i).replicas = scratch;  // first write into the shard
-      }
       writes += scratch.size();
-      const ShardIndex::BucketSlot slot = index_.insert_bucket(i, h);
-      ShardIndex::Shard& s = index_.shard(slot.shard);
-      bucket = &s.buckets[slot.position];
-      bucket->entries.emplace_back(key, std::move(value));
-      if (s.replicas != scratch) {
-        bucket->replicas = scratch;
-        ++s.override_count;
-      }
-      index_.add_entries(slot.shard, +1);
+      index_.insert(i, h, key, value, scratch);
       return true;
     }
-    writes += effective_replicas(index_.shard(i), *bucket).size();
-    for (ShardIndex::Entry& entry : bucket->entries) {
-      if (entry.first == key) {
-        entry.second = std::move(value);
-        return false;
-      }
+    writes += s.replicas(at).size();
+    const std::size_t pos = s.find(h, key);
+    if (pos != ShardIndex::npos) {
+      index_.assign(i, pos, value);
+      return false;
     }
-    bucket->entries.emplace_back(key, std::move(value));
-    index_.add_entries(i, +1);
+    // A colliding key shares its hash's set (copied: the insert may
+    // grow the palette the view points into).
+    const ShardIndex::ReplicaSet shared = s.replicas(at);
+    scratch.assign(shared.begin(), shared.end());
+    index_.insert(i, h, key, value, scratch);
     return true;
   }
 
   /// The delete path proper. Claims the exclusive structure hold
-  /// (erasing a bucket can merge shards).
+  /// (erasing a shard's last entry merges shards).
   bool erase_body(std::size_t i, HashIndex h, const std::string& key)
       COBALT_REQUIRES(index_.structure_mutex_, index_.stripes_cap_) {
-    ShardIndex::Bucket* bucket = index_.find_bucket(i, h);
-    if (bucket == nullptr) return false;
-    for (std::size_t e = 0; e < bucket->entries.size(); ++e) {
-      if (bucket->entries[e].first != key) continue;
-      bucket->entries[e] = std::move(bucket->entries.back());
-      bucket->entries.pop_back();
-      index_.add_entries(i, -1);
-      if (bucket->entries.empty()) index_.erase_bucket(i, h);
-      return true;
-    }
-    return false;
+    const std::size_t pos = index_.shard(i).find(h, key);
+    if (pos == ShardIndex::npos) return false;
+    index_.erase(i, pos);
+    return true;
   }
 
   /// Counts the keys inside the pending relocation events, in event
@@ -1083,7 +1047,7 @@ class Store final : private placement::RelocationObserver {
   /// reports at k > 1; `full` (or a change of the clamped replica
   /// target - the cluster crossing size k invalidates every
   /// materialized set size) makes it the plan [0, kMaxIndex] through
-  /// the same walk. With `crash` set, a bucket whose materialized set
+  /// the same walk. With `crash` set, a key whose materialized set
   /// has no live survivor is counted lost. Concurrent mode hands the
   /// plan to the shard-parallel pass (see repair_plan_parallel).
   ///
@@ -1131,7 +1095,7 @@ class Store final : private placement::RelocationObserver {
     }
     // Ranges are disjoint and ascending; a shard overlapping several
     // ranges is walked once per range but only over each range's own
-    // span, so no bucket repairs twice. It counts as one visit, and an
+    // span, so no entry repairs twice. It counts as one visit, and an
     // empty one refreshes its cached set once per pass.
     if (concurrent_) {
       repair_plan_parallel(plan, target, crash);
@@ -1148,7 +1112,7 @@ class Store final : private placement::RelocationObserver {
           // the previous range reached keeps its index here.
           const bool revisit = i == last_visited;
           last_visited = i;
-          if (revisit && index_.shard(i).buckets.empty()) {
+          if (revisit && index_.shard(i).empty()) {
             ++i;
             continue;
           }
@@ -1249,15 +1213,16 @@ class Store final : private placement::RelocationObserver {
     const ShardIndex::StructureSharedLock structure(index_);
     const ShardIndex::ShardSpanLock span(index_, task.shard);
     ShardIndex::Shard& s = index_.shard(task.shard);
-    if (s.buckets.empty()) {
-      // Nothing to account; refresh the cached set once, so future
+    if (s.empty()) {
+      // Nothing to account; refresh the shard's set once, so future
       // puts in this shard usually match it.
-      desired_replicas_into(s.first, target, scratch);
-      if (s.replicas != scratch) s.replicas = scratch;
+      desired_replicas_into(index_.shard_first(task.shard), target, scratch);
+      s.adopt(scratch);
       return;
     }
     for (SpanWork& sp : task.spans) {
-      if (sp.lo > s.first || sp.hi < index_.shard_last(task.shard)) {
+      if (sp.lo > index_.shard_first(task.shard) ||
+          sp.hi < index_.shard_last(task.shard)) {
         patch_shard(s, sp.lo, sp.hi, target, crash, scratch, sp.acc);
         continue;
       }
@@ -1281,24 +1246,24 @@ class Store final : private placement::RelocationObserver {
     event_sink_->on_repair_batch(first, last, copies, lost, target);
   }
 
-  /// Per-bucket repair accounting (identical to the seed's
-  /// repair_bucket): counts lost keys at a crash and the repair copies
-  /// from the materialized set to `desired` into the caller's
-  /// accumulator. With a topology attached, each joiner's copy is
+  /// Repair accounting of the `entries` keys at one hash (identical to
+  /// the seed's repair_bucket): counts lost keys at a crash and the
+  /// repair copies from the materialized set to `desired` into the
+  /// caller's accumulator. With a topology attached, each joiner's copy is
   /// additionally classified cross-rack/cross-zone against its donor:
   /// the first live materialized replica, or the desired primary when
   /// no replica survived (the lost key re-seeds from cold storage at
   /// its new primary and then fans out from there).
-  void account_repair(const ShardIndex::Bucket& bucket,
-                      const std::vector<placement::NodeId>& materialized,
-                      const std::vector<placement::NodeId>& desired,
-                      bool crash, RepairAcc& acc) const {
+  void account_repair(std::uint64_t entries,
+                      ShardIndex::ReplicaSet materialized,
+                      ShardIndex::ReplicaSet desired, bool crash,
+                      RepairAcc& acc) const {
     if (crash) {
       const bool survived = std::any_of(
           materialized.begin(), materialized.end(),
           [&](placement::NodeId node) { return backend_.is_live(node); });
       if (!survived) {
-        acc.lost += bucket.entries.size();
+        acc.lost += entries;
       }
     }
     const cluster::Topology* const topology = backend_.topology();
@@ -1314,7 +1279,6 @@ class Store final : private placement::RelocationObserver {
         donor = desired.front();
       }
     }
-    const std::uint64_t entries = bucket.entries.size();
     std::uint64_t joiners = 0;
     for (const placement::NodeId node : desired) {
       if (std::find(materialized.begin(), materialized.end(), node) !=
@@ -1330,57 +1294,44 @@ class Store final : private placement::RelocationObserver {
     acc.copies += joiners * entries;
   }
 
-  /// Partial-coverage repair: patches only the buckets of `s` inside
+  /// Partial-coverage repair: patches only the entries of `s` inside
   /// [lo, hi] (exactly the seed's ranged k = 1 walk), parking changed
-  /// sets on per-bucket overrides - no structural change. Claims the
-  /// shard's stripe span exclusively (via the stripe capability).
+  /// sets on overrides - no structural change. Claims the shard's
+  /// stripe span exclusively (via the stripe capability).
   void patch_shard(ShardIndex::Shard& s, HashIndex lo, HashIndex hi,
                    std::size_t target, bool crash,
                    std::vector<placement::NodeId>& scratch, RepairAcc& acc)
       COBALT_REQUIRES_SHARED(index_.structure_mutex_)
           COBALT_REQUIRES(index_.stripes_cap_) {
-    auto it = std::lower_bound(
-        s.buckets.begin(), s.buckets.end(), lo,
-        [](const ShardIndex::Bucket& bucket, HashIndex value) {
-          return bucket.hash < value;
-        });
-    for (; it != s.buckets.end() && it->hash <= hi; ++it) {
-      const std::vector<placement::NodeId>& materialized =
-          effective_replicas(s, *it);
-      desired_replicas_into(it->hash, target, scratch);
-      if (scratch == materialized) continue;
-      account_repair(*it, materialized, scratch, crash, acc);
-      if (scratch == s.replicas) {
-        if (!it->replicas.empty()) {
-          it->replicas.clear();
-          --s.override_count;
-        }
-      } else {
-        if (it->replicas.empty()) ++s.override_count;
-        it->replicas = scratch;
-      }
+    for (std::size_t pos = s.lower_bound(lo), end = 0;
+         pos < s.size() && s.hash(pos) <= hi; pos = end) {
+      end = s.run_end(pos);
+      const ShardIndex::ReplicaSet materialized = s.replicas(pos);
+      desired_replicas_into(s.hash(pos), target, scratch);
+      if (std::ranges::equal(scratch, materialized)) continue;
+      account_repair(end - pos, materialized, scratch, crash, acc);
+      s.set_replicas(pos, end, scratch);
     }
   }
 
-  /// Full-coverage repair, computation half: accounts every bucket of
+  /// Full-coverage repair, computation half: accounts every entry of
   /// `s` and appends its desired-run structure to `runs` (read-only on
   /// the shard; apply_runs() is the mutation half).
   void compute_runs(const ShardIndex::Shard& s, std::size_t target,
                     bool crash, std::vector<placement::NodeId>& scratch,
                     std::vector<DesiredRun>& runs, RepairAcc& acc) const
       COBALT_REQUIRES_SHARED(index_.structure_mutex_, index_.stripes_cap_) {
-    for (const ShardIndex::Bucket& bucket : s.buckets) {
-      const std::vector<placement::NodeId>& materialized =
-          effective_replicas(s, bucket);
-      desired_replicas_into(bucket.hash, target, scratch);
-      if (scratch != materialized) {
-        account_repair(bucket, materialized, scratch, crash, acc);
+    for (std::size_t pos = 0, end = 0; pos < s.size(); pos = end) {
+      end = s.run_end(pos);
+      const ShardIndex::ReplicaSet materialized = s.replicas(pos);
+      desired_replicas_into(s.hash(pos), target, scratch);
+      if (!std::ranges::equal(scratch, materialized)) {
+        account_repair(end - pos, materialized, scratch, crash, acc);
       }
       if (runs.empty() || scratch != runs.back().replicas) {
-        runs.push_back({bucket.hash, 0, 0, scratch});
+        runs.push_back({s.hash(pos), 0, scratch});
       }
-      runs.back().buckets += 1;
-      runs.back().entries += bucket.entries.size();
+      runs.back().entries += end - pos;
     }
   }
 
@@ -1389,74 +1340,46 @@ class Store final : private placement::RelocationObserver {
   ///   * one run: the shard is one arc; adopt the set, drop overrides;
   ///   * a few wide runs: split at the arc boundaries, one uniform
   ///     shard per run (the per-shard replica design at work);
-  ///   * many narrow runs (cell-grained schemes): keep the shard, park
-  ///     the minority sets on per-bucket overrides - fragmenting the
-  ///     tiling per cell would cost more than it saves.
+  ///   * many narrow runs (cell-grained schemes): keep the shard, make
+  ///     the widest run's set the shard's and park the others on
+  ///     overrides - fragmenting the tiling per cell would cost more
+  ///     than it saves.
   /// Structural splits only when every piece is worth a shard
-  /// (kMinArcBuckets average), bounding both the fragmentation and the
-  /// splice cost. Consumes `runs` (moves the replica vectors out).
-  /// Claims the exclusive structure hold. Returns the number of shards
-  /// the original was replaced by.
-  std::size_t apply_runs(std::size_t i, std::vector<DesiredRun>& runs)
+  /// (kMinArcBuckets distinct hashes on average), bounding both the
+  /// fragmentation and the splice cost. Claims the exclusive structure
+  /// hold. Returns the number of shards the original was replaced by.
+  std::size_t apply_runs(std::size_t i, const std::vector<DesiredRun>& runs)
       COBALT_REQUIRES(index_.structure_mutex_, index_.stripes_cap_) {
     ShardIndex::Shard& s = index_.shard(i);
     if (runs.size() == 1) {
-      if (s.override_count != 0) {
-        for (ShardIndex::Bucket& bucket : s.buckets) bucket.replicas.clear();
-        s.override_count = 0;
-      }
-      if (s.replicas != runs.front().replicas) {
-        s.replicas = std::move(runs.front().replicas);
-      }
+      s.adopt(runs.front().replicas);
       return 1;
     }
-    if (s.buckets.size() >= runs.size() * ShardIndex::kMinArcBuckets) {
-      // Split at each arc boundary, last first so earlier bucket
-      // positions stay valid; every piece comes out uniform.
+    if (s.distinct_hashes() >= runs.size() * ShardIndex::kMinArcBuckets) {
+      // Split at each arc boundary, last first so earlier positions
+      // stay valid; every piece comes out uniform.
       for (std::size_t r = runs.size(); r-- > 1;) {
         index_.split_shard(i, runs[r].first_hash);
       }
       for (std::size_t r = 0; r < runs.size(); ++r) {
-        ShardIndex::Shard& piece = index_.shard(i + r);
-        for (ShardIndex::Bucket& bucket : piece.buckets) {
-          bucket.replicas.clear();
-        }
-        piece.override_count = 0;
-        piece.replicas = std::move(runs[r].replicas);
+        index_.shard(i + r).adopt(runs[r].replicas);
       }
       return runs.size();
     }
     // Narrow arcs: the widest run becomes the shard's set, the rest
-    // ride on overrides (exactly the seed's per-bucket footprint).
-    {
-      std::size_t widest = 0;
-      for (std::size_t r = 1; r < runs.size(); ++r) {
-        if (runs[r].entries > runs[widest].entries) {
-          widest = r;
-        }
+    // ride on overrides (a run repeating the widest one's set - arcs
+    // A,B,A - interns to the shard's set and stores no override).
+    std::size_t widest = 0;
+    for (std::size_t r = 1; r < runs.size(); ++r) {
+      if (runs[r].entries > runs[widest].entries) widest = r;
+    }
+    s.adopt(runs[widest].replicas);
+    std::size_t pos = 0;
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      if (r != widest) {
+        s.set_replicas(pos, pos + runs[r].entries, runs[r].replicas);
       }
-      s.replicas = std::move(runs[widest].replicas);
-      s.override_count = 0;
-      std::size_t run = 0;
-      std::size_t run_left = runs[0].buckets;
-      for (ShardIndex::Bucket& bucket : s.buckets) {
-        while (run_left == 0) {
-          ++run;
-          run_left = runs[run].buckets;
-        }
-        --run_left;
-        // The widest run's set was moved into s.replicas; a
-        // non-adjacent run can repeat it (arcs A,B,A), and storing an
-        // override equal to the shard set would only disable the
-        // uniform fast paths - compare against the shard set, not the
-        // run index.
-        if (run == widest || runs[run].replicas == s.replicas) {
-          bucket.replicas.clear();
-        } else {
-          bucket.replicas = runs[run].replicas;
-          ++s.override_count;
-        }
-      }
+      pos += runs[r].entries;
     }
     return 1;
   }
@@ -1472,15 +1395,15 @@ class Store final : private placement::RelocationObserver {
                       index_.stripes_cap_) {
     static thread_local std::vector<placement::NodeId> scratch;
     ShardIndex::Shard& s = index_.shard(i);
-    if (s.buckets.empty()) {
-      // Nothing to account; refresh the cached set so future puts
+    if (s.empty()) {
+      // Nothing to account; refresh the shard's set so future puts
       // in this range usually match it (pure optimization - the
       // write path verifies anyway).
-      desired_replicas_into(s.first, target, scratch);
-      if (s.replicas != scratch) s.replicas = scratch;
+      desired_replicas_into(index_.shard_first(i), target, scratch);
+      s.adopt(scratch);
       return 1;
     }
-    if (lo > s.first || hi < index_.shard_last(i)) {
+    if (lo > index_.shard_first(i) || hi < index_.shard_last(i)) {
       patch_shard(s, lo, hi, target, crash, scratch, acc);
       return 1;
     }
@@ -1489,7 +1412,7 @@ class Store final : private placement::RelocationObserver {
     return apply_runs(i, runs_scratch_);
   }
 
-  // RelocationObserver: buckets are keyed by hash, so relocations are
+  // RelocationObserver: entries are keyed by hash, so relocations are
   // pure accounting - routing already derives the new owner. The
   // callbacks only record; counting is deferred to flush_relocations()
   // (one batched pass per membership event instead of a range walk per

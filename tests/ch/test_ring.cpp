@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "ch/provisioning.hpp"
 #include "common/error.hpp"
 
 namespace cobalt::ch {
@@ -137,21 +136,6 @@ TEST(ConsistentHashRing, DeterministicUnderSeed) {
   ConsistentHashRing c(43);
   for (int i = 0; i < 16; ++i) c.add_node(8);
   EXPECT_NE(a.quotas(), c.quotas());
-}
-
-TEST(Provisioning, HomogeneousFollowsKLogN) {
-  EXPECT_EQ(homogeneous_virtual_servers(1, 8), 8u);
-  EXPECT_EQ(homogeneous_virtual_servers(2, 8), 8u);
-  EXPECT_EQ(homogeneous_virtual_servers(1024, 8), 80u);
-  EXPECT_EQ(homogeneous_virtual_servers(1025, 8), 88u);
-  EXPECT_THROW((void)homogeneous_virtual_servers(0, 8), InvalidArgument);
-}
-
-TEST(Provisioning, WeightedScalesWithCapacity) {
-  EXPECT_EQ(weighted_virtual_servers(32, 1.0), 32u);
-  EXPECT_EQ(weighted_virtual_servers(32, 2.0), 64u);
-  EXPECT_EQ(weighted_virtual_servers(32, 0.01), 1u);  // floor at 1
-  EXPECT_THROW((void)weighted_virtual_servers(32, 0.0), InvalidArgument);
 }
 
 // Parameterized: growth from 1 to 128 nodes keeps sigma in a sane band

@@ -527,5 +527,225 @@ TEST(ShardedStore, ShardCountStaysBoundedUnderChurn) {
   EXPECT_LT(store.shard_index().shard_count(), 600u);
 }
 
+// --- the flat shard layout -------------------------------------------
+
+/// The most common materialized set among shard `s`'s entries, as a
+/// count; and the count of the shard's own set.
+std::pair<std::size_t, std::size_t> majority_and_own(
+    const ShardIndex::Shard& s) {
+  std::map<std::vector<placement::NodeId>, std::size_t> counts;
+  for (std::size_t pos = 0; pos < s.size(); ++pos) {
+    const ShardIndex::ReplicaSet set = s.replicas(pos);
+    ++counts[{set.begin(), set.end()}];
+  }
+  std::size_t majority = 0;
+  for (const auto& [set, count] : counts) majority = std::max(majority, count);
+  const ShardIndex::ReplicaSet own = s.replicas();
+  const auto it = counts.find({own.begin(), own.end()});
+  return {majority, it == counts.end() ? 0 : it->second};
+}
+
+TEST(ShardIndexLayout, CollidingEntriesShareAHashInlineAndNeverSplitApart) {
+  // Two keys at one hash sit side by side in the flat arrays: each
+  // reads, overwrites and erases on its own, and range counts see both.
+  ShardIndex index;
+  const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
+  const std::vector<placement::NodeId> set{1, 2, 3};
+  constexpr HashIndex kHash = HashIndex{1} << 63;
+  index.insert(0, kHash, "alpha", "a", set);
+  index.insert(0, kHash, "beta", "b", set);
+  const ShardIndex::Shard& s = index.shard(0);
+  ASSERT_EQ(s.size(), 2u);
+  EXPECT_EQ(s.distinct_hashes(), 1u);
+  EXPECT_EQ(index.total_entries(), 2u);
+  ASSERT_NE(s.find(kHash, "alpha"), ShardIndex::npos);
+  ASSERT_NE(s.find(kHash, "beta"), ShardIndex::npos);
+  EXPECT_EQ(s.find(kHash, "gamma"), ShardIndex::npos);
+  EXPECT_EQ(s.find(kHash + 1, "alpha"), ShardIndex::npos);
+  EXPECT_EQ(s.value(s.find(kHash, "alpha")), "a");
+  EXPECT_EQ(s.value(s.find(kHash, "beta")), "b");
+  EXPECT_EQ(index.count_range(kHash, kHash), 2u);
+  EXPECT_EQ(index.count_range(0, kHash - 1), 0u);
+  EXPECT_EQ(index.count_range(kHash + 1, HashSpace::kMaxIndex), 0u);
+
+  // Same-length overwrites stay in place; a resized one leaves garbage.
+  const std::size_t arena = s.arena_bytes();
+  index.assign(0, s.find(kHash, "alpha"), "A");
+  EXPECT_EQ(s.arena_bytes(), arena);
+  EXPECT_EQ(s.garbage_bytes(), 0u);
+  index.assign(0, s.find(kHash, "beta"), "a longer value");
+  EXPECT_GT(s.garbage_bytes(), 0u);
+  EXPECT_EQ(s.value(s.find(kHash, "alpha")), "A");
+  EXPECT_EQ(s.value(s.find(kHash, "beta")), "a longer value");
+
+  index.erase_in_shard(0, s.find(kHash, "alpha"));
+  EXPECT_EQ(s.find(kHash, "alpha"), ShardIndex::npos);
+  ASSERT_NE(s.find(kHash, "beta"), ShardIndex::npos);
+  EXPECT_EQ(s.value(s.find(kHash, "beta")), "a longer value");
+  EXPECT_EQ(s.distinct_hashes(), 1u);
+  EXPECT_EQ(index.count_range(kHash, kHash), 1u);
+  index.erase(0, s.find(kHash, "beta"));
+  EXPECT_TRUE(index.shard(0).empty());
+  EXPECT_EQ(index.total_entries(), 0u);
+
+  // Fill until the shard splits, with a run of colliding keys at a
+  // hash an entry-count median would cut through: the boundary is the
+  // median *distinct* hash, and the run stays whole on one side.
+  constexpr std::size_t kRun = 40;
+  std::vector<HashIndex> distinct;
+  for (std::size_t i = 0; i < ShardIndex::kSplitBuckets; ++i) {
+    distinct.push_back((HashIndex{i} + 1) << 50);
+  }
+  const HashIndex run_hash = distinct[10];
+  for (std::size_t i = 0; i < kRun; ++i) {
+    index.insert(0, run_hash, "run-" + std::to_string(i), "v", set);
+  }
+  for (const HashIndex hash : distinct) {
+    if (hash == run_hash) continue;
+    index.insert(index.shard_of(hash), hash, "d-" + std::to_string(hash),
+                 "v", set);
+  }
+  ASSERT_EQ(index.shard_count(), 1u);
+  EXPECT_EQ(index.shard(0).distinct_hashes(), ShardIndex::kSplitBuckets);
+  const HashIndex extra = distinct.back() + 1;
+  index.insert(0, extra, "extra", "v", set);
+  ASSERT_EQ(index.shard_count(), 2u);
+  EXPECT_EQ(index.shard_first(1), distinct[ShardIndex::kSplitBuckets / 2]);
+  EXPECT_NE(index.shard(1).find(extra, "extra"), ShardIndex::npos);
+  const std::size_t run_shard = index.shard_of(run_hash);
+  EXPECT_EQ(index.shard(run_shard).upper_bound(run_hash) -
+                index.shard(run_shard).lower_bound(run_hash),
+            kRun);
+  for (std::size_t i = 0; i < kRun; ++i) {
+    EXPECT_NE(index.shard(run_shard).find(run_hash, "run-" + std::to_string(i)),
+              ShardIndex::npos);
+  }
+  EXPECT_EQ(index.count_range(run_hash, run_hash), kRun);
+  EXPECT_EQ(index.total_entries(), kRun + ShardIndex::kSplitBuckets);
+  // Every boundary is a hash value, so equal hashes cannot straddle it:
+  // the last entry before a boundary always differs from the first
+  // after it.
+  for (std::size_t i = 0; i + 1 < index.shard_count(); ++i) {
+    const ShardIndex::Shard& head = index.shard(i);
+    const ShardIndex::Shard& tail = index.shard(i + 1);
+    ASSERT_FALSE(head.empty());
+    ASSERT_FALSE(tail.empty());
+    EXPECT_LT(head.hash(head.size() - 1), tail.hash(0));
+  }
+}
+
+TEST(ShardIndexLayout, AnEmptiedShardFoldsIntoItsNeighbour) {
+  // Erasing a shard's last entry drops the shard: its range joins the
+  // predecessor's, or for shard 0 the successor's, which then starts
+  // at 0. The neighbour's entries stay put.
+  ShardIndex index;
+  const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
+  const std::vector<placement::NodeId> set{1};
+  const auto fill = [&](HashIndex from) {
+    for (HashIndex h = from; index.shard_count() == 1; ++h) {
+      index.insert(index.shard_of(h << 48), h << 48, std::to_string(h), "v",
+                   set);
+    }
+  };
+  const auto empty_shard = [&](std::size_t i) {
+    while (index.shard_count() == 2) index.erase(i, 0);
+  };
+  fill(1);
+  const std::size_t head = index.shard(0).size();
+  empty_shard(1);
+  ASSERT_EQ(index.shard_count(), 1u);
+  EXPECT_EQ(index.shard(0).size(), head);
+  EXPECT_EQ(index.total_entries(), head);
+  fill(1000);
+  const std::size_t tail = index.shard(1).size();
+  empty_shard(0);
+  ASSERT_EQ(index.shard_count(), 1u);
+  EXPECT_EQ(index.shard_first(0), 0u);
+  EXPECT_EQ(index.shard(0).size(), tail);
+  EXPECT_EQ(index.count_range(0, HashSpace::kMaxIndex), tail);
+}
+
+TEST(ShardIndexLayout, ResizedOverwritesCompactTheArena) {
+  // Garbage never outgrows the live bytes: a burst of resized
+  // overwrites compacts as it goes, and every value survives.
+  ShardIndex index;
+  const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
+  const std::vector<placement::NodeId> set{7};
+  for (HashIndex h = 1; h <= 32; ++h) {
+    index.insert(0, h << 40, "key-" + std::to_string(h), "v", set);
+  }
+  for (int round = 0; round < 6; ++round) {
+    const std::string value(static_cast<std::size_t>(round) * 9 + 2, 'x');
+    for (HashIndex h = 1; h <= 32; ++h) {
+      const ShardIndex::Shard& s = index.shard(0);
+      index.assign(0, s.find(h << 40, "key-" + std::to_string(h)), value);
+      EXPECT_LE(s.garbage_bytes(), s.arena_bytes() - s.garbage_bytes());
+    }
+    for (HashIndex h = 1; h <= 32; ++h) {
+      const ShardIndex::Shard& s = index.shard(0);
+      EXPECT_EQ(s.value(s.find(h << 40, "key-" + std::to_string(h))), value);
+    }
+  }
+}
+
+TEST(ShardIndexLayout, OverridesTakeOneBytePaletteSlots) {
+  // An entry whose set differs from the shard's is an override; a
+  // repair that finds the shard uniform again adopts one set and the
+  // palette shrinks back to it.
+  ShardIndex index;
+  const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
+  const std::vector<placement::NodeId> a{1, 2, 3};
+  const std::vector<placement::NodeId> b{4, 5, 6};
+  index.insert(0, 100, "k1", "v", a);
+  index.insert(0, 200, "k2", "v", b);
+  index.insert(0, 300, "k3", "v", a);
+  ShardIndex::Shard& s = index.shard(0);
+  EXPECT_TRUE(std::ranges::equal(s.replicas(), a));
+  EXPECT_EQ(s.override_count(), 1u);
+  EXPECT_TRUE(std::ranges::equal(s.replicas(s.find(200, "k2")), b));
+  s.set_replicas(0, s.size(), b);
+  EXPECT_EQ(s.override_count(), 3u);
+  s.adopt(b);
+  EXPECT_EQ(s.override_count(), 0u);
+  for (std::size_t pos = 0; pos < s.size(); ++pos) {
+    EXPECT_TRUE(std::ranges::equal(s.replicas(pos), b));
+  }
+}
+
+TEST(ShardedStore, SplitPiecesAnchorOnTheirMostCommonSet) {
+  // A size split re-anchors each piece on the most common set among
+  // its entries (the parent's first set must not ride along into the
+  // tail), and no key's materialized set changes.
+  KvStore store({cfg(32, 4, 5), 1}, ReplicationSpec{3, SpreadPolicy::kNone});
+  for (int n = 0; n < 24; ++n) store.add_node();
+  const ShardIndex& index = store.shard_index();
+  std::unordered_map<std::string, std::vector<placement::NodeId>> placed;
+  const auto check_piece = [&](std::size_t i) {
+    const auto [majority, own] = majority_and_own(index.shard(i));
+    EXPECT_EQ(own, majority) << "piece " << i << " is not anchored";
+    store.scan(index.shard_first(i), index.shard_last(i),
+               [&](const std::string& key, const std::string&) {
+                 EXPECT_EQ(store.replicas_of(key), placed.at(key)) << key;
+               });
+  };
+  std::size_t splits = 0;
+  for (int i = 0; i < 6000; ++i) {
+    const std::string key = "anchor-" + std::to_string(i);
+    const HashIndex h = hashing::hash_bytes(hashing::Algorithm::kXxh64,
+                                            key.data(), key.size());
+    const std::size_t shards = index.shard_count();
+    const std::size_t split = index.shard_of(h);
+    store.put(key, "v");
+    placed[key] = store.replicas_of(key);
+    ASSERT_EQ(placed[key], store.backend().replica_set(h, 3));
+    if (index.shard_count() == shards) continue;
+    ASSERT_EQ(index.shard_count(), shards + 1);
+    ++splits;
+    check_piece(split);
+    check_piece(split + 1);
+  }
+  EXPECT_GT(splits, 40u);
+}
+
 }  // namespace
 }  // namespace cobalt::kv
