@@ -261,13 +261,16 @@ BENCHMARK(BM_DistributedProtocol)->Arg(128)->Arg(512);
 //                            early)
 //
 // The threads axis: for the membership benches T is the size of the
-// cobalt::ThreadPool the store runs its shard-parallel repair and
-// relocation-flush passes on (T = 1 is the serial engine - no pool
-// attached, no locks taken - so that cell tracks the historical
-// single-threaded trajectory). For the contended mix T is the number
-// of google-benchmark driver threads hammering the store's locked
-// read/write paths. Cells are only comparable at equal T; see
-// scripts/check_bench_regression.py.
+// cobalt::ThreadPool the store runs its repair pass's phase A and its
+// relocation-flush counts on. T = 1 attaches no pool: the same pass
+// runs its tasks inline with no lock taken, so that cell tracks the
+// single-threaded trajectory. Each membership cell also reports the
+// counters one iteration's events leave behind (keys_moved_total,
+// keys_rereplicated, repair_shards_visited); they must not depend on
+// T, and the bench-smoke CI job fails when T = 1 and T = 4 disagree.
+// For the contended mix T is the number of google-benchmark driver
+// threads hammering the store's locked read/write paths. Timings are
+// only comparable at equal T; see scripts/check_bench_regression.py.
 
 constexpr std::size_t kStoreBenchKeys = 20000;
 
@@ -314,7 +317,8 @@ void BM_StoreGet(benchmark::State& state, const Scheme& scheme) {
 /// keys (preload untimed). At k = 1 every join pays the relocation
 /// accounting plus the ranged repair; at k = 3 it additionally pays the
 /// fallback-replica repair pass. range(0) is the repair pool size
-/// (1 = the serial engine, no pool attached).
+/// (1 = no pool: the tasks run inline). Counters: the iteration's
+/// keys_moved_total, keys_rereplicated and repair_shards_visited.
 template <typename Scheme>
 void BM_StoreMembershipEvents(benchmark::State& state, const Scheme& scheme,
                               std::size_t k) {
@@ -332,7 +336,13 @@ void BM_StoreMembershipEvents(benchmark::State& state, const Scheme& scheme,
     }
     state.ResumeTiming();
     for (int n = 0; n < kJoins; ++n) store.add_node();
-    benchmark::DoNotOptimize(store.stats().replication.rereplication_passes);
+    const cobalt::kv::StatsSnapshot stats = store.stats();
+    state.counters["keys_moved_total"] =
+        static_cast<double>(stats.relocation.keys_moved_total);
+    state.counters["keys_rereplicated"] =
+        static_cast<double>(stats.replication.keys_rereplicated);
+    state.counters["repair_shards_visited"] =
+        static_cast<double>(stats.replication.repair_shards_visited);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kJoins);

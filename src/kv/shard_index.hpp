@@ -52,9 +52,9 @@
 // repair pass's wholesale adopt()) and keeps the tiling, ordering and
 // entry-count bookkeeping honest.
 //
-// Synchronization story (used only when the store runs in concurrent
-// mode - see kv/store.hpp "Threading model"; single-threaded callers
-// never touch a lock). Two levels:
+// Synchronization story (engaged only while the store has a worker
+// pool attached - see kv/store.hpp "Threading model"; without one the
+// same code runs with every lock disengaged). Two levels:
 //   * structure_mutex_ - a reader/writer lock over the *tiling*: the
 //     shard vectors (shard count, boundaries). Point readers
 //     and in-shard writers hold it shared; split/merge (put overflow,
@@ -389,9 +389,9 @@ class ShardIndex {
   /// RAII hold of every stripe in [first_stripe, last_stripe],
   /// acquired ascending (the deadlock-free order shared by all span
   /// holders), exclusively or shared. Movable so wrappers can build it
-  /// conditionally; default-constructed it holds nothing (the
-  /// serial-mode no-op). This is the runtime mechanism only - it
-  /// carries no capability attributes (TSA cannot track the loop);
+  /// conditionally; default-constructed it holds nothing (the no-op
+  /// of a store without a pool). This is the runtime mechanism only -
+  /// it carries no capability attributes (TSA cannot track the loop);
   /// the SCOPED_CAPABILITY types below wrap it and claim stripes_cap_.
   class StripeSpanLock {
    public:
@@ -454,13 +454,14 @@ class ShardIndex {
   };
 
   // The scoped lock surface. Every type takes `engage` (default true):
-  // disengaged (the store's serial mode) it locks nothing but still
+  // disengaged (a store without a pool) it locks nothing but still
   // claims its capabilities - see thread_annotations.hpp for why that
   // is sound. Lock order among these and the store's outer mutexes is
   // the linter's DAG: structure before stripes, nothing after stripes.
 
   /// Shared hold of the tiling: point readers, in-shard writers,
-  /// scans, repair phase A.
+  /// scans, and every task of repair phase A (patches and in-shard
+  /// regroups alike).
   class COBALT_SCOPED_CAPABILITY StructureSharedLock {
    public:
     explicit StructureSharedLock(const ShardIndex& index, bool engage = true)
@@ -481,10 +482,11 @@ class ShardIndex {
   };
 
   /// Exclusive hold of the tiling (split/merge, structural retries,
-  /// repair phase B). Claims the content capability too: by the
-  /// discipline above, every content reader or writer holds the
-  /// structure lock at least shared, so an exclusive tiling hold
-  /// excludes all content access without touching a stripe.
+  /// repair phase B - which only splits shards). Claims the content
+  /// capability too: by the discipline above, every content reader or
+  /// writer holds the structure lock at least shared, so an exclusive
+  /// tiling hold excludes all content access without touching a
+  /// stripe.
   class COBALT_SCOPED_CAPABILITY StructureExclusiveLock {
    public:
     explicit StructureExclusiveLock(const ShardIndex& index,
@@ -506,9 +508,11 @@ class ShardIndex {
   };
 
   /// Exclusive hold of the stripes covering shard `shard` (in-shard
-  /// writers, repair phase A). The span derives from the tiling, hence
-  /// the shared structure requirement - the checked form of the old
-  /// "caller must hold structure_mutex() at least shared" comment.
+  /// writers, and a repair phase-A task: every change to one shard's
+  /// entries and palette, short of splitting it). The span derives
+  /// from the tiling, hence the shared structure requirement - the
+  /// checked form of the old "caller must hold structure_mutex() at
+  /// least shared" comment.
   class COBALT_SCOPED_CAPABILITY ShardSpanLock {
    public:
     ShardSpanLock(const ShardIndex& index, std::size_t shard,

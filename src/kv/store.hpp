@@ -68,6 +68,16 @@
 // ReplicationStats::repair_shards_visited counts the shards each pass
 // actually examined (against repair_shards_total as the denominator),
 // so "an event that relocated nothing repairs nothing" is observable.
+// There is one pass, in two phases. The plan becomes a work list of
+// the shards it overlaps, built against the pre-pass tiling. Phase A
+// repairs each listed shard under its stripe span: it patches a
+// partially covered shard, refreshes an empty one, and regroups a
+// fully covered one in place (one arc: adopt its set; narrow arcs:
+// adopt the widest, park the rest on overrides), keeping the
+// accounting on the shard's task. A merge then adds the per-range sums
+// and emits the repair batches in plan order. Phase B only splits: it
+// cuts, serially and ascending, the shards whose arcs are wide enough
+// to become shards of their own.
 //
 // One membership path. The backend changes only inside the store's
 // membership bracket: exclusive backend hold -> mutation -> dirty
@@ -79,9 +89,10 @@
 // always aligned with the backend: rank 0 of every resident key is
 // owner_of, and no relocation event is pending.
 //
-// Threading model (opt-in). By default the store is the serial data
-// structure above: no locks, no atomics on any hot path. Attaching a
-// worker pool (set_thread_pool()) switches it into concurrent mode:
+// Threading model (opt-in). Without a pool the store is the serial
+// data structure above: one thread, no lock taken, no atomics on any
+// hot path. Attaching a worker pool (set_thread_pool()) engages the
+// locks:
 //   * backend_mutex_ (a shared_mutex): membership events hold it
 //     exclusively end to end (mutation, dirty collection, relocation
 //     flush, repair, sink brackets); every call that reads the backend
@@ -107,25 +118,19 @@
 // carries REQUIRES/REQUIRES_SHARED, so clang's -Wthread-safety CI gate
 // proves the claims on every build; the acquisition-order DAG itself
 // and the ascending-stripe rule - the two things the analysis cannot
-// express - are enforced by scripts/check_lock_order.py. Serial mode
-// claims the same capabilities through disengaged wrappers (sound:
-// serial mode is single-threaded by contract), so both modes are
-// analyzed as one body of code.
-// The heavy passes fan out per shard on the attached
-// pool: the k > 1 planned-repair pass repairs its planned shards in
-// parallel (phase A: per-shard patches and desired-run computation
-// under stripe spans, accounting accumulated per worker task; then a
-// deterministic merge adds the per-range sums and emits repair
-// batches in plan order; phase B applies structural regroups serially
-// under the exclusive structure lock), the relocation flush counts
-// its event ranges in parallel and emits them serially in event
-// order, and a full-scan fallback is just the plan [0, kMaxIndex]
-// through the same machinery. Totals are therefore exact - not
-// approximately merged - under any interleaving, and a store driven
-// by one thread produces bit-identical results with and without a
-// pool. Detaching (set_thread_pool(nullptr)) restores the serial
-// mode; both switches require the store to be externally quiescent.
-// stats() is safe from racing threads.
+// express - are enforced by scripts/check_lock_order.py.
+// Every path is one body of code, with or without a pool. Each lock
+// is a wrapper that engages only while a pool is attached (sound: a
+// store without one is single-threaded by contract), and the pool
+// decides only where the heavy passes' tasks run - the repair pass's
+// phase A and the relocation flush's range counts run on
+// parallel_for with a pool and in a plain loop without one, and both
+// merge in plan or event order afterwards. Totals are therefore exact
+// under any interleaving, and a store driven by one thread produces
+// bit-identical results with and without a pool. Detaching
+// (set_thread_pool(nullptr)) disengages the locks again; both switches
+// require the store to be externally quiescent. stats() is safe from
+// racing threads.
 
 #pragma once
 
@@ -297,8 +302,8 @@ class Store final : private placement::RelocationObserver {
   /// outlive the store or be detached first. Attaching while keys are
   /// resident re-repairs every materialized replica set against the
   /// new map (one full-scan pass, like a membership event); prefer
-  /// attaching before the first node. Requires external quiescence in
-  /// concurrent mode, like every reconfiguration surface here.
+  /// attaching before the first node. Requires external quiescence
+  /// while a pool is attached, like every reconfiguration surface here.
   void set_topology(const cluster::Topology* topology) {
     // Placement depends on the map only under a spread policy at k > 1.
     const bool replaces = spec_.spread != placement::SpreadPolicy::kNone &&
@@ -315,19 +320,17 @@ class Store final : private placement::RelocationObserver {
     return backend_.topology();
   }
 
-  /// Attaches a worker pool and switches the store into concurrent
-  /// mode (see the threading-model section of the header comment), or
-  /// detaches it (nullptr) and returns to the serial, lock-free mode.
-  /// Either switch requires external quiescence: no other thread may
-  /// be inside a store call. The pool must outlive the store or be
-  /// detached first; it may be shared with other stores.
-  void set_thread_pool(ThreadPool* pool) {
-    pool_ = pool;
-    concurrent_ = (pool != nullptr);
-  }
+  /// Attaches a worker pool, which engages the locks and runs the
+  /// heavy passes' tasks on the pool (see the threading-model section
+  /// of the header comment), or detaches it (nullptr): the same passes
+  /// then run inline and no lock is taken. Either switch requires
+  /// external quiescence: no other thread may be inside a store call.
+  /// The pool must outlive the store or be detached first; it may be
+  /// shared with other stores.
+  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
-  /// True while a pool is attached (the concurrent mode is engaged).
-  [[nodiscard]] bool concurrent() const { return concurrent_; }
+  /// True while a pool is attached (the locks are engaged).
+  [[nodiscard]] bool concurrent() const { return pool_ != nullptr; }
 
   /// Cluster membership. Every completed change is followed by one
   /// re-replication pass that repairs the materialized replica sets
@@ -397,75 +400,59 @@ class Store final : private placement::RelocationObserver {
   /// fans out to every node of the key's replica set (replica_writes).
   /// Requires at least one node.
   bool put(const std::string& key, std::string_view value) {
-    const MaybeSharedLock backend_lock(backend_mutex_, concurrent_);
+    const MaybeSharedLock backend_lock(backend_mutex_, concurrent());
     COBALT_REQUIRE(backend_.node_count() >= 1,
                    "the store needs at least one node before writes");
     const HashIndex h = hash_key(key);
     std::uint64_t writes = 0;
-    bool inserted = false;
-    if (!concurrent_) {
+    std::optional<bool> inserted;
+    {
+      const ShardIndex::StructureSharedLock structure(index_, concurrent());
+      const std::size_t i = index_.shard_of(h);
+      const ShardIndex::ShardSpanLock span(index_, i, concurrent());
+      // A brand-new hash landing in a full shard makes insert() split
+      // the shard - a structural change the shared tiling hold cannot
+      // cover; everything else stays inside this shard.
+      const ShardIndex::Shard& s = index_.shard(i);
+      const std::size_t at = s.lower_bound(h);
+      if ((at < s.size() && s.hash(at) == h) ||
+          s.distinct_hashes() < ShardIndex::kSplitBuckets) {
+        inserted = put_body(i, at, h, key, value, writes);
+      }
+    }
+    if (!inserted) {
+      // Structural retry: the tiling may have changed between the two
+      // holds (another writer split first), so everything re-derives.
       const ShardIndex::StructureExclusiveLock structure(index_,
-                                                         /*engage=*/false);
-      inserted = put_body(index_.shard_of(h), h, key, value,
+                                                         concurrent());
+      const std::size_t i = index_.shard_of(h);
+      inserted = put_body(i, index_.shard(i).lower_bound(h), h, key, value,
                           writes);
-    } else {
-      bool done = false;
-      {
-        const ShardIndex::StructureSharedLock structure(index_);
-        const std::size_t i = index_.shard_of(h);
-        const ShardIndex::ShardSpanLock span(index_, i);
-        // A brand-new hash landing in a full shard makes insert() split
-        // the shard - a structural change the shared tiling hold cannot
-        // cover; everything else stays inside this shard.
-        const ShardIndex::Shard& s = index_.shard(i);
-        const std::size_t at = s.lower_bound(h);
-        if ((at < s.size() && s.hash(at) == h) ||
-            s.distinct_hashes() < ShardIndex::kSplitBuckets) {
-          inserted = put_body(i, h, key, value, writes);
-          done = true;
-        }
-      }
-      if (!done) {
-        // Structural retry: the tiling may have changed between the two
-        // holds (another writer split first), so everything re-derives.
-        const ShardIndex::StructureExclusiveLock structure(index_);
-        inserted = put_body(index_.shard_of(h), h, key, value,
-                            writes);
-      }
     }
     {
-      const MaybeLockGuard acc(accounting_mutex_, concurrent_);
+      const MaybeLockGuard acc(accounting_mutex_, concurrent());
       replication_stats_.replica_writes += writes;
     }
-    return inserted;
+    return *inserted;
   }
 
-  /// Point lookup. In concurrent mode this locks one stripe shared:
+  /// Point lookup. With a pool attached this locks one stripe shared:
   /// reads proceed against every shard not under repair or mutation.
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const {
-    const HashIndex h = hash_key(key);
-    const ShardIndex::StructureSharedLock structure(index_, concurrent_);
-    const std::size_t i = index_.shard_of(h);
-    const ShardIndex::StripeSharedLock stripe(index_, h, concurrent_);
-    const ShardIndex::Shard& s = index_.shard(i);
-    const std::size_t pos = s.find(h, key);
-    if (pos == ShardIndex::npos) return std::nullopt;
-    return std::string(s.value(pos));
+    return with_entry(key, std::optional<std::string>{},
+                      [](const ShardIndex::Shard& s, std::size_t pos) {
+                        return std::optional<std::string>(s.value(pos));
+                      });
   }
 
   /// Deletes; returns true when the key existed.
   bool erase(const std::string& key) {
-    const MaybeSharedLock backend_lock(backend_mutex_, concurrent_);
+    const MaybeSharedLock backend_lock(backend_mutex_, concurrent());
     const HashIndex h = hash_key(key);
-    if (!concurrent_) {
-      const ShardIndex::StructureExclusiveLock structure(index_,
-                                                         /*engage=*/false);
-      return erase_body(index_.shard_of(h), h, key);
-    }
     {
-      const ShardIndex::StructureSharedLock structure(index_);
+      const ShardIndex::StructureSharedLock structure(index_, concurrent());
       const std::size_t i = index_.shard_of(h);
-      const ShardIndex::ShardSpanLock span(index_, i);
+      const ShardIndex::ShardSpanLock span(index_, i, concurrent());
       const std::size_t pos = index_.shard(i).find(h, key);
       if (pos == ShardIndex::npos) return false;
       // Removing a shard's last entry merges it away - structural;
@@ -475,8 +462,12 @@ class Store final : private placement::RelocationObserver {
         return true;
       }
     }
-    const ShardIndex::StructureExclusiveLock structure(index_);
-    return erase_body(index_.shard_of(h), h, key);
+    const ShardIndex::StructureExclusiveLock structure(index_, concurrent());
+    const std::size_t i = index_.shard_of(h);
+    const std::size_t pos = index_.shard(i).find(h, key);
+    if (pos == ShardIndex::npos) return false;
+    index_.erase(i, pos);
+    return true;
   }
 
   /// Total keys stored.
@@ -486,7 +477,7 @@ class Store final : private placement::RelocationObserver {
 
   /// The node currently responsible for `key` (replica rank 0).
   [[nodiscard]] placement::NodeId owner_of(const std::string& key) const {
-    const MaybeSharedLock backend_lock(backend_mutex_, concurrent_);
+    const MaybeSharedLock backend_lock(backend_mutex_, concurrent());
     COBALT_REQUIRE(backend_.node_count() >= 1, "the store has no nodes");
     return backend_.owner_of(hash_key(key));
   }
@@ -496,15 +487,13 @@ class Store final : private placement::RelocationObserver {
   /// Empty when the key is not stored.
   [[nodiscard]] std::vector<placement::NodeId> replicas_of(
       const std::string& key) const {
-    const HashIndex h = hash_key(key);
-    const ShardIndex::StructureSharedLock structure(index_, concurrent_);
-    const std::size_t i = index_.shard_of(h);
-    const ShardIndex::StripeSharedLock stripe(index_, h, concurrent_);
-    const ShardIndex::Shard& s = index_.shard(i);
-    const std::size_t pos = s.find(h, key);
-    if (pos == ShardIndex::npos) return {};
-    const ShardIndex::ReplicaSet replicas = s.replicas(pos);
-    return {replicas.begin(), replicas.end()};
+    return with_entry(key, std::vector<placement::NodeId>{},
+                      [](const ShardIndex::Shard& s, std::size_t pos) {
+                        const ShardIndex::ReplicaSet replicas =
+                            s.replicas(pos);
+                        return std::vector<placement::NodeId>(
+                            replicas.begin(), replicas.end());
+                      });
   }
 
   /// A node that can serve a read of `key`: the lowest-ranked live
@@ -513,18 +502,14 @@ class Store final : private placement::RelocationObserver {
   /// materialized replica is live (a data-loss window between a crash
   /// and its repair pass).
   [[nodiscard]] placement::NodeId read_node_of(const std::string& key) const {
-    const MaybeSharedLock backend_lock(backend_mutex_, concurrent_);
-    const HashIndex h = hash_key(key);
-    const ShardIndex::StructureSharedLock structure(index_, concurrent_);
-    const std::size_t i = index_.shard_of(h);
-    const ShardIndex::StripeSharedLock stripe(index_, h, concurrent_);
-    const ShardIndex::Shard& s = index_.shard(i);
-    const std::size_t pos = s.find(h, key);
-    if (pos == ShardIndex::npos) return placement::kInvalidNode;
-    for (const placement::NodeId node : s.replicas(pos)) {
-      if (backend_.is_live(node)) return node;
-    }
-    return placement::kInvalidNode;
+    const MaybeSharedLock backend_lock(backend_mutex_, concurrent());
+    return with_entry(key, placement::kInvalidNode,
+                      [this](const ShardIndex::Shard& s, std::size_t pos) {
+                        for (const placement::NodeId node : s.replicas(pos)) {
+                          if (backend_.is_live(node)) return node;
+                        }
+                        return placement::kInvalidNode;
+                      });
   }
 
   /// A node that can serve a read of `key` under a balancing `policy`
@@ -547,21 +532,16 @@ class Store final : private placement::RelocationObserver {
   [[nodiscard]] placement::NodeId read_node_of(
       const std::string& key, ReadPolicy policy,
       const NodeLoadProbe& probe) const {
-    const MaybeSharedLock backend_lock(backend_mutex_, concurrent_);
-    const HashIndex h = hash_key(key);
+    const MaybeSharedLock backend_lock(backend_mutex_, concurrent());
     static thread_local std::vector<placement::NodeId> live;
     live.clear();
-    {
-      const ShardIndex::StructureSharedLock structure(index_, concurrent_);
-      const std::size_t i = index_.shard_of(h);
-      const ShardIndex::StripeSharedLock stripe(index_, h, concurrent_);
-      const ShardIndex::Shard& s = index_.shard(i);
-      const std::size_t pos = s.find(h, key);
-      if (pos == ShardIndex::npos) return placement::kInvalidNode;
+    with_entry(key, false, [this](const ShardIndex::Shard& s,
+                                  std::size_t pos) {
       for (const placement::NodeId node : s.replicas(pos)) {
         if (backend_.is_live(node)) live.push_back(node);
       }
-    }
+      return true;
+    });
     if (live.empty()) return placement::kInvalidNode;
     if (policy == ReadPolicy::kPrimary) return live.front();
     placement::NodeId chosen = live.front();
@@ -575,12 +555,12 @@ class Store final : private placement::RelocationObserver {
           chosen = live[rank];
         }
       }
-      const MaybeLockGuard guard(read_policy_mutex_, concurrent_);
+      const MaybeLockGuard guard(read_policy_mutex_, concurrent());
       if (reads_served_.size() <= chosen) reads_served_.resize(chosen + 1, 0);
       ++reads_served_[chosen];
       return chosen;
     }
-    const MaybeLockGuard guard(read_policy_mutex_, concurrent_);
+    const MaybeLockGuard guard(read_policy_mutex_, concurrent());
     if (policy == ReadPolicy::kRoundRobin) {
       chosen = live[static_cast<std::size_t>(read_rr_cursor_++) %
                     live.size()];
@@ -596,52 +576,16 @@ class Store final : private placement::RelocationObserver {
 
   /// Keys currently resident per *primary* node (index = NodeId;
   /// departed nodes report 0). Replica copies are not counted; see
-  /// replica_copies_per_node() for the serving footprint. One cached
-  /// count per uniform shard (the materialized sets are aligned with
-  /// the backend between membership events).
+  /// replica_copies_per_node() for the serving footprint.
   [[nodiscard]] std::vector<std::size_t> keys_per_node() const {
-    const MaybeSharedLock backend_lock(backend_mutex_, concurrent_);
-    const ShardIndex::StructureSharedLock structure(index_, concurrent_);
-    const ShardIndex::AllStripesSharedLock stripes(index_, concurrent_);
-    std::vector<std::size_t> counts(backend_.node_slot_count(), 0);
-    for (const ShardIndex::Shard& s : index_.shards()) {
-      if (s.empty()) continue;
-      if (s.override_count() == 0) {  // one arc, one bounds check
-        counts.at(s.replicas().front()) += s.size();
-        continue;
-      }
-      for (std::size_t pos = 0; pos < s.size(); ++pos) {
-        counts.at(s.replicas(pos).front()) += 1;
-      }
-    }
-    return counts;
+    return copies_per_node(1);
   }
 
   /// Key *copies* resident per node under the materialized replica
   /// sets (a node holds a copy of every key whose replica set lists
-  /// it). Sums to size() x k at full replication. One bounds check per
-  /// (shard, rank) - the materialized sets are per shard by
-  /// construction.
+  /// it). Sums to size() x k at full replication.
   [[nodiscard]] std::vector<std::size_t> replica_copies_per_node() const {
-    const MaybeSharedLock backend_lock(backend_mutex_, concurrent_);
-    const ShardIndex::StructureSharedLock structure(index_, concurrent_);
-    const ShardIndex::AllStripesSharedLock stripes(index_, concurrent_);
-    std::vector<std::size_t> counts(backend_.node_slot_count(), 0);
-    for (const ShardIndex::Shard& s : index_.shards()) {
-      if (s.empty()) continue;
-      if (s.override_count() == 0) {  // one arc, one check per rank
-        for (const placement::NodeId node : s.replicas()) {
-          counts.at(node) += s.size();
-        }
-        continue;
-      }
-      for (std::size_t pos = 0; pos < s.size(); ++pos) {
-        for (const placement::NodeId node : s.replicas(pos)) {
-          counts.at(node) += 1;
-        }
-      }
-    }
-    return counts;
+    return copies_per_node(spec_.k);
   }
 
   /// Visits every (key, value) pair in hash-range order (order among
@@ -649,8 +593,8 @@ class Store final : private placement::RelocationObserver {
   void for_each(const std::function<void(const std::string& key,
                                          const std::string& value)>& visit)
       const {
-    const ShardIndex::StructureSharedLock structure(index_, concurrent_);
-    const ShardIndex::AllStripesSharedLock stripes(index_, concurrent_);
+    const ShardIndex::StructureSharedLock structure(index_, concurrent());
+    const ShardIndex::AllStripesSharedLock stripes(index_, concurrent());
     Visitor visitor{visit};
     for (const ShardIndex::Shard& s : index_.shards()) {
       for (std::size_t pos = 0; pos < s.size(); ++pos) visitor(s, pos);
@@ -664,10 +608,10 @@ class Store final : private placement::RelocationObserver {
       placement::NodeId node,
       const std::function<void(const std::string& key,
                                const std::string& value)>& visit) const {
-    const MaybeSharedLock backend_lock(backend_mutex_, concurrent_);
+    const MaybeSharedLock backend_lock(backend_mutex_, concurrent());
     COBALT_REQUIRE(node < backend_.node_slot_count(), "unknown node id");
-    const ShardIndex::StructureSharedLock structure(index_, concurrent_);
-    const ShardIndex::AllStripesSharedLock stripes(index_, concurrent_);
+    const ShardIndex::StructureSharedLock structure(index_, concurrent());
+    const ShardIndex::AllStripesSharedLock stripes(index_, concurrent());
     Visitor visitor{visit};
     for (const ShardIndex::Shard& s : index_.shards()) {
       if (s.empty()) continue;
@@ -682,8 +626,8 @@ class Store final : private placement::RelocationObserver {
   /// Visits every resident (key, value) whose hash falls inside
   /// [first, last], in ascending hash order (order among colliding keys
   /// is unspecified) - the range scan riding the sorted hash arrays.
-  /// In concurrent mode each shard is read under its stripe
-  /// span held shared, so the scan never blocks point reads and is
+  /// With a pool attached each shard is read under its stripe span
+  /// held shared, so the scan never blocks point reads and is
   /// consistent per shard (a concurrent writer may land between
   /// shards; quiesce for a full snapshot).
   void scan(HashIndex first, HashIndex last,
@@ -691,11 +635,11 @@ class Store final : private placement::RelocationObserver {
                                      const std::string& value)>& visit)
       const {
     if (first > last) return;
-    const ShardIndex::StructureSharedLock structure(index_, concurrent_);
+    const ShardIndex::StructureSharedLock structure(index_, concurrent());
     Visitor visitor{visit};
     for (std::size_t i = index_.shard_of(first);
          i < index_.shard_count() && index_.shard_first(i) <= last; ++i) {
-      const ShardIndex::ShardSpanSharedLock span(index_, i, concurrent_);
+      const ShardIndex::ShardSpanSharedLock span(index_, i, concurrent());
       const ShardIndex::Shard& s = index_.shard(i);
       for (std::size_t pos = s.lower_bound(first);
            pos < s.size() && s.hash(pos) <= last; ++pos) {
@@ -708,8 +652,8 @@ class Store final : private placement::RelocationObserver {
   /// used by rebalancing tooling and tests).
   [[nodiscard]] std::size_t keys_in_range(HashIndex first,
                                           HashIndex last) const {
-    const ShardIndex::StructureSharedLock structure(index_, concurrent_);
-    const ShardIndex::AllStripesSharedLock stripes(index_, concurrent_);
+    const ShardIndex::StructureSharedLock structure(index_, concurrent());
+    const ShardIndex::AllStripesSharedLock stripes(index_, concurrent());
     return static_cast<std::size_t>(index_.count_range(first, last));
   }
 
@@ -717,11 +661,11 @@ class Store final : private placement::RelocationObserver {
   /// shared backend hold waits out an in-flight membership event (so
   /// no event is counted into one channel but not yet the other), and
   /// both structs are copied under a single accounting hold - safe
-  /// from any thread in concurrent mode, and the two channels are
+  /// from any thread while a pool is attached, and the two channels are
   /// guaranteed to describe the same instant.
   [[nodiscard]] StatsSnapshot stats() const {
-    const MaybeSharedLock backend_lock(backend_mutex_, concurrent_);
-    const MaybeLockGuard acc(accounting_mutex_, concurrent_);
+    const MaybeSharedLock backend_lock(backend_mutex_, concurrent());
+    const MaybeLockGuard acc(accounting_mutex_, concurrent());
     return {relocation_stats_, replication_stats_};
   }
 
@@ -730,14 +674,14 @@ class Store final : private placement::RelocationObserver {
   /// (see store_events.hpp). The sink must outlive the store or be
   /// cleared first. A sink attached after membership changes only sees
   /// the events from its attachment on; attach before the first node
-  /// for totals that match the stats channels bit for bit. In
-  /// concurrent mode, attach while quiescent (like set_thread_pool);
-  /// batches are always emitted serially and in order.
+  /// for totals that match the stats channels bit for bit. With a pool
+  /// attached, attach while quiescent (like set_thread_pool); batches
+  /// are always emitted serially and in order.
   void set_event_sink(StoreEventSink* sink) { event_sink_ = sink; }
 
   /// The shard index (read-only structural introspection: shard
   /// count, per-shard replica sets, split/merge behaviour). Not
-  /// synchronized - introspect quiescently in concurrent mode.
+  /// synchronized - introspect quiescently while a pool is attached.
   [[nodiscard]] const ShardIndex& shard_index() const { return index_; }
 
   /// The placement backend, read-only (scheme-specific queries: the
@@ -765,7 +709,7 @@ class Store final : private placement::RelocationObserver {
   template <typename F>
   auto membership(MembershipEventKind kind, Repair repair, F&& change)
       -> std::invoke_result_t<F&, Backend&, DirtyRanges&> {
-    const MaybeUniqueLock backend_lock(backend_mutex_, concurrent_);
+    const MaybeUniqueLock backend_lock(backend_mutex_, concurrent());
     DirtyRanges dirty;
     if constexpr (std::is_void_v<
                       std::invoke_result_t<F&, Backend&, DirtyRanges&>>) {
@@ -823,15 +767,22 @@ class Store final : private placement::RelocationObserver {
     bool rebucket;
   };
 
-  /// Per-worker repair accounting: the two per-range counters a repair
-  /// walk accumulates. Workers fill their own instance; the merge adds
-  /// them into ReplicationStats in plan order, so the totals are
-  /// identical to the serial pass under any scheduling.
+  /// Per-task repair accounting: the per-range counters a repair walk
+  /// accumulates. Each task fills its own instance; the merge adds them
+  /// into ReplicationStats in plan order, so the totals are the same
+  /// whether the tasks ran inline or on the pool, in any order.
   struct RepairAcc {
     std::uint64_t copies = 0;
     std::uint64_t lost = 0;
     std::uint64_t cross_rack = 0;
     std::uint64_t cross_zone = 0;
+
+    void add(const RepairAcc& other) {
+      copies += other.copies;
+      lost += other.lost;
+      cross_rack += other.cross_rack;
+      cross_zone += other.cross_zone;
+    }
   };
 
   /// One run of consecutive entries sharing a desired replica set
@@ -842,21 +793,20 @@ class Store final : private placement::RelocationObserver {
     std::vector<placement::NodeId> replicas;
   };
 
-  /// One plan range's slice of a repair task (see repair_plan_parallel).
+  /// One plan range's slice of one shard (see repair_plan).
   struct SpanWork {
     std::size_t range_id;
-    HashIndex lo;
-    HashIndex hi;
     RepairAcc acc;
   };
 
-  /// One shard's worth of parallel repair work: the spans to walk and
-  /// the phase-B regroup payload the walk computed.
+  /// One shard's repair task: its spans, [first_span, end_span) of the
+  /// pass's span list, and the desired-set runs phase B splits the
+  /// shard at (empty unless the shard splits).
   struct ShardWork {
     std::size_t shard;
-    std::vector<SpanWork> spans;
-    std::vector<DesiredRun> runs;
-    bool regroup = false;
+    std::size_t first_span;
+    std::size_t end_span;
+    std::vector<DesiredRun> split;
   };
 
   [[nodiscard]] HashIndex hash_key(const std::string& key) const {
@@ -906,19 +856,66 @@ class Store final : private placement::RelocationObserver {
     return node < reads_served_.size() ? reads_served_[node] : 0;
   }
 
+  /// The read preamble shared by get, replicas_of and read_node_of:
+  /// hashes `key`, finds its entry under the shared structure hold and
+  /// the entry's stripe held shared, and returns `use(shard, pos)` -
+  /// or `missing` when the key is not stored.
+  template <typename R, typename Use>
+  R with_entry(const std::string& key, R missing, Use&& use) const {
+    const HashIndex h = hash_key(key);
+    const ShardIndex::StructureSharedLock structure(index_, concurrent());
+    const std::size_t i = index_.shard_of(h);
+    const ShardIndex::StripeSharedLock stripe(index_, h, concurrent());
+    const ShardIndex::Shard& s = index_.shard(i);
+    const std::size_t pos = s.find(h, key);
+    if (pos == ShardIndex::npos) return missing;
+    return use(s, pos);
+  }
+
+  /// Copies of resident keys per node, counting the first `ranks`
+  /// replicas of each materialized set (1: primaries only). One count
+  /// per (shard, rank) when the shard carries no override - the
+  /// materialized sets are per shard by construction.
+  [[nodiscard]] std::vector<std::size_t> copies_per_node(
+      std::size_t ranks) const {
+    const MaybeSharedLock backend_lock(backend_mutex_, concurrent());
+    const ShardIndex::StructureSharedLock structure(index_, concurrent());
+    const ShardIndex::AllStripesSharedLock stripes(index_, concurrent());
+    std::vector<std::size_t> counts(backend_.node_slot_count(), 0);
+    const auto count = [&counts, ranks](ShardIndex::ReplicaSet set,
+                                        std::size_t copies) {
+      for (const placement::NodeId node :
+           set.first(std::min(ranks, set.size()))) {
+        counts.at(node) += copies;
+      }
+    };
+    for (const ShardIndex::Shard& s : index_.shards()) {
+      if (s.empty()) continue;
+      if (s.override_count() == 0) {  // one arc, one check per rank
+        count(s.replicas(), s.size());
+        continue;
+      }
+      for (std::size_t pos = 0; pos < s.size(); ++pos) {
+        count(s.replicas(pos), 1);
+      }
+    }
+    return counts;
+  }
+
   /// The write path proper: everything after the hash, against shard
-  /// `i`. The claims encode the adequate cover: in concurrent mode
-  /// either the shard's stripe span with no split possible, or the
-  /// exclusive structure lock (which carries the stripe capability).
-  /// `writes` receives the replica fan-out (the caller adds it to the
-  /// stats under its own accounting rules).
-  bool put_body(std::size_t i, HashIndex h, std::string_view key,
-                std::string_view value, std::uint64_t& writes)
+  /// `i`, whose lower_bound of `h` the caller found at `at`. The
+  /// claims encode the adequate cover: either the shard's stripe span
+  /// with no split possible, or the exclusive structure lock (which
+  /// carries the stripe capability). `writes` receives the replica
+  /// fan-out (the caller adds it to the stats under its own
+  /// accounting rules).
+  bool put_body(std::size_t i, std::size_t at, HashIndex h,
+                std::string_view key, std::string_view value,
+                std::uint64_t& writes)
       COBALT_REQUIRES_SHARED(backend_mutex_, index_.structure_mutex_)
           COBALT_REQUIRES(index_.stripes_cap_) {
     static thread_local std::vector<placement::NodeId> scratch;
     const ShardIndex::Shard& s = index_.shard(i);
-    const std::size_t at = s.lower_bound(h);
     if (at == s.size() || s.hash(at) != h) {
       // A new hash materializes its replica set now, exactly like the
       // seed's first-put materialization: when the derived set matches
@@ -945,14 +942,16 @@ class Store final : private placement::RelocationObserver {
     return true;
   }
 
-  /// The delete path proper. Claims the exclusive structure hold
-  /// (erasing a shard's last entry merges shards).
-  bool erase_body(std::size_t i, HashIndex h, const std::string& key)
-      COBALT_REQUIRES(index_.structure_mutex_, index_.stripes_cap_) {
-    const std::size_t pos = index_.shard(i).find(h, key);
-    if (pos == ShardIndex::npos) return false;
-    index_.erase(i, pos);
-    return true;
+  /// Runs `task(t)` for every t in [0, count): on the attached pool
+  /// when there is one and more than one task, in a plain loop
+  /// otherwise. The heavy passes' only use of the pool.
+  template <typename Task>
+  void run_tasks(std::size_t count, const Task& task) const {
+    if (pool_ != nullptr && count > 1) {
+      parallel_for(*pool_, count, task);
+    } else {
+      for (std::size_t t = 0; t < count; ++t) task(t);
+    }
   }
 
   /// Counts the keys inside the pending relocation events, in event
@@ -960,48 +959,32 @@ class Store final : private placement::RelocationObserver {
   /// its repair pass (the exclusive backend hold keeps every writer
   /// out), so every event is counted against exactly the key
   /// population it found when it fired - the seed's per-event
-  /// count_range, batched. Concurrent mode counts the event ranges in
-  /// parallel on the pool (counting mutates nothing), then applies and
-  /// emits serially in event order - same totals, same sink stream.
+  /// count_range, batched. The ranges are counted as tasks (see
+  /// run_tasks; counting mutates nothing), then applied and emitted in
+  /// event order - the same totals and sink stream either way.
   void flush_relocations() COBALT_REQUIRES(backend_mutex_) {
     if (pending_events_.empty()) return;
-    const MaybeLockGuard acc(accounting_mutex_, concurrent_);
-    if (!concurrent_) {
-      const ShardIndex::StructureSharedLock structure(index_,
-                                                      /*engage=*/false);
-      const ShardIndex::AllStripesSharedLock stripes(index_,
-                                                     /*engage=*/false);
-      for (const PendingEvent& event : pending_events_) {
-        count_relocation(event, index_.count_range(event.first, event.last));
-      }
-    } else {
-      const std::size_t n = pending_events_.size();
-      std::vector<std::uint64_t> keys(n);
-      {
-        const ShardIndex::StructureSharedLock structure(index_);
-        const ShardIndex::AllStripesSharedLock stripes(index_);
-        if (n > 1) {
-          parallel_for(*pool_, n, [this, &keys](std::size_t e) {
-            count_pending_range(e, keys);
-          });
-        } else {
-          keys[0] = index_.count_range(pending_events_[0].first,
-                                       pending_events_[0].last);
-        }
-      }
-      for (std::size_t e = 0; e < n; ++e) {
-        count_relocation(pending_events_[e], keys[e]);
-      }
+    const MaybeLockGuard acc(accounting_mutex_, concurrent());
+    std::vector<std::uint64_t> keys(pending_events_.size());
+    {
+      const ShardIndex::StructureSharedLock structure(index_, concurrent());
+      const ShardIndex::AllStripesSharedLock stripes(index_, concurrent());
+      run_tasks(keys.size(), [this, &keys](std::size_t e) {
+        count_pending_range(e, keys);
+      });
+    }
+    for (std::size_t e = 0; e < keys.size(); ++e) {
+      count_relocation(pending_events_[e], keys[e]);
     }
     pending_events_.clear();
   }
 
-  /// Counts one pending event's range, on a pool worker. The worker
-  /// runs under the flushing caller's shared structure and all-stripes
-  /// holds (parallel_for keeps the caller blocked until the barrier) -
-  /// a cross-thread cover outside the analysis' thread-local model,
-  /// hence the suppression. The walk takes no locks and mutates
-  /// nothing.
+  /// Counts one pending event's range, as a task of the flush. A task
+  /// on a pool worker runs under the flushing caller's shared
+  /// structure and all-stripes holds (parallel_for keeps the caller
+  /// blocked until the barrier) - a cross-thread cover outside the
+  /// analysis' thread-local model, hence the suppression. The walk
+  /// takes no locks and mutates nothing.
   void count_pending_range(std::size_t e, std::vector<std::uint64_t>& keys)
       const COBALT_NO_THREAD_SAFETY_ANALYSIS {
     keys[e] = index_.count_range(pending_events_[e].first,
@@ -1009,7 +992,7 @@ class Store final : private placement::RelocationObserver {
   }
 
   /// Applies one counted relocation event to the stats channel and the
-  /// sink (the shared tail of both flush modes).
+  /// sink.
   void count_relocation(const PendingEvent& event, std::uint64_t keys)
       COBALT_REQUIRES(accounting_mutex_) {
     if (event.rebucket) {
@@ -1047,13 +1030,12 @@ class Store final : private placement::RelocationObserver {
   /// reports at k > 1; `full` (or a change of the clamped replica
   /// target - the cluster crossing size k invalidates every
   /// materialized set size) makes it the plan [0, kMaxIndex] through
-  /// the same walk. With `crash` set, a key whose materialized set
-  /// has no live survivor is counted lost. Concurrent mode hands the
-  /// plan to the shard-parallel pass (see repair_plan_parallel).
+  /// the same pass. With `crash` set, a key whose materialized set
+  /// has no live survivor is counted lost. repair_plan runs the plan.
   ///
-  /// The whole pass runs under the accounting lock in concurrent mode
-  /// (uncontended: the exclusive backend hold already excludes every
-  /// other accountant - the lock is for the analysis).
+  /// The whole pass runs under the accounting lock while a pool is
+  /// attached (uncontended: the exclusive backend hold already
+  /// excludes every other accountant - the lock is for the analysis).
   void rereplicate(bool crash, bool full, DirtyRanges& dirty)
       COBALT_REQUIRES(backend_mutex_) {
     std::vector<placement::HashRange> plan;
@@ -1070,10 +1052,10 @@ class Store final : private placement::RelocationObserver {
     }
     flush_relocations();
     if (backend_.node_count() == 0) return;
-    const MaybeLockGuard acc_lock(accounting_mutex_, concurrent_);
+    const MaybeLockGuard acc_lock(accounting_mutex_, concurrent());
     ++replication_stats_.rereplication_passes;
     {
-      const ShardIndex::StructureSharedLock structure(index_, concurrent_);
+      const ShardIndex::StructureSharedLock structure(index_, concurrent());
       replication_stats_.repair_shards_total += index_.shard_count();
     }
     const std::size_t target = replica_target();
@@ -1093,125 +1075,97 @@ class Store final : private placement::RelocationObserver {
         return;
       }
     }
-    // Ranges are disjoint and ascending; a shard overlapping several
-    // ranges is walked once per range but only over each range's own
-    // span, so no entry repairs twice. It counts as one visit, and an
-    // empty one refreshes its cached set once per pass.
-    if (concurrent_) {
-      repair_plan_parallel(plan, target, crash);
-    } else {
-      const ShardIndex::StructureExclusiveLock structure(index_,
-                                                         /*engage=*/false);
-      std::size_t last_visited = index_.shard_count();  // none yet
-      for (const placement::HashRange& range : plan) {
-        RepairAcc acc;
-        std::size_t i = index_.shard_of(range.first);
-        while (i < index_.shard_count() &&
-               index_.shard_first(i) <= range.last) {
-          // Splits stay inside the range that caused them, so a shard
-          // the previous range reached keeps its index here.
-          const bool revisit = i == last_visited;
-          last_visited = i;
-          if (revisit && index_.shard(i).empty()) {
-            ++i;
-            continue;
-          }
-          if (!revisit) ++replication_stats_.repair_shards_visited;
-          i += repair_shard(i, range.first, range.last, target, crash, acc);
-        }
-        replication_stats_.keys_rereplicated += acc.copies;
-        replication_stats_.keys_rereplicated_cross_rack += acc.cross_rack;
-        replication_stats_.keys_rereplicated_cross_zone += acc.cross_zone;
-        replication_stats_.keys_lost += acc.lost;
-        emit_repair_batch(range.first, range.last, acc.copies, acc.lost,
-                          target);
-      }
-    }
+    repair_plan(plan, target, crash);
   }
 
-  /// The shard-parallel repair pass (concurrent mode; the surrounding
+  /// The repair pass over a coalesced `plan` (the surrounding
   /// membership call holds backend_mutex_ exclusively, so no writer
-  /// can race the plan). Phase A repairs every planned shard in
-  /// parallel on the pool - per-shard patches, empty-shard refreshes
-  /// and desired-run computation under the shard's stripe span, with
-  /// accounting accumulated on the worker's own task - while point
-  /// reads keep flowing through every other shard. The merge then adds
-  /// the per-range sums into ReplicationStats and emits the repair
-  /// batches in plan order (deterministic and equal to the serial
-  /// pass: integer sums over disjoint shards commute). Phase B applies
-  /// the structural regroups serially, ascending, under the exclusive
-  /// structure lock - splits are contained inside their own shard, so
-  /// a running index offset is the only cross-shard effect.
-  void repair_plan_parallel(const std::vector<placement::HashRange>& plan,
-                            std::size_t target, bool crash)
+  /// can race it). The plan becomes one task per shard it overlaps,
+  /// listed against the pre-pass tiling. Phase A runs the tasks (see
+  /// run_tasks): each does all in-shard work on its shard under the
+  /// shard's stripe span, with the accounting kept on the task, while
+  /// point reads keep flowing through every other shard. The merge
+  /// then adds the per-range sums into ReplicationStats and emits the
+  /// repair batches in plan order - integer sums over disjoint shards
+  /// commute, so the order the tasks ran in cannot show. Phase B splits
+  /// the shards phase A left runs for, serially and ascending under
+  /// the exclusive structure lock; splits stay inside their own shard,
+  /// so a running index offset is the only cross-shard effect.
+  void repair_plan(const std::vector<placement::HashRange>& plan,
+                   std::size_t target, bool crash)
       COBALT_REQUIRES(backend_mutex_, accounting_mutex_) {
-    // Plan the walk up front against the pre-pass tiling: the serial
-    // pass visits exactly these (shard, range) pairs - its splits are
-    // always inside the range that caused them and are skipped by its
-    // own walk. A shard straddling two plan ranges appears once, with
-    // both spans, processed in range order.
+    // Ranges are disjoint and ascending, so the (range, shard) spans
+    // come out in plan order and each shard's spans are adjacent. A
+    // shard overlapping several ranges is listed once and walked in
+    // range order over each range's own span - no entry repairs twice,
+    // the shard counts as one visit, and an empty one refreshes its set
+    // once per pass.
+    std::vector<SpanWork> spans;
     std::vector<ShardWork> work;
     {
-      const ShardIndex::StructureSharedLock structure(index_);
+      const ShardIndex::StructureSharedLock structure(index_, concurrent());
       for (std::size_t r = 0; r < plan.size(); ++r) {
         for (std::size_t i = index_.shard_of(plan[r].first);
              i < index_.shard_count() &&
              index_.shard_first(i) <= plan[r].last;
              ++i) {
           if (work.empty() || work.back().shard != i) {
-            work.push_back({i, {}, {}, false});
+            work.push_back({i, spans.size(), spans.size(), {}});
           }
-          work.back().spans.push_back({r, plan[r].first, plan[r].last, {}});
+          spans.push_back({r, {}});
+          ++work.back().end_span;
         }
       }
     }
     replication_stats_.repair_shards_visited += work.size();
-    parallel_for(*pool_, work.size(), [this, &work, target, crash](
-                                          std::size_t t) {
-      repair_shard_task(work[t], target, crash);
+    run_tasks(work.size(), [this, &plan, &work, &spans, target, crash](
+                               std::size_t t) {
+      ShardWork& task = work[t];
+      repair_shard_task(task, plan,
+                        std::span<SpanWork>(spans).subspan(
+                            task.first_span, task.end_span - task.first_span),
+                        target, crash);
     });
-    // Deterministic merge: per-range integer sums in task order, then
-    // stats and sink emission in plan order - the same values, in the
-    // same order, as the serial pass.
-    std::vector<RepairAcc> per_range(plan.size());
+    // The spans are in plan order: one sweep sums each range's.
+    for (std::size_t r = 0, next = 0; r < plan.size(); ++r) {
+      RepairAcc acc;
+      for (; next < spans.size() && spans[next].range_id == r; ++next) {
+        acc.add(spans[next].acc);
+      }
+      replication_stats_.keys_rereplicated += acc.copies;
+      replication_stats_.keys_rereplicated_cross_rack += acc.cross_rack;
+      replication_stats_.keys_rereplicated_cross_zone += acc.cross_zone;
+      replication_stats_.keys_lost += acc.lost;
+      emit_repair_batch(plan[r].first, plan[r].last, acc.copies, acc.lost,
+                        target);
+    }
+    const ShardIndex::StructureExclusiveLock structure(index_, concurrent());
+    std::size_t offset = 0;
     for (const ShardWork& task : work) {
-      for (const SpanWork& sp : task.spans) {
-        per_range[sp.range_id].copies += sp.acc.copies;
-        per_range[sp.range_id].lost += sp.acc.lost;
-        per_range[sp.range_id].cross_rack += sp.acc.cross_rack;
-        per_range[sp.range_id].cross_zone += sp.acc.cross_zone;
-      }
-    }
-    for (std::size_t r = 0; r < plan.size(); ++r) {
-      replication_stats_.keys_rereplicated += per_range[r].copies;
-      replication_stats_.keys_rereplicated_cross_rack +=
-          per_range[r].cross_rack;
-      replication_stats_.keys_rereplicated_cross_zone +=
-          per_range[r].cross_zone;
-      replication_stats_.keys_lost += per_range[r].lost;
-      emit_repair_batch(plan[r].first, plan[r].last, per_range[r].copies,
-                        per_range[r].lost, target);
-    }
-    {
-      const ShardIndex::StructureExclusiveLock structure(index_);
-      std::size_t offset = 0;
-      for (ShardWork& task : work) {
-        if (!task.regroup) continue;
-        offset += apply_runs(task.shard + offset, task.runs) - 1;
-      }
+      if (task.split.empty()) continue;
+      split_at_runs(task.shard + offset, task.split);
+      offset += task.split.size() - 1;
     }
   }
 
-  /// One shard's phase-A repair work, on a pool worker: takes its own
-  /// shared structure hold and the shard's stripe span, walks the
-  /// task's spans, and leaves the accounting on the task (the merge
-  /// reads it after the barrier). The workers read the backend without
-  /// a claim: the coordinating membership thread holds backend_mutex_
-  /// exclusively for the whole pass, so the backend is frozen.
-  void repair_shard_task(ShardWork& task, std::size_t target, bool crash) {
+  /// One shard's phase-A repair, as a task of repair_plan: takes its
+  /// own shared structure hold and the shard's stripe span, walks the
+  /// shard's `spans` of the `plan` and makes every in-shard change -
+  /// patches, the refresh of an empty shard, the regroup of a fully
+  /// covered shard that does not split - leaving the accounting on the
+  /// spans (the merge reads it after the last task) and the runs of a
+  /// shard that splits on task.split. The task reads the backend
+  /// without a claim: the coordinating membership thread holds
+  /// backend_mutex_ exclusively for the whole pass, so the backend is
+  /// frozen.
+  void repair_shard_task(ShardWork& task,
+                         const std::vector<placement::HashRange>& plan,
+                         std::span<SpanWork> spans, std::size_t target,
+                         bool crash) {
     static thread_local std::vector<placement::NodeId> scratch;
-    const ShardIndex::StructureSharedLock structure(index_);
-    const ShardIndex::ShardSpanLock span(index_, task.shard);
+    static thread_local std::vector<DesiredRun> runs;
+    const ShardIndex::StructureSharedLock structure(index_, concurrent());
+    const ShardIndex::ShardSpanLock span(index_, task.shard, concurrent());
     ShardIndex::Shard& s = index_.shard(task.shard);
     if (s.empty()) {
       // Nothing to account; refresh the shard's set once, so future
@@ -1220,18 +1174,24 @@ class Store final : private placement::RelocationObserver {
       s.adopt(scratch);
       return;
     }
-    for (SpanWork& sp : task.spans) {
-      if (sp.lo > index_.shard_first(task.shard) ||
-          sp.hi < index_.shard_last(task.shard)) {
-        patch_shard(s, sp.lo, sp.hi, target, crash, scratch, sp.acc);
+    for (SpanWork& sp : spans) {
+      const placement::HashRange& range = plan[sp.range_id];
+      if (range.first > index_.shard_first(task.shard) ||
+          range.last < index_.shard_last(task.shard)) {
+        patch_shard(s, range.first, range.last, target, crash, scratch,
+                    sp.acc);
         continue;
       }
-      // Full coverage: compute the desired runs now (read-only);
-      // the structural application waits for phase B. A fully
-      // covered shard lies inside its range, so this is always the
-      // task's only span.
-      compute_runs(s, target, crash, scratch, task.runs, sp.acc);
-      task.regroup = true;
+      // Full coverage: a fully covered shard lies inside its range, so
+      // this is always the task's only span.
+      runs.clear();
+      compute_runs(s, target, crash, scratch, runs, sp.acc);
+      if (runs.size() > 1 &&
+          s.distinct_hashes() >= runs.size() * ShardIndex::kMinArcBuckets) {
+        task.split = std::move(runs);
+      } else {
+        regroup_shard(s, runs);
+      }
     }
   }
 
@@ -1316,7 +1276,8 @@ class Store final : private placement::RelocationObserver {
 
   /// Full-coverage repair, computation half: accounts every entry of
   /// `s` and appends its desired-run structure to `runs` (read-only on
-  /// the shard; apply_runs() is the mutation half).
+  /// the shard; regroup_shard() and split_at_runs() are the mutation
+  /// halves).
   void compute_runs(const ShardIndex::Shard& s, std::size_t target,
                     bool crash, std::vector<placement::NodeId>& scratch,
                     std::vector<DesiredRun>& runs, RepairAcc& acc) const
@@ -1335,40 +1296,20 @@ class Store final : private placement::RelocationObserver {
     }
   }
 
-  /// Full-coverage repair, application half: regroups shard `i` by its
-  /// desired-set `runs`:
-  ///   * one run: the shard is one arc; adopt the set, drop overrides;
-  ///   * a few wide runs: split at the arc boundaries, one uniform
-  ///     shard per run (the per-shard replica design at work);
-  ///   * many narrow runs (cell-grained schemes): keep the shard, make
-  ///     the widest run's set the shard's and park the others on
-  ///     overrides - fragmenting the tiling per cell would cost more
-  ///     than it saves.
-  /// Structural splits only when every piece is worth a shard
-  /// (kMinArcBuckets distinct hashes on average), bounding both the
-  /// fragmentation and the splice cost. Claims the exclusive structure
-  /// hold. Returns the number of shards the original was replaced by.
-  std::size_t apply_runs(std::size_t i, const std::vector<DesiredRun>& runs)
-      COBALT_REQUIRES(index_.structure_mutex_, index_.stripes_cap_) {
-    ShardIndex::Shard& s = index_.shard(i);
-    if (runs.size() == 1) {
-      s.adopt(runs.front().replicas);
-      return 1;
-    }
-    if (s.distinct_hashes() >= runs.size() * ShardIndex::kMinArcBuckets) {
-      // Split at each arc boundary, last first so earlier positions
-      // stay valid; every piece comes out uniform.
-      for (std::size_t r = runs.size(); r-- > 1;) {
-        index_.split_shard(i, runs[r].first_hash);
-      }
-      for (std::size_t r = 0; r < runs.size(); ++r) {
-        index_.shard(i + r).adopt(runs[r].replicas);
-      }
-      return runs.size();
-    }
-    // Narrow arcs: the widest run becomes the shard's set, the rest
-    // ride on overrides (a run repeating the widest one's set - arcs
-    // A,B,A - interns to the shard's set and stores no override).
+  /// Full-coverage repair, in-shard half (phase A): regroups `s` by
+  /// its desired-set `runs` when they do not split it. One run: the
+  /// shard is one arc; it adopts the set and drops its overrides. Many
+  /// narrow runs (cell-grained schemes): the widest run's set becomes
+  /// the shard's and the others ride on overrides - fragmenting the
+  /// tiling per cell would cost more than it saves (a run repeating
+  /// the widest one's set - arcs A,B,A - interns to the shard's set and
+  /// stores no override). A shard splits instead (split_at_runs) only
+  /// when every piece is worth a shard: kMinArcBuckets distinct hashes
+  /// on average, bounding both the fragmentation and the splice cost.
+  void regroup_shard(ShardIndex::Shard& s,
+                     const std::vector<DesiredRun>& runs)
+      COBALT_REQUIRES_SHARED(index_.structure_mutex_)
+          COBALT_REQUIRES(index_.stripes_cap_) {
     std::size_t widest = 0;
     for (std::size_t r = 1; r < runs.size(); ++r) {
       if (runs[r].entries > runs[widest].entries) widest = r;
@@ -1381,35 +1322,21 @@ class Store final : private placement::RelocationObserver {
       }
       pos += runs[r].entries;
     }
-    return 1;
   }
 
-  /// Repairs one shard against plan range [lo, hi], in place (the
-  /// serial walk: a partially covered shard is patched, a fully
-  /// covered one regrouped - see patch_shard / compute_runs /
-  /// apply_runs). Returns the number of shards the original was
-  /// replaced by.
-  std::size_t repair_shard(std::size_t i, HashIndex lo, HashIndex hi,
-                           std::size_t target, bool crash, RepairAcc& acc)
-      COBALT_REQUIRES(backend_mutex_, index_.structure_mutex_,
-                      index_.stripes_cap_) {
-    static thread_local std::vector<placement::NodeId> scratch;
-    ShardIndex::Shard& s = index_.shard(i);
-    if (s.empty()) {
-      // Nothing to account; refresh the shard's set so future puts
-      // in this range usually match it (pure optimization - the
-      // write path verifies anyway).
-      desired_replicas_into(index_.shard_first(i), target, scratch);
-      s.adopt(scratch);
-      return 1;
+  /// Full-coverage repair, structural half (phase B): splits shard `i`
+  /// at each arc boundary of its desired-set `runs`, one uniform shard
+  /// per run (the per-shard replica design at work). Claims the
+  /// exclusive structure hold.
+  void split_at_runs(std::size_t i, const std::vector<DesiredRun>& runs)
+      COBALT_REQUIRES(index_.structure_mutex_, index_.stripes_cap_) {
+    // Last boundary first, so earlier positions stay valid.
+    for (std::size_t r = runs.size(); r-- > 1;) {
+      index_.split_shard(i, runs[r].first_hash);
     }
-    if (lo > index_.shard_first(i) || hi < index_.shard_last(i)) {
-      patch_shard(s, lo, hi, target, crash, scratch, acc);
-      return 1;
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      index_.shard(i + r).adopt(runs[r].replicas);
     }
-    runs_scratch_.clear();
-    compute_runs(s, target, crash, scratch, runs_scratch_, acc);
-    return apply_runs(i, runs_scratch_);
   }
 
   // RelocationObserver: entries are keyed by hash, so relocations are
@@ -1457,19 +1384,15 @@ class Store final : private placement::RelocationObserver {
   std::vector<PendingEvent> pending_events_ COBALT_GUARDED_BY(backend_mutex_);
   /// The clamped replica target of the last repair pass.
   std::size_t last_repair_target_ COBALT_GUARDED_BY(backend_mutex_) = 0;
-  /// Reusable desired-run buffer of the serial repair walk.
-  std::vector<DesiredRun> runs_scratch_ COBALT_GUARDED_BY(backend_mutex_);
-  /// Worker pool of the concurrent mode (nullptr = serial mode; see
-  /// set_thread_pool()). Unguarded: set while quiescent.
+  /// The attached worker pool, or nullptr (see set_thread_pool()). It
+  /// decides two things only: whether the lock wrappers engage
+  /// (concurrent()), and whether the repair pass's phase A and the
+  /// flush's range counts run on it or inline (run_tasks()).
+  /// Unguarded: set while quiescent.
   ThreadPool* pool_ = nullptr;
-  /// True while a pool is attached: every public call engages the
-  /// threading-model locks. Serial mode skips them entirely - the
-  /// single-threaded paths stay the seed's, bit for bit. Unguarded:
-  /// set while quiescent.
-  bool concurrent_ = false;
-  /// Membership/read lock of the concurrent mode: membership events
-  /// hold it exclusively end to end; backend readers and stats readers
-  /// hold it shared. Point gets never touch it.
+  /// Membership/read lock (engaged while a pool is attached):
+  /// membership events hold it exclusively end to end; backend readers
+  /// and stats readers hold it shared. Point gets never touch it.
   mutable SharedMutex backend_mutex_;
   /// Orders the stats channels between holders of the shared backend
   /// lock (concurrent puts, snapshot readers); a membership event's

@@ -18,8 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <sstream>
@@ -195,9 +197,26 @@ void expect_same_run(const StoreT& serial, const StoreT& pooled,
                      const RecordingSink& pooled_sink,
                      const std::string& label) {
   EXPECT_EQ(serial.size(), pooled.size()) << label;
-  EXPECT_EQ(serial.shard_index().shard_count(),
-            pooled.shard_index().shard_count())
-      << label;
+  const ShardIndex& serial_index = serial.shard_index();
+  const ShardIndex& pooled_index = pooled.shard_index();
+  EXPECT_EQ(serial_index.shard_count(), pooled_index.shard_count()) << label;
+  // The tiling itself, shard by shard: a pass that regrouped or split
+  // the wrong shard could still leave every key's set in agreement.
+  for (std::size_t i = 0; i < std::min(serial_index.shard_count(),
+                                       pooled_index.shard_count());
+       ++i) {
+    const ShardIndex::Shard& ss = serial_index.shard(i);
+    const ShardIndex::Shard& ps = pooled_index.shard(i);
+    EXPECT_EQ(serial_index.shard_first(i), pooled_index.shard_first(i))
+        << label << " shard " << i;
+    EXPECT_EQ(ss.override_count(), ps.override_count())
+        << label << " shard " << i;
+    EXPECT_EQ(std::vector<placement::NodeId>(ss.replicas().begin(),
+                                             ss.replicas().end()),
+              std::vector<placement::NodeId>(ps.replicas().begin(),
+                                             ps.replicas().end()))
+        << label << " shard " << i;
+  }
   EXPECT_EQ(serial.keys_per_node(), pooled.keys_per_node()) << label;
   EXPECT_EQ(serial.replica_copies_per_node(), pooled.replica_copies_per_node())
       << label;
@@ -316,7 +335,12 @@ TYPED_TEST(StoreConcurrencySuite, ContendedGetsPutsScansAndChurnStayExact) {
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> reads_ok{0};
-  std::atomic<std::uint64_t> rounds{0};
+  // Reader progress, apart from the writers': rounds finished, readers
+  // that finished their first round, readers that retired.
+  constexpr int kReaders = 2;
+  std::atomic<std::uint64_t> reader_rounds{0};
+  std::atomic<int> readers_started{0};
+  std::atomic<int> readers_done{0};
   // Round caps keep the test bounded on slow schedulers (TSan, 1-core
   // CI): threads retire after kMaxRounds even if the churn driver is
   // still being starved of cycles.
@@ -327,12 +351,12 @@ TYPED_TEST(StoreConcurrencySuite, ContendedGetsPutsScansAndChurnStayExact) {
   // balanced reads and stats snapshots - all while membership churns
   // and writers mutate their own lanes.
   std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&store, &stop, &reads_ok, &rounds, r] {
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&store, &stop, &reads_ok, &reader_rounds,
+                          &readers_started, &readers_done, r] {
       std::uint64_t ok = 0;
       int round = 0;
       while (!stop.load(std::memory_order_relaxed) && round < kMaxRounds) {
-        rounds.fetch_add(1, std::memory_order_relaxed);
         const std::string key =
             "stable" + std::to_string((round * 7 + r * 13) % kStable);
         const auto value = store.get(key);
@@ -354,8 +378,11 @@ TYPED_TEST(StoreConcurrencySuite, ContendedGetsPutsScansAndChurnStayExact) {
           (void)store.stats().relocation;
         }
         ++round;
+        reader_rounds.fetch_add(1, std::memory_order_relaxed);
+        if (round == 1) readers_started.fetch_add(1);
       }
       reads_ok.fetch_add(ok);
+      readers_done.fetch_add(1);
     });
   }
 
@@ -365,10 +392,9 @@ TYPED_TEST(StoreConcurrencySuite, ContendedGetsPutsScansAndChurnStayExact) {
   constexpr int kLaneKeys = 120;
   std::vector<std::thread> writers;
   for (std::size_t w = 0; w < kLanes; ++w) {
-    writers.emplace_back([&store, &stop, &rounds, w] {
+    writers.emplace_back([&store, &stop, w] {
       int round = 0;
       while (!stop.load(std::memory_order_relaxed) && round < kMaxRounds) {
-        rounds.fetch_add(1, std::memory_order_relaxed);
         const std::string key = "lane" + std::to_string(w) + "-" +
                                 std::to_string(round % kLaneKeys);
         if ((round / kLaneKeys) % 2 == 0) {
@@ -387,22 +413,30 @@ TYPED_TEST(StoreConcurrencySuite, ContendedGetsPutsScansAndChurnStayExact) {
 
   // Churn driver: every membership event runs the shard-parallel
   // repair and relocation flush on the pool while the readers and
-  // writers above keep hammering the store.
-  // Between events, wait (bounded) for the reader/writer threads to
-  // make real progress so every membership change overlaps live
-  // traffic instead of racing past retired threads.
-  const auto wait_for_traffic = [&rounds, &stop] {
-    const std::uint64_t start = rounds.load(std::memory_order_relaxed);
-    for (int spin = 0; spin < 20000; ++spin) {
-      if (stop.load(std::memory_order_relaxed)) return;
-      if (rounds.load(std::memory_order_relaxed) >= start + 100) return;
+  // writers above keep hammering the store. It waits (bounded) until
+  // every reader has finished a round before the first event - a reader
+  // first scheduled after `stop` would do none - and for reader
+  // progress between events, so every membership change overlaps live
+  // reads instead of racing past retired threads. Writer rounds do not
+  // count: they could satisfy the wait before any read ran.
+  const auto wait_for_readers = [&readers_done](const auto& ready) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!ready() && readers_done.load() < kReaders &&
+           std::chrono::steady_clock::now() < deadline) {
       std::this_thread::yield();
     }
   };
+  wait_for_readers([&readers_started] {
+    return readers_started.load() == kReaders;
+  });
 
   std::vector<placement::NodeId> added;
   for (int event = 0; event < 6; ++event) {
-    wait_for_traffic();
+    const std::uint64_t start = reader_rounds.load(std::memory_order_relaxed);
+    wait_for_readers([&reader_rounds, start] {
+      return reader_rounds.load(std::memory_order_relaxed) >= start + 100;
+    });
     switch (event % 3) {
       case 0:
         added.push_back(store.add_node());
