@@ -267,12 +267,33 @@ BENCHMARK(BM_DistributedProtocol)->Arg(128)->Arg(512);
 // single-threaded trajectory. Each membership cell also reports the
 // counters one iteration's events leave behind (keys_moved_total,
 // keys_rereplicated, repair_shards_visited); they must not depend on
-// T, and the bench-smoke CI job fails when T = 1 and T = 4 disagree.
+// T, and the bench-smoke CI job fails when T = 1 and T = 4 disagree or
+// when a threads:1 count rises above bench/micro_ops_counts.json.
+//
+// The membership cells (store_event_k1, store_repair_k3,
+// store_repair_k3_rack) rebuild their loaded store untimed in every
+// iteration, so a time-bound run gives them only a handful of timed
+// iterations and one cell's runs scatter widely between invocations.
+// They run a fixed kMembershipIterations iterations, repeated
+// kMembershipRepetitions times, and report only the aggregates; read
+// the _median row (names gain /iterations:N/repeats:R).
 // For the contended mix T is the number of google-benchmark driver
 // threads hammering the store's locked read/write paths. Timings are
 // only comparable at equal T; see scripts/check_bench_regression.py.
 
 constexpr std::size_t kStoreBenchKeys = 20000;
+
+/// Fixed shape of the membership cells (see the family comment).
+constexpr benchmark::IterationCount kMembershipIterations = 8;
+constexpr int kMembershipRepetitions = 9;
+
+/// Gives `bench` the membership cells' shape: fixed iterations, median
+/// of repetitions.
+void membership_cell(benchmark::internal::Benchmark* bench) {
+  bench->Iterations(kMembershipIterations)
+      ->Repetitions(kMembershipRepetitions)
+      ->ReportAggregatesOnly(true);
+}
 
 /// The comparison schemes at a comparable footprint (mirrors the
 /// typed store tests: one vnode / one moderate point set per node).
@@ -512,6 +533,7 @@ void register_all_store_benches() {
                                  [scheme](benchmark::State& state) {
                                    BM_StoreMembershipEvents(state, scheme, 1);
                                  })
+        ->Apply(membership_cell)
         ->ArgName("threads")
         ->Arg(1)
         ->Arg(2)
@@ -520,6 +542,7 @@ void register_all_store_benches() {
                                  [scheme](benchmark::State& state) {
                                    BM_StoreMembershipEvents(state, scheme, 3);
                                  })
+        ->Apply(membership_cell)
         ->ArgName("threads")
         ->Arg(1)
         ->Arg(2)
@@ -527,7 +550,8 @@ void register_all_store_benches() {
     benchmark::RegisterBenchmark(("store_repair_k3_rack/" + name).c_str(),
                                  [scheme](benchmark::State& state) {
                                    BM_StoreRackRepair(state, scheme);
-                                 });
+                                 })
+        ->Apply(membership_cell);
     benchmark::RegisterBenchmark(("store_bytes_per_key/" + name).c_str(),
                                  [scheme](benchmark::State& state) {
                                    BM_StoreBytesPerKey(state, scheme);

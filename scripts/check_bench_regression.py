@@ -18,6 +18,10 @@ as an informational summary (speedup of each threads:T cell over its
 own threads:1 cell); they are never gated, because the runner's core
 count decides what scaling is even achievable.
 
+The membership cells run a fixed iteration count with repetitions and
+report aggregates only; their _median row stands for the cell, under
+the name without the /iterations:N/repeats:R suffixes (cell_rows).
+
 Advisory by design: nightly runners are shared and noisy, and the
 baseline was recorded on the 1-core CI container - the gate surfaces
 trends, it does not fail the build. Pass --strict to exit nonzero on
@@ -38,6 +42,23 @@ import re
 import sys
 
 _THREADS_RE = re.compile(r"^(?P<base>.*)/threads:(?P<t>\d+)$")
+_SHAPE_RE = re.compile(r"/(iterations|repeats):\d+")
+
+
+def cell_rows(benchmarks):
+    """-> {cell name: row}, one row per cell: a plain run's row, or the
+    _median aggregate of a repeated one, keyed without its
+    /iterations:N/repeats:R suffixes."""
+    cells = {}
+    for row in benchmarks:
+        if row.get("run_type") == "aggregate":
+            if row.get("aggregate_name") != "median":
+                continue
+            name = row["run_name"]
+        else:
+            name = row["name"]
+        cells[_SHAPE_RE.sub("", name)] = row
+    return cells
 
 
 def split_threads(name):
@@ -93,8 +114,8 @@ def main(argv):
 
     with open(fresh_path) as f:
         fresh = {
-            b["name"]: b["real_time"]
-            for b in json.load(f).get("benchmarks", [])
+            name: row["real_time"]
+            for name, row in cell_rows(json.load(f).get("benchmarks", [])).items()
         }
     with open(baseline_path) as f:
         baseline = json.load(f)["after"]

@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Blocking repair-count gate over micro_ops' membership cells.
+
+Reads a google-benchmark JSON run (micro_ops --json) of the
+store_event_k1 and store_repair_k3 families at threads:1 and threads:4
+and checks, for every scheme, the three exact counters one iteration
+leaves behind (keys_moved_total, keys_rereplicated,
+repair_shards_visited):
+
+  * threads:1 (no pool: the repair pass runs inline) and threads:4
+    (pooled) must agree - the store's one repair pass must not tell the
+    two apart;
+  * the threads:1 counts must not rise above the checked-in baseline
+    (bench/micro_ops_counts.json) - a looser dirty report or a wider
+    repair plan shows up here as more keys or shards touched. A count
+    below the baseline passes with a notice to update the file.
+
+A cell or counter missing from the run or the baseline fails the gate.
+
+Usage:
+  check_repair_counts.py <fresh.json> --schemes="local global ..."
+      [--baseline=bench/micro_ops_counts.json]
+"""
+
+import json
+import sys
+
+from check_bench_regression import cell_rows
+
+FAMILIES = ("store_event_k1", "store_repair_k3")
+COUNTERS = ("keys_moved_total", "keys_rereplicated", "repair_shards_visited")
+
+
+def main(argv):
+    fresh_path = None
+    baseline_path = "bench/micro_ops_counts.json"
+    schemes = []
+    for arg in argv[1:]:
+        if arg.startswith("--baseline="):
+            baseline_path = arg.split("=", 1)[1]
+        elif arg.startswith("--schemes="):
+            schemes = arg.split("=", 1)[1].split()
+        elif arg.startswith("--"):
+            sys.exit(f"unknown option: {arg}")
+        else:
+            fresh_path = arg
+    if fresh_path is None or not schemes:
+        sys.exit(__doc__)
+
+    with open(fresh_path) as f:
+        cells = cell_rows(json.load(f).get("benchmarks", []))
+    with open(baseline_path) as f:
+        baseline = json.load(f)["cells"]
+
+    bad = []
+    for family in FAMILIES:
+        for scheme in schemes:
+            cell = f"{family}/{scheme}"
+            inline = cells.get(f"{cell}/threads:1", {})
+            pooled = cells.get(f"{cell}/threads:4", {})
+            recorded = baseline.get(f"{cell}/threads:1", {})
+            for c in COUNTERS:
+                if c not in inline or c not in pooled:
+                    bad.append(f"{cell} {c}: missing from the run")
+                    continue
+                if inline[c] != pooled[c]:
+                    bad.append(f"{cell} {c}: {inline[c]:.0f} inline, "
+                               f"{pooled[c]:.0f} pooled")
+                if c not in recorded:
+                    bad.append(f"{cell} {c}: missing from {baseline_path}")
+                elif inline[c] > recorded[c]:
+                    bad.append(f"{cell} {c}: {inline[c]:.0f} rose above "
+                               f"the recorded {recorded[c]}")
+                elif inline[c] < recorded[c]:
+                    print(f"::notice::{cell} {c}: {inline[c]:.0f} is below "
+                          f"the recorded {recorded[c]} - update "
+                          f"{baseline_path}")
+    if bad:
+        print("repair-count gate failed: " + ", ".join(bad))
+        return 1
+    print("repair-count gate: ok")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -33,15 +33,17 @@
 //                      a ReplicationSpec{k, SpreadPolicy} that spread
 //                      replicas across the racks/zones of an attached
 //                      cluster::Topology (kNone is the raw walk
-//                      verbatim), and set_topology()/topology();
+//                      verbatim), set_topology()/topology() and
+//                      sigma();
 //   * serialization  - an OPTIONAL serialization_domain(index) hook
 //                      (see serialization_domain_of below): the unit
 //                      the scheme's update protocol serializes on.
 //                      Schemes without a native unit fall back to the
 //                      arc-lattice default;
-//   * quality        - quotas() and sigma(), the relative standard
-//                      deviation of per-node quotas (the metric of
-//                      figure 9, comparable across schemes);
+//   * quality        - quotas(), and sigma() (from the shared
+//                      surface), the relative standard deviation of
+//                      per-node quotas (the metric of figure 9,
+//                      comparable across schemes; 0 with no live node);
 //   * relocation     - set_observer(): range-level callbacks that feed
 //                      the unified MigrationStats.
 //
@@ -58,7 +60,10 @@
 // The ranking is the scheme's native preference order: the successor
 // walk over partitions (DHT backends), ring points (CH) or grid cells
 // (jump, maglev, bounded-load CH), and the score order for rendezvous
-// hashing.
+// hashing. The successor walk and its dirty report are written once
+// (successor_walk.hpp); each tiling supplies a small segment adaptor,
+// and the four grid schemes share one base, GridScheme (range_grid.hpp),
+// for everything the ownership grid answers.
 //
 // replica_dirty_ranges(k) contract (the repair-planning surface):
 //   * returns inclusive, never-wrapping hash ranges; any point whose

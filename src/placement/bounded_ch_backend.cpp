@@ -2,12 +2,10 @@
 
 #include <cmath>
 
-#include "common/stats.hpp"
-
 namespace cobalt::placement {
 
 BoundedChBackend::BoundedChBackend(Options options)
-    : options_(options), ring_(options.seed), grid_(options.grid_bits) {
+    : GridScheme(options.grid_bits), options_(options), ring_(options.seed) {
   COBALT_REQUIRE(options_.virtual_servers >= 1,
                  "a node must place at least one virtual server");
   COBALT_REQUIRE(options_.epsilon > 0.0, "epsilon must be positive");
@@ -17,14 +15,14 @@ NodeId BoundedChBackend::add_node(double capacity) {
   const std::size_t points =
       scaled_enrollment(options_.virtual_servers, capacity);
   node_weight_.push_back(capacity);
-  const ch::NodeId node = ring_.add_node(points, nullptr);
+  const NodeId node = enroll();
+  ring_.add_node(points, nullptr);  // the ring's ids are dense too
   rebuild();
-  return static_cast<NodeId>(node);
+  return node;
 }
 
 bool BoundedChBackend::remove_node(NodeId node) {
-  COBALT_REQUIRE(is_live(node), "node is not live");
-  COBALT_REQUIRE(ring_.node_count() >= 2, "cannot remove the last live node");
+  retire(node);
   ring_.remove_node(static_cast<ch::NodeId>(node), nullptr);
   node_weight_[node] = 0.0;
   rebuild();
@@ -41,11 +39,11 @@ void BoundedChBackend::rebuild() {
   // terminates.
   double total_weight = 0.0;
   for (NodeId node = 0; node < slots; ++node) {
-    if (ring_.is_live(node)) total_weight += node_weight_[node];
+    if (is_live(node)) total_weight += node_weight_[node];
   }
   node_cap_.assign(slots, 0);
   for (NodeId node = 0; node < slots; ++node) {
-    if (!ring_.is_live(node)) continue;
+    if (!is_live(node)) continue;
     node_cap_[node] = static_cast<std::size_t>(
         std::ceil((1.0 + options_.epsilon) * node_weight_[node] /
                   total_weight * static_cast<double>(cells)));
@@ -70,18 +68,8 @@ void BoundedChBackend::rebuild() {
       ++it;
     }
   }
-  grid_.assign(std::move(next), observer_);
+  assign(std::move(next));
 }
-
-std::vector<double> BoundedChBackend::quotas() const {
-  std::vector<bool> live(node_weight_.size());
-  for (NodeId node = 0; node < node_weight_.size(); ++node) {
-    live[node] = ring_.is_live(node);
-  }
-  return grid_quotas(grid_, live);
-}
-
-double BoundedChBackend::sigma() const { return relative_stddev(quotas()); }
 
 std::size_t BoundedChBackend::cap_of(NodeId node) const {
   COBALT_REQUIRE(node < node_cap_.size(), "unknown node");

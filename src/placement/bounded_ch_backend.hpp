@@ -15,7 +15,11 @@
 // membership event rebuilds the assignment and diffs it into coalesced
 // relocation ranges. Quotas are exact cell counts, so sigma() directly
 // shows the load bound at work: no node's quota can exceed
-// (1 + epsilon) x its fair share (rounded up to whole cells).
+// (1 + epsilon) x its fair share (rounded up to whole cells). Replicas
+// come from the GridScheme base's successor walk over the *bounded*
+// grid, so they respect the load caps the scheme exists to enforce -
+// walking the raw ring instead could rank an at-capacity node as a
+// fallback.
 
 #pragma once
 
@@ -26,7 +30,6 @@
 
 #include "ch/ring.hpp"
 #include "placement/range_grid.hpp"
-#include "placement/replication_spec.hpp"
 #include "placement/types.hpp"
 
 namespace cobalt::placement {
@@ -53,16 +56,11 @@ struct BoundedChBackendOptions {
 
 /// Adapter making bounded-load consistent hashing model
 /// PlacementBackend.
-class BoundedChBackend final : public ReplicationSurface<BoundedChBackend> {
+class BoundedChBackend final : public GridScheme<BoundedChBackend> {
  public:
   using Options = BoundedChBackendOptions;
-  using ReplicationSurface::replica_set_into;
-  using ReplicationSurface::replica_dirty_ranges;
 
   explicit BoundedChBackend(Options options);
-
-  BoundedChBackend(const BoundedChBackend&) = delete;
-  BoundedChBackend& operator=(const BoundedChBackend&) = delete;
 
   /// Joins a node of relative `capacity` (ring points and load cap
   /// both scale with it).
@@ -72,55 +70,12 @@ class BoundedChBackend final : public ReplicationSurface<BoundedChBackend> {
   /// refuses). Requires another live node.
   bool remove_node(NodeId node);
 
-  [[nodiscard]] NodeId owner_of(HashIndex index) const {
-    return grid_.owner_of(index);
-  }
-
-  /// Ranked distinct owners of the k copies of a key at `index`: the
-  /// successor walk over the *bounded* assignment grid (forward cell
-  /// walk, first-encounter order), so replicas respect the load caps
-  /// the scheme exists to enforce - walking the raw ring instead could
-  /// rank an at-capacity node as a fallback.
-  /// The set is written into `out` (cleared first); `stop` may end
-  /// the walk early (see WalkStop).
-  void replica_set_into(HashIndex index, std::size_t k,
-                        std::vector<NodeId>& out, WalkStop stop = {}) const {
-    grid_replica_walk_into(grid_, index, k, node_count(), out, stop);
-  }
-
-  /// Replica sets change only where a forward cell walk can reach a
-  /// cell the last rebuild reassigned: the bounded grid's changed
-  /// runs, expanded backward by k distinct owners.
-  [[nodiscard]] std::vector<HashRange> replica_dirty_ranges(
-      std::size_t k) const {
-    return grid_replica_dirty_ranges(grid_, k);
-  }
-
-  [[nodiscard]] std::size_t node_count() const { return ring_.node_count(); }
-  [[nodiscard]] std::size_t node_slot_count() const {
-    return ring_.node_slot_count();
-  }
-  [[nodiscard]] bool is_live(NodeId node) const { return ring_.is_live(node); }
-
-  /// Per-node quotas (cells owned / grid size), live nodes in id
-  /// order. Each is at most (1 + epsilon) x the node's weighted fair
-  /// share, rounded up to a whole cell.
-  [[nodiscard]] std::vector<double> quotas() const;
-
-  /// sigma-bar of the per-node quotas (the figure-9 metric).
-  [[nodiscard]] double sigma() const;
-
-  void set_observer(RelocationObserver* observer) { observer_ = observer; }
-
   static std::string_view scheme_name() { return "bounded-ch"; }
 
   // --- backend-specific surface (not part of the concept) -----------
 
   /// The underlying (unbounded) ring deciding preferred owners.
   [[nodiscard]] const ch::ConsistentHashRing& ring() const { return ring_; }
-
-  /// The bounded assignment grid (exact cell-level placement).
-  [[nodiscard]] const RangeGrid& grid() const { return grid_; }
 
   /// The cell cap currently applied to `node` (0 when departed).
   [[nodiscard]] std::size_t cap_of(NodeId node) const;
@@ -132,10 +87,8 @@ class BoundedChBackend final : public ReplicationSurface<BoundedChBackend> {
 
   Options options_;
   ch::ConsistentHashRing ring_;
-  RangeGrid grid_;
   std::vector<double> node_weight_;  // per slot; 0 when departed
   std::vector<std::size_t> node_cap_;  // cells, recomputed per rebuild
-  RelocationObserver* observer_ = nullptr;
 };
 
 }  // namespace cobalt::placement

@@ -1,8 +1,9 @@
 #include "placement/ch_backend.hpp"
 
-#include <algorithm>
+#include <map>
 
 #include "common/error.hpp"
+#include "placement/successor_walk.hpp"
 
 namespace cobalt::placement {
 
@@ -37,72 +38,44 @@ NodeId ChBackend::owner_of(HashIndex index) const {
   return static_cast<NodeId>(ring_.lookup(index));
 }
 
+namespace {
+
+/// The ring's points as a successor-walk segment sequence: a point
+/// closes the arc after its predecessor, and a change is one arc
+/// transfer of the last event, whose expansion may visit every point.
+struct RingPoints {
+  const std::map<HashIndex, ch::NodeId>& points;
+
+  auto locate(HashIndex index) const {
+    const auto it = points.lower_bound(index);  // the owning point
+    return it == points.end() ? points.begin() : it;
+  }
+  NodeId owner(auto it) const { return static_cast<NodeId>(it->second); }
+  auto next(auto it) const {
+    return ++it == points.end() ? points.begin() : it;
+  }
+  auto prev(auto it) const {
+    if (it == points.begin()) it = points.end();
+    return --it;
+  }
+  HashIndex last(auto it) const { return it->first; }
+  std::size_t size() const { return points.size(); }
+  HashRange span(const ch::ArcTransfer& t) const { return {t.first, t.last}; }
+  std::size_t reach(const ch::ArcTransfer&) const { return points.size(); }
+};
+
+}  // namespace
+
 void ChBackend::replica_set_into(HashIndex index, std::size_t k,
                                  std::vector<NodeId>& out,
                                  WalkStop stop) const {
-  COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");
   COBALT_REQUIRE(ring_.node_count() >= 1, "the backend has no nodes");
-  const std::size_t want =
-      k < ring_.node_count() ? k : ring_.node_count();
-  out.clear();
-  out.reserve(want);
-  // Successor walk: the first point at or after `index` is the owner
-  // (the ring's lookup convention), later points rank the fallbacks.
-  const auto& points = ring_.points();
-  auto it = points.lower_bound(index);
-  for (std::size_t step = 0; step < points.size() && out.size() < want;
-       ++step, ++it) {
-    if (it == points.end()) it = points.begin();
-    const auto node = static_cast<NodeId>(it->second);
-    if (std::find(out.begin(), out.end(), node) == out.end()) {
-      out.push_back(node);
-      if (stop(node)) return;
-    }
-  }
+  successor_walk_into(RingPoints{ring_.points()}, index, k,
+                      ring_.node_count(), out, stop);
 }
 
 std::vector<HashRange> ChBackend::replica_dirty_ranges(std::size_t k) const {
-  COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");
-  std::vector<HashRange> dirty;
-  const auto& points = ring_.points();
-  if (points.empty()) return dirty;
-  for (const ch::ArcTransfer& t : last_event_) {
-    // The arc [t.first, t.last] surrounds the inserted/removed point
-    // (arcs end at their point); a successor walk whose window
-    // reaches into the arc may have changed. Walk backward from the
-    // arc over the surviving points, counting distinct nodes: once k
-    // distinct nodes separate a point from the arc, walks starting at
-    // or before that point terminate early and are clean.
-    std::vector<NodeId> seen;
-    HashIndex dirty_first = 0;
-    bool bounded = false;
-    auto it = points.lower_bound(t.first);
-    for (std::size_t step = 0; step < points.size(); ++step) {
-      if (it == points.begin()) it = points.end();
-      --it;
-      const auto node = static_cast<NodeId>(it->second);
-      if (std::find(seen.begin(), seen.end(), node) == seen.end()) {
-        seen.push_back(node);
-      }
-      if (seen.size() >= k) {
-        // Keys mapping to this point or earlier find k distinct nodes
-        // without entering the arc; the dirty region starts just
-        // after the point (+1 wraps to 0 past the top of R_h).
-        bounded = true;
-        dirty_first = it->first + 1;
-        break;
-      }
-    }
-    if (!bounded) return {{0, HashSpace::kMaxIndex}};
-    if (dirty_first <= t.last) {
-      dirty.push_back({dirty_first, t.last});
-    } else {  // the backward expansion wrapped past 0
-      dirty.push_back({dirty_first, HashSpace::kMaxIndex});
-      dirty.push_back({0, t.last});
-    }
-  }
-  coalesce_ranges(dirty);
-  return dirty;
+  return successor_dirty_ranges(RingPoints{ring_.points()}, last_event_, k);
 }
 
 void ChBackend::forward(const std::vector<ch::ArcTransfer>& events) {

@@ -45,9 +45,6 @@ class ChBackend final : public ReplicationSurface<ChBackend> {
 
   explicit ChBackend(Options options);
 
-  ChBackend(const ChBackend&) = delete;
-  ChBackend& operator=(const ChBackend&) = delete;
-
   /// Joins a node of relative `capacity` (ring points scale with it).
   NodeId add_node(double capacity = 1.0);
 
@@ -79,11 +76,9 @@ class ChBackend final : public ReplicationSurface<ChBackend> {
   }
   [[nodiscard]] bool is_live(NodeId node) const { return ring_.is_live(node); }
 
-  /// Per-node quotas Qn, live nodes in id order.
+  /// Per-node quotas Qn, live nodes in id order (their sigma() is
+  /// sigma-bar(Qn), the CH side of figure 9).
   [[nodiscard]] std::vector<double> quotas() const { return ring_.quotas(); }
-
-  /// sigma-bar(Qn): the CH side of figure 9.
-  [[nodiscard]] double sigma() const { return ring_.sigma_qn(); }
 
   void set_observer(RelocationObserver* observer) { observer_ = observer; }
 

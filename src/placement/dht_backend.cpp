@@ -1,11 +1,43 @@
 #include "placement/dht_backend.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
-#include "common/stats.hpp"
+#include "placement/successor_walk.hpp"
 
 namespace cobalt::placement {
+
+namespace {
+
+/// The partition map as a successor-walk segment sequence; a change is
+/// one partition range the last event transferred, split or merged.
+/// Its expansion stops one partition short of a full circle. The
+/// partition holding a change's first index may have grown past the
+/// old boundary (a later merge of the same event); starting the
+/// expansion at it keeps the report conservative.
+template <typename DhtT>
+struct Partitions {
+  const DhtT& dht;
+
+  dht::PartitionMap::Hit locate(HashIndex index) const {
+    return dht.lookup(index);
+  }
+  NodeId owner(const dht::PartitionMap::Hit& hit) const {
+    return static_cast<NodeId>(dht.vnode(hit.owner).snode);
+  }
+  dht::PartitionMap::Hit next(const dht::PartitionMap::Hit& hit) const {
+    return dht.partition_map().successor(hit.partition);
+  }
+  dht::PartitionMap::Hit prev(const dht::PartitionMap::Hit& hit) const {
+    return dht.partition_map().predecessor(hit.partition);
+  }
+  HashIndex last(const dht::PartitionMap::Hit& hit) const {
+    return hit.partition.last();
+  }
+  std::size_t size() const { return dht.partition_map().size(); }
+  HashRange span(const HashRange& range) const { return range; }
+  std::size_t reach(const HashRange&) const { return size() - 1; }
+};
+
+}  // namespace
 
 template <typename DhtT>
 DhtBackend<DhtT>::DhtBackend(Options options)
@@ -70,70 +102,19 @@ template <typename DhtT>
 void DhtBackend<DhtT>::replica_set_into(HashIndex index, std::size_t k,
                                         std::vector<NodeId>& out,
                                         WalkStop stop) const {
-  COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");
   COBALT_REQUIRE(live_nodes_ >= 1, "the backend has no nodes");
-  const std::size_t want = k < live_nodes_ ? k : live_nodes_;
-  out.clear();
-  out.reserve(want);
-  // Walk the partition tiling from the owning partition; every live
-  // snode owns at least one partition (a vnode always holds Pmin >= 1
-  // partitions), so the walk finds `want` distinct nodes within one
-  // full circle.
-  dht::PartitionMap::Hit hit = dht_.lookup(index);
-  const std::size_t partitions = dht_.partition_map().size();
-  for (std::size_t step = 0; step < partitions && out.size() < want;
-       ++step) {
-    const auto node = static_cast<NodeId>(dht_.vnode(hit.owner).snode);
-    if (std::find(out.begin(), out.end(), node) == out.end()) {
-      out.push_back(node);
-      if (stop(node)) return;
-    }
-    hit = dht_.partition_map().successor(hit.partition);
-  }
+  // Every live snode owns at least one partition (a vnode always holds
+  // Pmin >= 1 partitions), so the walk finds min(k, live) distinct
+  // nodes within one full circle.
+  successor_walk_into(Partitions<DhtT>{dht_}, index, k, live_nodes_, out,
+                      stop);
 }
 
 template <typename DhtT>
 std::vector<HashRange> DhtBackend<DhtT>::replica_dirty_ranges(
     std::size_t k) const {
-  COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");
-  std::vector<HashRange> dirty;
-  if (last_event_ranges_.empty() || dht_.partition_map().size() == 0) {
-    return dirty;
-  }
-  const std::size_t partitions = dht_.partition_map().size();
-  for (const HashRange& range : last_event_ranges_) {
-    // Expand backward over the current tiling until k distinct snodes
-    // separate a partition from the changed range: a successor walk
-    // starting there finds its k owners before reaching the range.
-    // The partition containing range.first may have grown past the
-    // old boundary (a later merge of the same event); starting the
-    // dirty region at its begin keeps the expansion conservative.
-    std::vector<NodeId> seen;
-    dht::PartitionMap::Hit hit = dht_.lookup(range.first);
-    HashIndex dirty_first = hit.partition.begin();
-    bool bounded = false;
-    for (std::size_t step = 0; step + 1 < partitions; ++step) {
-      hit = dht_.partition_map().predecessor(hit.partition);
-      const auto node = static_cast<NodeId>(dht_.vnode(hit.owner).snode);
-      if (std::find(seen.begin(), seen.end(), node) == seen.end()) {
-        seen.push_back(node);
-      }
-      if (seen.size() >= k) {  // this partition's walk stops before the range
-        bounded = true;
-        break;
-      }
-      dirty_first = hit.partition.begin();
-    }
-    if (!bounded) return {{0, HashSpace::kMaxIndex}};
-    if (dirty_first <= range.last) {
-      dirty.push_back({dirty_first, range.last});
-    } else {  // the backward expansion wrapped past 0
-      dirty.push_back({dirty_first, HashSpace::kMaxIndex});
-      dirty.push_back({0, range.last});
-    }
-  }
-  coalesce_ranges(dirty);
-  return dirty;
+  return successor_dirty_ranges(Partitions<DhtT>{dht_}, last_event_ranges_,
+                                k);
 }
 
 template <typename DhtT>
@@ -155,13 +136,6 @@ std::vector<double> DhtBackend<DhtT>::quotas() const {
     result.push_back(quota.to_double());
   }
   return result;
-}
-
-template <typename DhtT>
-double DhtBackend<DhtT>::sigma() const {
-  if (live_nodes_ == 0) return 0.0;
-  const std::vector<double> q = quotas();
-  return relative_stddev(q);
 }
 
 template <>

@@ -53,9 +53,6 @@ class DhtBackend final : public ReplicationSurface<DhtBackend<DhtT>>,
   explicit DhtBackend(Options options);
   ~DhtBackend() override;
 
-  DhtBackend(const DhtBackend&) = delete;
-  DhtBackend& operator=(const DhtBackend&) = delete;
-
   /// Joins a node of relative `capacity`, enrolling vnodes
   /// proportionally; returns its id (== the underlying snode id).
   NodeId add_node(double capacity = 1.0);
@@ -100,13 +97,9 @@ class DhtBackend final : public ReplicationSurface<DhtBackend<DhtT>>,
   [[nodiscard]] bool is_live(NodeId node) const;
 
   /// Per-node quotas (sum of the node's vnode quotas), live nodes in
-  /// id order.
+  /// id order. Their sigma() equals the paper's sigma-bar(Qv) when
+  /// every node enrolls exactly one vnode.
   [[nodiscard]] std::vector<double> quotas() const;
-
-  /// sigma-bar of the per-node quotas - the cross-scheme comparison
-  /// metric of figure 9. Equal to the paper's sigma-bar(Qv) when every
-  /// node enrolls exactly one vnode.
-  [[nodiscard]] double sigma() const;
 
   void set_observer(RelocationObserver* observer) { observer_ = observer; }
 

@@ -5,8 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "common/stats.hpp"
-
 namespace cobalt::placement {
 
 namespace {
@@ -20,8 +18,8 @@ bool outranks(const std::pair<double, NodeId>& a,
 }  // namespace
 
 HrwBackend::HrwBackend(Options options)
-    : options_(options),
-      grid_(options.grid_bits),
+    : GridScheme(options.grid_bits),
+      options_(options),
       winning_score_(grid_.size(), -std::numeric_limits<double>::infinity()),
       rng_(options.seed) {}
 
@@ -36,11 +34,9 @@ double HrwBackend::score(std::size_t cell, NodeId node) const {
 
 NodeId HrwBackend::add_node(double capacity) {
   require_capacity(capacity);
-  const auto id = static_cast<NodeId>(node_live_.size());
+  const NodeId id = enroll();
   node_weight_.push_back(capacity);
   node_draw_.push_back(rng_.next());
-  node_live_.push_back(true);
-  ++live_nodes_;
 
   // The tracked replica sets (when armed) change only where the new
   // node enters them: it outranks a set's lowest member, or it opens a
@@ -90,16 +86,13 @@ NodeId HrwBackend::add_node(double capacity) {
     if (join_spread(cell, id, s, opens_domain, few_domains)) mark_spread(cell);
   }
   if (track) spread_.filled = std::min(spread_.k, live_nodes_);
-  grid_.assign(std::move(next), observer_);
+  assign(std::move(next));
   return id;
 }
 
 bool HrwBackend::remove_node(NodeId node) {
-  COBALT_REQUIRE(is_live(node), "node is not live");
-  COBALT_REQUIRE(live_nodes_ >= 2, "cannot remove the last live node");
-  node_live_[node] = false;
+  retire(node);
   node_weight_[node] = 0.0;
-  --live_nodes_;
 
   // Only the cells the departed node won change hands: rerun the
   // rendezvous among the survivors for exactly those cells.
@@ -119,7 +112,7 @@ bool HrwBackend::remove_node(NodeId node) {
     next[cell] = winner;
     winning_score_[cell] = best;
   }
-  grid_.assign(std::move(next), observer_);
+  assign(std::move(next));
 
   // Only the tracked sets holding the departed node can change.
   if (begin_spread_event()) {
@@ -187,15 +180,10 @@ std::vector<HashRange> HrwBackend::replica_dirty_ranges(std::size_t k) const {
 std::vector<HashRange> HrwBackend::replica_dirty_ranges(
     const ReplicationSpec& spec) const {
   COBALT_REQUIRE(spec.k >= 1, "a replica set needs at least one member");
+  // Rank 0 is the stored grid winner, and the grid's k = 1 successor
+  // report is exactly its changed runs (one owner separates each).
+  if (spec.k == 1) return GridScheme::replica_dirty_ranges(1);
   std::vector<HashRange> dirty;
-  if (spec.k == 1) {
-    // Rank 0 is the stored grid winner: exactly the changed cells.
-    for (const auto& [run_first, run_last] : grid_.last_changes()) {
-      dirty.push_back(
-          {grid_.cell_first(run_first), grid_.cell_last(run_last)});
-    }
-    return dirty;
-  }
   if (live_nodes_ == 0) return dirty;
   const SpreadPolicy policy =
       topology() == nullptr ? SpreadPolicy::kNone : spec.spread;
@@ -364,8 +352,6 @@ bool HrwBackend::store_spread(std::size_t cell) const {
   }
   return changed || size != t.filled;
 }
-
-double HrwBackend::sigma() const { return relative_stddev(quotas()); }
 
 double HrwBackend::weight_of(NodeId node) const {
   COBALT_REQUIRE(node < node_weight_.size(), "unknown node");

@@ -9,10 +9,12 @@
 // makes a node's expected quota exactly proportional to its weight.
 // capacity is the weight, so heterogeneity needs no extra machinery.
 //
-// Ownership is defined on a RangeGrid (see range_grid.hpp): routing,
-// quotas and relocation accounting all read the same sampled-range
-// table, and membership events are diffed into coalesced on_relocate
-// ranges. A join is incremental (the new node's score is compared
+// Ownership is defined on a RangeGrid owned by the GridScheme base (see
+// range_grid.hpp): routing, quotas and relocation accounting all read
+// the same sampled-range table, and membership events are diffed into
+// coalesced on_relocate ranges. HRW is the one grid scheme that is not
+// walk-replicated: it replaces the base's successor walk and dirty
+// report with the score order and the exact-cell tracker below. A join is incremental (the new node's score is compared
 // against each cell's stored winning score, O(cells)); a leave
 // recomputes only the cells the departed node owned (O(cells owned x
 // live nodes), i.e. O(cells) in expectation).
@@ -63,15 +65,12 @@ struct HrwBackendOptions {
 };
 
 /// Adapter making weighted rendezvous hashing model PlacementBackend.
-class HrwBackend final : public ReplicationSurface<HrwBackend> {
+class HrwBackend final : public GridScheme<HrwBackend> {
  public:
   using Options = HrwBackendOptions;
   using ReplicationSurface::replica_set_into;
 
   explicit HrwBackend(Options options);
-
-  HrwBackend(const HrwBackend&) = delete;
-  HrwBackend& operator=(const HrwBackend&) = delete;
 
   /// Joins a node of relative `capacity` (its rendezvous weight).
   NodeId add_node(double capacity = 1.0);
@@ -79,10 +78,6 @@ class HrwBackend final : public ReplicationSurface<HrwBackend> {
   /// Leaves; HRW can always express a removal (never refuses).
   /// Requires another live node.
   bool remove_node(NodeId node);
-
-  [[nodiscard]] NodeId owner_of(HashIndex index) const {
-    return grid_.owner_of(index);
-  }
 
   /// Ranked distinct owners of the k copies of a key at `index`: the
   /// live nodes in descending rendezvous-score order for the cell
@@ -119,30 +114,9 @@ class HrwBackend final : public ReplicationSurface<HrwBackend> {
     spread_.armed = false;
   }
 
-  [[nodiscard]] std::size_t node_count() const { return live_nodes_; }
-  [[nodiscard]] std::size_t node_slot_count() const {
-    return node_live_.size();
-  }
-  [[nodiscard]] bool is_live(NodeId node) const {
-    return node < node_live_.size() && node_live_[node];
-  }
-
-  /// Per-node quotas (cells owned / grid size), live nodes in id order.
-  [[nodiscard]] std::vector<double> quotas() const {
-    return grid_quotas(grid_, node_live_);
-  }
-
-  /// sigma-bar of the per-node quotas (the figure-9 metric).
-  [[nodiscard]] double sigma() const;
-
-  void set_observer(RelocationObserver* observer) { observer_ = observer; }
-
   static std::string_view scheme_name() { return "hrw"; }
 
   // --- backend-specific surface (not part of the concept) -----------
-
-  /// The ownership grid (exact cell-level placement).
-  [[nodiscard]] const RangeGrid& grid() const { return grid_; }
 
   /// The rendezvous weight `node` joined with (0 when departed).
   [[nodiscard]] double weight_of(NodeId node) const;
@@ -201,14 +175,10 @@ class HrwBackend final : public ReplicationSurface<HrwBackend> {
   void mark_spread(std::size_t cell) const;
 
   Options options_;
-  RangeGrid grid_;
   std::vector<double> winning_score_;  // per cell, matches grid_ owners
   std::vector<double> node_weight_;    // per node slot; 0 when departed
   std::vector<std::uint64_t> node_draw_;  // per-node random score tag
-  std::vector<bool> node_live_;
-  std::size_t live_nodes_ = 0;
   Xoshiro256 rng_;
-  RelocationObserver* observer_ = nullptr;
   // Written by the const dirty query (arming) as well as by membership
   // calls; both run under the caller's exclusive hold.
   mutable SpreadCells spread_;

@@ -1,7 +1,6 @@
 #include "placement/jump_backend.hpp"
 
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 
 namespace cobalt::placement {
 
@@ -26,12 +25,12 @@ std::size_t jump_hash(std::uint64_t key, std::size_t buckets) {
 }  // namespace
 
 JumpBackend::JumpBackend(Options options)
-    : options_(options), grid_(options.grid_bits) {}
+    : GridScheme(options.grid_bits), options_(options) {}
 
 NodeId JumpBackend::add_node(double capacity) {
   COBALT_REQUIRE(capacity == 1.0,
                  "jump consistent hash is unweighted; capacity must be 1.0");
-  const auto id = static_cast<NodeId>(node_bucket_.size());
+  const NodeId id = enroll();
   node_bucket_.push_back(slots_.size());
   slots_.push_back(id);
   rebuild();
@@ -39,8 +38,7 @@ NodeId JumpBackend::add_node(double capacity) {
 }
 
 bool JumpBackend::remove_node(NodeId node) {
-  COBALT_REQUIRE(is_live(node), "node is not live");
-  COBALT_REQUIRE(slots_.size() >= 2, "cannot remove the last live node");
+  retire(node);
   const std::size_t hole = node_bucket_[node];
   const std::size_t tail = slots_.size() - 1;
   if (hole != tail) {
@@ -62,18 +60,8 @@ void JumpBackend::rebuild() {
         mix64(static_cast<std::uint64_t>(cell) ^ options_.seed);
     next[cell] = slots_[jump_hash(key, slots_.size())];
   }
-  grid_.assign(std::move(next), observer_);
+  assign(std::move(next));
 }
-
-std::vector<double> JumpBackend::quotas() const {
-  std::vector<bool> live(node_bucket_.size());
-  for (NodeId node = 0; node < node_bucket_.size(); ++node) {
-    live[node] = node_bucket_[node] != kNoBucket;
-  }
-  return grid_quotas(grid_, live);
-}
-
-double JumpBackend::sigma() const { return relative_stddev(quotas()); }
 
 std::size_t JumpBackend::bucket_of(NodeId node) const {
   COBALT_REQUIRE(node < node_bucket_.size(), "unknown node");

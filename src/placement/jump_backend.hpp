@@ -13,6 +13,9 @@
 // tail node and the keys of the disappearing last bucket redistribute
 // jump-style - both effects are reported exactly, because ownership is
 // diffed on the RangeGrid (see range_grid.hpp) after every event.
+// Jump hash defines no replica rule; the GridScheme base's forward cell
+// walk over the materialized table ranks the replicas, exactly
+// consistent with owner_of.
 //
 // Jump hash is unweighted by construction: every bucket has the same
 // expected quota, so add_node accepts only capacity == 1.0 (a weighted
@@ -27,7 +30,6 @@
 #include <vector>
 
 #include "placement/range_grid.hpp"
-#include "placement/replication_spec.hpp"
 #include "placement/types.hpp"
 
 namespace cobalt::placement {
@@ -43,16 +45,11 @@ struct JumpBackendOptions {
 };
 
 /// Adapter making jump consistent hash model PlacementBackend.
-class JumpBackend final : public ReplicationSurface<JumpBackend> {
+class JumpBackend final : public GridScheme<JumpBackend> {
  public:
   using Options = JumpBackendOptions;
-  using ReplicationSurface::replica_set_into;
-  using ReplicationSurface::replica_dirty_ranges;
 
   explicit JumpBackend(Options options);
-
-  JumpBackend(const JumpBackend&) = delete;
-  JumpBackend& operator=(const JumpBackend&) = delete;
 
   /// Joins a node as the new tail bucket. Jump hash has no weighting
   /// mechanism, so only capacity == 1.0 is accepted.
@@ -62,52 +59,9 @@ class JumpBackend final : public ReplicationSurface<JumpBackend> {
   /// another live node.
   bool remove_node(NodeId node);
 
-  [[nodiscard]] NodeId owner_of(HashIndex index) const {
-    return grid_.owner_of(index);
-  }
-
-  /// Ranked distinct owners of the k copies of a key at `index`: the
-  /// table probe of range_grid.hpp (forward cell walk from the owning
-  /// cell, first-encounter order). Jump hash itself defines no replica
-  /// rule; probing the materialized table keeps the set exactly
-  /// consistent with owner_of.
-  /// The set is written into `out` (cleared first); `stop` may end
-  /// the walk early (see WalkStop).
-  void replica_set_into(HashIndex index, std::size_t k,
-                        std::vector<NodeId>& out, WalkStop stop = {}) const {
-    grid_replica_walk_into(grid_, index, k, node_count(), out, stop);
-  }
-
-  /// Replica sets change only where a forward cell walk can reach a
-  /// cell the last rebuild reassigned: the grid's changed runs,
-  /// expanded backward by k distinct owners.
-  [[nodiscard]] std::vector<HashRange> replica_dirty_ranges(
-      std::size_t k) const {
-    return grid_replica_dirty_ranges(grid_, k);
-  }
-
-  [[nodiscard]] std::size_t node_count() const { return slots_.size(); }
-  [[nodiscard]] std::size_t node_slot_count() const {
-    return node_bucket_.size();
-  }
-  [[nodiscard]] bool is_live(NodeId node) const {
-    return node < node_bucket_.size() && node_bucket_[node] != kNoBucket;
-  }
-
-  /// Per-node quotas (cells owned / grid size), live nodes in id order.
-  [[nodiscard]] std::vector<double> quotas() const;
-
-  /// sigma-bar of the per-node quotas (the figure-9 metric).
-  [[nodiscard]] double sigma() const;
-
-  void set_observer(RelocationObserver* observer) { observer_ = observer; }
-
   static std::string_view scheme_name() { return "jump"; }
 
   // --- backend-specific surface (not part of the concept) -----------
-
-  /// The ownership grid (exact cell-level placement).
-  [[nodiscard]] const RangeGrid& grid() const { return grid_; }
 
   /// The bucket currently mapped to `node` (kNoBucket when departed).
   static constexpr std::size_t kNoBucket = ~std::size_t{0};
@@ -119,10 +73,8 @@ class JumpBackend final : public ReplicationSurface<JumpBackend> {
   void rebuild();
 
   Options options_;
-  RangeGrid grid_;
   std::vector<NodeId> slots_;          // bucket -> node
   std::vector<std::size_t> node_bucket_;  // node -> bucket, kNoBucket dead
-  RelocationObserver* observer_ = nullptr;
 };
 
 }  // namespace cobalt::placement

@@ -1,39 +1,32 @@
 #include "placement/maglev_backend.hpp"
 
-#include "common/stats.hpp"
-
 namespace cobalt::placement {
 
 MaglevBackend::MaglevBackend(Options options)
-    : options_(options), table_(options.table_bits), rng_(options.seed) {}
+    : GridScheme(options.table_bits), options_(options), rng_(options.seed) {}
 
 NodeId MaglevBackend::add_node(double capacity) {
   require_capacity(capacity);
-  const auto id = static_cast<NodeId>(node_live_.size());
-  const std::size_t slots = table_.size();
+  const NodeId id = enroll();
+  const std::size_t slots = grid_.size();
   node_weight_.push_back(capacity);
   node_offset_.push_back(rng_.next() & (slots - 1));
   // An odd skip is coprime with the power-of-two table size, so the
   // permutation offset + i * skip visits every slot.
   node_skip_.push_back((rng_.next() & (slots - 1)) | 1);
-  node_live_.push_back(true);
-  ++live_nodes_;
   repopulate();
   return id;
 }
 
 bool MaglevBackend::remove_node(NodeId node) {
-  COBALT_REQUIRE(is_live(node), "node is not live");
-  COBALT_REQUIRE(live_nodes_ >= 2, "cannot remove the last live node");
-  node_live_[node] = false;
+  retire(node);
   node_weight_[node] = 0.0;
-  --live_nodes_;
   repopulate();
   return true;
 }
 
 void MaglevBackend::repopulate() {
-  const std::size_t slots = table_.size();
+  const std::size_t slots = grid_.size();
   std::vector<NodeId> next(slots, kInvalidNode);
   std::vector<std::size_t> cursor(node_live_.size(), 0);
   std::vector<double> credit(node_live_.size(), 0.0);
@@ -60,9 +53,7 @@ void MaglevBackend::repopulate() {
       }
     }
   }
-  table_.assign(std::move(next), observer_);
+  assign(std::move(next));
 }
-
-double MaglevBackend::sigma() const { return relative_stddev(quotas()); }
 
 }  // namespace cobalt::placement

@@ -1,7 +1,5 @@
 #include "placement/range_grid.hpp"
 
-#include <algorithm>
-
 namespace cobalt::placement {
 
 RangeGrid::RangeGrid(unsigned bits)
@@ -60,78 +58,6 @@ std::vector<std::size_t> RangeGrid::cell_counts(std::size_t slot_count) const {
     ++counts[owner];
   }
   return counts;
-}
-
-std::vector<double> grid_quotas(const RangeGrid& grid,
-                                const std::vector<bool>& node_live) {
-  const auto counts = grid.cell_counts(node_live.size());
-  const double total = static_cast<double>(grid.size());
-  std::vector<double> quotas;
-  for (NodeId node = 0; node < node_live.size(); ++node) {
-    if (!node_live[node]) continue;
-    quotas.push_back(static_cast<double>(counts[node]) / total);
-  }
-  return quotas;
-}
-
-void grid_replica_walk_into(const RangeGrid& grid, HashIndex index,
-                            std::size_t k, std::size_t live_nodes,
-                            std::vector<NodeId>& out, WalkStop stop) {
-  COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");
-  out.clear();
-  const std::size_t want = std::min(k, live_nodes);
-  const std::size_t cells = grid.size();
-  const std::size_t start = grid.cell_of(index);
-  for (std::size_t step = 0; step < cells && out.size() < want; ++step) {
-    const NodeId owner = grid.owner((start + step) & (cells - 1));
-    if (owner == kInvalidNode) continue;  // pre-bootstrap grid only
-    if (std::find(out.begin(), out.end(), owner) == out.end()) {
-      out.push_back(owner);
-      if (stop(owner)) return;
-    }
-  }
-}
-
-std::vector<HashRange> grid_replica_dirty_ranges(const RangeGrid& grid,
-                                                 std::size_t k) {
-  COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");
-  std::vector<HashRange> dirty;
-  const std::size_t cells = grid.size();
-  const std::size_t mask = cells - 1;
-  for (const auto& [run_first, run_last] : grid.last_changes()) {
-    // Walk backward from the run until k distinct owners separate a
-    // cell from it; a replica walk starting at or before that cell
-    // finds its k owners without entering the run.
-    std::vector<NodeId> seen;
-    const std::size_t run_len = run_last - run_first + 1;
-    std::size_t dirty_first = run_first;
-    bool bounded = false;
-    std::size_t cell = run_first;
-    for (std::size_t step = 0; step + run_len < cells; ++step) {
-      cell = (cell + mask) & mask;  // cell - 1, wrapping
-      const NodeId owner = grid.owner(cell);
-      if (owner != kInvalidNode &&
-          std::find(seen.begin(), seen.end(), owner) == seen.end()) {
-        seen.push_back(owner);
-      }
-      if (seen.size() >= k) {  // `cell` itself already finds k owners
-        bounded = true;
-        break;
-      }
-      dirty_first = cell;
-    }
-    if (!bounded) return {{0, HashSpace::kMaxIndex}};
-    const HashIndex first = grid.cell_first(dirty_first);
-    const HashIndex last = grid.cell_last(run_last);
-    if (first <= last) {
-      dirty.push_back({first, last});
-    } else {  // the backward expansion wrapped past 0
-      dirty.push_back({first, HashSpace::kMaxIndex});
-      dirty.push_back({0, last});
-    }
-  }
-  coalesce_ranges(dirty);
-  return dirty;
 }
 
 }  // namespace cobalt::placement

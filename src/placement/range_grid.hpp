@@ -15,13 +15,24 @@
 // requires. Quantizing first makes routing, quotas and relocation
 // accounting exactly consistent with each other - the same property
 // the exact backends get from their native range structures.
+//
+// GridScheme below is the one base of those four adapters: it owns the
+// grid, the observer and the live-node registry and answers routing,
+// quotas, the registry probes and - for jump, maglev and bounded-load
+// CH - the successor walk over the cells and its dirty report, the
+// same two templates (successor_walk.hpp) the ring and the partition
+// map run. A scheme adds only its Options, its membership calls and
+// the fill of its owner table.
 
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "placement/replication_spec.hpp"
+#include "placement/successor_walk.hpp"
 #include "placement/types.hpp"
 
 namespace cobalt::placement {
@@ -95,36 +106,123 @@ class RangeGrid {
   std::vector<std::pair<std::size_t, std::size_t>> last_changes_;
 };
 
-/// Per-node quotas of a grid-backed scheme: cells owned / total cells,
-/// live nodes in ascending id order (the quotas() contract of the
-/// PlacementBackend concept).
-std::vector<double> grid_quotas(const RangeGrid& grid,
-                                const std::vector<bool>& node_live);
+/// The shared base of the grid-backed schemes (CRTP over
+/// ReplicationSurface): owns the RangeGrid, the relocation observer
+/// and the live-node registry, and supplies everything a scheme derives
+/// from them - routing, the registry probes, quotas and the successor
+/// walk over the cells with its dirty report (successor_walk.hpp). A
+/// scheme keeps its Options, add_node/remove_node and the fill of its
+/// owner table, which it installs with assign(). HRW replaces the walk
+/// and the dirty report with its score order and exact-cell tracker.
+template <typename Backend>
+class GridScheme : public ReplicationSurface<Backend> {
+ public:
+  using ReplicationSurface<Backend>::replica_set_into;
+  using ReplicationSurface<Backend>::replica_dirty_ranges;
 
-/// The replica_set of a grid-backed scheme: walk the cells forward from
-/// the cell containing `index` (wrapping), collecting distinct owners
-/// in first-encounter order, until min(k, live_nodes) nodes are found,
-/// `stop` fires, or the walk comes full circle. `live_nodes` is the
-/// backend's node_count(): the grid holds no more distinct owners, so
-/// a deeper k would only scan every cell for owners that are not
-/// there. Element 0 is the grid's own owner_of(index), so the result
-/// satisfies the rank-0 invariant of the PlacementBackend concept by
-/// construction; the walk only ever sees live nodes because membership
-/// events reassign every cell of a departed owner. `out` is cleared
-/// first.
-void grid_replica_walk_into(const RangeGrid& grid, HashIndex index,
-                            std::size_t k, std::size_t live_nodes,
-                            std::vector<NodeId>& out, WalkStop stop = {});
+  [[nodiscard]] NodeId owner_of(HashIndex index) const {
+    return grid_.owner_of(index);
+  }
 
-/// The replica_dirty_ranges of a walk-replicated grid scheme: every
-/// changed cell run of the grid's most recent assign(), expanded
-/// backward (wrapping) until k distinct owners separate a cell from
-/// the run - a forward replica walk starting behind that boundary
-/// finds its k owners before reaching any changed cell, so its set
-/// cannot have changed. Falls back to the full range when no such
-/// boundary exists within one circle (k not smaller than the distinct
-/// owner count).
-std::vector<HashRange> grid_replica_dirty_ranges(const RangeGrid& grid,
-                                                 std::size_t k);
+  /// Ranked distinct owners of the k copies of a key at `index`: the
+  /// forward cell walk from the owning cell (wrapping), in
+  /// first-encounter order - the table probe that keeps the set
+  /// exactly consistent with owner_of. The walk only ever sees live
+  /// nodes, because every membership event reassigns all cells of a
+  /// departed owner. The set is written into `out` (cleared first);
+  /// `stop` may end the walk early (see WalkStop).
+  void replica_set_into(HashIndex index, std::size_t k,
+                        std::vector<NodeId>& out, WalkStop stop = {}) const {
+    successor_walk_into(Cells{grid_}, index, k, live_nodes_, out, stop);
+  }
+
+  /// Replica sets change only where a forward cell walk can reach a
+  /// cell the last assign() changed: the changed runs, expanded
+  /// backward by k distinct owners.
+  [[nodiscard]] std::vector<HashRange> replica_dirty_ranges(
+      std::size_t k) const {
+    return successor_dirty_ranges(Cells{grid_}, grid_.last_changes(), k);
+  }
+
+  [[nodiscard]] std::size_t node_count() const { return live_nodes_; }
+  [[nodiscard]] std::size_t node_slot_count() const {
+    return node_live_.size();
+  }
+  [[nodiscard]] bool is_live(NodeId node) const {
+    return node < node_live_.size() && node_live_[node];
+  }
+
+  /// Per-node quotas (cells owned / grid size), live nodes in id order.
+  [[nodiscard]] std::vector<double> quotas() const {
+    const auto counts = grid_.cell_counts(node_live_.size());
+    const double total = static_cast<double>(grid_.size());
+    std::vector<double> quotas;
+    for (NodeId node = 0; node < node_live_.size(); ++node) {
+      if (node_live_[node]) {
+        quotas.push_back(static_cast<double>(counts[node]) / total);
+      }
+    }
+    return quotas;
+  }
+
+  void set_observer(RelocationObserver* observer) { observer_ = observer; }
+
+  /// The ownership grid (exact cell-level placement).
+  [[nodiscard]] const RangeGrid& grid() const { return grid_; }
+
+ protected:
+  explicit GridScheme(unsigned grid_bits) : grid_(grid_bits) {}
+
+  /// Registers a joining node under the next dense id.
+  NodeId enroll() {
+    node_live_.push_back(true);
+    ++live_nodes_;
+    return static_cast<NodeId>(node_live_.size() - 1);
+  }
+
+  /// Deregisters a leaving node; requires another live node.
+  void retire(NodeId node) {
+    COBALT_REQUIRE(is_live(node), "node is not live");
+    COBALT_REQUIRE(live_nodes_ >= 2, "cannot remove the last live node");
+    node_live_[node] = false;
+    --live_nodes_;
+  }
+
+  /// Installs a rebuilt owner table, reporting the moved cells to the
+  /// observer (see RangeGrid::assign).
+  void assign(std::vector<NodeId> next) {
+    grid_.assign(std::move(next), observer_);
+  }
+
+  RangeGrid grid_;
+  std::vector<bool> node_live_;  // per node slot; ids are never reused
+  std::size_t live_nodes_ = 0;
+
+ private:
+  /// The cells as a successor-walk segment sequence; a change is one
+  /// last_changes() run, whose expansion stops short of re-entering it.
+  struct Cells {
+    const RangeGrid& grid;
+
+    std::size_t locate(HashIndex index) const { return grid.cell_of(index); }
+    NodeId owner(std::size_t cell) const { return grid.owner(cell); }
+    std::size_t next(std::size_t cell) const {
+      return (cell + 1) & (grid.size() - 1);
+    }
+    std::size_t prev(std::size_t cell) const {
+      return (cell - 1) & (grid.size() - 1);
+    }
+    HashIndex last(std::size_t cell) const { return grid.cell_last(cell); }
+    std::size_t size() const { return grid.size(); }
+    HashRange span(const auto& run) const {
+      return {grid.cell_first(run.first), grid.cell_last(run.second)};
+    }
+    std::size_t reach(const auto& run) const {
+      return grid.size() - (run.second - run.first + 1);
+    }
+  };
+
+  RelocationObserver* observer_ = nullptr;
+};
 
 }  // namespace cobalt::placement

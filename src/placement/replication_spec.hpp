@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "cluster/topology.hpp"
+#include "common/stats.hpp"
 #include "placement/types.hpp"
 
 namespace cobalt::placement {
@@ -154,11 +155,13 @@ struct SpreadStop {
 ///   std::vector<HashRange> replica_dirty_ranges(std::size_t k) const;
 /// (the raw walk and its dirty report, see backend.hpp) and re-exports
 /// this base's overloads of those two names with using-declarations,
-/// which its own members would otherwise hide. The base adds the
-/// vector convenience, the ReplicationSpec-keyed forms (the spread
-/// post-filter above over the raw walk) and the topology they consult.
-/// HRW alone replaces the spec-keyed dirty report (and set_topology)
-/// with its exact-cell tracker; see hrw_backend.hpp.
+/// which its own members would otherwise hide; the grid-backed schemes
+/// get both from GridScheme (range_grid.hpp). The base adds the vector
+/// convenience, the ReplicationSpec-keyed forms (the spread post-filter
+/// above over the raw walk), the topology they consult, and sigma()
+/// over the adapter's quotas(). HRW alone replaces the spec-keyed
+/// dirty report (and set_topology) with its exact-cell tracker; see
+/// hrw_backend.hpp.
 template <typename Backend>
 class ReplicationSurface {
  public:
@@ -212,6 +215,14 @@ class ReplicationSurface {
         std::max(spec.k, std::min(depth, probe_bound(spec))));
   }
 
+  /// sigma-bar of the per-node quotas: the relative standard deviation
+  /// of quotas(), the figure-9 metric, comparable across schemes. 0
+  /// before the first node joins (no quotas to spread).
+  [[nodiscard]] double sigma() const {
+    if (self().node_count() == 0) return 0.0;
+    return relative_stddev(self().quotas());
+  }
+
   /// The failure-domain map the spread filter consults; null (the
   /// default) means every node is its own domain. Not owned; must
   /// outlive the backend's placement calls.
@@ -221,6 +232,13 @@ class ReplicationSurface {
   [[nodiscard]] const cluster::Topology* topology() const {
     return topology_;
   }
+
+ protected:
+  // An adapter hands its own address to observers and trackers, so no
+  // adapter is copyable.
+  ReplicationSurface() = default;
+  ReplicationSurface(const ReplicationSurface&) = delete;
+  ReplicationSurface& operator=(const ReplicationSurface&) = delete;
 
  private:
   [[nodiscard]] const Backend& self() const {

@@ -339,7 +339,7 @@ TEST(MaglevBackend, TableFillIsNearlyEven) {
   for (int n = 0; n < 7; ++n) backend.add_node();
   // 4096 slots over 7 homogeneous nodes: every node's entry count is
   // within one claim round of the fair share.
-  const auto counts = backend.table().cell_counts(7);
+  const auto counts = backend.grid().cell_counts(7);
   const double fair = 4096.0 / 7.0;
   for (const auto count : counts) {
     EXPECT_NEAR(static_cast<double>(count), fair, 2.0);

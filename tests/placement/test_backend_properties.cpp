@@ -4,7 +4,8 @@
 // maglev, bounded-load CH) - through the same invariants:
 //
 //   * quotas() is a probability vector (sums to ~1.0, entries
-//     non-negative) after arbitrary join/leave sequences;
+//     non-negative) after arbitrary join/leave sequences, and sigma()
+//     is 0 before the first join;
 //   * the relocation events of a join conserve hash-range mass: the
 //     net mass reported into the new node equals the mass the node
 //     ends up owning (catches wrap-around and off-by-one range
@@ -24,13 +25,9 @@
 #include "common/int128.hpp"
 #include "common/rng.hpp"
 #include "placement/backend.hpp"
-#include "placement/bounded_ch_backend.hpp"
-#include "placement/ch_backend.hpp"
-#include "placement/dht_backend.hpp"
-#include "placement/hrw_backend.hpp"
-#include "placement/jump_backend.hpp"
-#include "placement/maglev_backend.hpp"
 #include "sim/scenario.hpp"
+
+#include "backends.hpp"
 
 namespace cobalt::placement {
 namespace {
@@ -44,54 +41,6 @@ static_assert(PlacementBackend<HrwBackend>);
 static_assert(PlacementBackend<JumpBackend>);
 static_assert(PlacementBackend<MaglevBackend>);
 static_assert(PlacementBackend<BoundedChBackend>);
-
-dht::Config cfg(std::uint64_t pmin, std::uint64_t vmin, std::uint64_t seed) {
-  dht::Config c;
-  c.pmin = pmin;
-  c.vmin = vmin;
-  c.seed = seed;
-  return c;
-}
-
-/// Per-backend factory with a comparable footprint (small enrollments
-/// and grids keep the suite fast).
-template <typename B>
-B make_backend(std::uint64_t seed);
-
-template <>
-LocalDhtBackend make_backend<LocalDhtBackend>(std::uint64_t seed) {
-  return LocalDhtBackend({cfg(8, 8, seed), 1});
-}
-
-template <>
-GlobalDhtBackend make_backend<GlobalDhtBackend>(std::uint64_t seed) {
-  return GlobalDhtBackend({cfg(8, 1, seed), 1});
-}
-
-template <>
-ChBackend make_backend<ChBackend>(std::uint64_t seed) {
-  return ChBackend({seed, 16});
-}
-
-template <>
-HrwBackend make_backend<HrwBackend>(std::uint64_t seed) {
-  return HrwBackend({seed, 10});
-}
-
-template <>
-JumpBackend make_backend<JumpBackend>(std::uint64_t seed) {
-  return JumpBackend({seed, 10});
-}
-
-template <>
-MaglevBackend make_backend<MaglevBackend>(std::uint64_t seed) {
-  return MaglevBackend({seed, 10});
-}
-
-template <>
-BoundedChBackend make_backend<BoundedChBackend>(std::uint64_t seed) {
-  return BoundedChBackend({seed, 16, 0.25, 10});
-}
 
 /// Accounts the mass (in 1/2^64 units of R_h) flowing into and out of
 /// one node through on_relocate events, validating the range contract
@@ -138,10 +87,6 @@ double quota_sum(const std::vector<double>& quotas) {
 template <typename B>
 class BackendPropertySuite : public ::testing::Test {};
 
-using AllBackends =
-    ::testing::Types<LocalDhtBackend, GlobalDhtBackend, ChBackend,
-                     HrwBackend, JumpBackend, MaglevBackend,
-                     BoundedChBackend>;
 TYPED_TEST_SUITE(BackendPropertySuite, AllBackends);
 
 TYPED_TEST(BackendPropertySuite, QuotasStayAProbabilityVector) {
@@ -240,6 +185,13 @@ TYPED_TEST(BackendPropertySuite, UnusableCapacityIsRejectedUnchanged) {
     EXPECT_EQ(backend.node_count(), nodes);
     EXPECT_EQ(backend.node_slot_count(), slots);
   }
+}
+
+TYPED_TEST(BackendPropertySuite, SigmaIsZeroBeforeTheFirstJoin) {
+  // Regression: the ring and grid schemes threw "mean of an empty span"
+  // here while the DHT schemes answered 0 - one sigma(), one answer.
+  const auto backend = make_backend<TypeParam>(808);
+  EXPECT_EQ(backend.sigma(), 0.0);
 }
 
 TYPED_TEST(BackendPropertySuite, SchemeNamesAreNonEmptyAndStable) {
