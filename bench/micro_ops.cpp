@@ -4,8 +4,9 @@
 // hot path (put / get / membership events / repair passes) and the
 // rack-spread replica walk, across all seven placement schemes.
 //
-// `--keys=N` sets the key count of the store_bytes_per_key family
-// (default 200000; the 10M-key stretch is `--keys=10000000`).
+// `--keys=N` sets the key count of the store_bytes_per_key and
+// store_point_cold families (default 200000; the 10M-key stretch is
+// `--keys=10000000`).
 //
 // `--json[=path]` additionally writes the results as google-benchmark
 // JSON (default path BENCH_store_hotpath.json); the checked-in
@@ -20,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -219,6 +221,14 @@ BENCHMARK(BM_DistributedProtocol)->Arg(128)->Arg(512);
 //
 //   store_put/<scheme>       put throughput on a warm 16-node store
 //   store_get/<scheme>       point-lookup throughput over resident keys
+//                            (20k keys: the index stays in cache)
+//   store_point_cold/<scheme>/<op>
+//                            one point op on a random resident key of
+//                            a k=3 store of 24 nodes preloaded with
+//                            --keys keys (kv_point_1m's shape), where
+//                            the index outgrows L2: op is get,
+//                            read_node_of (kRoundRobin) or put_update
+//                            (an overwrite of equal length)
 //   store_event_k1/<scheme>/threads:T
 //                            membership events on a loaded k=1 store
 //                            (each join pays relocation accounting plus
@@ -438,6 +448,65 @@ void BM_StoreBytesPerKey(benchmark::State& state, const Scheme& scheme) {
   }
 }
 
+/// The population the store_point_cold cells of one scheme share:
+/// --keys keys (4-byte values) in a k=3 store of 24 nodes, the shape
+/// of kv_point_1m and store_bytes_per_key.
+template <typename Scheme>
+struct ColdStore {
+  cobalt::kv::Store<typename Scheme::BackendType> store;
+  explicit ColdStore(const Scheme& scheme)
+      : store(scheme.store(50, ReplicationSpec{3, SpreadPolicy::kNone})) {
+    for (int n = 0; n < 24; ++n) store.add_node();
+    for (std::int64_t i = 0; i < bytes_per_key_keys; ++i) {
+      store.put(bench_key(static_cast<std::uint64_t>(i)), "vvvv");
+    }
+  }
+};
+
+/// The current scheme's ColdStore: built by its first cold cell and
+/// dropped when the next scheme's cells start (cells run in
+/// registration order), so one population is resident at a time.
+std::shared_ptr<void> cold_store;
+std::string cold_store_scheme;
+
+template <typename Scheme>
+auto& cold_store_of(const Scheme& scheme) {
+  if (cold_store_scheme != scheme.name) {
+    cold_store.reset();
+    cold_store = std::make_shared<ColdStore<Scheme>>(scheme);
+    cold_store_scheme = scheme.name;
+  }
+  return static_cast<ColdStore<Scheme>*>(cold_store.get())->store;
+}
+
+enum class PointOp { kGet, kReadNodeOf, kPutUpdate };
+
+/// One iteration = one point op on a uniformly drawn resident key of
+/// the scheme's ColdStore (preload untimed, shared by the three ops).
+template <typename Scheme>
+void BM_StorePointCold(benchmark::State& state, const Scheme& scheme,
+                       PointOp op) {
+  auto& store = cold_store_of(scheme);
+  const auto keys = static_cast<std::uint64_t>(bytes_per_key_keys);
+  Xoshiro256 rng(31);
+  for (auto _ : state) {
+    const std::string key = bench_key(rng.next_below(keys));
+    switch (op) {
+      case PointOp::kGet:
+        benchmark::DoNotOptimize(store.get(key));
+        break;
+      case PointOp::kReadNodeOf:
+        benchmark::DoNotOptimize(
+            store.read_node_of(key, cobalt::kv::ReadPolicy::kRoundRobin));
+        break;
+      case PointOp::kPutUpdate:
+        benchmark::DoNotOptimize(store.put(key, "wwww"));
+        break;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
 /// A 7:1 get:put mix from T google-benchmark driver threads against
 /// one shared shard-concurrent store: gets hit the preloaded keys
 /// (structure + one stripe, both shared), puts cycle each thread's
@@ -561,6 +630,16 @@ void register_all_store_benches() {
         ->UseManualTime()
         ->Iterations(1)
         ->Unit(benchmark::kMillisecond);
+    for (const auto& [op_name, op] :
+         {std::pair{"get", PointOp::kGet},
+          std::pair{"read_node_of", PointOp::kReadNodeOf},
+          std::pair{"put_update", PointOp::kPutUpdate}}) {
+      benchmark::RegisterBenchmark(
+          ("store_point_cold/" + name + "/" + op_name).c_str(),
+          [scheme, op = op](benchmark::State& state) {
+            BM_StorePointCold(state, scheme, op);
+          });
+    }
     benchmark::RegisterBenchmark(("store_contended_mix/" + name).c_str(),
                                  [scheme](benchmark::State& state) {
                                    BM_StoreContendedMix(state, scheme);

@@ -78,16 +78,52 @@ std::string_view ShardIndex::Shard::value(std::size_t pos) const {
   return {r.key + r.key_len, r.value_len};
 }
 
-std::size_t ShardIndex::Shard::lower_bound(HashIndex hash) const {
-  return static_cast<std::size_t>(
-      std::lower_bound(hashes_.begin(), hashes_.end(), hash) -
-      hashes_.begin());
+std::size_t ShardIndex::Shard::lower_bound(
+    HashIndex hash, placement::HashRange range) const {
+  const HashIndex* const h = hashes_.data();
+  const std::size_t n = hashes_.size();
+  const auto search = [h, hash](std::size_t lo, std::size_t hi) {
+    return static_cast<std::size_t>(std::lower_bound(h + lo, h + hi, hash) -
+                                    h);
+  };
+  if (n < kInterpolationMin) return search(0, n);
+  // The first probe: where `hash` would sit if the entries spread
+  // evenly over the range. Double precision is plenty for a guess.
+  std::size_t guess = 0;
+  if (hash >= range.last) {
+    guess = n - 1;
+  } else if (hash > range.first) {
+    const double share = static_cast<double>(hash - range.first) /
+                         (static_cast<double>(range.last - range.first) + 1.0);
+    guess = std::min(n - 1, static_cast<std::size_t>(share *
+                                                     static_cast<double>(n)));
+  }
+  // Gallop away from the guess, doubling the step, until a probe lands
+  // on the answer's other side; the binary search then covers only the
+  // last step.
+  std::size_t step = 1;
+  if (h[guess] < hash) {
+    std::size_t lo = guess + 1;  // everything before lo is < hash
+    for (;; step *= 2) {
+      const std::size_t probe = lo - 1 + step;
+      if (probe >= n) return search(lo, n);
+      if (h[probe] >= hash) return search(lo, probe);
+      lo = probe + 1;
+    }
+  }
+  std::size_t hi = guess;  // h[hi] >= hash
+  for (;; step *= 2) {
+    if (hi < step) return search(0, hi);
+    const std::size_t probe = hi - step;
+    if (h[probe] < hash) return search(probe + 1, hi);
+    hi = probe;
+  }
 }
 
-std::size_t ShardIndex::Shard::upper_bound(HashIndex hash) const {
-  return static_cast<std::size_t>(
-      std::upper_bound(hashes_.begin(), hashes_.end(), hash) -
-      hashes_.begin());
+std::size_t ShardIndex::Shard::upper_bound(HashIndex hash,
+                                           placement::HashRange range) const {
+  return hash == HashSpace::kMaxIndex ? hashes_.size()
+                                      : lower_bound(hash + 1, range);
 }
 
 std::size_t ShardIndex::Shard::run_end(std::size_t pos) const {
@@ -96,10 +132,9 @@ std::size_t ShardIndex::Shard::run_end(std::size_t pos) const {
   return end;
 }
 
-std::size_t ShardIndex::Shard::find(HashIndex hash,
-                                    std::string_view key) const {
-  for (std::size_t pos = lower_bound(hash);
-       pos < hashes_.size() && hashes_[pos] == hash; ++pos) {
+std::size_t ShardIndex::Shard::find_from(std::size_t pos, HashIndex hash,
+                                         std::string_view key) const {
+  for (; pos < hashes_.size() && hashes_[pos] == hash; ++pos) {
     if (this->key(pos) == key) return pos;
   }
   return npos;
@@ -292,10 +327,39 @@ void ShardIndex::Shard::recount_collisions() {
 // --- ShardIndex ------------------------------------------------------
 
 std::size_t ShardIndex::shard_of(HashIndex index) const {
-  // The first shard whose start is > index, minus one; shards_[0]
-  // always starts at 0, so the subtraction is safe.
-  const auto it = std::upper_bound(firsts_.begin(), firsts_.end(), index);
-  return static_cast<std::size_t>(it - firsts_.begin()) - 1;
+  // The bucket's first index lies in shard i, so `index` lies in i or
+  // in one of the shards starting inside the bucket after it.
+  std::size_t i = directory_[index >> directory_shift_];
+  while (i + 1 < firsts_.size() && firsts_[i + 1] <= index) ++i;
+  return i;
+}
+
+void ShardIndex::rebuild_directory() {
+  COBALT_INVARIANT(
+      shards_.size() <= std::numeric_limits<std::uint32_t>::max(),
+      "the shard count outgrew the directory's uint32_t entries");
+  unsigned bits = kMinDirectoryBits;
+  while ((std::size_t{1} << bits) < shards_.size()) ++bits;
+  directory_shift_ = HashSpace::kBits - bits;
+  directory_.assign(std::size_t{1} << bits, 0);
+  std::size_t i = 0;
+  for (std::size_t b = 0; b < directory_.size(); ++b) {
+    const HashIndex start = HashIndex{b} << directory_shift_;
+    while (i + 1 < firsts_.size() && firsts_[i + 1] <= start) ++i;
+    directory_[b] = static_cast<std::uint32_t>(i);
+  }
+}
+
+void ShardIndex::shift_directory(HashIndex first, int delta) {
+  // The first bucket whose first index is >= first (first > 0: shard
+  // 0's start never moves).
+  const std::size_t from =
+      static_cast<std::size_t>((first - 1) >> directory_shift_) + 1;
+  // Unsigned wrap-around makes -1 a decrement.
+  const auto step = static_cast<std::uint32_t>(delta);
+  for (std::size_t b = from; b < directory_.size(); ++b) {
+    directory_[b] += step;
+  }
 }
 
 // Analysis is suppressed on the definition: the body conditionally
@@ -308,7 +372,7 @@ void ShardIndex::insert(std::size_t shard_index, HashIndex hash,
                         ReplicaSet replicas)
     COBALT_NO_THREAD_SAFETY_ANALYSIS {
   Shard& s = *shards_[shard_index];
-  const std::size_t pos = s.upper_bound(hash);
+  const std::size_t pos = s.upper_bound(hash, shard_range(shard_index));
   // A new hash in a full shard splits it at its median hash (taken
   // before the insert, so the boundary is the seed's), keeping the
   // flat arrays' memmove bounded by kSplitBuckets.
@@ -361,6 +425,7 @@ void ShardIndex::erase(std::size_t shard_index, std::size_t pos) {
   // then starts at 0). The neighbour's set simply covers the range;
   // the store's write path re-verifies any future put there anyway.
   const std::size_t dropped_first = shard_index > 0 ? shard_index : 1;
+  shift_directory(firsts_[dropped_first], -1);
   firsts_.erase(firsts_.begin() + static_cast<std::ptrdiff_t>(dropped_first));
   shards_.erase(shards_.begin() + static_cast<std::ptrdiff_t>(shard_index));
 }
@@ -369,7 +434,8 @@ void ShardIndex::split_shard(std::size_t i, HashIndex boundary) {
   COBALT_INVARIANT(boundary > firsts_[i] && boundary <= shard_last(i),
                    "split boundary outside the shard");
   Shard& s = *shards_[i];
-  const auto cut = static_cast<std::ptrdiff_t>(s.lower_bound(boundary));
+  const auto cut =
+      static_cast<std::ptrdiff_t>(s.lower_bound(boundary, shard_range(i)));
   auto owned_tail = std::make_unique<Shard>();
   Shard& tail = *owned_tail;
   tail.hashes_.assign(s.hashes_.begin() + cut, s.hashes_.end());
@@ -395,6 +461,11 @@ void ShardIndex::split_shard(std::size_t i, HashIndex boundary) {
   const auto at = static_cast<std::ptrdiff_t>(i) + 1;
   firsts_.insert(firsts_.begin() + at, boundary);
   shards_.insert(shards_.begin() + at, std::move(owned_tail));
+  if (shards_.size() > directory_.size()) {
+    rebuild_directory();  // one more bit
+  } else {
+    shift_directory(boundary, +1);
+  }
 }
 
 std::uint64_t ShardIndex::count_range(HashIndex first, HashIndex last) const {
@@ -407,7 +478,8 @@ std::uint64_t ShardIndex::count_range(HashIndex first, HashIndex last) const {
       count += s.size();  // whole shard inside the range
       continue;
     }
-    count += s.upper_bound(last) - s.lower_bound(first);
+    const placement::HashRange range = shard_range(i);
+    count += s.upper_bound(last, range) - s.lower_bound(first, range);
   }
   return count;
 }

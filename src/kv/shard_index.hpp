@@ -5,11 +5,27 @@
 //
 // A shard covers one contiguous, inclusive range of R_h; the shards
 // tile the whole range (shard i covers [shards[i].first,
-// shards[i+1].first - 1], the last one up to 2^64 - 1). Point
-// operations cost one shard binary search plus one binary search over
-// the shard's sorted hash array (at most kSplitBuckets distinct
-// hashes), and range counts sum per-shard entry totals instead of
-// walking entries.
+// shards[i+1].first - 1], the last one up to 2^64 - 1). Range counts
+// sum per-shard entry totals instead of walking entries.
+//
+// Point path. The hash spreads keys uniformly over R_h, so neither
+// search of a point operation needs to be a binary search:
+//   * shard_of - a radix directory over the top `bits` bits of the
+//     hash names the shard holding each bucket's first index, and a
+//     short forward scan of the shard starts finishes the lookup.
+//     bits = max(kMinDirectoryBits, ceil(log2(shard count))), so a
+//     bucket holds about one shard start or fewer; splits and folds
+//     shift the suffix of the table by one, and it is rebuilt with
+//     one more bit when the shard count passes 2^bits (it never
+//     shrinks). At kv_point_1m's ~11.2k shards it is 16k uint32_t
+//     entries, 0.07 bytes per key.
+//   * Shard::lower_bound - an interpolation search: the first probe is
+//     the hash's proportional position inside the shard's tiling
+//     range, a gallop brackets the answer and a binary search of the
+//     bracket ends it, so clustered or folded ranges still cost
+//     O(log n). Below kInterpolationMin entries it is a plain binary
+//     search. Every in-shard search (find, upper_bound, insert,
+//     count_range, the store's scans and repair patches) is this one.
 //
 // Flat layout. A shard keeps its entries as parallel arrays, sorted by
 // hash, one slot per resident entry:
@@ -169,13 +185,26 @@ class ShardIndex {
     }
 
     /// First position whose hash is >= `hash` (size() if none).
-    [[nodiscard]] std::size_t lower_bound(HashIndex hash) const;
+    /// `range` is the shard's tiling range (ShardIndex::shard_range):
+    /// it scales the interpolation search's first probe, so any hash
+    /// is accepted, but one inside it is found fastest.
+    [[nodiscard]] std::size_t lower_bound(HashIndex hash,
+                                          placement::HashRange range) const;
     /// First position whose hash is > `hash` (size() if none).
-    [[nodiscard]] std::size_t upper_bound(HashIndex hash) const;
+    [[nodiscard]] std::size_t upper_bound(HashIndex hash,
+                                          placement::HashRange range) const;
     /// End of the run of entries sharing the hash at `pos`.
     [[nodiscard]] std::size_t run_end(std::size_t pos) const;
     /// Position of `key` among the entries at `hash`, or npos.
-    [[nodiscard]] std::size_t find(HashIndex hash, std::string_view key) const;
+    [[nodiscard]] std::size_t find(HashIndex hash, std::string_view key,
+                                   placement::HashRange range) const {
+      return find_from(lower_bound(hash, range), hash, key);
+    }
+    /// Position of `key` in the run of entries at `hash` that starts at
+    /// `pos` (a lower_bound of `hash`), or npos: find() without the
+    /// search, for a caller that already holds the position.
+    [[nodiscard]] std::size_t find_from(std::size_t pos, HashIndex hash,
+                                        std::string_view key) const;
 
     /// Arena bytes in use (live records plus garbage).
     [[nodiscard]] std::size_t arena_bytes() const { return arena_.size(); }
@@ -253,10 +282,15 @@ class ShardIndex {
 
   /// Distinct hashes per shard above which an insert of a new hash
   /// splits the shard at its median hash. This bounds the per-insert
-  /// memmove of the flat arrays and the hash binary search; 128 keeps
-  /// both small while shard-level binary search stays shallow even at
-  /// millions of keys.
+  /// memmove of the flat arrays and the in-shard search's worst case.
   static constexpr std::size_t kSplitBuckets = 128;
+
+  /// Entries below which Shard::lower_bound skips the interpolated
+  /// probe and gallop: a binary search of fewer is as short.
+  static constexpr std::size_t kInterpolationMin = 8;
+
+  /// Smallest radix directory: 2^8 buckets (see the header).
+  static constexpr unsigned kMinDirectoryBits = 8;
 
   /// Minimum average distinct hashes per piece for a repair pass to
   /// split a shard at replica-set arc boundaries: arcs finer than this
@@ -276,6 +310,7 @@ class ShardIndex {
   /// An index starts as one empty shard covering all of R_h.
   ShardIndex() : firsts_(1, 0) {
     shards_.push_back(std::make_unique<Shard>());
+    rebuild_directory();
   }
 
   [[nodiscard]] std::size_t shard_count() const
@@ -313,6 +348,26 @@ class ShardIndex {
   [[nodiscard]] HashIndex shard_last(std::size_t i) const
       COBALT_REQUIRES_SHARED(structure_mutex_) {
     return i + 1 < firsts_.size() ? firsts_[i + 1] - 1 : HashSpace::kMaxIndex;
+  }
+
+  /// Shard `i`'s inclusive range, the bounds its in-shard searches
+  /// take (Shard::lower_bound).
+  [[nodiscard]] placement::HashRange shard_range(std::size_t i) const
+      COBALT_REQUIRES_SHARED(structure_mutex_) {
+    return {firsts_[i], shard_last(i)};
+  }
+
+  /// Radix directory buckets (2^bits; see the header) and the shard
+  /// the directory names for bucket `b`, which must hold the bucket's
+  /// first index. Exposed for the tests that drive the directory
+  /// through its doublings and folds.
+  [[nodiscard]] std::size_t directory_size() const
+      COBALT_REQUIRES_SHARED(structure_mutex_) {
+    return directory_.size();
+  }
+  [[nodiscard]] std::size_t directory_entry(std::size_t b) const
+      COBALT_REQUIRES_SHARED(structure_mutex_) {
+    return directory_[b];
   }
 
   /// Total resident entries across all shards (atomic: disjoint
@@ -365,7 +420,7 @@ class ShardIndex {
       COBALT_REQUIRES(structure_mutex_, stripes_cap_);
 
   /// Entries whose hash falls inside [first, last]: whole shards by
-  /// size, boundary shards by binary search.
+  /// size, boundary shards by the in-shard search.
   [[nodiscard]] std::uint64_t count_range(HashIndex first,
                                           HashIndex last) const
       COBALT_REQUIRES_SHARED(structure_mutex_, stripes_cap_);
@@ -612,11 +667,24 @@ class ShardIndex {
   void remove_entry(std::size_t shard_index, std::size_t pos)
       COBALT_REQUIRES_SHARED(structure_mutex_) COBALT_REQUIRES(stripes_cap_);
 
+  /// Sizes the directory for the shard count and refills it from
+  /// firsts_.
+  void rebuild_directory() COBALT_REQUIRES(structure_mutex_);
+  /// Adds `delta` (+1 or -1) to every directory bucket whose first
+  /// index is >= `first`: the shards at and after a new or removed
+  /// start move by one.
+  void shift_directory(HashIndex first, int delta)
+      COBALT_REQUIRES(structure_mutex_);
+
   /// The tiling: shard i covers [firsts_[i], firsts_[i + 1] - 1]. The
-  /// starts are a dense array of their own, so shard_of's binary search
-  /// and a split's insertion move 8 bytes per shard, and each shard
+  /// starts are a dense array of their own, so shard_of's scan reads
+  /// and a split's insertion moves 8 bytes per shard, and each shard
   /// lives behind a pointer that a split never moves.
   std::vector<HashIndex> firsts_ COBALT_GUARDED_BY(structure_mutex_);
+  /// The radix directory: directory_[b] is the shard holding
+  /// b << directory_shift_, the first index of bucket b.
+  std::vector<std::uint32_t> directory_ COBALT_GUARDED_BY(structure_mutex_);
+  unsigned directory_shift_ COBALT_GUARDED_BY(structure_mutex_) = 0;
   std::vector<std::unique_ptr<Shard>> shards_
       COBALT_GUARDED_BY(structure_mutex_);
   std::atomic<std::uint64_t> total_entries_{0};

@@ -406,28 +406,33 @@ class Store final : private placement::RelocationObserver {
     const HashIndex h = hash_key(key);
     std::uint64_t writes = 0;
     std::optional<bool> inserted;
+    std::size_t i = 0;
+    std::size_t at = 0;
     {
       const ShardIndex::StructureSharedLock structure(index_, concurrent());
-      const std::size_t i = index_.shard_of(h);
+      i = index_.shard_of(h);
       const ShardIndex::ShardSpanLock span(index_, i, concurrent());
       // A brand-new hash landing in a full shard makes insert() split
       // the shard - a structural change the shared tiling hold cannot
       // cover; everything else stays inside this shard.
       const ShardIndex::Shard& s = index_.shard(i);
-      const std::size_t at = s.lower_bound(h);
+      at = s.lower_bound(h, index_.shard_range(i));
       if ((at < s.size() && s.hash(at) == h) ||
           s.distinct_hashes() < ShardIndex::kSplitBuckets) {
         inserted = put_body(i, at, h, key, value, writes);
       }
     }
     if (!inserted) {
-      // Structural retry: the tiling may have changed between the two
-      // holds (another writer split first), so everything re-derives.
+      // Structural retry. With a pool the tiling may have changed
+      // between the two holds (another writer split first), so the
+      // position re-derives; without one nothing ran in between.
       const ShardIndex::StructureExclusiveLock structure(index_,
                                                          concurrent());
-      const std::size_t i = index_.shard_of(h);
-      inserted = put_body(i, index_.shard(i).lower_bound(h), h, key, value,
-                          writes);
+      if (concurrent()) {
+        i = index_.shard_of(h);
+        at = index_.shard(i).lower_bound(h, index_.shard_range(i));
+      }
+      inserted = put_body(i, at, h, key, value, writes);
     }
     {
       const MaybeLockGuard acc(accounting_mutex_, concurrent());
@@ -449,11 +454,13 @@ class Store final : private placement::RelocationObserver {
   bool erase(const std::string& key) {
     const MaybeSharedLock backend_lock(backend_mutex_, concurrent());
     const HashIndex h = hash_key(key);
+    std::size_t i = 0;
+    std::size_t pos = 0;
     {
       const ShardIndex::StructureSharedLock structure(index_, concurrent());
-      const std::size_t i = index_.shard_of(h);
+      i = index_.shard_of(h);
       const ShardIndex::ShardSpanLock span(index_, i, concurrent());
-      const std::size_t pos = index_.shard(i).find(h, key);
+      pos = index_.shard(i).find(h, key, index_.shard_range(i));
       if (pos == ShardIndex::npos) return false;
       // Removing a shard's last entry merges it away - structural;
       // retry below.
@@ -463,9 +470,11 @@ class Store final : private placement::RelocationObserver {
       }
     }
     const ShardIndex::StructureExclusiveLock structure(index_, concurrent());
-    const std::size_t i = index_.shard_of(h);
-    const std::size_t pos = index_.shard(i).find(h, key);
-    if (pos == ShardIndex::npos) return false;
+    if (concurrent()) {  // as in put: only a pool can move the entry
+      i = index_.shard_of(h);
+      pos = index_.shard(i).find(h, key, index_.shard_range(i));
+      if (pos == ShardIndex::npos) return false;
+    }
     index_.erase(i, pos);
     return true;
   }
@@ -641,7 +650,7 @@ class Store final : private placement::RelocationObserver {
          i < index_.shard_count() && index_.shard_first(i) <= last; ++i) {
       const ShardIndex::ShardSpanSharedLock span(index_, i, concurrent());
       const ShardIndex::Shard& s = index_.shard(i);
-      for (std::size_t pos = s.lower_bound(first);
+      for (std::size_t pos = s.lower_bound(first, index_.shard_range(i));
            pos < s.size() && s.hash(pos) <= last; ++pos) {
         visitor(s, pos);
       }
@@ -867,7 +876,7 @@ class Store final : private placement::RelocationObserver {
     const std::size_t i = index_.shard_of(h);
     const ShardIndex::StripeSharedLock stripe(index_, h, concurrent());
     const ShardIndex::Shard& s = index_.shard(i);
-    const std::size_t pos = s.find(h, key);
+    const std::size_t pos = s.find(h, key, index_.shard_range(i));
     if (pos == ShardIndex::npos) return missing;
     return use(s, pos);
   }
@@ -929,7 +938,7 @@ class Store final : private placement::RelocationObserver {
       return true;
     }
     writes += s.replicas(at).size();
-    const std::size_t pos = s.find(h, key);
+    const std::size_t pos = s.find_from(at, h, key);
     if (pos != ShardIndex::npos) {
       index_.assign(i, pos, value);
       return false;
@@ -1174,12 +1183,11 @@ class Store final : private placement::RelocationObserver {
       s.adopt(scratch);
       return;
     }
+    const placement::HashRange bounds = index_.shard_range(task.shard);
     for (SpanWork& sp : spans) {
       const placement::HashRange& range = plan[sp.range_id];
-      if (range.first > index_.shard_first(task.shard) ||
-          range.last < index_.shard_last(task.shard)) {
-        patch_shard(s, range.first, range.last, target, crash, scratch,
-                    sp.acc);
+      if (range.first > bounds.first || range.last < bounds.last) {
+        patch_shard(s, bounds, range, target, crash, scratch, sp.acc);
         continue;
       }
       // Full coverage: a fully covered shard lies inside its range, so
@@ -1254,17 +1262,19 @@ class Store final : private placement::RelocationObserver {
     acc.copies += joiners * entries;
   }
 
-  /// Partial-coverage repair: patches only the entries of `s` inside
-  /// [lo, hi] (exactly the seed's ranged k = 1 walk), parking changed
-  /// sets on overrides - no structural change. Claims the shard's
-  /// stripe span exclusively (via the stripe capability).
-  void patch_shard(ShardIndex::Shard& s, HashIndex lo, HashIndex hi,
-                   std::size_t target, bool crash,
-                   std::vector<placement::NodeId>& scratch, RepairAcc& acc)
+  /// Partial-coverage repair: patches only the entries of `s` (whose
+  /// tiling range is `bounds`) inside `range` (exactly the seed's
+  /// ranged k = 1 walk), parking changed sets on overrides - no
+  /// structural change. Claims the shard's stripe span exclusively
+  /// (via the stripe capability).
+  void patch_shard(ShardIndex::Shard& s, placement::HashRange bounds,
+                   placement::HashRange range, std::size_t target,
+                   bool crash, std::vector<placement::NodeId>& scratch,
+                   RepairAcc& acc)
       COBALT_REQUIRES_SHARED(index_.structure_mutex_)
           COBALT_REQUIRES(index_.stripes_cap_) {
-    for (std::size_t pos = s.lower_bound(lo), end = 0;
-         pos < s.size() && s.hash(pos) <= hi; pos = end) {
+    for (std::size_t pos = s.lower_bound(range.first, bounds), end = 0;
+         pos < s.size() && s.hash(pos) <= range.last; pos = end) {
       end = s.run_end(pos);
       const ShardIndex::ReplicaSet materialized = s.replicas(pos);
       desired_replicas_into(s.hash(pos), target, scratch);

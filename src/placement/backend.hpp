@@ -54,6 +54,9 @@
 //     a scheme whose placement assigns a live node zero mass (possible
 //     for extreme weights on the table-driven schemes) may return
 //     fewer;
+//   * a backend with no live node (before the first join) answers the
+//     empty set in every scheme, never an error: the walk clamps to
+//     min(k, 0);
 //   * the result for k is a prefix of the result for k' > k (the
 //     ranking does not depend on how many replicas are requested), so
 //     raising the replication factor only appends copies.

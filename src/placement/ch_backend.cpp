@@ -69,7 +69,6 @@ struct RingPoints {
 void ChBackend::replica_set_into(HashIndex index, std::size_t k,
                                  std::vector<NodeId>& out,
                                  WalkStop stop) const {
-  COBALT_REQUIRE(ring_.node_count() >= 1, "the backend has no nodes");
   successor_walk_into(RingPoints{ring_.points()}, index, k,
                       ring_.node_count(), out, stop);
 }

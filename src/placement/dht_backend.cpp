@@ -102,7 +102,6 @@ template <typename DhtT>
 void DhtBackend<DhtT>::replica_set_into(HashIndex index, std::size_t k,
                                         std::vector<NodeId>& out,
                                         WalkStop stop) const {
-  COBALT_REQUIRE(live_nodes_ >= 1, "the backend has no nodes");
   // Every live snode owns at least one partition (a vnode always holds
   // Pmin >= 1 partitions), so the walk finds min(k, live) distinct
   // nodes within one full circle.

@@ -134,11 +134,11 @@ void HrwBackend::replica_set_into(HashIndex index, std::size_t k,
                                   std::vector<NodeId>& out,
                                   WalkStop stop) const {
   COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");
-  COBALT_REQUIRE(live_nodes_ >= 1, "the backend has no nodes");
-  const std::size_t cell = grid_.cell_of(index);
   const std::size_t want = k < live_nodes_ ? k : live_nodes_;
   out.clear();
+  if (want == 0) return;
   out.reserve(want);
+  const std::size_t cell = grid_.cell_of(index);
   // The stored winner decides rank 0 even in the (measure-zero) event
   // of a score tie, keeping replica_set exactly consistent with
   // owner_of; the other live nodes follow in (score desc, id asc)

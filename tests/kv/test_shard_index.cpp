@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <optional>
 #include <string>
@@ -558,33 +559,33 @@ TEST(ShardIndexLayout, CollidingEntriesShareAHashInlineAndNeverSplitApart) {
   ASSERT_EQ(s.size(), 2u);
   EXPECT_EQ(s.distinct_hashes(), 1u);
   EXPECT_EQ(index.total_entries(), 2u);
-  ASSERT_NE(s.find(kHash, "alpha"), ShardIndex::npos);
-  ASSERT_NE(s.find(kHash, "beta"), ShardIndex::npos);
-  EXPECT_EQ(s.find(kHash, "gamma"), ShardIndex::npos);
-  EXPECT_EQ(s.find(kHash + 1, "alpha"), ShardIndex::npos);
-  EXPECT_EQ(s.value(s.find(kHash, "alpha")), "a");
-  EXPECT_EQ(s.value(s.find(kHash, "beta")), "b");
+  ASSERT_NE(s.find(kHash, "alpha", index.shard_range(0)), ShardIndex::npos);
+  ASSERT_NE(s.find(kHash, "beta", index.shard_range(0)), ShardIndex::npos);
+  EXPECT_EQ(s.find(kHash, "gamma", index.shard_range(0)), ShardIndex::npos);
+  EXPECT_EQ(s.find(kHash + 1, "alpha", index.shard_range(0)), ShardIndex::npos);
+  EXPECT_EQ(s.value(s.find(kHash, "alpha", index.shard_range(0))), "a");
+  EXPECT_EQ(s.value(s.find(kHash, "beta", index.shard_range(0))), "b");
   EXPECT_EQ(index.count_range(kHash, kHash), 2u);
   EXPECT_EQ(index.count_range(0, kHash - 1), 0u);
   EXPECT_EQ(index.count_range(kHash + 1, HashSpace::kMaxIndex), 0u);
 
   // Same-length overwrites stay in place; a resized one leaves garbage.
   const std::size_t arena = s.arena_bytes();
-  index.assign(0, s.find(kHash, "alpha"), "A");
+  index.assign(0, s.find(kHash, "alpha", index.shard_range(0)), "A");
   EXPECT_EQ(s.arena_bytes(), arena);
   EXPECT_EQ(s.garbage_bytes(), 0u);
-  index.assign(0, s.find(kHash, "beta"), "a longer value");
+  index.assign(0, s.find(kHash, "beta", index.shard_range(0)), "a longer value");
   EXPECT_GT(s.garbage_bytes(), 0u);
-  EXPECT_EQ(s.value(s.find(kHash, "alpha")), "A");
-  EXPECT_EQ(s.value(s.find(kHash, "beta")), "a longer value");
+  EXPECT_EQ(s.value(s.find(kHash, "alpha", index.shard_range(0))), "A");
+  EXPECT_EQ(s.value(s.find(kHash, "beta", index.shard_range(0))), "a longer value");
 
-  index.erase_in_shard(0, s.find(kHash, "alpha"));
-  EXPECT_EQ(s.find(kHash, "alpha"), ShardIndex::npos);
-  ASSERT_NE(s.find(kHash, "beta"), ShardIndex::npos);
-  EXPECT_EQ(s.value(s.find(kHash, "beta")), "a longer value");
+  index.erase_in_shard(0, s.find(kHash, "alpha", index.shard_range(0)));
+  EXPECT_EQ(s.find(kHash, "alpha", index.shard_range(0)), ShardIndex::npos);
+  ASSERT_NE(s.find(kHash, "beta", index.shard_range(0)), ShardIndex::npos);
+  EXPECT_EQ(s.value(s.find(kHash, "beta", index.shard_range(0))), "a longer value");
   EXPECT_EQ(s.distinct_hashes(), 1u);
   EXPECT_EQ(index.count_range(kHash, kHash), 1u);
-  index.erase(0, s.find(kHash, "beta"));
+  index.erase(0, s.find(kHash, "beta", index.shard_range(0)));
   EXPECT_TRUE(index.shard(0).empty());
   EXPECT_EQ(index.total_entries(), 0u);
 
@@ -611,13 +612,15 @@ TEST(ShardIndexLayout, CollidingEntriesShareAHashInlineAndNeverSplitApart) {
   index.insert(0, extra, "extra", "v", set);
   ASSERT_EQ(index.shard_count(), 2u);
   EXPECT_EQ(index.shard_first(1), distinct[ShardIndex::kSplitBuckets / 2]);
-  EXPECT_NE(index.shard(1).find(extra, "extra"), ShardIndex::npos);
+  EXPECT_NE(index.shard(1).find(extra, "extra", index.shard_range(1)), ShardIndex::npos);
   const std::size_t run_shard = index.shard_of(run_hash);
-  EXPECT_EQ(index.shard(run_shard).upper_bound(run_hash) -
-                index.shard(run_shard).lower_bound(run_hash),
+  const placement::HashRange run_range = index.shard_range(run_shard);
+  EXPECT_EQ(index.shard(run_shard).upper_bound(run_hash, run_range) -
+                index.shard(run_shard).lower_bound(run_hash, run_range),
             kRun);
   for (std::size_t i = 0; i < kRun; ++i) {
-    EXPECT_NE(index.shard(run_shard).find(run_hash, "run-" + std::to_string(i)),
+    EXPECT_NE(index.shard(run_shard).find(run_hash, "run-" + std::to_string(i),
+                                          run_range),
               ShardIndex::npos);
   }
   EXPECT_EQ(index.count_range(run_hash, run_hash), kRun);
@@ -678,12 +681,16 @@ TEST(ShardIndexLayout, ResizedOverwritesCompactTheArena) {
     const std::string value(static_cast<std::size_t>(round) * 9 + 2, 'x');
     for (HashIndex h = 1; h <= 32; ++h) {
       const ShardIndex::Shard& s = index.shard(0);
-      index.assign(0, s.find(h << 40, "key-" + std::to_string(h)), value);
+      index.assign(
+          0, s.find(h << 40, "key-" + std::to_string(h), index.shard_range(0)),
+          value);
       EXPECT_LE(s.garbage_bytes(), s.arena_bytes() - s.garbage_bytes());
     }
     for (HashIndex h = 1; h <= 32; ++h) {
       const ShardIndex::Shard& s = index.shard(0);
-      EXPECT_EQ(s.value(s.find(h << 40, "key-" + std::to_string(h))), value);
+      EXPECT_EQ(s.value(s.find(h << 40, "key-" + std::to_string(h),
+                               index.shard_range(0))),
+                value);
     }
   }
 }
@@ -702,7 +709,7 @@ TEST(ShardIndexLayout, OverridesTakeOneBytePaletteSlots) {
   ShardIndex::Shard& s = index.shard(0);
   EXPECT_TRUE(std::ranges::equal(s.replicas(), a));
   EXPECT_EQ(s.override_count(), 1u);
-  EXPECT_TRUE(std::ranges::equal(s.replicas(s.find(200, "k2")), b));
+  EXPECT_TRUE(std::ranges::equal(s.replicas(s.find(200, "k2", index.shard_range(0))), b));
   s.set_replicas(0, s.size(), b);
   EXPECT_EQ(s.override_count(), 3u);
   s.adopt(b);
@@ -745,6 +752,212 @@ TEST(ShardedStore, SplitPiecesAnchorOnTheirMostCommonSet) {
     check_piece(split + 1);
   }
   EXPECT_GT(splits, 40u);
+}
+
+// --- the point path: radix directory and interpolation search -------
+
+/// Every directory bucket names the shard holding its first index, and
+/// shard_of answers the reference at every boundary, its neighbours,
+/// both ends of R_h and `random` more hashes.
+void expect_directory_exact(const ShardIndex& index, Xoshiro256& rng,
+                            std::size_t random) {
+  std::vector<HashIndex> firsts;
+  for (std::size_t i = 0; i < index.shard_count(); ++i) {
+    firsts.push_back(index.shard_first(i));
+  }
+  const auto reference = [&firsts](HashIndex h) {
+    return static_cast<std::size_t>(
+               std::upper_bound(firsts.begin(), firsts.end(), h) -
+               firsts.begin()) -
+           1;
+  };
+  const std::size_t buckets = index.directory_size();
+  ASSERT_GE(buckets, index.shard_count());
+  const auto shift = static_cast<unsigned>(
+      HashSpace::kBits - std::countr_zero(buckets));
+  for (std::size_t b = 0; b < buckets; ++b) {
+    ASSERT_EQ(index.directory_entry(b), reference(HashIndex{b} << shift))
+        << "bucket " << b << " of " << buckets;
+  }
+  std::vector<HashIndex> probes{0, HashSpace::kMaxIndex};
+  for (const HashIndex first : firsts) {
+    probes.insert(probes.end(), {first - 1, first, first + 1});
+  }
+  for (std::size_t n = 0; n < random; ++n) probes.push_back(rng.next());
+  for (const HashIndex h : probes) {
+    ASSERT_EQ(index.shard_of(h), reference(h)) << "hash " << h;
+  }
+}
+
+TEST(ShardIndexDirectory, ShardOfMatchesAReferenceThroughDoublingsAndFolds) {
+  // A seeded run of splits and folds: the shard count passes 2^8 .. 2^11,
+  // so the directory doubles four times, and folds drop shard 0, the
+  // last shard and random ones. Some boundaries sit on a bucket's first
+  // index, where an off-by-one in the suffix shift would show.
+  ShardIndex index;
+  const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
+  const std::vector<placement::NodeId> set{1, 2, 3};
+  Xoshiro256 rng(2121);
+  std::vector<std::size_t> sizes{index.directory_size()};
+  std::size_t folds_of_first = 0;
+  std::size_t folds_of_last = 0;
+  for (std::size_t step = 0; index.shard_count() < 2100; ++step) {
+    const std::size_t choice = rng.next_below(10);
+    if (choice < 7 || index.shard_count() < 3) {
+      const std::size_t i = rng.next_below(index.shard_count());
+      const HashIndex first = index.shard_first(i);
+      const HashIndex span = index.shard_last(i) - first;
+      if (span == 0) continue;
+      HashIndex boundary = first + 1 + rng.next_below(span);
+      // A boundary on a 2^52 grid starts a bucket at every directory
+      // size this run reaches.
+      const HashIndex aligned = (boundary >> 52) << 52;
+      if (rng.next_below(3) == 0 && aligned > first) boundary = aligned;
+      index.split_shard(i, boundary);
+    } else {
+      const std::size_t i = choice == 7   ? 0
+                            : choice == 8 ? index.shard_count() - 1
+                                          : rng.next_below(index.shard_count());
+      if (!index.shard(i).empty()) continue;
+      folds_of_first += i == 0 ? 1 : 0;
+      folds_of_last += i + 1 == index.shard_count() ? 1 : 0;
+      // One entry in, one out: the emptied shard folds away.
+      const HashIndex h = index.shard_first(i);
+      index.insert(i, h, "fold", "v", set);
+      index.erase(i, 0);
+    }
+    if (index.directory_size() != sizes.back()) {
+      sizes.push_back(index.directory_size());
+    }
+    expect_directory_exact(index, rng, 16);
+    if (testing::Test::HasFatalFailure()) {
+      FAIL() << "step " << step;
+    }
+  }
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{256, 512, 1024, 2048, 4096}));
+  EXPECT_GT(folds_of_first, 10u);
+  EXPECT_GT(folds_of_last, 10u);
+}
+
+/// Shard `i`'s interpolation search against std::lower_bound and
+/// std::upper_bound at every resident hash, its neighbours, the
+/// shard's range ends and their neighbours, both ends of R_h and
+/// `extra`; and find() locates every resident key.
+void expect_search_exact(const ShardIndex& index, std::size_t i,
+                         const std::vector<HashIndex>& extra = {}) {
+  const ShardIndex::Shard& s = index.shard(i);
+  const placement::HashRange range = index.shard_range(i);
+  std::vector<HashIndex> hashes;
+  for (std::size_t pos = 0; pos < s.size(); ++pos) hashes.push_back(s.hash(pos));
+  ASSERT_TRUE(std::ranges::is_sorted(hashes));
+  std::vector<HashIndex> probes{0, HashSpace::kMaxIndex, range.first - 1,
+                                range.first, range.first + 1, range.last - 1,
+                                range.last, range.last + 1};
+  for (const HashIndex h : hashes) probes.insert(probes.end(), {h - 1, h, h + 1});
+  probes.insert(probes.end(), extra.begin(), extra.end());
+  for (const HashIndex h : probes) {
+    const auto lower = static_cast<std::size_t>(
+        std::ranges::lower_bound(hashes, h) - hashes.begin());
+    const auto upper = static_cast<std::size_t>(
+        std::ranges::upper_bound(hashes, h) - hashes.begin());
+    ASSERT_EQ(s.lower_bound(h, range), lower) << "hash " << h;
+    ASSERT_EQ(s.upper_bound(h, range), upper) << "hash " << h;
+  }
+  for (std::size_t pos = 0; pos < s.size(); ++pos) {
+    ASSERT_EQ(s.find(s.hash(pos), s.key(pos), range), pos);
+  }
+}
+
+TEST(ShardIndexSearch, InterpolationMatchesBinarySearchOnAdversarialLayouts) {
+  const std::vector<placement::NodeId> set{1, 2, 3};
+  Xoshiro256 rng(2122);
+  const auto fill = [&set](ShardIndex& index, std::size_t i,
+                           const std::vector<HashIndex>& hashes) {
+    for (std::size_t n = 0; n < hashes.size(); ++n) {
+      index.insert(i, hashes[n], "k" + std::to_string(n), "v", set);
+    }
+  };
+  {
+    // Clustered at the top of a full-range shard: every guess lands far
+    // below the answer.
+    ShardIndex index;
+    const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
+    std::vector<HashIndex> hashes;
+    for (std::size_t n = 0; n < 100; ++n) {
+      hashes.push_back(HashSpace::kMaxIndex - rng.next_below(5000));
+    }
+    fill(index, 0, hashes);
+    ASSERT_EQ(index.shard_count(), 1u);
+    expect_search_exact(index, 0);
+  }
+  {
+    // ... and at the bottom, with a 40-key collision run among them.
+    ShardIndex index;
+    const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
+    std::vector<HashIndex> hashes(40, 2500);
+    for (std::size_t n = 0; n < 60; ++n) hashes.push_back(rng.next_below(5000));
+    fill(index, 0, hashes);
+    expect_search_exact(index, 0, {2499, 2500, 2501});
+    EXPECT_EQ(index.shard(0).upper_bound(2500, index.shard_range(0)) -
+                  index.shard(0).lower_bound(2500, index.shard_range(0)),
+              40u + static_cast<std::size_t>(
+                        std::ranges::count(hashes.begin() + 40, hashes.end(),
+                                           HashIndex{2500})));
+  }
+  {
+    // A 40-key run in the middle of a uniform shard.
+    ShardIndex index;
+    const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
+    std::vector<HashIndex> hashes;
+    for (std::size_t n = 0; n < 60; ++n) hashes.push_back(rng.next());
+    hashes.insert(hashes.end(), 40, HashIndex{1} << 63);
+    fill(index, 0, hashes);
+    expect_search_exact(index, 0);
+  }
+  {
+    // A fold doubles a shard's range: shard 0 empties, so shard 1's
+    // entries (all in the upper half) now scale against all of R_h.
+    ShardIndex index;
+    const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
+    constexpr HashIndex kMid = HashIndex{1} << 63;
+    index.split_shard(0, kMid);
+    index.insert(0, 7, "low", "v", set);
+    std::vector<HashIndex> hashes;
+    for (std::size_t n = 0; n < 120; ++n) {
+      hashes.push_back(kMid + rng.next_below(kMid));
+    }
+    fill(index, 1, hashes);
+    index.erase(0, 0);
+    ASSERT_EQ(index.shard_count(), 1u);
+    ASSERT_EQ(index.shard_range(0), (placement::HashRange{0, HashSpace::kMaxIndex}));
+    expect_search_exact(index, 0, {kMid - 1, kMid});
+  }
+  for (std::size_t n = 1; n < ShardIndex::kInterpolationMin; ++n) {
+    // The plain binary search below kInterpolationMin entries.
+    ShardIndex index;
+    const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
+    std::vector<HashIndex> hashes;
+    for (std::size_t m = 0; m < n; ++m) hashes.push_back(rng.next());
+    fill(index, 0, hashes);
+    expect_search_exact(index, 0);
+  }
+  {
+    // Entries on the first and last index of an inner shard's range,
+    // with the range's outside neighbours probed too.
+    ShardIndex index;
+    const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
+    constexpr HashIndex kFirst = HashIndex{3} << 60;
+    constexpr HashIndex kEnd = HashIndex{5} << 60;
+    index.split_shard(0, kFirst);
+    index.split_shard(1, kEnd);
+    std::vector<HashIndex> hashes{kFirst, kFirst, kEnd - 1, kEnd - 1};
+    for (std::size_t n = 0; n < 50; ++n) {
+      hashes.push_back(kFirst + rng.next_below(kEnd - kFirst));
+    }
+    fill(index, 1, hashes);
+    ASSERT_EQ(index.shard_range(1), (placement::HashRange{kFirst, kEnd - 1}));
+    expect_search_exact(index, 1);
+  }
 }
 
 }  // namespace

@@ -194,6 +194,16 @@ TYPED_TEST(BackendPropertySuite, SigmaIsZeroBeforeTheFirstJoin) {
   EXPECT_EQ(backend.sigma(), 0.0);
 }
 
+TYPED_TEST(BackendPropertySuite, ReplicaSetIsEmptyBeforeTheFirstJoin) {
+  // Regression: ch, hrw, local and global threw "the backend has no
+  // nodes" here while the grid walks answered the clamped empty set.
+  const auto backend = make_backend<TypeParam>(909);
+  std::vector<NodeId> out{7, 8};
+  backend.replica_set_into(42, 3, out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(backend.replica_set(HashSpace::kMaxIndex, 1).empty());
+}
+
 TYPED_TEST(BackendPropertySuite, SchemeNamesAreNonEmptyAndStable) {
   const auto name = TypeParam::scheme_name();
   EXPECT_FALSE(name.empty());
