@@ -86,7 +86,7 @@ std::size_t ShardIndex::Shard::lower_bound(
     return static_cast<std::size_t>(std::lower_bound(h + lo, h + hi, hash) -
                                     h);
   };
-  if (n < kInterpolationMin) return search(0, n);
+  if (n == 0) return 0;
   // The first probe: where `hash` would sit if the entries spread
   // evenly over the range. Double precision is plenty for a guess.
   std::size_t guess = 0;

@@ -23,8 +23,7 @@
 //     the hash's proportional position inside the shard's tiling
 //     range, a gallop brackets the answer and a binary search of the
 //     bracket ends it, so clustered or folded ranges still cost
-//     O(log n). Below kInterpolationMin entries it is a plain binary
-//     search. Every in-shard search (find, upper_bound, insert,
+//     O(log n). Every in-shard search (find, upper_bound, insert,
 //     count_range, the store's scans and repair patches) is this one.
 //
 // Flat layout. A shard keeps its entries as parallel arrays, sorted by
@@ -284,10 +283,6 @@ class ShardIndex {
   /// splits the shard at its median hash. This bounds the per-insert
   /// memmove of the flat arrays and the in-shard search's worst case.
   static constexpr std::size_t kSplitBuckets = 128;
-
-  /// Entries below which Shard::lower_bound skips the interpolated
-  /// probe and gallop: a binary search of fewer is as short.
-  static constexpr std::size_t kInterpolationMin = 8;
 
   /// Smallest radix directory: 2^8 buckets (see the header).
   static constexpr unsigned kMinDirectoryBits = 8;

@@ -406,33 +406,29 @@ class Store final : private placement::RelocationObserver {
     const HashIndex h = hash_key(key);
     std::uint64_t writes = 0;
     std::optional<bool> inserted;
-    std::size_t i = 0;
-    std::size_t at = 0;
     {
       const ShardIndex::StructureSharedLock structure(index_, concurrent());
-      i = index_.shard_of(h);
+      const std::size_t i = index_.shard_of(h);
       const ShardIndex::ShardSpanLock span(index_, i, concurrent());
       // A brand-new hash landing in a full shard makes insert() split
       // the shard - a structural change the shared tiling hold cannot
       // cover; everything else stays inside this shard.
       const ShardIndex::Shard& s = index_.shard(i);
-      at = s.lower_bound(h, index_.shard_range(i));
+      const std::size_t at = s.lower_bound(h, index_.shard_range(i));
       if ((at < s.size() && s.hash(at) == h) ||
           s.distinct_hashes() < ShardIndex::kSplitBuckets) {
         inserted = put_body(i, at, h, key, value, writes);
       }
     }
     if (!inserted) {
-      // Structural retry. With a pool the tiling may have changed
-      // between the two holds (another writer split first), so the
-      // position re-derives; without one nothing ran in between.
+      // Structural retry: the tiling may have changed between the two
+      // holds (another writer split first), so everything re-derives.
       const ShardIndex::StructureExclusiveLock structure(index_,
                                                          concurrent());
-      if (concurrent()) {
-        i = index_.shard_of(h);
-        at = index_.shard(i).lower_bound(h, index_.shard_range(i));
-      }
-      inserted = put_body(i, at, h, key, value, writes);
+      const std::size_t i = index_.shard_of(h);
+      inserted = put_body(i, index_.shard(i).lower_bound(
+                                 h, index_.shard_range(i)),
+                          h, key, value, writes);
     }
     {
       const MaybeLockGuard acc(accounting_mutex_, concurrent());
@@ -454,13 +450,12 @@ class Store final : private placement::RelocationObserver {
   bool erase(const std::string& key) {
     const MaybeSharedLock backend_lock(backend_mutex_, concurrent());
     const HashIndex h = hash_key(key);
-    std::size_t i = 0;
-    std::size_t pos = 0;
     {
       const ShardIndex::StructureSharedLock structure(index_, concurrent());
-      i = index_.shard_of(h);
+      const std::size_t i = index_.shard_of(h);
       const ShardIndex::ShardSpanLock span(index_, i, concurrent());
-      pos = index_.shard(i).find(h, key, index_.shard_range(i));
+      const std::size_t pos =
+          index_.shard(i).find(h, key, index_.shard_range(i));
       if (pos == ShardIndex::npos) return false;
       // Removing a shard's last entry merges it away - structural;
       // retry below.
@@ -470,11 +465,10 @@ class Store final : private placement::RelocationObserver {
       }
     }
     const ShardIndex::StructureExclusiveLock structure(index_, concurrent());
-    if (concurrent()) {  // as in put: only a pool can move the entry
-      i = index_.shard_of(h);
-      pos = index_.shard(i).find(h, key, index_.shard_range(i));
-      if (pos == ShardIndex::npos) return false;
-    }
+    const std::size_t i = index_.shard_of(h);
+    const std::size_t pos =
+        index_.shard(i).find(h, key, index_.shard_range(i));
+    if (pos == ShardIndex::npos) return false;
     index_.erase(i, pos);
     return true;
   }
