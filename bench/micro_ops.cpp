@@ -22,7 +22,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,7 +30,6 @@
 #include "cluster/topology.hpp"
 #include "common/dyadic.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "dht/global_dht.hpp"
 #include "dht/local_dht.hpp"
 #include "cluster/distributed.hpp"
@@ -229,13 +227,13 @@ BENCHMARK(BM_DistributedProtocol)->Arg(128)->Arg(512);
 //                            the index outgrows L2: op is get,
 //                            read_node_of (kRoundRobin) or put_update
 //                            (an overwrite of equal length)
-//   store_event_k1/<scheme>/threads:T
+//   store_event_k1/<scheme>
 //                            membership events on a loaded k=1 store
 //                            (each join pays relocation accounting plus
 //                            the k=1 repair of the relocated ranges -
 //                            the growth repair path of run_growth /
 //                            run_movement_growth)
-//   store_repair_k3/<scheme>/threads:T
+//   store_repair_k3/<scheme>
 //                            membership events on a loaded k=3 store
 //                            (each event runs the fallback-replica
 //                            repair pass - the abl8 hot path)
@@ -244,7 +242,7 @@ BENCHMARK(BM_DistributedProtocol)->Arg(128)->Arg(512);
 //                            node's rack on a loaded k=3 rack-spread
 //                            store of 48 nodes in 12 racks (the
 //                            churn_rack_k3 event pair: dirty report,
-//                            relocation flush and repair pass, serial)
+//                            relocation flush and repair pass)
 //   store_bytes_per_key/<scheme>/keys:N
 //                            one preload of N keys (kv_point_1m's
 //                            shape: ~13-byte keys, 4-byte values) into
@@ -253,10 +251,6 @@ BENCHMARK(BM_DistributedProtocol)->Arg(128)->Arg(512);
 //                            it grew by per key (mallinfo2) and the
 //                            share of entries carrying a replica-set
 //                            override
-//   store_contended_mix/<scheme>/threads:T
-//                            a 7:1 get:put mix driven by T bench
-//                            threads against one shard-concurrent
-//                            store (the read-scaling surface)
 //   placement_spread_walk/<scheme>/crashed:C
 //                            one k=3 rack-spread replica set per
 //                            iteration (the store's repair and write
@@ -270,15 +264,10 @@ BENCHMARK(BM_DistributedProtocol)->Arg(128)->Arg(512);
 //                            only 2 racks remain, so no walk stops
 //                            early)
 //
-// The threads axis: for the membership benches T is the size of the
-// cobalt::ThreadPool the store runs its repair pass's phase A and its
-// relocation-flush counts on. T = 1 attaches no pool: the same pass
-// runs its tasks inline with no lock taken, so that cell tracks the
-// single-threaded trajectory. Each membership cell also reports the
-// counters one iteration's events leave behind (keys_moved_total,
-// keys_rereplicated, repair_shards_visited); they must not depend on
-// T, and the bench-smoke CI job fails when T = 1 and T = 4 disagree or
-// when a threads:1 count rises above bench/micro_ops_counts.json.
+// store_event_k1 and store_repair_k3 also report the counters one
+// iteration's events leave behind (keys_moved_total,
+// keys_rereplicated, repair_shards_visited); the bench-smoke CI job
+// fails when one rises above bench/micro_ops_counts.json.
 //
 // The membership cells (store_event_k1, store_repair_k3,
 // store_repair_k3_rack) rebuild their loaded store untimed in every
@@ -287,9 +276,6 @@ BENCHMARK(BM_DistributedProtocol)->Arg(128)->Arg(512);
 // They run a fixed kMembershipIterations iterations, repeated
 // kMembershipRepetitions times, and report only the aggregates; read
 // the _median row (names gain /iterations:N/repeats:R).
-// For the contended mix T is the number of google-benchmark driver
-// threads hammering the store's locked read/write paths. Timings are
-// only comparable at equal T; see scripts/check_bench_regression.py.
 
 constexpr std::size_t kStoreBenchKeys = 20000;
 
@@ -347,20 +333,15 @@ void BM_StoreGet(benchmark::State& state, const Scheme& scheme) {
 /// One iteration = 16 joins into a store preloaded with kStoreBenchKeys
 /// keys (preload untimed). At k = 1 every join pays the relocation
 /// accounting plus the ranged repair; at k = 3 it additionally pays the
-/// fallback-replica repair pass. range(0) is the repair pool size
-/// (1 = no pool: the tasks run inline). Counters: the iteration's
+/// fallback-replica repair pass. Counters: the iteration's
 /// keys_moved_total, keys_rereplicated and repair_shards_visited.
 template <typename Scheme>
 void BM_StoreMembershipEvents(benchmark::State& state, const Scheme& scheme,
                               std::size_t k) {
   constexpr int kJoins = 16;
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  std::optional<cobalt::ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
   for (auto _ : state) {
     state.PauseTiming();
     auto store = scheme.store(44, ReplicationSpec{k, SpreadPolicy::kNone});
-    if (pool) store.set_thread_pool(&*pool);
     for (std::size_t n = 0; n < 4; ++n) store.add_node();
     for (std::uint64_t i = 0; i < kStoreBenchKeys; ++i) {
       store.put(bench_key(i), "v");
@@ -507,43 +488,6 @@ void BM_StorePointCold(benchmark::State& state, const Scheme& scheme,
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-/// A 7:1 get:put mix from T google-benchmark driver threads against
-/// one shared shard-concurrent store: gets hit the preloaded keys
-/// (structure + one stripe, both shared), puts cycle each thread's
-/// private bounded lane (stripe exclusive). The shared store is built
-/// once per instantiation (thread-safe local static) so every
-/// thread-count cell measures the same resident population.
-template <typename Scheme>
-void BM_StoreContendedMix(benchmark::State& state, const Scheme& scheme) {
-  struct Shared {
-    cobalt::kv::Store<typename Scheme::BackendType> store;
-    cobalt::ThreadPool pool;
-    explicit Shared(const Scheme& scheme)
-        : store(scheme.store(45, ReplicationSpec{3, SpreadPolicy::kNone})),
-          pool(2) {
-      for (int n = 0; n < 8; ++n) store.add_node();
-      for (std::uint64_t i = 0; i < kStoreBenchKeys; ++i) {
-        store.put(bench_key(i), "v");
-      }
-      store.set_thread_pool(&pool);
-    }
-  };
-  static Shared shared(scheme);
-  const int t = state.thread_index();
-  Xoshiro256 rng(static_cast<std::uint64_t>(100 + t));
-  const std::string lane = "lane" + std::to_string(t) + "/";
-  std::uint64_t w = 0;
-  for (auto _ : state) {
-    if ((++w & 7u) == 0) {
-      shared.store.put(lane + std::to_string(w & 1023u), "v");
-    } else {
-      benchmark::DoNotOptimize(
-          shared.store.get(bench_key(rng.next_below(kStoreBenchKeys))));
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-
 /// One iteration = one k=3 rack-spread replica set at the next of a
 /// fixed ring of probe points. range(0) picks the topology (see the
 /// family comment above): 0 = a churned 48-node, 12-rack cluster,
@@ -602,20 +546,12 @@ void register_all_store_benches() {
                                  [scheme](benchmark::State& state) {
                                    BM_StoreMembershipEvents(state, scheme, 1);
                                  })
-        ->Apply(membership_cell)
-        ->ArgName("threads")
-        ->Arg(1)
-        ->Arg(2)
-        ->Arg(4);
+        ->Apply(membership_cell);
     benchmark::RegisterBenchmark(("store_repair_k3/" + name).c_str(),
                                  [scheme](benchmark::State& state) {
                                    BM_StoreMembershipEvents(state, scheme, 3);
                                  })
-        ->Apply(membership_cell)
-        ->ArgName("threads")
-        ->Arg(1)
-        ->Arg(2)
-        ->Arg(4);
+        ->Apply(membership_cell);
     benchmark::RegisterBenchmark(("store_repair_k3_rack/" + name).c_str(),
                                  [scheme](benchmark::State& state) {
                                    BM_StoreRackRepair(state, scheme);
@@ -640,13 +576,6 @@ void register_all_store_benches() {
             BM_StorePointCold(state, scheme, op);
           });
     }
-    benchmark::RegisterBenchmark(("store_contended_mix/" + name).c_str(),
-                                 [scheme](benchmark::State& state) {
-                                   BM_StoreContendedMix(state, scheme);
-                                 })
-        ->Threads(1)
-        ->Threads(2)
-        ->Threads(4);
     benchmark::RegisterBenchmark(("placement_spread_walk/" + name).c_str(),
                                  [scheme](benchmark::State& state) {
                                    BM_PlacementSpreadWalk(state, scheme);

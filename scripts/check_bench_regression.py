@@ -4,19 +4,9 @@
 Compares a fresh google-benchmark JSON run of the store hot-path
 family (micro_ops --json output: {"benchmarks": [{"name", "real_time",
 ...}]}) against the checked-in baseline BENCH_store_hotpath.json
-("after" map: bench/scheme[/threads:T] -> ns). A benchmark slower than
+("after" map: bench/scheme[/...] -> ns). A benchmark slower than
 --threshold x its baseline (default 1.3) prints a warning (GitHub
 annotation format when running in Actions).
-
-The threads dimension: bench cells carry a /threads:T suffix (the
-store's repair pool size, or the driver thread count for the contended
-mix). Cells are only ever compared at equal T - the exact-name match
-guarantees it, and a baseline name without a suffix is treated as its
-family's threads:1 cell so the gate stays meaningful across the
-naming migration. The fresh run's thread-scaling curves are printed
-as an informational summary (speedup of each threads:T cell over its
-own threads:1 cell); they are never gated, because the runner's core
-count decides what scaling is even achievable.
 
 The membership cells run a fixed iteration count with repetitions and
 report aggregates only; their _median row stands for the cell, under
@@ -41,7 +31,6 @@ import json
 import re
 import sys
 
-_THREADS_RE = re.compile(r"^(?P<base>.*)/threads:(?P<t>\d+)$")
 _SHAPE_RE = re.compile(r"/(iterations|repeats):\d+")
 
 
@@ -59,38 +48,6 @@ def cell_rows(benchmarks):
             name = row["name"]
         cells[_SHAPE_RE.sub("", name)] = row
     return cells
-
-
-def split_threads(name):
-    """-> (base name, thread count); no suffix reads as threads:1."""
-    m = _THREADS_RE.match(name)
-    if m:
-        return m.group("base"), int(m.group("t"))
-    return name, 1
-
-
-def scaling_summary(fresh):
-    """Prints each family's fresh thread-scaling curve (informational)."""
-    families = {}
-    for name, ns in fresh.items():
-        base, threads = split_threads(name)
-        families.setdefault(base, {})[threads] = ns
-    lines = []
-    for base in sorted(families):
-        cells = families[base]
-        if len(cells) < 2 or 1 not in cells:
-            continue
-        curve = ", ".join(
-            f"{t}T {cells[1] / cells[t]:.2f}x"
-            for t in sorted(cells)
-            if t != 1
-        )
-        lines.append(f"  {base}: {curve}")
-    if lines:
-        print("thread scaling vs the same run's threads:1 cells "
-              "(informational, runner-core-bound):")
-        for line in lines:
-            print(line)
 
 
 def main(argv):
@@ -132,10 +89,6 @@ def main(argv):
     missing = []
     for name, base_ns in sorted(baseline.items()):
         ns = fresh.get(name)
-        if ns is None and split_threads(name)[1] == 1:
-            # A pre-threads-axis baseline cell is its family's
-            # single-threaded measurement.
-            ns = fresh.get(f"{name}/threads:1")
         if ns is None:
             missing.append(name)
             continue
@@ -153,8 +106,6 @@ def main(argv):
         print(f"::warning::store hot path regression (advisory): {name} "
               f"is {ratio:.2f}x its checked-in baseline "
               f"(threshold {threshold}x)")
-
-    scaling_summary(fresh)
 
     if regressions:
         print(f"check_bench_regression: {len(regressions)} advisory "

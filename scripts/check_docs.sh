@@ -7,11 +7,7 @@
 #      documented in docs/BENCHMARKS.md.
 #   3. Every fig*/abl* bench name mentioned in README.md or docs/*.md
 #      must exist as bench/<name>.cpp (no docs for deleted benches).
-#   4. No raw std concurrency primitive outside
-#      src/common/thread_annotations.hpp: everything else must use the
-#      annotated wrappers, or clang's thread safety analysis (and the
-#      lock-order linter) cannot see the acquisition.
-#   5. No new raw integer replication parameter in the replicated
+#   4. No new raw integer replication parameter in the replicated
 #      layers: replication is keyed by placement::ReplicationSpec
 #      (factor + spread policy), so a bare "std::size_t replication"
 #      parameter reintroduces the pre-topology API. Sink payloads that
@@ -54,17 +50,7 @@ while IFS= read -r name; do
 done < <(grep -ohE '\b(fig|abl)[0-9]+_[a-z0-9_]+' README.md docs/*.md \
            | sort -u)
 
-# --- 4. raw std primitives stay behind the annotated wrappers -------
-while IFS= read -r hit; do
-  echo "RAW STD PRIMITIVE: $hit"
-  echo "  (use the annotated wrappers in common/thread_annotations.hpp)"
-  fail=1
-done < <(grep -rnE \
-           'std::(mutex|shared_mutex|condition_variable|lock_guard|unique_lock|shared_lock|scoped_lock)\b' \
-           src --include='*.hpp' --include='*.cpp' \
-           | grep -v '^src/common/thread_annotations.hpp:' || true)
-
-# --- 5. replication stays keyed by ReplicationSpec ------------------
+# --- 4. replication stays keyed by ReplicationSpec ------------------
 while IFS= read -r hit; do
   echo "RAW REPLICATION FACTOR: $hit"
   echo "  (take a placement::ReplicationSpec, or mark an observed-count"

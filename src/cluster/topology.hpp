@@ -16,9 +16,8 @@
 // rack-spread walk over singleton racks is the plain ranked walk.
 //
 // The topology is built up front (assign()/uniform()) and then read
-// concurrently from repair workers; mutating it while placement
-// threads read it is a data race by contract, same as mutating a
-// backend mid-read.
+// by placement; mutating it while another thread's placement reads it
+// is a data race by contract, same as mutating a backend mid-read.
 
 #pragma once
 

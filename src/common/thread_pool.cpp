@@ -1,5 +1,6 @@
 #include "common/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <memory>
@@ -20,7 +21,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
 
 ThreadPool::~ThreadPool() {
   {
-    const MutexLock lock(mutex_);
+    const std::lock_guard lock(mutex_);
     stopping_ = true;
   }
   task_available_.notify_all();
@@ -30,7 +31,7 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::submit(std::function<void()> task) {
   COBALT_REQUIRE(task != nullptr, "cannot submit an empty task");
   {
-    const MutexLock lock(mutex_);
+    const std::lock_guard lock(mutex_);
     COBALT_REQUIRE(!stopping_, "cannot submit to a stopping pool");
     tasks_.push(std::move(task));
   }
@@ -38,16 +39,17 @@ void ThreadPool::submit(std::function<void()> task) {
 }
 
 void ThreadPool::wait_idle() {
-  const MutexLock lock(mutex_);
-  while (!tasks_.empty() || in_flight_ != 0) idle_.wait(mutex_);
+  std::unique_lock lock(mutex_);
+  idle_.wait(lock, [this] { return tasks_.empty() && in_flight_ == 0; });
 }
 
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
-      const MutexLock lock(mutex_);
-      while (!stopping_ && tasks_.empty()) task_available_.wait(mutex_);
+      std::unique_lock lock(mutex_);
+      task_available_.wait(lock,
+                           [this] { return stopping_ || !tasks_.empty(); });
       if (tasks_.empty()) return;  // stopping and drained
       task = std::move(tasks_.front());
       tasks_.pop();
@@ -55,7 +57,7 @@ void ThreadPool::worker_loop() {
     }
     task();
     {
-      const MutexLock lock(mutex_);
+      const std::lock_guard lock(mutex_);
       --in_flight_;
     }
     idle_.notify_all();
@@ -77,10 +79,11 @@ struct ParallelForState {
   const std::size_t count;
   const std::function<void(std::size_t)> body;
   std::atomic<std::size_t> next{0};
-  Mutex mutex;
-  CondVar all_done;
-  std::size_t completed COBALT_GUARDED_BY(mutex) = 0;
-  std::exception_ptr first_error COBALT_GUARDED_BY(mutex);
+  std::mutex mutex;
+  std::condition_variable all_done;
+  // completed and first_error are guarded by mutex.
+  std::size_t completed = 0;
+  std::exception_ptr first_error;
 
   /// Claims and runs iterations until the index space is exhausted.
   void drain() {
@@ -95,7 +98,7 @@ struct ParallelForState {
       }
       bool last;
       {
-        const MutexLock lock(mutex);
+        const std::lock_guard lock(mutex);
         if (error && !first_error) first_error = std::move(error);
         last = ++completed == count;
       }
@@ -118,8 +121,9 @@ void parallel_for(ThreadPool& pool, std::size_t count,
     pool.submit([state] { state->drain(); });
   }
   state->drain();
-  const MutexLock lock(state->mutex);
-  while (state->completed != state->count) state->all_done.wait(state->mutex);
+  std::unique_lock lock(state->mutex);
+  state->all_done.wait(lock,
+                       [&state] { return state->completed == state->count; });
   if (state->first_error) std::rethrow_exception(state->first_error);
 }
 

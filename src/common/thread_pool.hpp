@@ -1,21 +1,20 @@
 // cobalt/common/thread_pool.hpp
 //
 // A fixed-size worker pool with a parallel-for helper. The experiment
-// harness runs the paper's 100-run averages across hardware threads,
-// and the KV store runs its shard-parallel repair and relocation-flush
-// passes on the same pool; each unit of work owns independent state
-// (an RNG stream, a shard), so tasks are embarrassingly parallel and
+// harnesses and the growth simulation run the paper's 100-run averages
+// across hardware threads; each run owns independent state (an RNG
+// stream, its own store), so tasks are embarrassingly parallel and
 // deterministic regardless of scheduling.
 
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <functional>
+#include <mutex>
 #include <queue>
 #include <thread>
 #include <vector>
-
-#include "common/thread_annotations.hpp"
 
 namespace cobalt {
 
@@ -43,12 +42,13 @@ class ThreadPool {
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  Mutex mutex_;
-  CondVar task_available_;
-  CondVar idle_;
-  std::queue<std::function<void()>> tasks_ COBALT_GUARDED_BY(mutex_);
-  std::size_t in_flight_ COBALT_GUARDED_BY(mutex_) = 0;
-  bool stopping_ COBALT_GUARDED_BY(mutex_) = false;
+  std::mutex mutex_;
+  std::condition_variable task_available_;
+  std::condition_variable idle_;
+  // tasks_, in_flight_ and stopping_ are guarded by mutex_.
+  std::queue<std::function<void()>> tasks_;
+  std::size_t in_flight_ = 0;
+  bool stopping_ = false;
 };
 
 /// Runs body(i) for i in [0, count) on `pool`, blocking until all

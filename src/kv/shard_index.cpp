@@ -1,6 +1,7 @@
 #include "kv/shard_index.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <string>
 
@@ -362,17 +363,10 @@ void ShardIndex::shift_directory(HashIndex first, int delta) {
   }
 }
 
-// Analysis is suppressed on the definition: the body conditionally
-// calls split_shard (which requires the structure lock exclusively)
-// while the interface only requires it shared - the caller contract
-// (see the declaration) is that a shared-holding caller has verified
-// no split is possible, which the analysis cannot express.
-void ShardIndex::insert(std::size_t shard_index, HashIndex hash,
-                        std::string_view key, std::string_view value,
-                        ReplicaSet replicas)
-    COBALT_NO_THREAD_SAFETY_ANALYSIS {
+void ShardIndex::insert(std::size_t shard_index, std::size_t pos,
+                        HashIndex hash, std::string_view key,
+                        std::string_view value, ReplicaSet replicas) {
   Shard& s = *shards_[shard_index];
-  const std::size_t pos = s.upper_bound(hash, shard_range(shard_index));
   // A new hash in a full shard splits it at its median hash (taken
   // before the insert, so the boundary is the seed's), keeping the
   // flat arrays' memmove bounded by kSplitBuckets.
@@ -382,7 +376,7 @@ void ShardIndex::insert(std::size_t shard_index, HashIndex hash,
                                  ? s.median_hash()
                                  : first;
   s.insert_at(pos, hash, key, value, replicas);
-  total_entries_.fetch_add(1, std::memory_order_relaxed);
+  ++total_entries_;
   // Split after the insert, so the re-anchoring counts the new entry.
   if (boundary > first) split_shard(shard_index, boundary);
 }
@@ -406,19 +400,9 @@ void ShardIndex::assign(std::size_t shard_index, std::size_t pos,
   s.compact_if_sparse();
 }
 
-void ShardIndex::remove_entry(std::size_t shard_index, std::size_t pos) {
-  shards_[shard_index]->remove_at(pos);
-  total_entries_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void ShardIndex::erase_in_shard(std::size_t shard_index, std::size_t pos) {
-  COBALT_INVARIANT(shards_[shard_index]->size() > 1,
-                   "erase_in_shard would empty the shard");
-  remove_entry(shard_index, pos);
-}
-
 void ShardIndex::erase(std::size_t shard_index, std::size_t pos) {
-  remove_entry(shard_index, pos);
+  shards_[shard_index]->remove_at(pos);
+  --total_entries_;
   if (!shards_[shard_index]->empty() || shards_.size() == 1) return;
   // An entry-less shard constrains nothing: drop it, and its range
   // joins the predecessor's (shard 0's joins the successor's, which

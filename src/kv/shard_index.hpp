@@ -23,8 +23,9 @@
 //     the hash's proportional position inside the shard's tiling
 //     range, a gallop brackets the answer and a binary search of the
 //     bracket ends it, so clustered or folded ranges still cost
-//     O(log n). Every in-shard search (find, upper_bound, insert,
-//     count_range, the store's scans and repair patches) is this one.
+//     O(log n). Every in-shard search (find, upper_bound, count_range,
+//     the store's writes, scans and repair patches) is this one; an
+//     insert takes the position its caller's search found.
 //
 // Flat layout. A shard keeps its entries as parallel arrays, sorted by
 // hash, one slot per resident entry:
@@ -65,47 +66,11 @@
 // backend. The store decides replica sets and arc boundaries; the
 // index provides the structural primitives (size splits, merges, the
 // repair pass's wholesale adopt()) and keeps the tiling, ordering and
-// entry-count bookkeeping honest.
-//
-// Synchronization story (engaged only while the store has a worker
-// pool attached - see kv/store.hpp "Threading model"; without one the
-// same code runs with every lock disengaged). Two levels:
-//   * structure_mutex_ - a reader/writer lock over the *tiling*: the
-//     shard vectors (shard count, boundaries). Point readers
-//     and in-shard writers hold it shared; split/merge (put overflow,
-//     erase of a shard's last entry, the repair pass's regrouping)
-//     hold it exclusive.
-//   * stripe locks - kLockStripes reader/writer locks tiling R_h by
-//     its top bits. A reader of one entry holds the single stripe of
-//     its hash shared; a writer mutating anything inside shard i
-//     (entries, arena, palette) holds the shard's whole stripe span
-//     exclusive, ascending. Because an entry's stripe always lies
-//     inside its shard's span, one in-shard writer excludes exactly
-//     the readers of that shard - which is what lets gets proceed
-//     against shards not under repair while pool workers repair other
-//     shards.
-// Lock order: structure before stripes, stripes ascending. The
-// cross-shard total_entries_ counter is atomic so disjoint in-shard
-// writers need no shared lock for it.
-//
-// Compile-time model (see common/thread_annotations.hpp). The tiling
-// is literal: shards_ and firsts_ are GUARDED_BY(structure_mutex_),
-// and structural mutators REQUIRE it exclusive. The stripe table is
-// not - Thread
-// Safety Analysis cannot track a loop over an array of locks - so one
-// logical capability, stripes_cap_, stands for "adequate cover over
-// shard contents": the span/stripe RAII types below claim it on
-// behalf of the stripe locks they really take, the exclusive
-// structure hold claims it too (an exclusive tiling hold excludes
-// every content reader by the discipline above), and every method
-// touching shard contents REQUIRES it. The ascending-acquisition rule
-// within the table is checked by scripts/check_lock_order.py, which
-// also pins all stripe locking to this file.
+// entry-count bookkeeping honest. Like the store that owns it, it is
+// single-threaded: no call synchronizes with any other.
 
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -117,7 +82,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/thread_annotations.hpp"
 #include "hashing/hash_space.hpp"
 #include "placement/types.hpp"
 
@@ -293,62 +257,36 @@ class ShardIndex {
   /// fragmenting the tiling into per-cell shards.
   static constexpr std::size_t kMinArcBuckets = 16;
 
-  /// Stripe-lock table size (a power of two; 32 stripes keep sibling
-  /// cache lines apart while a full-span writer pays at most 32 lock
-  /// acquisitions even for a shard covering all of R_h). Capped well
-  /// below 64 on purpose: full-span holders also stack the store's
-  /// outer mutexes, and ThreadSanitizer's deadlock detector aborts at
-  /// 64 locks held by one thread.
-  static constexpr std::size_t kLockStripes = 32;
-  static constexpr unsigned kLockStripeBits = 5;  // log2(kLockStripes)
-
   /// An index starts as one empty shard covering all of R_h.
   ShardIndex() : firsts_(1, 0) {
     shards_.push_back(std::make_unique<Shard>());
     rebuild_directory();
   }
 
-  [[nodiscard]] std::size_t shard_count() const
-      COBALT_REQUIRES_SHARED(structure_mutex_) {
-    return shards_.size();
-  }
+  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   /// Every shard in range order, as `const Shard&`.
-  [[nodiscard]] auto shards() const
-      COBALT_REQUIRES_SHARED(structure_mutex_, stripes_cap_) {
+  [[nodiscard]] auto shards() const {
     return std::views::transform(
         shards_, [](const std::unique_ptr<Shard>& s) -> const Shard& {
           return *s;
         });
   }
-  [[nodiscard]] Shard& shard(std::size_t i)
-      COBALT_REQUIRES_SHARED(structure_mutex_)
-          COBALT_REQUIRES(stripes_cap_) {
-    return *shards_[i];
-  }
-  [[nodiscard]] const Shard& shard(std::size_t i) const
-      COBALT_REQUIRES_SHARED(structure_mutex_, stripes_cap_) {
-    return *shards_[i];
-  }
+  [[nodiscard]] Shard& shard(std::size_t i) { return *shards_[i]; }
+  [[nodiscard]] const Shard& shard(std::size_t i) const { return *shards_[i]; }
 
-  /// First hash index covered by shard `i`. Tiling metadata like
-  /// shard_last: readable under the structure lock alone, without the
-  /// stripe capability the full shard() accessors demand (the walk
-  /// loops test shard boundaries before taking any stripe).
-  [[nodiscard]] HashIndex shard_first(std::size_t i) const
-      COBALT_REQUIRES_SHARED(structure_mutex_) {
+  /// First hash index covered by shard `i`.
+  [[nodiscard]] HashIndex shard_first(std::size_t i) const {
     return firsts_[i];
   }
 
   /// Last hash index covered by shard `i` (inclusive).
-  [[nodiscard]] HashIndex shard_last(std::size_t i) const
-      COBALT_REQUIRES_SHARED(structure_mutex_) {
+  [[nodiscard]] HashIndex shard_last(std::size_t i) const {
     return i + 1 < firsts_.size() ? firsts_[i + 1] - 1 : HashSpace::kMaxIndex;
   }
 
   /// Shard `i`'s inclusive range, the bounds its in-shard searches
   /// take (Shard::lower_bound).
-  [[nodiscard]] placement::HashRange shard_range(std::size_t i) const
-      COBALT_REQUIRES_SHARED(structure_mutex_) {
+  [[nodiscard]] placement::HashRange shard_range(std::size_t i) const {
     return {firsts_[i], shard_last(i)};
   }
 
@@ -356,54 +294,38 @@ class ShardIndex {
   /// the directory names for bucket `b`, which must hold the bucket's
   /// first index. Exposed for the tests that drive the directory
   /// through its doublings and folds.
-  [[nodiscard]] std::size_t directory_size() const
-      COBALT_REQUIRES_SHARED(structure_mutex_) {
+  [[nodiscard]] std::size_t directory_size() const {
     return directory_.size();
   }
-  [[nodiscard]] std::size_t directory_entry(std::size_t b) const
-      COBALT_REQUIRES_SHARED(structure_mutex_) {
+  [[nodiscard]] std::size_t directory_entry(std::size_t b) const {
     return directory_[b];
   }
 
-  /// Total resident entries across all shards (atomic: disjoint
-  /// in-shard writers update it without a shared lock).
-  [[nodiscard]] std::uint64_t total_entries() const {
-    return total_entries_.load(std::memory_order_relaxed);
-  }
+  /// Total resident entries across all shards.
+  [[nodiscard]] std::uint64_t total_entries() const { return total_entries_; }
 
   /// Index of the shard whose range contains `index` (always exists:
   /// the shards tile R_h).
-  [[nodiscard]] std::size_t shard_of(HashIndex index) const
-      COBALT_REQUIRES_SHARED(structure_mutex_);
+  [[nodiscard]] std::size_t shard_of(HashIndex index) const;
 
   /// Inserts `key` -> `value` at `hash` into shard `shard_index` (which
-  /// must contain the hash and not hold the key), after any entries
-  /// already at that hash, with `replicas` as its materialized set (the
+  /// must contain the hash and not hold the key) at position `pos`: the
+  /// end of the run of entries already at `hash` (its lower_bound when
+  /// the hash is new), with `replicas` as its materialized set (the
   /// first entry of an empty shard makes it the shard's set). A new
   /// hash in a shard already holding kSplitBuckets distinct hashes
-  /// splits the shard at its median hash, so the caller needs the
-  /// structure lock *exclusive* unless it verified no split is possible
-  /// (the hash is resident, or distinct_hashes() < kSplitBuckets) under
-  /// its span - the store's optimistic put path.
-  void insert(std::size_t shard_index, HashIndex hash, std::string_view key,
-              std::string_view value, ReplicaSet replicas)
-      COBALT_REQUIRES_SHARED(structure_mutex_) COBALT_REQUIRES(stripes_cap_);
+  /// splits the shard at its median hash.
+  void insert(std::size_t shard_index, std::size_t pos, HashIndex hash,
+              std::string_view key, std::string_view value,
+              ReplicaSet replicas);
 
   /// Overwrites the value of the entry at `pos` of shard `shard_index`.
-  void assign(std::size_t shard_index, std::size_t pos, std::string_view value)
-      COBALT_REQUIRES_SHARED(structure_mutex_) COBALT_REQUIRES(stripes_cap_);
-
-  /// Removes the entry at `pos` of a shard that keeps at least one
-  /// other entry (no structural change).
-  void erase_in_shard(std::size_t shard_index, std::size_t pos)
-      COBALT_REQUIRES_SHARED(structure_mutex_) COBALT_REQUIRES(stripes_cap_);
+  void assign(std::size_t shard_index, std::size_t pos, std::string_view value);
 
   /// Removes the entry at `pos`; a shard left without entries folds
   /// into a neighbour (the tiling never fragments on a pure-erase
-  /// workload) - structural, hence the exclusive structure
-  /// requirement.
-  void erase(std::size_t shard_index, std::size_t pos)
-      COBALT_REQUIRES(structure_mutex_, stripes_cap_);
+  /// workload).
+  void erase(std::size_t shard_index, std::size_t pos);
 
   /// Splits shard `i` at `boundary` (which must lie strictly inside
   /// its range): shard i keeps [first, boundary - 1], a new shard i+1
@@ -411,279 +333,33 @@ class ShardIndex {
   /// (a boundary is a hash value, so equal hashes never separate). Both
   /// pieces are re-anchored on their most common set; an empty piece
   /// keeps the parent's set.
-  void split_shard(std::size_t i, HashIndex boundary)
-      COBALT_REQUIRES(structure_mutex_, stripes_cap_);
+  void split_shard(std::size_t i, HashIndex boundary);
 
   /// Entries whose hash falls inside [first, last]: whole shards by
   /// size, boundary shards by the in-shard search.
   [[nodiscard]] std::uint64_t count_range(HashIndex first,
-                                          HashIndex last) const
-      COBALT_REQUIRES_SHARED(structure_mutex_, stripes_cap_);
-
-  // --- the synchronization surface (see the header comment) ---------
-
-  /// The stripe index of a hash (its top kLockStripeBits bits).
-  [[nodiscard]] static std::size_t stripe_of(HashIndex index) {
-    return static_cast<std::size_t>(index >>
-                                    (HashSpace::kBits - kLockStripeBits));
-  }
-
-  /// One stripe's reader/writer lock. Probe surface for tests (the
-  /// wrapper unit tests try_lock from a second thread to observe
-  /// exclusion); real code acquires stripes only through the scoped
-  /// types below, which check_lock_order.py enforces.
-  [[nodiscard]] SharedMutex& stripe_mutex(std::size_t stripe) const {
-    return stripes_[stripe];
-  }
-
-  /// RAII hold of every stripe in [first_stripe, last_stripe],
-  /// acquired ascending (the deadlock-free order shared by all span
-  /// holders), exclusively or shared. Movable so wrappers can build it
-  /// conditionally; default-constructed it holds nothing (the no-op
-  /// of a store without a pool). This is the runtime mechanism only -
-  /// it carries no capability attributes (TSA cannot track the loop);
-  /// the SCOPED_CAPABILITY types below wrap it and claim stripes_cap_.
-  class StripeSpanLock {
-   public:
-    StripeSpanLock() = default;
-    StripeSpanLock(const ShardIndex& index, std::size_t first_stripe,
-                   std::size_t last_stripe, bool shared)
-        : index_(&index),
-          first_(first_stripe),
-          last_(last_stripe),
-          shared_(shared) {
-      for (std::size_t s = first_; s <= last_; ++s) {
-        if (shared_) {
-          index_->stripes_[s].lock_shared();
-        } else {
-          index_->stripes_[s].lock();
-        }
-      }
-    }
-    ~StripeSpanLock() { release(); }
-    StripeSpanLock(StripeSpanLock&& other) noexcept
-        : index_(other.index_),
-          first_(other.first_),
-          last_(other.last_),
-          shared_(other.shared_) {
-      other.index_ = nullptr;
-    }
-    StripeSpanLock& operator=(StripeSpanLock&& other) noexcept {
-      if (this != &other) {
-        release();
-        index_ = other.index_;
-        first_ = other.first_;
-        last_ = other.last_;
-        shared_ = other.shared_;
-        other.index_ = nullptr;
-      }
-      return *this;
-    }
-    StripeSpanLock(const StripeSpanLock&) = delete;
-    StripeSpanLock& operator=(const StripeSpanLock&) = delete;
-
-   private:
-    /// Unlocks a set the analysis never saw acquired (the ctor loop);
-    /// suppressed, and only ever called on what the ctor took.
-    void release() COBALT_NO_THREAD_SAFETY_ANALYSIS {
-      if (index_ == nullptr) return;
-      for (std::size_t s = last_ + 1; s-- > first_;) {
-        if (shared_) {
-          index_->stripes_[s].unlock_shared();
-        } else {
-          index_->stripes_[s].unlock();
-        }
-      }
-      index_ = nullptr;
-    }
-
-    const ShardIndex* index_ = nullptr;
-    std::size_t first_ = 0;
-    std::size_t last_ = 0;
-    bool shared_ = false;
-  };
-
-  // The scoped lock surface. Every type takes `engage` (default true):
-  // disengaged (a store without a pool) it locks nothing but still
-  // claims its capabilities - see thread_annotations.hpp for why that
-  // is sound. Lock order among these and the store's outer mutexes is
-  // the linter's DAG: structure before stripes, nothing after stripes.
-
-  /// Shared hold of the tiling: point readers, in-shard writers,
-  /// scans, and every task of repair phase A (patches and in-shard
-  /// regroups alike).
-  class COBALT_SCOPED_CAPABILITY StructureSharedLock {
-   public:
-    explicit StructureSharedLock(const ShardIndex& index, bool engage = true)
-        COBALT_ACQUIRE_SHARED(index.structure_mutex_) {
-      if (engage) {
-        index.structure_mutex_.lock_shared();
-        mutex_ = &index.structure_mutex_;
-      }
-    }
-    ~StructureSharedLock() COBALT_RELEASE() {
-      if (mutex_ != nullptr) mutex_->unlock_shared();
-    }
-    StructureSharedLock(const StructureSharedLock&) = delete;
-    StructureSharedLock& operator=(const StructureSharedLock&) = delete;
-
-   private:
-    SharedMutex* mutex_ = nullptr;
-  };
-
-  /// Exclusive hold of the tiling (split/merge, structural retries,
-  /// repair phase B - which only splits shards). Claims the content
-  /// capability too: by the discipline above, every content reader or
-  /// writer holds the structure lock at least shared, so an exclusive
-  /// tiling hold excludes all content access without touching a
-  /// stripe.
-  class COBALT_SCOPED_CAPABILITY StructureExclusiveLock {
-   public:
-    explicit StructureExclusiveLock(const ShardIndex& index,
-                                    bool engage = true)
-        COBALT_ACQUIRE(index.structure_mutex_, index.stripes_cap_) {
-      if (engage) {
-        index.structure_mutex_.lock();
-        mutex_ = &index.structure_mutex_;
-      }
-    }
-    ~StructureExclusiveLock() COBALT_RELEASE() {
-      if (mutex_ != nullptr) mutex_->unlock();
-    }
-    StructureExclusiveLock(const StructureExclusiveLock&) = delete;
-    StructureExclusiveLock& operator=(const StructureExclusiveLock&) = delete;
-
-   private:
-    SharedMutex* mutex_ = nullptr;
-  };
-
-  /// Exclusive hold of the stripes covering shard `shard` (in-shard
-  /// writers, and a repair phase-A task: every change to one shard's
-  /// entries and palette, short of splitting it). The span derives
-  /// from the tiling, hence the shared structure requirement - the
-  /// checked form of the old "caller must hold structure_mutex() at
-  /// least shared" comment.
-  class COBALT_SCOPED_CAPABILITY ShardSpanLock {
-   public:
-    ShardSpanLock(const ShardIndex& index, std::size_t shard,
-                  bool engage = true)
-        COBALT_REQUIRES_SHARED(index.structure_mutex_)
-            COBALT_ACQUIRE(index.stripes_cap_)
-        : span_(engage ? StripeSpanLock(
-                             index, stripe_of(index.firsts_[shard]),
-                             stripe_of(index.shard_last(shard)),
-                             /*shared=*/false)
-                       : StripeSpanLock()) {}
-    ~ShardSpanLock() COBALT_RELEASE() {}
-    ShardSpanLock(const ShardSpanLock&) = delete;
-    ShardSpanLock& operator=(const ShardSpanLock&) = delete;
-
-   private:
-    StripeSpanLock span_;
-  };
-
-  /// Shared hold of the stripes covering shard `shard` (per-shard
-  /// consistent reads: the scan path).
-  class COBALT_SCOPED_CAPABILITY ShardSpanSharedLock {
-   public:
-    ShardSpanSharedLock(const ShardIndex& index, std::size_t shard,
-                        bool engage = true)
-        COBALT_REQUIRES_SHARED(index.structure_mutex_)
-            COBALT_ACQUIRE_SHARED(index.stripes_cap_)
-        : span_(engage ? StripeSpanLock(
-                             index, stripe_of(index.firsts_[shard]),
-                             stripe_of(index.shard_last(shard)),
-                             /*shared=*/true)
-                       : StripeSpanLock()) {}
-    ~ShardSpanSharedLock() COBALT_RELEASE() {}
-    ShardSpanSharedLock(const ShardSpanSharedLock&) = delete;
-    ShardSpanSharedLock& operator=(const ShardSpanSharedLock&) = delete;
-
-   private:
-    StripeSpanLock span_;
-  };
-
-  /// Shared hold of one hash's stripe (point reads; the span of the
-  /// shard containing the hash always covers this stripe, so one
-  /// reader excludes exactly that shard's writer).
-  class COBALT_SCOPED_CAPABILITY StripeSharedLock {
-   public:
-    StripeSharedLock(const ShardIndex& index, HashIndex hash,
-                     bool engage = true)
-        COBALT_ACQUIRE_SHARED(index.stripes_cap_) {
-      if (engage) {
-        mutex_ = &index.stripes_[stripe_of(hash)];
-        mutex_->lock_shared();
-      }
-    }
-    ~StripeSharedLock() COBALT_RELEASE() {
-      if (mutex_ != nullptr) mutex_->unlock_shared();
-    }
-    StripeSharedLock(const StripeSharedLock&) = delete;
-    StripeSharedLock& operator=(const StripeSharedLock&) = delete;
-
-   private:
-    SharedMutex* mutex_ = nullptr;
-  };
-
-  /// Shared hold of every stripe: a consistent read of the whole
-  /// index (bulk accounting surfaces, relocation-flush counting).
-  class COBALT_SCOPED_CAPABILITY AllStripesSharedLock {
-   public:
-    explicit AllStripesSharedLock(const ShardIndex& index, bool engage = true)
-        COBALT_REQUIRES_SHARED(index.structure_mutex_)
-            COBALT_ACQUIRE_SHARED(index.stripes_cap_)
-        : span_(engage ? StripeSpanLock(index, 0, kLockStripes - 1,
-                                        /*shared=*/true)
-                       : StripeSpanLock()) {}
-    ~AllStripesSharedLock() COBALT_RELEASE() {}
-    AllStripesSharedLock(const AllStripesSharedLock&) = delete;
-    AllStripesSharedLock& operator=(const AllStripesSharedLock&) = delete;
-
-   private:
-    StripeSpanLock span_;
-  };
-
-  /// The tiling lock and the logical content capability. Public
-  /// because the store's thread-safety attributes name them directly
-  /// (REQUIRES(index_.structure_mutex_) and friends); acquire them
-  /// only through the scoped types above - check_lock_order.py flags
-  /// raw lock calls outside this header and thread_annotations.hpp.
-  /// Mutable: locking is not mutation, and read paths are const.
-  mutable SharedMutex structure_mutex_;
-  /// Never locked at runtime (zero bytes of state): the compile-time
-  /// stand-in for the stripe table, claimed by the span/stripe types
-  /// and by StructureExclusiveLock. See the header comment.
-  mutable Capability stripes_cap_;
+                                          HashIndex last) const;
 
  private:
-  /// Removes the entry at `pos` of shard `shard_index` and updates the
-  /// entry counts.
-  void remove_entry(std::size_t shard_index, std::size_t pos)
-      COBALT_REQUIRES_SHARED(structure_mutex_) COBALT_REQUIRES(stripes_cap_);
-
   /// Sizes the directory for the shard count and refills it from
   /// firsts_.
-  void rebuild_directory() COBALT_REQUIRES(structure_mutex_);
+  void rebuild_directory();
   /// Adds `delta` (+1 or -1) to every directory bucket whose first
   /// index is >= `first`: the shards at and after a new or removed
   /// start move by one.
-  void shift_directory(HashIndex first, int delta)
-      COBALT_REQUIRES(structure_mutex_);
+  void shift_directory(HashIndex first, int delta);
 
   /// The tiling: shard i covers [firsts_[i], firsts_[i + 1] - 1]. The
   /// starts are a dense array of their own, so shard_of's scan reads
   /// and a split's insertion moves 8 bytes per shard, and each shard
   /// lives behind a pointer that a split never moves.
-  std::vector<HashIndex> firsts_ COBALT_GUARDED_BY(structure_mutex_);
+  std::vector<HashIndex> firsts_;
   /// The radix directory: directory_[b] is the shard holding
   /// b << directory_shift_, the first index of bucket b.
-  std::vector<std::uint32_t> directory_ COBALT_GUARDED_BY(structure_mutex_);
-  unsigned directory_shift_ COBALT_GUARDED_BY(structure_mutex_) = 0;
-  std::vector<std::unique_ptr<Shard>> shards_
-      COBALT_GUARDED_BY(structure_mutex_);
-  std::atomic<std::uint64_t> total_entries_{0};
-  mutable std::array<SharedMutex, kLockStripes> stripes_;
+  std::vector<std::uint32_t> directory_;
+  unsigned directory_shift_ = 0;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::uint64_t total_entries_ = 0;
 };
 
 }  // namespace cobalt::kv

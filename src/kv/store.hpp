@@ -70,18 +70,17 @@
 // so "an event that relocated nothing repairs nothing" is observable.
 // There is one pass, in two phases. The plan becomes a work list of
 // the shards it overlaps, built against the pre-pass tiling. Phase A
-// repairs each listed shard under its stripe span: it patches a
-// partially covered shard, refreshes an empty one, and regroups a
-// fully covered one in place (one arc: adopt its set; narrow arcs:
-// adopt the widest, park the rest on overrides), keeping the
-// accounting on the shard's task. A merge then adds the per-range sums
-// and emits the repair batches in plan order. Phase B only splits: it
-// cuts, serially and ascending, the shards whose arcs are wide enough
-// to become shards of their own.
+// repairs each listed shard: it patches a partially covered shard,
+// refreshes an empty one, and regroups a fully covered one in place
+// (one arc: adopt its set; narrow arcs: adopt the widest, park the
+// rest on overrides), adding its copies and losses to the plan ranges
+// it covers. The repair batches are then emitted in plan order. Phase
+// B only splits: it cuts, ascending, the shards whose arcs are wide
+// enough to become shards of their own.
 //
 // One membership path. The backend changes only inside the store's
-// membership bracket: exclusive backend hold -> mutation -> dirty
-// collection -> relocation flush -> repair pass -> sink end.
+// membership bracket: mutation -> dirty collection -> relocation
+// flush -> repair pass -> sink end.
 // add_node / remove_node / fail_nodes / set_topology run through it,
 // and so does every scheme-specific change (vnode-level elasticity,
 // enrollment resizes) via mutate(kind, change); backend() is
@@ -89,48 +88,10 @@
 // always aligned with the backend: rank 0 of every resident key is
 // owner_of, and no relocation event is pending.
 //
-// Threading model (opt-in). Without a pool the store is the serial
-// data structure above: one thread, no lock taken, no atomics on any
-// hot path. Attaching a worker pool (set_thread_pool()) engages the
-// locks:
-//   * backend_mutex_ (a shared_mutex): membership events hold it
-//     exclusively end to end (mutation, dirty collection, relocation
-//     flush, repair, sink brackets); every call that reads the backend
-//     or must not interleave with an event's accounting holds it
-//     shared (put, erase, owner_of, read_node_of, the per-node
-//     accounting surfaces, stats snapshots). Point gets and scans
-//     never touch it.
-//   * ShardIndex locks: one structure lock over the shard tiling plus
-//     32 hash-striped content locks (see shard_index.hpp). Point
-//     reads take the structure lock shared and one stripe shared;
-//     in-shard writers take the shard's stripe span exclusively;
-//     structural changes (shard split/merge) take the structure lock
-//     exclusively. A get therefore proceeds concurrently against any
-//     shard not under repair or mutation.
-//   * accounting_mutex_ orders the stats channels between holders of
-//     the shared backend lock (concurrent puts, snapshot readers); a
-//     membership event needs no extra ordering - its exclusive
-//     backend hold already excludes every other accountant.
-// Lock order: backend -> accounting -> structure -> stripes
-// (ascending). The discipline is compile-checked: every mutex here is
-// an annotated wrapper (common/thread_annotations.hpp), every guarded
-// field carries GUARDED_BY, and every helper that assumes a held lock
-// carries REQUIRES/REQUIRES_SHARED, so clang's -Wthread-safety CI gate
-// proves the claims on every build; the acquisition-order DAG itself
-// and the ascending-stripe rule - the two things the analysis cannot
-// express - are enforced by scripts/check_lock_order.py.
-// Every path is one body of code, with or without a pool. Each lock
-// is a wrapper that engages only while a pool is attached (sound: a
-// store without one is single-threaded by contract), and the pool
-// decides only where the heavy passes' tasks run - the repair pass's
-// phase A and the relocation flush's range counts run on
-// parallel_for with a pool and in a plain loop without one, and both
-// merge in plan or event order afterwards. Totals are therefore exact
-// under any interleaving, and a store driven by one thread produces
-// bit-identical results with and without a pool. Detaching
-// (set_thread_pool(nullptr)) disengages the locks again; both switches
-// require the store to be externally quiescent. stats() is safe from
-// racing threads.
+// The store is single-threaded: no call synchronizes with any other,
+// so one store belongs to one thread at a time. Harnesses that run
+// many independent runs in parallel (common/thread_pool.hpp) give each
+// run its own store.
 
 #pragma once
 
@@ -147,8 +108,6 @@
 
 #include "cluster/topology.hpp"
 #include "common/error.hpp"
-#include "common/thread_annotations.hpp"
-#include "common/thread_pool.hpp"
 #include "hashing/hash.hpp"
 #include "kv/shard_index.hpp"
 #include "kv/store_events.hpp"
@@ -215,11 +174,9 @@ struct ReplicationStats {
   std::uint64_t repair_shards_total = 0;
 };
 
-/// One coherent view of both movement-accounting channels, taken
-/// under the accounting lock by Store::stats(): the relocation
-/// channel (primary-owner moves) and the re-replication channel in a
-/// single read, so the two can be compared without a racing mutation
-/// landing between two separate reads.
+/// Both movement-accounting channels, as Store::stats() returns them:
+/// the relocation channel (primary-owner moves) and the re-replication
+/// channel in a single read.
 struct StatsSnapshot {
   /// Keys whose primary owner changed (the relocation channel).
   placement::MigrationStats relocation;
@@ -248,8 +205,7 @@ enum class ReadPolicy {
 /// External per-node load signal for read_node_of(key, kLeastLoaded,
 /// probe): returns the instantaneous load of a node (e.g. its serving
 /// queue depth in a simulation, or an in-flight request gauge in a
-/// deployment). The probe runs under the store's shared backend hold
-/// and must not call back into the store.
+/// deployment). The probe must not call back into the store.
 using NodeLoadProbe = std::function<std::uint64_t(placement::NodeId)>;
 
 /// A KV store over any placement backend.
@@ -302,8 +258,7 @@ class Store final : private placement::RelocationObserver {
   /// outlive the store or be detached first. Attaching while keys are
   /// resident re-repairs every materialized replica set against the
   /// new map (one full-scan pass, like a membership event); prefer
-  /// attaching before the first node. Requires external quiescence
-  /// while a pool is attached, like every reconfiguration surface here.
+  /// attaching before the first node.
   void set_topology(const cluster::Topology* topology) {
     // Placement depends on the map only under a spread policy at k > 1.
     const bool replaces = spec_.spread != placement::SpreadPolicy::kNone &&
@@ -319,18 +274,6 @@ class Store final : private placement::RelocationObserver {
   [[nodiscard]] const cluster::Topology* topology() const {
     return backend_.topology();
   }
-
-  /// Attaches a worker pool, which engages the locks and runs the
-  /// heavy passes' tasks on the pool (see the threading-model section
-  /// of the header comment), or detaches it (nullptr): the same passes
-  /// then run inline and no lock is taken. Either switch requires
-  /// external quiescence: no other thread may be inside a store call.
-  /// The pool must outlive the store or be detached first; it may be
-  /// shared with other stores.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-
-  /// True while a pool is attached (the locks are engaged).
-  [[nodiscard]] bool concurrent() const { return pool_ != nullptr; }
 
   /// Cluster membership. Every completed change is followed by one
   /// re-replication pass that repairs the materialized replica sets
@@ -400,45 +343,43 @@ class Store final : private placement::RelocationObserver {
   /// fans out to every node of the key's replica set (replica_writes).
   /// Requires at least one node.
   bool put(const std::string& key, std::string_view value) {
-    const MaybeSharedLock backend_lock(backend_mutex_, concurrent());
     COBALT_REQUIRE(backend_.node_count() >= 1,
                    "the store needs at least one node before writes");
+    static thread_local std::vector<placement::NodeId> scratch;
     const HashIndex h = hash_key(key);
-    std::uint64_t writes = 0;
-    std::optional<bool> inserted;
-    {
-      const ShardIndex::StructureSharedLock structure(index_, concurrent());
-      const std::size_t i = index_.shard_of(h);
-      const ShardIndex::ShardSpanLock span(index_, i, concurrent());
-      // A brand-new hash landing in a full shard makes insert() split
-      // the shard - a structural change the shared tiling hold cannot
-      // cover; everything else stays inside this shard.
-      const ShardIndex::Shard& s = index_.shard(i);
-      const std::size_t at = s.lower_bound(h, index_.shard_range(i));
-      if ((at < s.size() && s.hash(at) == h) ||
-          s.distinct_hashes() < ShardIndex::kSplitBuckets) {
-        inserted = put_body(i, at, h, key, value, writes);
-      }
+    const std::size_t i = index_.shard_of(h);
+    const ShardIndex::Shard& s = index_.shard(i);
+    const std::size_t at = s.lower_bound(h, index_.shard_range(i));
+    if (at == s.size() || s.hash(at) != h) {
+      // A new hash materializes its replica set now, exactly like the
+      // seed's first-put materialization: when the derived set matches
+      // the shard's it costs nothing per entry; otherwise the shard
+      // straddles an arc boundary a repair pass has not regrouped yet
+      // and the entry takes an override (dissolved by the next repair
+      // of the range).
+      desired_replicas_into(h, replica_target(), scratch);
+      index_.insert(i, at, h, key, value, scratch);
+      replication_stats_.replica_writes += scratch.size();
+      return true;
     }
-    if (!inserted) {
-      // Structural retry: the tiling may have changed between the two
-      // holds (another writer split first), so everything re-derives.
-      const ShardIndex::StructureExclusiveLock structure(index_,
-                                                         concurrent());
-      const std::size_t i = index_.shard_of(h);
-      inserted = put_body(i, index_.shard(i).lower_bound(
-                                 h, index_.shard_range(i)),
-                          h, key, value, writes);
-    }
-    {
-      const MaybeLockGuard acc(accounting_mutex_, concurrent());
+    const std::size_t pos = s.find_from(at, h, key);
+    if (pos != ShardIndex::npos) {
+      const std::size_t writes = s.replicas(at).size();
+      index_.assign(i, pos, value);
       replication_stats_.replica_writes += writes;
+      return false;
     }
-    return *inserted;
+    // A colliding key shares its hash's set (copied: the insert may
+    // grow the palette the view points into) and joins the end of its
+    // hash's run.
+    const ShardIndex::ReplicaSet shared = s.replicas(at);
+    scratch.assign(shared.begin(), shared.end());
+    index_.insert(i, s.run_end(at), h, key, value, scratch);
+    replication_stats_.replica_writes += scratch.size();
+    return true;
   }
 
-  /// Point lookup. With a pool attached this locks one stripe shared:
-  /// reads proceed against every shard not under repair or mutation.
+  /// Point lookup.
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const {
     return with_entry(key, std::optional<std::string>{},
                       [](const ShardIndex::Shard& s, std::size_t pos) {
@@ -448,23 +389,7 @@ class Store final : private placement::RelocationObserver {
 
   /// Deletes; returns true when the key existed.
   bool erase(const std::string& key) {
-    const MaybeSharedLock backend_lock(backend_mutex_, concurrent());
     const HashIndex h = hash_key(key);
-    {
-      const ShardIndex::StructureSharedLock structure(index_, concurrent());
-      const std::size_t i = index_.shard_of(h);
-      const ShardIndex::ShardSpanLock span(index_, i, concurrent());
-      const std::size_t pos =
-          index_.shard(i).find(h, key, index_.shard_range(i));
-      if (pos == ShardIndex::npos) return false;
-      // Removing a shard's last entry merges it away - structural;
-      // retry below.
-      if (index_.shard(i).size() > 1) {
-        index_.erase_in_shard(i, pos);
-        return true;
-      }
-    }
-    const ShardIndex::StructureExclusiveLock structure(index_, concurrent());
     const std::size_t i = index_.shard_of(h);
     const std::size_t pos =
         index_.shard(i).find(h, key, index_.shard_range(i));
@@ -480,7 +405,6 @@ class Store final : private placement::RelocationObserver {
 
   /// The node currently responsible for `key` (replica rank 0).
   [[nodiscard]] placement::NodeId owner_of(const std::string& key) const {
-    const MaybeSharedLock backend_lock(backend_mutex_, concurrent());
     COBALT_REQUIRE(backend_.node_count() >= 1, "the store has no nodes");
     return backend_.owner_of(hash_key(key));
   }
@@ -505,7 +429,6 @@ class Store final : private placement::RelocationObserver {
   /// materialized replica is live (a data-loss window between a crash
   /// and its repair pass).
   [[nodiscard]] placement::NodeId read_node_of(const std::string& key) const {
-    const MaybeSharedLock backend_lock(backend_mutex_, concurrent());
     return with_entry(key, placement::kInvalidNode,
                       [this](const ShardIndex::Shard& s, std::size_t pos) {
                         for (const placement::NodeId node : s.replicas(pos)) {
@@ -535,7 +458,6 @@ class Store final : private placement::RelocationObserver {
   [[nodiscard]] placement::NodeId read_node_of(
       const std::string& key, ReadPolicy policy,
       const NodeLoadProbe& probe) const {
-    const MaybeSharedLock backend_lock(backend_mutex_, concurrent());
     static thread_local std::vector<placement::NodeId> live;
     live.clear();
     with_entry(key, false, [this](const ShardIndex::Shard& s,
@@ -549,7 +471,6 @@ class Store final : private placement::RelocationObserver {
     if (policy == ReadPolicy::kPrimary) return live.front();
     placement::NodeId chosen = live.front();
     if (policy == ReadPolicy::kLeastLoaded && probe) {
-      // Probe outside the policy mutex: the callback is user code.
       std::uint64_t best = probe(chosen);
       for (std::size_t rank = 1; rank < live.size(); ++rank) {
         const std::uint64_t load = probe(live[rank]);
@@ -558,12 +479,10 @@ class Store final : private placement::RelocationObserver {
           chosen = live[rank];
         }
       }
-      const MaybeLockGuard guard(read_policy_mutex_, concurrent());
       if (reads_served_.size() <= chosen) reads_served_.resize(chosen + 1, 0);
       ++reads_served_[chosen];
       return chosen;
     }
-    const MaybeLockGuard guard(read_policy_mutex_, concurrent());
     if (policy == ReadPolicy::kRoundRobin) {
       chosen = live[static_cast<std::size_t>(read_rr_cursor_++) %
                     live.size()];
@@ -596,8 +515,6 @@ class Store final : private placement::RelocationObserver {
   void for_each(const std::function<void(const std::string& key,
                                          const std::string& value)>& visit)
       const {
-    const ShardIndex::StructureSharedLock structure(index_, concurrent());
-    const ShardIndex::AllStripesSharedLock stripes(index_, concurrent());
     Visitor visitor{visit};
     for (const ShardIndex::Shard& s : index_.shards()) {
       for (std::size_t pos = 0; pos < s.size(); ++pos) visitor(s, pos);
@@ -611,10 +528,7 @@ class Store final : private placement::RelocationObserver {
       placement::NodeId node,
       const std::function<void(const std::string& key,
                                const std::string& value)>& visit) const {
-    const MaybeSharedLock backend_lock(backend_mutex_, concurrent());
     COBALT_REQUIRE(node < backend_.node_slot_count(), "unknown node id");
-    const ShardIndex::StructureSharedLock structure(index_, concurrent());
-    const ShardIndex::AllStripesSharedLock stripes(index_, concurrent());
     Visitor visitor{visit};
     for (const ShardIndex::Shard& s : index_.shards()) {
       if (s.empty()) continue;
@@ -629,20 +543,14 @@ class Store final : private placement::RelocationObserver {
   /// Visits every resident (key, value) whose hash falls inside
   /// [first, last], in ascending hash order (order among colliding keys
   /// is unspecified) - the range scan riding the sorted hash arrays.
-  /// With a pool attached each shard is read under its stripe span
-  /// held shared, so the scan never blocks point reads and is
-  /// consistent per shard (a concurrent writer may land between
-  /// shards; quiesce for a full snapshot).
   void scan(HashIndex first, HashIndex last,
             const std::function<void(const std::string& key,
                                      const std::string& value)>& visit)
       const {
     if (first > last) return;
-    const ShardIndex::StructureSharedLock structure(index_, concurrent());
     Visitor visitor{visit};
     for (std::size_t i = index_.shard_of(first);
          i < index_.shard_count() && index_.shard_first(i) <= last; ++i) {
-      const ShardIndex::ShardSpanSharedLock span(index_, i, concurrent());
       const ShardIndex::Shard& s = index_.shard(i);
       for (std::size_t pos = s.lower_bound(first, index_.shard_range(i));
            pos < s.size() && s.hash(pos) <= last; ++pos) {
@@ -655,20 +563,11 @@ class Store final : private placement::RelocationObserver {
   /// used by rebalancing tooling and tests).
   [[nodiscard]] std::size_t keys_in_range(HashIndex first,
                                           HashIndex last) const {
-    const ShardIndex::StructureSharedLock structure(index_, concurrent());
-    const ShardIndex::AllStripesSharedLock stripes(index_, concurrent());
     return static_cast<std::size_t>(index_.count_range(first, last));
   }
 
-  /// Both movement-accounting channels in one coherent read: the
-  /// shared backend hold waits out an in-flight membership event (so
-  /// no event is counted into one channel but not yet the other), and
-  /// both structs are copied under a single accounting hold - safe
-  /// from any thread while a pool is attached, and the two channels are
-  /// guaranteed to describe the same instant.
+  /// Both movement-accounting channels in one read.
   [[nodiscard]] StatsSnapshot stats() const {
-    const MaybeSharedLock backend_lock(backend_mutex_, concurrent());
-    const MaybeLockGuard acc(accounting_mutex_, concurrent());
     return {relocation_stats_, replication_stats_};
   }
 
@@ -677,14 +576,12 @@ class Store final : private placement::RelocationObserver {
   /// (see store_events.hpp). The sink must outlive the store or be
   /// cleared first. A sink attached after membership changes only sees
   /// the events from its attachment on; attach before the first node
-  /// for totals that match the stats channels bit for bit. With a pool
-  /// attached, attach while quiescent (like set_thread_pool); batches
-  /// are always emitted serially and in order.
+  /// for totals that match the stats channels bit for bit. Batches are
+  /// emitted in order.
   void set_event_sink(StoreEventSink* sink) { event_sink_ = sink; }
 
   /// The shard index (read-only structural introspection: shard
-  /// count, per-shard replica sets, split/merge behaviour). Not
-  /// synchronized - introspect quiescently while a pool is attached.
+  /// count, per-shard replica sets, split/merge behaviour).
   [[nodiscard]] const ShardIndex& shard_index() const { return index_; }
 
   /// The placement backend, read-only (scheme-specific queries: the
@@ -705,14 +602,12 @@ class Store final : private placement::RelocationObserver {
     kNone,     ///< placement unchanged: no pass, no sink bracket
   };
 
-  /// The one membership bracket: under the exclusive backend hold, runs
-  /// `change(backend_, dirty)` and completes the event (see
-  /// complete_membership) - the sink bracket opens only after the
-  /// change returned.
+  /// The one membership bracket: runs `change(backend_, dirty)` and
+  /// completes the event (see complete_membership) - the sink bracket
+  /// opens only after the change returned.
   template <typename F>
   auto membership(MembershipEventKind kind, Repair repair, F&& change)
       -> std::invoke_result_t<F&, Backend&, DirtyRanges&> {
-    const MaybeUniqueLock backend_lock(backend_mutex_, concurrent());
     DirtyRanges dirty;
     if constexpr (std::is_void_v<
                       std::invoke_result_t<F&, Backend&, DirtyRanges&>>) {
@@ -732,8 +627,7 @@ class Store final : private placement::RelocationObserver {
   /// propagates; one rejected up front leaves no event behind.
   template <typename Run>
   decltype(auto) run_change(MembershipEventKind kind, Repair repair,
-                            DirtyRanges& dirty, Run&& run)
-      COBALT_REQUIRES(backend_mutex_) {
+                            DirtyRanges& dirty, Run&& run) {
     try {
       return run();
     } catch (...) {
@@ -750,8 +644,7 @@ class Store final : private placement::RelocationObserver {
   /// The event tail of the bracket: dirty collection (kPlanned), sink
   /// begin, relocation flush, repair pass, sink end.
   void complete_membership(MembershipEventKind kind, Repair repair,
-                           DirtyRanges& dirty)
-      COBALT_REQUIRES(backend_mutex_) {
+                           DirtyRanges& dirty) {
     if (repair == Repair::kNone) return;
     if (repair == Repair::kPlanned) collect_dirty(dirty);
     if (event_sink_ != nullptr) event_sink_->on_membership_begin(kind);
@@ -770,22 +663,14 @@ class Store final : private placement::RelocationObserver {
     bool rebucket;
   };
 
-  /// Per-task repair accounting: the per-range counters a repair walk
-  /// accumulates. Each task fills its own instance; the merge adds them
-  /// into ReplicationStats in plan order, so the totals are the same
-  /// whether the tasks ran inline or on the pool, in any order.
+  /// Repair accounting of one plan range: the counters its shard walks
+  /// accumulate, added into ReplicationStats and emitted as the range's
+  /// repair batch once phase A is done.
   struct RepairAcc {
     std::uint64_t copies = 0;
     std::uint64_t lost = 0;
     std::uint64_t cross_rack = 0;
     std::uint64_t cross_zone = 0;
-
-    void add(const RepairAcc& other) {
-      copies += other.copies;
-      lost += other.lost;
-      cross_rack += other.cross_rack;
-      cross_zone += other.cross_zone;
-    }
   };
 
   /// One run of consecutive entries sharing a desired replica set
@@ -796,19 +681,13 @@ class Store final : private placement::RelocationObserver {
     std::vector<placement::NodeId> replicas;
   };
 
-  /// One plan range's slice of one shard (see repair_plan).
-  struct SpanWork {
-    std::size_t range_id;
-    RepairAcc acc;
-  };
-
-  /// One shard's repair task: its spans, [first_span, end_span) of the
-  /// pass's span list, and the desired-set runs phase B splits the
-  /// shard at (empty unless the shard splits).
+  /// One shard's repair work: the plan ranges it overlaps,
+  /// [first_range, end_range), and the desired-set runs phase B splits
+  /// the shard at (empty unless the shard splits).
   struct ShardWork {
     std::size_t shard;
-    std::size_t first_span;
-    std::size_t end_span;
+    std::size_t first_range;
+    std::size_t end_range;
     std::vector<DesiredRun> split;
   };
 
@@ -854,21 +733,17 @@ class Store final : private placement::RelocationObserver {
 
   /// Served-read count of `node` under the balancing policies (zero
   /// until the node's first policy read).
-  [[nodiscard]] std::uint64_t read_load(placement::NodeId node) const
-      COBALT_REQUIRES(read_policy_mutex_) {
+  [[nodiscard]] std::uint64_t read_load(placement::NodeId node) const {
     return node < reads_served_.size() ? reads_served_[node] : 0;
   }
 
   /// The read preamble shared by get, replicas_of and read_node_of:
-  /// hashes `key`, finds its entry under the shared structure hold and
-  /// the entry's stripe held shared, and returns `use(shard, pos)` -
-  /// or `missing` when the key is not stored.
+  /// hashes `key`, finds its entry and returns `use(shard, pos)` - or
+  /// `missing` when the key is not stored.
   template <typename R, typename Use>
   R with_entry(const std::string& key, R missing, Use&& use) const {
     const HashIndex h = hash_key(key);
-    const ShardIndex::StructureSharedLock structure(index_, concurrent());
     const std::size_t i = index_.shard_of(h);
-    const ShardIndex::StripeSharedLock stripe(index_, h, concurrent());
     const ShardIndex::Shard& s = index_.shard(i);
     const std::size_t pos = s.find(h, key, index_.shard_range(i));
     if (pos == ShardIndex::npos) return missing;
@@ -881,9 +756,6 @@ class Store final : private placement::RelocationObserver {
   /// materialized sets are per shard by construction.
   [[nodiscard]] std::vector<std::size_t> copies_per_node(
       std::size_t ranks) const {
-    const MaybeSharedLock backend_lock(backend_mutex_, concurrent());
-    const ShardIndex::StructureSharedLock structure(index_, concurrent());
-    const ShardIndex::AllStripesSharedLock stripes(index_, concurrent());
     std::vector<std::size_t> counts(backend_.node_slot_count(), 0);
     const auto count = [&counts, ranks](ShardIndex::ReplicaSet set,
                                         std::size_t copies) {
@@ -905,114 +777,31 @@ class Store final : private placement::RelocationObserver {
     return counts;
   }
 
-  /// The write path proper: everything after the hash, against shard
-  /// `i`, whose lower_bound of `h` the caller found at `at`. The
-  /// claims encode the adequate cover: either the shard's stripe span
-  /// with no split possible, or the exclusive structure lock (which
-  /// carries the stripe capability). `writes` receives the replica
-  /// fan-out (the caller adds it to the stats under its own
-  /// accounting rules).
-  bool put_body(std::size_t i, std::size_t at, HashIndex h,
-                std::string_view key, std::string_view value,
-                std::uint64_t& writes)
-      COBALT_REQUIRES_SHARED(backend_mutex_, index_.structure_mutex_)
-          COBALT_REQUIRES(index_.stripes_cap_) {
-    static thread_local std::vector<placement::NodeId> scratch;
-    const ShardIndex::Shard& s = index_.shard(i);
-    if (at == s.size() || s.hash(at) != h) {
-      // A new hash materializes its replica set now, exactly like the
-      // seed's first-put materialization: when the derived set matches
-      // the shard's it costs nothing per entry; otherwise the shard
-      // straddles an arc boundary a repair pass has not regrouped yet
-      // and the entry takes an override (dissolved by the next repair
-      // of the range).
-      desired_replicas_into(h, replica_target(), scratch);
-      writes += scratch.size();
-      index_.insert(i, h, key, value, scratch);
-      return true;
-    }
-    writes += s.replicas(at).size();
-    const std::size_t pos = s.find_from(at, h, key);
-    if (pos != ShardIndex::npos) {
-      index_.assign(i, pos, value);
-      return false;
-    }
-    // A colliding key shares its hash's set (copied: the insert may
-    // grow the palette the view points into).
-    const ShardIndex::ReplicaSet shared = s.replicas(at);
-    scratch.assign(shared.begin(), shared.end());
-    index_.insert(i, h, key, value, scratch);
-    return true;
-  }
-
-  /// Runs `task(t)` for every t in [0, count): on the attached pool
-  /// when there is one and more than one task, in a plain loop
-  /// otherwise. The heavy passes' only use of the pool.
-  template <typename Task>
-  void run_tasks(std::size_t count, const Task& task) const {
-    if (pool_ != nullptr && count > 1) {
-      parallel_for(*pool_, count, task);
-    } else {
-      for (std::size_t t = 0; t < count; ++t) task(t);
-    }
-  }
-
   /// Counts the keys inside the pending relocation events, in event
-  /// order. Runs inside the membership bracket that fired them, before
-  /// its repair pass (the exclusive backend hold keeps every writer
-  /// out), so every event is counted against exactly the key
-  /// population it found when it fired - the seed's per-event
-  /// count_range, batched. The ranges are counted as tasks (see
-  /// run_tasks; counting mutates nothing), then applied and emitted in
-  /// event order - the same totals and sink stream either way.
-  void flush_relocations() COBALT_REQUIRES(backend_mutex_) {
-    if (pending_events_.empty()) return;
-    const MaybeLockGuard acc(accounting_mutex_, concurrent());
-    std::vector<std::uint64_t> keys(pending_events_.size());
-    {
-      const ShardIndex::StructureSharedLock structure(index_, concurrent());
-      const ShardIndex::AllStripesSharedLock stripes(index_, concurrent());
-      run_tasks(keys.size(), [this, &keys](std::size_t e) {
-        count_pending_range(e, keys);
-      });
-    }
-    for (std::size_t e = 0; e < keys.size(); ++e) {
-      count_relocation(pending_events_[e], keys[e]);
-    }
-    pending_events_.clear();
-  }
-
-  /// Counts one pending event's range, as a task of the flush. A task
-  /// on a pool worker runs under the flushing caller's shared
-  /// structure and all-stripes holds (parallel_for keeps the caller
-  /// blocked until the barrier) - a cross-thread cover outside the
-  /// analysis' thread-local model, hence the suppression. The walk
-  /// takes no locks and mutates nothing.
-  void count_pending_range(std::size_t e, std::vector<std::uint64_t>& keys)
-      const COBALT_NO_THREAD_SAFETY_ANALYSIS {
-    keys[e] = index_.count_range(pending_events_[e].first,
-                                 pending_events_[e].last);
-  }
-
-  /// Applies one counted relocation event to the stats channel and the
-  /// sink.
-  void count_relocation(const PendingEvent& event, std::uint64_t keys)
-      COBALT_REQUIRES(accounting_mutex_) {
-    if (event.rebucket) {
-      relocation_stats_.keys_rebucketed += keys;
-    } else {
-      relocation_stats_.keys_moved_total += keys;
-      if (event.from != event.to) {
-        relocation_stats_.keys_moved_across_nodes += keys;
+  /// order, into the stats channel and the sink. Runs inside the
+  /// membership bracket that fired them, before its repair pass, so
+  /// every event is counted against exactly the key population it found
+  /// when it fired - the seed's per-event count_range, batched.
+  void flush_relocations() {
+    for (const PendingEvent& event : pending_events_) {
+      const std::uint64_t keys = index_.count_range(event.first, event.last);
+      if (event.rebucket) {
+        relocation_stats_.keys_rebucketed += keys;
+      } else {
+        relocation_stats_.keys_moved_total += keys;
+        if (event.from != event.to) {
+          relocation_stats_.keys_moved_across_nodes += keys;
+        }
+      }
+      // The sink sees exactly what the stats channel counted - same
+      // ranges, same pre-mutation key population - so a protocol model
+      // summing these batches reproduces MigrationStats bit for bit.
+      if (event_sink_ != nullptr) {
+        event_sink_->on_relocation_batch(event.first, event.last, event.from,
+                                         event.to, keys, event.rebucket);
       }
     }
-    // The sink sees exactly what the stats channel counted - same
-    // ranges, same pre-mutation key population - so a protocol model
-    // summing these batches reproduces MigrationStats bit for bit.
-    if (event_sink_ != nullptr) {
-      event_sink_->on_relocation_batch(event.first, event.last, event.from,
-                                       event.to, keys, event.rebucket);
-    }
+    pending_events_.clear();
   }
 
   /// Appends the backend's dirty report for the membership call that
@@ -1035,12 +824,7 @@ class Store final : private placement::RelocationObserver {
   /// materialized set size) makes it the plan [0, kMaxIndex] through
   /// the same pass. With `crash` set, a key whose materialized set
   /// has no live survivor is counted lost. repair_plan runs the plan.
-  ///
-  /// The whole pass runs under the accounting lock while a pool is
-  /// attached (uncontended: the exclusive backend hold already
-  /// excludes every other accountant - the lock is for the analysis).
-  void rereplicate(bool crash, bool full, DirtyRanges& dirty)
-      COBALT_REQUIRES(backend_mutex_) {
+  void rereplicate(bool crash, bool full, DirtyRanges& dirty) {
     std::vector<placement::HashRange> plan;
     if (spec_.k == 1) {
       // A buddy merge may hand the odd half over *implicitly* (the DHT
@@ -1055,12 +839,8 @@ class Store final : private placement::RelocationObserver {
     }
     flush_relocations();
     if (backend_.node_count() == 0) return;
-    const MaybeLockGuard acc_lock(accounting_mutex_, concurrent());
     ++replication_stats_.rereplication_passes;
-    {
-      const ShardIndex::StructureSharedLock structure(index_, concurrent());
-      replication_stats_.repair_shards_total += index_.shard_count();
-    }
+    replication_stats_.repair_shards_total += index_.shard_count();
     const std::size_t target = replica_target();
     if (spec_.k > 1) {
       full = full || target != last_repair_target_;
@@ -1081,68 +861,44 @@ class Store final : private placement::RelocationObserver {
     repair_plan(plan, target, crash);
   }
 
-  /// The repair pass over a coalesced `plan` (the surrounding
-  /// membership call holds backend_mutex_ exclusively, so no writer
-  /// can race it). The plan becomes one task per shard it overlaps,
-  /// listed against the pre-pass tiling. Phase A runs the tasks (see
-  /// run_tasks): each does all in-shard work on its shard under the
-  /// shard's stripe span, with the accounting kept on the task, while
-  /// point reads keep flowing through every other shard. The merge
-  /// then adds the per-range sums into ReplicationStats and emits the
-  /// repair batches in plan order - integer sums over disjoint shards
-  /// commute, so the order the tasks ran in cannot show. Phase B splits
-  /// the shards phase A left runs for, serially and ascending under
-  /// the exclusive structure lock; splits stay inside their own shard,
-  /// so a running index offset is the only cross-shard effect.
+  /// The repair pass over a coalesced `plan`. The plan becomes one work
+  /// item per shard it overlaps, listed against the pre-pass tiling.
+  /// Phase A repairs each listed shard in place (repair_shard), adding
+  /// its copies and losses to the plan ranges it covers; the ranges'
+  /// sums then go into ReplicationStats and out as repair batches, in
+  /// plan order. Phase B splits the shards phase A left runs for,
+  /// ascending; splits stay inside their own shard, so a running index
+  /// offset is the only cross-shard effect.
   void repair_plan(const std::vector<placement::HashRange>& plan,
-                   std::size_t target, bool crash)
-      COBALT_REQUIRES(backend_mutex_, accounting_mutex_) {
-    // Ranges are disjoint and ascending, so the (range, shard) spans
-    // come out in plan order and each shard's spans are adjacent. A
-    // shard overlapping several ranges is listed once and walked in
-    // range order over each range's own span - no entry repairs twice,
-    // the shard counts as one visit, and an empty one refreshes its set
+                   std::size_t target, bool crash) {
+    // Ranges are disjoint and ascending, so the shards a range overlaps
+    // come out in plan order, and a shard overlapping several ranges
+    // overlaps consecutive ones. It is listed once and walked in range
+    // order over each range's own span - no entry repairs twice, the
+    // shard counts as one visit, and an empty one refreshes its set
     // once per pass.
-    std::vector<SpanWork> spans;
     std::vector<ShardWork> work;
-    {
-      const ShardIndex::StructureSharedLock structure(index_, concurrent());
-      for (std::size_t r = 0; r < plan.size(); ++r) {
-        for (std::size_t i = index_.shard_of(plan[r].first);
-             i < index_.shard_count() &&
-             index_.shard_first(i) <= plan[r].last;
-             ++i) {
-          if (work.empty() || work.back().shard != i) {
-            work.push_back({i, spans.size(), spans.size(), {}});
-          }
-          spans.push_back({r, {}});
-          ++work.back().end_span;
+    for (std::size_t r = 0; r < plan.size(); ++r) {
+      for (std::size_t i = index_.shard_of(plan[r].first);
+           i < index_.shard_count() && index_.shard_first(i) <= plan[r].last;
+           ++i) {
+        if (work.empty() || work.back().shard != i) {
+          work.push_back({i, r, r, {}});
         }
+        work.back().end_range = r + 1;
       }
     }
     replication_stats_.repair_shards_visited += work.size();
-    run_tasks(work.size(), [this, &plan, &work, &spans, target, crash](
-                               std::size_t t) {
-      ShardWork& task = work[t];
-      repair_shard_task(task, plan,
-                        std::span<SpanWork>(spans).subspan(
-                            task.first_span, task.end_span - task.first_span),
-                        target, crash);
-    });
-    // The spans are in plan order: one sweep sums each range's.
-    for (std::size_t r = 0, next = 0; r < plan.size(); ++r) {
-      RepairAcc acc;
-      for (; next < spans.size() && spans[next].range_id == r; ++next) {
-        acc.add(spans[next].acc);
-      }
-      replication_stats_.keys_rereplicated += acc.copies;
-      replication_stats_.keys_rereplicated_cross_rack += acc.cross_rack;
-      replication_stats_.keys_rereplicated_cross_zone += acc.cross_zone;
-      replication_stats_.keys_lost += acc.lost;
-      emit_repair_batch(plan[r].first, plan[r].last, acc.copies, acc.lost,
-                        target);
+    std::vector<RepairAcc> acc(plan.size());
+    for (ShardWork& task : work) repair_shard(task, plan, acc, target, crash);
+    for (std::size_t r = 0; r < plan.size(); ++r) {
+      replication_stats_.keys_rereplicated += acc[r].copies;
+      replication_stats_.keys_rereplicated_cross_rack += acc[r].cross_rack;
+      replication_stats_.keys_rereplicated_cross_zone += acc[r].cross_zone;
+      replication_stats_.keys_lost += acc[r].lost;
+      emit_repair_batch(plan[r].first, plan[r].last, acc[r].copies,
+                        acc[r].lost, target);
     }
-    const ShardIndex::StructureExclusiveLock structure(index_, concurrent());
     std::size_t offset = 0;
     for (const ShardWork& task : work) {
       if (task.split.empty()) continue;
@@ -1151,24 +907,17 @@ class Store final : private placement::RelocationObserver {
     }
   }
 
-  /// One shard's phase-A repair, as a task of repair_plan: takes its
-  /// own shared structure hold and the shard's stripe span, walks the
-  /// shard's `spans` of the `plan` and makes every in-shard change -
-  /// patches, the refresh of an empty shard, the regroup of a fully
-  /// covered shard that does not split - leaving the accounting on the
-  /// spans (the merge reads it after the last task) and the runs of a
-  /// shard that splits on task.split. The task reads the backend
-  /// without a claim: the coordinating membership thread holds
-  /// backend_mutex_ exclusively for the whole pass, so the backend is
-  /// frozen.
-  void repair_shard_task(ShardWork& task,
-                         const std::vector<placement::HashRange>& plan,
-                         std::span<SpanWork> spans, std::size_t target,
-                         bool crash) {
+  /// One shard's phase-A repair: walks the shard's ranges of the `plan`
+  /// and makes every in-shard change - patches, the refresh of an empty
+  /// shard, the regroup of a fully covered shard that does not split -
+  /// adding the accounting to each range's `acc` and leaving the runs
+  /// of a shard that splits on task.split.
+  void repair_shard(ShardWork& task,
+                    const std::vector<placement::HashRange>& plan,
+                    std::vector<RepairAcc>& acc, std::size_t target,
+                    bool crash) {
     static thread_local std::vector<placement::NodeId> scratch;
     static thread_local std::vector<DesiredRun> runs;
-    const ShardIndex::StructureSharedLock structure(index_, concurrent());
-    const ShardIndex::ShardSpanLock span(index_, task.shard, concurrent());
     ShardIndex::Shard& s = index_.shard(task.shard);
     if (s.empty()) {
       // Nothing to account; refresh the shard's set once, so future
@@ -1178,16 +927,16 @@ class Store final : private placement::RelocationObserver {
       return;
     }
     const placement::HashRange bounds = index_.shard_range(task.shard);
-    for (SpanWork& sp : spans) {
-      const placement::HashRange& range = plan[sp.range_id];
+    for (std::size_t r = task.first_range; r < task.end_range; ++r) {
+      const placement::HashRange& range = plan[r];
       if (range.first > bounds.first || range.last < bounds.last) {
-        patch_shard(s, bounds, range, target, crash, scratch, sp.acc);
+        patch_shard(s, bounds, range, target, crash, scratch, acc[r]);
         continue;
       }
       // Full coverage: a fully covered shard lies inside its range, so
-      // this is always the task's only span.
+      // this is always the shard's only range.
       runs.clear();
-      compute_runs(s, target, crash, scratch, runs, sp.acc);
+      compute_runs(s, target, crash, scratch, runs, acc[r]);
       if (runs.size() > 1 &&
           s.distinct_hashes() >= runs.size() * ShardIndex::kMinArcBuckets) {
         task.split = std::move(runs);
@@ -1259,14 +1008,11 @@ class Store final : private placement::RelocationObserver {
   /// Partial-coverage repair: patches only the entries of `s` (whose
   /// tiling range is `bounds`) inside `range` (exactly the seed's
   /// ranged k = 1 walk), parking changed sets on overrides - no
-  /// structural change. Claims the shard's stripe span exclusively
-  /// (via the stripe capability).
+  /// structural change.
   void patch_shard(ShardIndex::Shard& s, placement::HashRange bounds,
                    placement::HashRange range, std::size_t target,
                    bool crash, std::vector<placement::NodeId>& scratch,
-                   RepairAcc& acc)
-      COBALT_REQUIRES_SHARED(index_.structure_mutex_)
-          COBALT_REQUIRES(index_.stripes_cap_) {
+                   RepairAcc& acc) {
     for (std::size_t pos = s.lower_bound(range.first, bounds), end = 0;
          pos < s.size() && s.hash(pos) <= range.last; pos = end) {
       end = s.run_end(pos);
@@ -1284,8 +1030,7 @@ class Store final : private placement::RelocationObserver {
   /// halves).
   void compute_runs(const ShardIndex::Shard& s, std::size_t target,
                     bool crash, std::vector<placement::NodeId>& scratch,
-                    std::vector<DesiredRun>& runs, RepairAcc& acc) const
-      COBALT_REQUIRES_SHARED(index_.structure_mutex_, index_.stripes_cap_) {
+                    std::vector<DesiredRun>& runs, RepairAcc& acc) const {
     for (std::size_t pos = 0, end = 0; pos < s.size(); pos = end) {
       end = s.run_end(pos);
       const ShardIndex::ReplicaSet materialized = s.replicas(pos);
@@ -1311,9 +1056,7 @@ class Store final : private placement::RelocationObserver {
   /// when every piece is worth a shard: kMinArcBuckets distinct hashes
   /// on average, bounding both the fragmentation and the splice cost.
   void regroup_shard(ShardIndex::Shard& s,
-                     const std::vector<DesiredRun>& runs)
-      COBALT_REQUIRES_SHARED(index_.structure_mutex_)
-          COBALT_REQUIRES(index_.stripes_cap_) {
+                     const std::vector<DesiredRun>& runs) {
     std::size_t widest = 0;
     for (std::size_t r = 1; r < runs.size(); ++r) {
       if (runs[r].entries > runs[widest].entries) widest = r;
@@ -1330,10 +1073,8 @@ class Store final : private placement::RelocationObserver {
 
   /// Full-coverage repair, structural half (phase B): splits shard `i`
   /// at each arc boundary of its desired-set `runs`, one uniform shard
-  /// per run (the per-shard replica design at work). Claims the
-  /// exclusive structure hold.
-  void split_at_runs(std::size_t i, const std::vector<DesiredRun>& runs)
-      COBALT_REQUIRES(index_.structure_mutex_, index_.stripes_cap_) {
+  /// per run (the per-shard replica design at work).
+  void split_at_runs(std::size_t i, const std::vector<DesiredRun>& runs) {
     // Last boundary first, so earlier positions stay valid.
     for (std::size_t r = runs.size(); r-- > 1;) {
       index_.split_shard(i, runs[r].first_hash);
@@ -1348,67 +1089,38 @@ class Store final : private placement::RelocationObserver {
   // callbacks only record; counting is deferred to flush_relocations()
   // (one batched pass per membership event instead of a range walk per
   // callback). The callbacks only ever fire inside a membership
-  // bracket, under its exclusive backend hold - the claim below. The
-  // base interface is unannotated (virtual dispatch is outside the
-  // analysis), so the claim checks these bodies, not the backend's
-  // call sites.
+  // bracket.
   void on_relocate(HashIndex first, HashIndex last, placement::NodeId from,
-                   placement::NodeId to) override
-      COBALT_REQUIRES(backend_mutex_) {
+                   placement::NodeId to) override {
     pending_events_.push_back({first, last, from, to, /*rebucket=*/false});
   }
 
-  void on_rebucket(HashIndex first, HashIndex last) override
-      COBALT_REQUIRES(backend_mutex_) {
+  void on_rebucket(HashIndex first, HashIndex last) override {
     pending_events_.push_back({first, last, placement::kInvalidNode,
                                placement::kInvalidNode, /*rebucket=*/true});
   }
 
-  /// Unguarded by design: mutated only inside the membership bracket
-  /// (exclusive backend hold) and read by everyone - but through calls
-  /// the analysis cannot attribute to a capability (the backend is a
-  /// separate object). The linter's raw-lock rule, the const-only
-  /// backend() and the bracket's claims are the cover.
+  /// Mutated only inside the membership bracket; read-only to callers
+  /// (backend()).
   Backend backend_;
   hashing::Algorithm algorithm_;
   /// The configured replication (immutable). The topology it spreads
-  /// over lives in backend_ (backend_.topology()), set under the
-  /// exclusive backend hold (set_topology) and read by repair workers
-  /// while the membership thread holds the backend exclusively.
+  /// over lives in backend_ (backend_.topology()).
   const placement::ReplicationSpec spec_;
   ShardIndex index_;
   /// Counted-batch consumer (protocol DES); see set_event_sink().
-  /// Unguarded: set while quiescent, read-only afterwards.
   StoreEventSink* event_sink_ = nullptr;
-  placement::MigrationStats relocation_stats_
-      COBALT_GUARDED_BY(accounting_mutex_);
-  ReplicationStats replication_stats_ COBALT_GUARDED_BY(accounting_mutex_);
+  placement::MigrationStats relocation_stats_;
+  ReplicationStats replication_stats_;
   /// Relocation events of the in-flight membership event, recorded but
   /// not yet counted (see flush_relocations()); empty between events.
-  std::vector<PendingEvent> pending_events_ COBALT_GUARDED_BY(backend_mutex_);
+  std::vector<PendingEvent> pending_events_;
   /// The clamped replica target of the last repair pass.
-  std::size_t last_repair_target_ COBALT_GUARDED_BY(backend_mutex_) = 0;
-  /// The attached worker pool, or nullptr (see set_thread_pool()). It
-  /// decides two things only: whether the lock wrappers engage
-  /// (concurrent()), and whether the repair pass's phase A and the
-  /// flush's range counts run on it or inline (run_tasks()).
-  /// Unguarded: set while quiescent.
-  ThreadPool* pool_ = nullptr;
-  /// Membership/read lock (engaged while a pool is attached):
-  /// membership events hold it exclusively end to end; backend readers
-  /// and stats readers hold it shared. Point gets never touch it.
-  mutable SharedMutex backend_mutex_;
-  /// Orders the stats channels between holders of the shared backend
-  /// lock (concurrent puts, snapshot readers); a membership event's
-  /// exclusive backend hold already excludes every other accountant.
-  mutable Mutex accounting_mutex_;
+  std::size_t last_repair_target_ = 0;
   /// read_node_of(key, policy) state: the round-robin cursor and the
   /// per-node served-read loads (grown lazily).
-  mutable Mutex read_policy_mutex_;
-  mutable std::uint64_t read_rr_cursor_
-      COBALT_GUARDED_BY(read_policy_mutex_) = 0;
-  mutable std::vector<std::uint64_t> reads_served_
-      COBALT_GUARDED_BY(read_policy_mutex_);
+  mutable std::uint64_t read_rr_cursor_ = 0;
+  mutable std::vector<std::uint64_t> reads_served_;
 };
 
 /// The store over the paper's local approach (the default deployment).

@@ -146,9 +146,8 @@ void HrwBackend::replica_set_into(HashIndex index, std::size_t k,
   const NodeId owner = grid_.owner(cell);
   out.push_back(owner);
   if (stop(owner) || want == 1) return;
-  // Thread-local, not a member: the store's repair pass calls this
-  // concurrently from pool workers, and each worker keeps its own
-  // allocation-free ranking buffer.
+  // Thread-local, not a member: the call is const, and each thread
+  // that calls it keeps its own allocation-free ranking buffer.
   static thread_local std::vector<std::pair<double, NodeId>> ranked;
   ranked.clear();
   ranked.reserve(live_nodes_);

@@ -87,7 +87,7 @@ class HrwBackend final : public GridScheme<HrwBackend> {
   /// are heap pops, so a walk `stop` ends early never sorts the rest.
   /// The set is written into `out` (cleared first); the score ranking
   /// reuses a thread-local scratch buffer, so concurrent const calls
-  /// (the store's shard-parallel repair) are safe.
+  /// are safe.
   void replica_set_into(HashIndex index, std::size_t k,
                         std::vector<NodeId>& out, WalkStop stop = {}) const;
 

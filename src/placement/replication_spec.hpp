@@ -190,8 +190,8 @@ class ReplicationSurface {
       self().replica_set_into(index, spec.k, out);
       return;
     }
-    // The stop's buffers are per thread, so concurrent repair workers
-    // share nothing. Every backend clamps the walk to its live node
+    // The stop's buffers are per thread, so concurrent callers share
+    // nothing. Every backend clamps the walk to its live node
     // count, so the static pigeonhole cap needs no live-count
     // correction here.
     thread_local std::vector<std::uint32_t> domains;

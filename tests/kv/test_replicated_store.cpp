@@ -4,8 +4,8 @@
 // correlated crashes, the separation of the relocation and
 // re-replication accounting channels (the two stats surfaces of
 // kv/store.hpp), and a placement oracle: after every event of a rack,
-// zone and plain k = 3 churn script, serial and pooled, each key's
-// materialized set is the backend's spread set.
+// zone and plain k = 3 churn script, each key's materialized set is
+// the backend's spread set.
 
 #include "kv/store.hpp"
 
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "cluster/topology.hpp"
-#include "common/thread_pool.hpp"
 #include "hashing/hash.hpp"
 
 namespace cobalt::kv {
@@ -627,81 +626,76 @@ TYPED_TEST(ReplicatedStoreSuite, EveryEventLeavesEachKeyOnItsSpreadSet) {
   // than k, and joins outside the topology.
   for (const SpreadPolicy policy :
        {SpreadPolicy::kRack, SpreadPolicy::kZone, SpreadPolicy::kNone}) {
-    for (const bool pooled : {false, true}) {
-      const std::string label = std::string(spread_policy_name(policy)) +
-                                (pooled ? " pooled" : " serial");
-      // Six racks of two over three zones; rack r is in zone r % 3.
-      cluster::Topology topo = cluster::Topology::uniform(6, 2, 3);
-      auto store = make_store<TypeParam>(977, 3, policy);
-      ThreadPool pool(3);
-      if (pooled) store.set_thread_pool(&pool);
-      store.set_topology(&topo);
-      std::vector<std::string> keys;
-      int event = 0;
-      const auto check = [&](const char* what) {
-        ++event;
-        ASSERT_EQ(spread_mismatches(store, keys), 0u)
-            << label << ", event " << event << " (" << what << ")";
-        // Each pass counts a shard once, however many ranges touch it.
-        const ReplicationStats stats = store.stats().replication;
-        ASSERT_LE(stats.repair_shards_visited, stats.repair_shards_total)
-            << label << ", event " << event << " (" << what << ")";
-      };
-      const auto join = [&](cluster::Topology::RackId rack) {
-        topo.assign(static_cast<placement::NodeId>(
-                        store.backend().node_slot_count()),
-                    rack, topo.zone_of_rack(rack));
-        store.add_node();
-        check("join");
-      };
-      const auto drain = [&](cluster::Topology::RackId rack) {
-        for (const placement::NodeId node : topo.nodes_in_rack(rack)) {
-          if (!store.backend().is_live(node)) continue;
-          (void)store.remove_node(node);
-          check("drain");
-          return;
-        }
-      };
-      const auto crash_rack = [&](cluster::Topology::RackId rack) {
-        std::vector<placement::NodeId> victims;
-        for (const placement::NodeId node : topo.nodes_in_rack(rack)) {
-          if (store.backend().is_live(node)) victims.push_back(node);
-        }
-        store.fail_nodes(victims);
-        check("rack crash");
-      };
+    const std::string label(spread_policy_name(policy));
+    // Six racks of two over three zones; rack r is in zone r % 3.
+    cluster::Topology topo = cluster::Topology::uniform(6, 2, 3);
+    auto store = make_store<TypeParam>(977, 3, policy);
+    store.set_topology(&topo);
+    std::vector<std::string> keys;
+    int event = 0;
+    const auto check = [&](const char* what) {
+      ++event;
+      ASSERT_EQ(spread_mismatches(store, keys), 0u)
+          << label << ", event " << event << " (" << what << ")";
+      // Each pass counts a shard once, however many ranges touch it.
+      const ReplicationStats stats = store.stats().replication;
+      ASSERT_LE(stats.repair_shards_visited, stats.repair_shards_total)
+          << label << ", event " << event << " (" << what << ")";
+    };
+    const auto join = [&](cluster::Topology::RackId rack) {
+      topo.assign(static_cast<placement::NodeId>(
+                      store.backend().node_slot_count()),
+                  rack, topo.zone_of_rack(rack));
+      store.add_node();
+      check("join");
+    };
+    const auto drain = [&](cluster::Topology::RackId rack) {
+      for (const placement::NodeId node : topo.nodes_in_rack(rack)) {
+        if (!store.backend().is_live(node)) continue;
+        (void)store.remove_node(node);
+        check("drain");
+        return;
+      }
+    };
+    const auto crash_rack = [&](cluster::Topology::RackId rack) {
+      std::vector<placement::NodeId> victims;
+      for (const placement::NodeId node : topo.nodes_in_rack(rack)) {
+        if (store.backend().is_live(node)) victims.push_back(node);
+      }
+      store.fail_nodes(victims);
+      check("rack crash");
+    };
 
-      for (int n = 0; n < 12; ++n) store.add_node();
-      for (int i = 0; i < 800; ++i) {
-        keys.push_back("oracle-" + std::to_string(i));
-        store.put(keys.back(), "v");
-      }
-      check("preload");
-      for (const cluster::Topology::RackId rack : {0u, 3u, 5u, 1u}) {
-        join(rack);
-      }
-      for (const cluster::Topology::RackId rack : {0u, 3u, 5u}) drain(rack);
-      crash_rack(2);
-      join(2);
-      // Racks 1, 2, 4 and 5 go: racks 0 and 3 (both zone 0) remain,
-      // fewer live domains than k under either spread.
-      for (const cluster::Topology::RackId rack : {1u, 2u, 4u, 5u}) {
-        crash_rack(rack);
-      }
-      join(0);
-      join(3);
-      join(4);  // reopens a domain
-      for (int n = 0; n < 2; ++n) {
-        store.add_node();  // unassigned: a singleton rack and zone
-        check("synthetic join");
-      }
-      join(5);
-      crash_rack(0);
-      drain(3);
-      drain(4);
-      join(1);
-      store.set_topology(nullptr);
+    for (int n = 0; n < 12; ++n) store.add_node();
+    for (int i = 0; i < 800; ++i) {
+      keys.push_back("oracle-" + std::to_string(i));
+      store.put(keys.back(), "v");
     }
+    check("preload");
+    for (const cluster::Topology::RackId rack : {0u, 3u, 5u, 1u}) {
+      join(rack);
+    }
+    for (const cluster::Topology::RackId rack : {0u, 3u, 5u}) drain(rack);
+    crash_rack(2);
+    join(2);
+    // Racks 1, 2, 4 and 5 go: racks 0 and 3 (both zone 0) remain,
+    // fewer live domains than k under either spread.
+    for (const cluster::Topology::RackId rack : {1u, 2u, 4u, 5u}) {
+      crash_rack(rack);
+    }
+    join(0);
+    join(3);
+    join(4);  // reopens a domain
+    for (int n = 0; n < 2; ++n) {
+      store.add_node();  // unassigned: a singleton rack and zone
+      check("synthetic join");
+    }
+    join(5);
+    crash_rack(0);
+    drain(3);
+    drain(4);
+    join(1);
+    store.set_topology(nullptr);
   }
 }
 

@@ -15,6 +15,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -354,98 +355,122 @@ void expect_equal(const StoreT& store, const ModelT& model,
   ASSERT_EQ(seen, model.contents()) << where;
 }
 
+/// One seeded lockstep run of the store against the model at
+/// replication `k`; `label` names the run in every failure.
+template <typename StoreT>
+void run_model_churn(std::uint64_t seed, std::size_t k,
+                     const std::string& label) {
+  using Backend = typename BackendOf<StoreT>::type;
+  StoreT store(make_options<StoreT>(seed),
+               ReplicationSpec{k, SpreadPolicy::kNone});
+  ModelStore<Backend> model(make_options<StoreT>(seed), k);
+  Xoshiro256 driver(derive_seed(seed, 0x5Du, k));
+  Xoshiro256 probe_rng(derive_seed(seed, 0x5Eu, k));
+
+  std::vector<std::string> keys;
+  const auto fresh_key = [&] {
+    keys.push_back("key-" + std::to_string(keys.size()));
+    return keys.back();
+  };
+  const auto live_nodes = [&] {
+    std::vector<placement::NodeId> live;
+    for (placement::NodeId node = 0;
+         node < store.backend().node_slot_count(); ++node) {
+      if (store.backend().is_live(node)) live.push_back(node);
+    }
+    return live;
+  };
+
+  // Bootstrap: a few nodes, a key population.
+  for (int n = 0; n < 4; ++n) {
+    store.add_node();
+    model.add_node();
+  }
+  for (int i = 0; i < 300; ++i) {
+    const std::string key = fresh_key();
+    store.put(key, "v0");
+    model.put(key, "v0");
+  }
+  ASSERT_NO_FATAL_FAILURE(
+      expect_equal(store, model, keys, probe_rng, label + " bootstrap"));
+
+  for (int cycle = 0; cycle < 14; ++cycle) {
+    const std::uint64_t op = driver.next_below(6);
+    switch (op) {
+      case 0: {  // join (jump hash is unweighted, so capacity stays 1)
+        store.add_node();
+        model.add_node();
+        break;
+      }
+      case 1: {  // graceful drain of a random live node
+        const auto live = live_nodes();
+        if (live.size() < 3) break;
+        const placement::NodeId victim =
+            live[static_cast<std::size_t>(driver.next_below(live.size()))];
+        ASSERT_EQ(store.remove_node(victim), model.remove_node(victim))
+            << label;
+        break;
+      }
+      case 2: {  // correlated crash of a small rack
+        const auto live = live_nodes();
+        if (live.size() < 4) break;
+        std::vector<placement::NodeId> rack;
+        for (int r = 0; r < 2; ++r) {
+          rack.push_back(live[static_cast<std::size_t>(
+              driver.next_below(live.size()))]);
+        }
+        ASSERT_EQ(store.fail_nodes(rack), model.fail_nodes(rack)) << label;
+        break;
+      }
+      case 3: {  // write burst (new keys and overwrites)
+        for (int i = 0; i < 40; ++i) {
+          const bool fresh = keys.empty() || driver.next_below(3) != 0;
+          const std::string key =
+              fresh ? fresh_key()
+                    : keys[static_cast<std::size_t>(
+                          driver.next_below(keys.size()))];
+          const std::string value = "v" + std::to_string(cycle);
+          ASSERT_EQ(store.put(key, value), model.put(key, value))
+              << label << " key " << key;
+        }
+        break;
+      }
+      case 4: {  // erase burst
+        for (int i = 0; i < 12 && !keys.empty(); ++i) {
+          const std::string& key = keys[static_cast<std::size_t>(
+              driver.next_below(keys.size()))];
+          ASSERT_EQ(store.erase(key), model.erase(key))
+              << label << " key " << key;
+        }
+        break;
+      }
+      default: {  // read-only cycle: nothing mutates
+        break;
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_equal(
+        store, model, keys, probe_rng,
+        label + " cycle " + std::to_string(cycle)));
+  }
+}
+
+/// Seeds per replication factor of the model sweep.
+constexpr std::uint64_t kModelSeeds = 16;
+
 TYPED_TEST(ShardedStoreModelSuite, MatchesSeedSemanticsUnderRandomChurn) {
-  using Backend = typename BackendOf<TypeParam>::type;
+  const ::testing::TestInfo& test =
+      *::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string repro = std::string("kv_test_shard_index --gtest_filter=") +
+                            test.test_suite_name() + "." + test.name();
   for (const std::size_t k : {std::size_t{1}, std::size_t{2},
                               std::size_t{3}}) {
-    const std::uint64_t seed = 700 + k;
-    TypeParam store(make_options<TypeParam>(seed),
-                    ReplicationSpec{k, SpreadPolicy::kNone});
-    ModelStore<Backend> model(make_options<TypeParam>(seed), k);
-    Xoshiro256 driver(derive_seed(seed, 0x5Du, k));
-    Xoshiro256 probe_rng(derive_seed(seed, 0x5Eu, k));
-
-    std::vector<std::string> keys;
-    const auto fresh_key = [&] {
-      keys.push_back("key-" + std::to_string(keys.size()));
-      return keys.back();
-    };
-    const auto live_nodes = [&] {
-      std::vector<placement::NodeId> live;
-      for (placement::NodeId node = 0;
-           node < store.backend().node_slot_count(); ++node) {
-        if (store.backend().is_live(node)) live.push_back(node);
-      }
-      return live;
-    };
-
-    // Bootstrap: a few nodes, a key population.
-    for (int n = 0; n < 4; ++n) {
-      store.add_node();
-      model.add_node();
-    }
-    for (int i = 0; i < 300; ++i) {
-      const std::string key = fresh_key();
-      store.put(key, "v0");
-      model.put(key, "v0");
-    }
-    expect_equal(store, model, keys, probe_rng, "bootstrap k=" +
-                                                    std::to_string(k));
-
-    for (int cycle = 0; cycle < 14; ++cycle) {
-      const std::uint64_t op = driver.next_below(6);
-      switch (op) {
-        case 0: {  // join (jump hash is unweighted, so capacity stays 1)
-          store.add_node();
-          model.add_node();
-          break;
-        }
-        case 1: {  // graceful drain of a random live node
-          const auto live = live_nodes();
-          if (live.size() < 3) break;
-          const placement::NodeId victim =
-              live[static_cast<std::size_t>(driver.next_below(live.size()))];
-          ASSERT_EQ(store.remove_node(victim), model.remove_node(victim));
-          break;
-        }
-        case 2: {  // correlated crash of a small rack
-          const auto live = live_nodes();
-          if (live.size() < 4) break;
-          std::vector<placement::NodeId> rack;
-          for (int r = 0; r < 2; ++r) {
-            rack.push_back(live[static_cast<std::size_t>(
-                driver.next_below(live.size()))]);
-          }
-          ASSERT_EQ(store.fail_nodes(rack), model.fail_nodes(rack));
-          break;
-        }
-        case 3: {  // write burst (new keys and overwrites)
-          for (int i = 0; i < 40; ++i) {
-            const bool fresh = keys.empty() || driver.next_below(3) != 0;
-            const std::string key =
-                fresh ? fresh_key()
-                      : keys[static_cast<std::size_t>(
-                            driver.next_below(keys.size()))];
-            const std::string value = "v" + std::to_string(cycle);
-            ASSERT_EQ(store.put(key, value), model.put(key, value));
-          }
-          break;
-        }
-        case 4: {  // erase burst
-          for (int i = 0; i < 12 && !keys.empty(); ++i) {
-            const std::string& key = keys[static_cast<std::size_t>(
-                driver.next_below(keys.size()))];
-            ASSERT_EQ(store.erase(key), model.erase(key));
-          }
-          break;
-        }
-        default: {  // read-only cycle: nothing mutates
-          break;
-        }
-      }
-      expect_equal(store, model, keys, probe_rng,
-                   "k=" + std::to_string(k) + " cycle " +
-                       std::to_string(cycle));
+    for (std::uint64_t n = 0; n < kModelSeeds; ++n) {
+      const std::uint64_t seed = 700 + k + 4 * n;
+      run_model_churn<TypeParam>(
+          seed, k,
+          "seed " + std::to_string(seed) + " k=" + std::to_string(k) +
+              " (repro: " + repro + ")");
+      if (this->HasFatalFailure()) return;
     }
   }
 }
@@ -546,15 +571,23 @@ std::pair<std::size_t, std::size_t> majority_and_own(
   return {majority, it == counts.end() ? 0 : it->second};
 }
 
+/// ShardIndex::insert at the end of `hash`'s run in shard `i`, the
+/// position the store's write path hands it.
+void insert_sorted(ShardIndex& index, std::size_t i, HashIndex hash,
+                   std::string_view key, std::string_view value,
+                   ShardIndex::ReplicaSet replicas) {
+  index.insert(i, index.shard(i).upper_bound(hash, index.shard_range(i)),
+               hash, key, value, replicas);
+}
+
 TEST(ShardIndexLayout, CollidingEntriesShareAHashInlineAndNeverSplitApart) {
   // Two keys at one hash sit side by side in the flat arrays: each
   // reads, overwrites and erases on its own, and range counts see both.
   ShardIndex index;
-  const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
   const std::vector<placement::NodeId> set{1, 2, 3};
   constexpr HashIndex kHash = HashIndex{1} << 63;
-  index.insert(0, kHash, "alpha", "a", set);
-  index.insert(0, kHash, "beta", "b", set);
+  insert_sorted(index, 0, kHash, "alpha", "a", set);
+  insert_sorted(index, 0, kHash, "beta", "b", set);
   const ShardIndex::Shard& s = index.shard(0);
   ASSERT_EQ(s.size(), 2u);
   EXPECT_EQ(s.distinct_hashes(), 1u);
@@ -579,7 +612,7 @@ TEST(ShardIndexLayout, CollidingEntriesShareAHashInlineAndNeverSplitApart) {
   EXPECT_EQ(s.value(s.find(kHash, "alpha", index.shard_range(0))), "A");
   EXPECT_EQ(s.value(s.find(kHash, "beta", index.shard_range(0))), "a longer value");
 
-  index.erase_in_shard(0, s.find(kHash, "alpha", index.shard_range(0)));
+  index.erase(0, s.find(kHash, "alpha", index.shard_range(0)));
   EXPECT_EQ(s.find(kHash, "alpha", index.shard_range(0)), ShardIndex::npos);
   ASSERT_NE(s.find(kHash, "beta", index.shard_range(0)), ShardIndex::npos);
   EXPECT_EQ(s.value(s.find(kHash, "beta", index.shard_range(0))), "a longer value");
@@ -599,17 +632,17 @@ TEST(ShardIndexLayout, CollidingEntriesShareAHashInlineAndNeverSplitApart) {
   }
   const HashIndex run_hash = distinct[10];
   for (std::size_t i = 0; i < kRun; ++i) {
-    index.insert(0, run_hash, "run-" + std::to_string(i), "v", set);
+    insert_sorted(index, 0, run_hash, "run-" + std::to_string(i), "v", set);
   }
   for (const HashIndex hash : distinct) {
     if (hash == run_hash) continue;
-    index.insert(index.shard_of(hash), hash, "d-" + std::to_string(hash),
-                 "v", set);
+    insert_sorted(index, index.shard_of(hash), hash,
+                  "d-" + std::to_string(hash), "v", set);
   }
   ASSERT_EQ(index.shard_count(), 1u);
   EXPECT_EQ(index.shard(0).distinct_hashes(), ShardIndex::kSplitBuckets);
   const HashIndex extra = distinct.back() + 1;
-  index.insert(0, extra, "extra", "v", set);
+  insert_sorted(index, 0, extra, "extra", "v", set);
   ASSERT_EQ(index.shard_count(), 2u);
   EXPECT_EQ(index.shard_first(1), distinct[ShardIndex::kSplitBuckets / 2]);
   EXPECT_NE(index.shard(1).find(extra, "extra", index.shard_range(1)), ShardIndex::npos);
@@ -642,12 +675,11 @@ TEST(ShardIndexLayout, AnEmptiedShardFoldsIntoItsNeighbour) {
   // predecessor's, or for shard 0 the successor's, which then starts
   // at 0. The neighbour's entries stay put.
   ShardIndex index;
-  const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
   const std::vector<placement::NodeId> set{1};
   const auto fill = [&](HashIndex from) {
     for (HashIndex h = from; index.shard_count() == 1; ++h) {
-      index.insert(index.shard_of(h << 48), h << 48, std::to_string(h), "v",
-                   set);
+      insert_sorted(index, index.shard_of(h << 48), h << 48,
+                    std::to_string(h), "v", set);
     }
   };
   const auto empty_shard = [&](std::size_t i) {
@@ -672,10 +704,9 @@ TEST(ShardIndexLayout, ResizedOverwritesCompactTheArena) {
   // Garbage never outgrows the live bytes: a burst of resized
   // overwrites compacts as it goes, and every value survives.
   ShardIndex index;
-  const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
   const std::vector<placement::NodeId> set{7};
   for (HashIndex h = 1; h <= 32; ++h) {
-    index.insert(0, h << 40, "key-" + std::to_string(h), "v", set);
+    insert_sorted(index, 0, h << 40, "key-" + std::to_string(h), "v", set);
   }
   for (int round = 0; round < 6; ++round) {
     const std::string value(static_cast<std::size_t>(round) * 9 + 2, 'x');
@@ -700,12 +731,11 @@ TEST(ShardIndexLayout, OverridesTakeOneBytePaletteSlots) {
   // repair that finds the shard uniform again adopts one set and the
   // palette shrinks back to it.
   ShardIndex index;
-  const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
   const std::vector<placement::NodeId> a{1, 2, 3};
   const std::vector<placement::NodeId> b{4, 5, 6};
-  index.insert(0, 100, "k1", "v", a);
-  index.insert(0, 200, "k2", "v", b);
-  index.insert(0, 300, "k3", "v", a);
+  insert_sorted(index, 0, 100, "k1", "v", a);
+  insert_sorted(index, 0, 200, "k2", "v", b);
+  insert_sorted(index, 0, 300, "k3", "v", a);
   ShardIndex::Shard& s = index.shard(0);
   EXPECT_TRUE(std::ranges::equal(s.replicas(), a));
   EXPECT_EQ(s.override_count(), 1u);
@@ -795,7 +825,6 @@ TEST(ShardIndexDirectory, ShardOfMatchesAReferenceThroughDoublingsAndFolds) {
   // last shard and random ones. Some boundaries sit on a bucket's first
   // index, where an off-by-one in the suffix shift would show.
   ShardIndex index;
-  const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
   const std::vector<placement::NodeId> set{1, 2, 3};
   Xoshiro256 rng(2121);
   std::vector<std::size_t> sizes{index.directory_size()};
@@ -823,7 +852,7 @@ TEST(ShardIndexDirectory, ShardOfMatchesAReferenceThroughDoublingsAndFolds) {
       folds_of_last += i + 1 == index.shard_count() ? 1 : 0;
       // One entry in, one out: the emptied shard folds away.
       const HashIndex h = index.shard_first(i);
-      index.insert(i, h, "fold", "v", set);
+      insert_sorted(index, i, h, "fold", "v", set);
       index.erase(i, 0);
     }
     if (index.directory_size() != sizes.back()) {
@@ -874,14 +903,13 @@ TEST(ShardIndexSearch, InterpolationMatchesBinarySearchOnAdversarialLayouts) {
   const auto fill = [&set](ShardIndex& index, std::size_t i,
                            const std::vector<HashIndex>& hashes) {
     for (std::size_t n = 0; n < hashes.size(); ++n) {
-      index.insert(i, hashes[n], "k" + std::to_string(n), "v", set);
+      insert_sorted(index, i, hashes[n], "k" + std::to_string(n), "v", set);
     }
   };
   {
     // Clustered at the top of a full-range shard: every guess lands far
     // below the answer.
     ShardIndex index;
-    const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
     std::vector<HashIndex> hashes;
     for (std::size_t n = 0; n < 100; ++n) {
       hashes.push_back(HashSpace::kMaxIndex - rng.next_below(5000));
@@ -893,7 +921,6 @@ TEST(ShardIndexSearch, InterpolationMatchesBinarySearchOnAdversarialLayouts) {
   {
     // ... and at the bottom, with a 40-key collision run among them.
     ShardIndex index;
-    const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
     std::vector<HashIndex> hashes(40, 2500);
     for (std::size_t n = 0; n < 60; ++n) hashes.push_back(rng.next_below(5000));
     fill(index, 0, hashes);
@@ -907,7 +934,6 @@ TEST(ShardIndexSearch, InterpolationMatchesBinarySearchOnAdversarialLayouts) {
   {
     // A 40-key run in the middle of a uniform shard.
     ShardIndex index;
-    const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
     std::vector<HashIndex> hashes;
     for (std::size_t n = 0; n < 60; ++n) hashes.push_back(rng.next());
     hashes.insert(hashes.end(), 40, HashIndex{1} << 63);
@@ -918,10 +944,9 @@ TEST(ShardIndexSearch, InterpolationMatchesBinarySearchOnAdversarialLayouts) {
     // A fold doubles a shard's range: shard 0 empties, so shard 1's
     // entries (all in the upper half) now scale against all of R_h.
     ShardIndex index;
-    const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
     constexpr HashIndex kMid = HashIndex{1} << 63;
     index.split_shard(0, kMid);
-    index.insert(0, 7, "low", "v", set);
+    insert_sorted(index, 0, 7, "low", "v", set);
     std::vector<HashIndex> hashes;
     for (std::size_t n = 0; n < 120; ++n) {
       hashes.push_back(kMid + rng.next_below(kMid));
@@ -936,7 +961,6 @@ TEST(ShardIndexSearch, InterpolationMatchesBinarySearchOnAdversarialLayouts) {
     // Shards of 0-7 entries, as splits, folds and a fresh index leave
     // them: the search has no separate small-shard path.
     ShardIndex index;
-    const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
     std::vector<HashIndex> hashes;
     for (std::size_t m = 0; m < n; ++m) hashes.push_back(rng.next());
     fill(index, 0, hashes);
@@ -946,7 +970,6 @@ TEST(ShardIndexSearch, InterpolationMatchesBinarySearchOnAdversarialLayouts) {
     // Entries on the first and last index of an inner shard's range,
     // with the range's outside neighbours probed too.
     ShardIndex index;
-    const ShardIndex::StructureExclusiveLock lock(index, /*engage=*/false);
     constexpr HashIndex kFirst = HashIndex{3} << 60;
     constexpr HashIndex kEnd = HashIndex{5} << 60;
     index.split_shard(0, kFirst);
