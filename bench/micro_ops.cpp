@@ -266,7 +266,8 @@ BENCHMARK(BM_DistributedProtocol)->Arg(128)->Arg(512);
 //
 // store_event_k1 and store_repair_k3 also report the counters one
 // iteration's events leave behind (keys_moved_total,
-// keys_rereplicated, repair_shards_visited); the bench-smoke CI job
+// keys_rereplicated, repair_shards_visited, replica_walks); the
+// bench-smoke CI job
 // fails when one rises above bench/micro_ops_counts.json.
 //
 // The membership cells (store_event_k1, store_repair_k3,
@@ -334,7 +335,8 @@ void BM_StoreGet(benchmark::State& state, const Scheme& scheme) {
 /// keys (preload untimed). At k = 1 every join pays the relocation
 /// accounting plus the ranged repair; at k = 3 it additionally pays the
 /// fallback-replica repair pass. Counters: the iteration's
-/// keys_moved_total, keys_rereplicated and repair_shards_visited.
+/// keys_moved_total, keys_rereplicated, repair_shards_visited and
+/// replica_walks.
 template <typename Scheme>
 void BM_StoreMembershipEvents(benchmark::State& state, const Scheme& scheme,
                               std::size_t k) {
@@ -355,6 +357,8 @@ void BM_StoreMembershipEvents(benchmark::State& state, const Scheme& scheme,
         static_cast<double>(stats.replication.keys_rereplicated);
     state.counters["repair_shards_visited"] =
         static_cast<double>(stats.replication.repair_shards_visited);
+    state.counters["replica_walks"] =
+        static_cast<double>(stats.replication.replica_walks);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kJoins);
@@ -363,7 +367,8 @@ void BM_StoreMembershipEvents(benchmark::State& state, const Scheme& scheme,
 /// One iteration = a drain of node 5 and a join into its rack, on a
 /// k=3 rack-spread store of 48 nodes in 12 racks of 4 preloaded with
 /// kStoreBenchKeys keys (setup untimed, fresh each iteration). A scheme
-/// that refuses the drain still pays its event and the join.
+/// that refuses the drain still pays its event and the join. Counter:
+/// replica_walks, the repair walks of the two timed events.
 template <typename Scheme>
 void BM_StoreRackRepair(benchmark::State& state, const Scheme& scheme) {
   constexpr std::size_t kRacks = 12;
@@ -380,13 +385,15 @@ void BM_StoreRackRepair(benchmark::State& state, const Scheme& scheme) {
       store.put(bench_key(i), "v");
     }
     const auto rack = topo.rack_of(kVictim);
+    const std::uint64_t walks = store.stats().replication.replica_walks;
     state.ResumeTiming();
     (void)store.remove_node(kVictim);
     topo.assign(static_cast<cobalt::placement::NodeId>(
                     store.backend().node_slot_count()),
                 rack);
     store.add_node();
-    benchmark::DoNotOptimize(store.stats().replication.rereplication_passes);
+    state.counters["replica_walks"] = static_cast<double>(
+        store.stats().replication.replica_walks - walks);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
 }

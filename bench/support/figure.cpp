@@ -15,10 +15,12 @@ namespace cobalt::bench {
 
 namespace {
 
-// A rejected flag surfaces as a cobalt::InvalidArgument escaping main.
-// Report it and exit with status 2 instead of aborting, so scripts and
-// ctests see an ordinary failure rather than a crash.
-[[noreturn]] void exit_on_rejected_flag() {
+// An exception escaping main - a rejected flag (cobalt::InvalidArgument)
+// or any other failure, such as a CSV file that cannot be opened - is
+// reported after flushing what the harness already printed, and exits
+// with status 2 (rejected flag) or 1 instead of aborting, so scripts
+// and ctests see an ordinary failure rather than a crash.
+[[noreturn]] void exit_on_escaped_error() {
   if (const std::exception_ptr error = std::current_exception()) {
     try {
       std::rethrow_exception(error);
@@ -26,6 +28,10 @@ namespace {
       std::cout.flush();
       std::cerr << "error: " << rejected.what() << "\n";
       std::_Exit(2);
+    } catch (const std::exception& failed) {
+      std::cout.flush();
+      std::cerr << "error: " << failed.what() << "\n";
+      std::_Exit(1);
     } catch (...) {
     }
   }
@@ -33,7 +39,7 @@ namespace {
 }
 
 [[maybe_unused]] const std::terminate_handler kDefaultTerminate =
-    std::set_terminate(exit_on_rejected_flag);
+    std::set_terminate(exit_on_escaped_error);
 
 }  // namespace
 

@@ -3,11 +3,13 @@
 
 Reads a google-benchmark JSON run (micro_ops --json) of the
 store_event_k1 and store_repair_k3 families and checks, for every
-scheme, the three exact counters one iteration leaves behind
-(keys_moved_total, keys_rereplicated, repair_shards_visited) against
-the checked-in baseline (bench/micro_ops_counts.json): a count must not
-rise above it - a looser dirty report or a wider repair plan shows up
-here as more keys or shards touched. A count below the baseline passes
+scheme, the four exact counters one iteration leaves behind
+(keys_moved_total, keys_rereplicated, repair_shards_visited,
+replica_walks) against the checked-in baseline
+(bench/micro_ops_counts.json): a count must not rise above it - a
+looser dirty report or a wider repair plan shows up here as more keys
+or shards touched, and a repair pass that walks more often per
+placement segment as more replica walks. A count below the baseline passes
 with a notice to update the file.
 
 A cell or counter missing from the run or the baseline fails the gate.
@@ -23,7 +25,8 @@ import sys
 from check_bench_regression import cell_rows
 
 FAMILIES = ("store_event_k1", "store_repair_k3")
-COUNTERS = ("keys_moved_total", "keys_rereplicated", "repair_shards_visited")
+COUNTERS = ("keys_moved_total", "keys_rereplicated", "repair_shards_visited",
+            "replica_walks")
 
 
 def main(argv):

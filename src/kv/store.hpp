@@ -172,6 +172,11 @@ struct ReplicationStats {
   /// (the denominator of the visit ratio; a full scan would make
   /// repair_shards_visited equal to this).
   std::uint64_t repair_shards_total = 0;
+
+  /// Replica walks (backend replica_set_into calls) made by repair
+  /// passes. A walk's answer holds through its extent, so a pass walks
+  /// once per placement segment it meets, not once per resident hash.
+  std::uint64_t replica_walks = 0;
 };
 
 /// Both movement-accounting channels, as Store::stats() returns them:
@@ -726,9 +731,18 @@ class Store final : private placement::RelocationObserver {
   /// and repair walk derives placement through. With SpreadPolicy::
   /// kNone the backend delegates to its raw ranked walk verbatim, so
   /// non-spread stores place bit-identically to the pre-topology code.
-  void desired_replicas_into(HashIndex h, std::size_t target,
-                             std::vector<placement::NodeId>& out) const {
-    backend_.replica_set_into(h, spec_.with_k(target), out);
+  /// Returns the walk's extent: the set holds for every hash in
+  /// [h, extent].
+  HashIndex desired_replicas_into(HashIndex h, std::size_t target,
+                                  std::vector<placement::NodeId>& out) const {
+    return backend_.replica_set_into(h, spec_.with_k(target), out);
+  }
+
+  /// desired_replicas_into for a repair pass, counted in replica_walks.
+  HashIndex repair_walk(HashIndex h, std::size_t target,
+                        std::vector<placement::NodeId>& out) {
+    ++replication_stats_.replica_walks;
+    return desired_replicas_into(h, target, out);
   }
 
   /// Served-read count of `node` under the balancing policies (zero
@@ -922,7 +936,7 @@ class Store final : private placement::RelocationObserver {
     if (s.empty()) {
       // Nothing to account; refresh the shard's set once, so future
       // puts in this shard usually match it.
-      desired_replicas_into(index_.shard_first(task.shard), target, scratch);
+      repair_walk(index_.shard_first(task.shard), target, scratch);
       s.adopt(scratch);
       return;
     }
@@ -1008,16 +1022,21 @@ class Store final : private placement::RelocationObserver {
   /// Partial-coverage repair: patches only the entries of `s` (whose
   /// tiling range is `bounds`) inside `range` (exactly the seed's
   /// ranged k = 1 walk), parking changed sets on overrides - no
-  /// structural change.
+  /// structural change. Hashes are ascending, so a walk's set serves
+  /// every hash up to its extent.
   void patch_shard(ShardIndex::Shard& s, placement::HashRange bounds,
                    placement::HashRange range, std::size_t target,
                    bool crash, std::vector<placement::NodeId>& scratch,
                    RepairAcc& acc) {
-    for (std::size_t pos = s.lower_bound(range.first, bounds), end = 0;
+    const std::size_t begin = s.lower_bound(range.first, bounds);
+    HashIndex holds = 0;
+    for (std::size_t pos = begin, end = 0;
          pos < s.size() && s.hash(pos) <= range.last; pos = end) {
       end = s.run_end(pos);
+      if (pos == begin || s.hash(pos) > holds) {
+        holds = repair_walk(s.hash(pos), target, scratch);
+      }
       const ShardIndex::ReplicaSet materialized = s.replicas(pos);
-      desired_replicas_into(s.hash(pos), target, scratch);
       if (std::ranges::equal(scratch, materialized)) continue;
       account_repair(end - pos, materialized, scratch, crash, acc);
       s.set_replicas(pos, end, scratch);
@@ -1027,19 +1046,23 @@ class Store final : private placement::RelocationObserver {
   /// Full-coverage repair, computation half: accounts every entry of
   /// `s` and appends its desired-run structure to `runs` (read-only on
   /// the shard; regroup_shard() and split_at_runs() are the mutation
-  /// halves).
+  /// halves). Like patch_shard, it walks again only past the last
+  /// walk's extent; a run can begin only where a walk does.
   void compute_runs(const ShardIndex::Shard& s, std::size_t target,
                     bool crash, std::vector<placement::NodeId>& scratch,
-                    std::vector<DesiredRun>& runs, RepairAcc& acc) const {
+                    std::vector<DesiredRun>& runs, RepairAcc& acc) {
+    HashIndex holds = 0;
     for (std::size_t pos = 0, end = 0; pos < s.size(); pos = end) {
       end = s.run_end(pos);
+      if (pos == 0 || s.hash(pos) > holds) {
+        holds = repair_walk(s.hash(pos), target, scratch);
+        if (runs.empty() || scratch != runs.back().replicas) {
+          runs.push_back({s.hash(pos), 0, scratch});
+        }
+      }
       const ShardIndex::ReplicaSet materialized = s.replicas(pos);
-      desired_replicas_into(s.hash(pos), target, scratch);
       if (!std::ranges::equal(scratch, materialized)) {
         account_repair(end - pos, materialized, scratch, crash, acc);
-      }
-      if (runs.empty() || scratch != runs.back().replicas) {
-        runs.push_back({s.hash(pos), 0, scratch});
       }
       runs.back().entries += end - pos;
     }

@@ -19,7 +19,16 @@
 //                      optional WalkStop (types.hpp) ends the walk
 //                      early with a prefix of the full answer; it
 //                      defaults to none, so three-argument calls walk
-//                      to min(k, node_count());
+//                      to min(k, node_count()). The call returns the
+//                      walk's extent: the last index through which
+//                      the answer holds (every index in [index,
+//                      extent] gets the same set, in the same order),
+//                      so a caller visiting ascending hashes walks
+//                      again only past it. The successor walks return
+//                      the end of the run of segments sharing the
+//                      start segment's owner, HRW its cell's end;
+//                      kMaxIndex when the answer holds to the top of
+//                      R_h;
 //   * repair planning - replica_dirty_ranges(k): the hash ranges
 //                      outside of which replica_set(., k) is
 //                      *guaranteed* unchanged by the backend's most
@@ -123,13 +132,16 @@ concept PlacementBackend =
       // copies of a key hashed at `index`, element 0 == owner_of(index),
       // written into `out` (cleared first) so bulk repair loops reuse one
       // buffer instead of allocating a vector per key. `stop` is called
-      // after each new node and ends the walk when it answers true.
+      // after each new node and ends the walk when it answers true. The
+      // result is the walk's extent: the answer holds for every index in
+      // [index, extent], so a repair pass over ascending hashes walks
+      // once per extent instead of once per key.
       {
         const_backend.replica_set_into(index, replicas, out, stop)
-      } -> std::same_as<void>;
+      } -> std::same_as<HashIndex>;
       {
         const_backend.replica_set_into(index, replicas, out)
-      } -> std::same_as<void>;
+      } -> std::same_as<HashIndex>;
 
       // Repair planning: where the walk for `replicas` copies may have
       // changed in the most recent membership event (see the header

@@ -66,11 +66,11 @@ struct RingPoints {
 
 }  // namespace
 
-void ChBackend::replica_set_into(HashIndex index, std::size_t k,
-                                 std::vector<NodeId>& out,
-                                 WalkStop stop) const {
-  successor_walk_into(RingPoints{ring_.points()}, index, k,
-                      ring_.node_count(), out, stop);
+HashIndex ChBackend::replica_set_into(HashIndex index, std::size_t k,
+                                      std::vector<NodeId>& out,
+                                      WalkStop stop) const {
+  return successor_walk_into(RingPoints{ring_.points()}, index, k,
+                             ring_.node_count(), out, stop);
 }
 
 std::vector<HashRange> ChBackend::replica_dirty_ranges(std::size_t k) const {

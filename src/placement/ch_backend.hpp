@@ -59,9 +59,12 @@ class ChBackend final : public ReplicationSurface<ChBackend> {
   /// points at or after `index`, wrapping, skipping points of nodes
   /// that already hold a lower-ranked copy.
   /// The set is written into `out` (cleared first); `stop` may end
-  /// the walk early (see WalkStop).
-  void replica_set_into(HashIndex index, std::size_t k,
-                        std::vector<NodeId>& out, WalkStop stop = {}) const;
+  /// the walk early (see WalkStop). Returns the last index through
+  /// which the set holds: the end of the run of arcs whose points
+  /// share the owning point's node.
+  HashIndex replica_set_into(HashIndex index, std::size_t k,
+                             std::vector<NodeId>& out,
+                             WalkStop stop = {}) const;
 
   /// A key's replica set changes only when its successor walk crosses
   /// a ring point the last membership event inserted or removed: each

@@ -99,14 +99,14 @@ NodeId DhtBackend<DhtT>::owner_of(HashIndex index) const {
 }
 
 template <typename DhtT>
-void DhtBackend<DhtT>::replica_set_into(HashIndex index, std::size_t k,
-                                        std::vector<NodeId>& out,
-                                        WalkStop stop) const {
+HashIndex DhtBackend<DhtT>::replica_set_into(HashIndex index, std::size_t k,
+                                             std::vector<NodeId>& out,
+                                             WalkStop stop) const {
   // Every live snode owns at least one partition (a vnode always holds
   // Pmin >= 1 partitions), so the walk finds min(k, live) distinct
   // nodes within one full circle.
-  successor_walk_into(Partitions<DhtT>{dht_}, index, k, live_nodes_, out,
-                      stop);
+  return successor_walk_into(Partitions<DhtT>{dht_}, index, k, live_nodes_,
+                             out, stop);
 }
 
 template <typename DhtT>

@@ -77,9 +77,12 @@ class DhtBackend final : public ReplicationSurface<DhtBackend<DhtT>>,
   /// how the paper's model expresses adjacency, so this is the direct
   /// analogue of CH's successor-replication.
   /// The set is written into `out` (cleared first); `stop` may end
-  /// the walk early (see WalkStop).
-  void replica_set_into(HashIndex index, std::size_t k,
-                        std::vector<NodeId>& out, WalkStop stop = {}) const;
+  /// the walk early (see WalkStop). Returns the last index through
+  /// which the set holds: the end of the run of partitions sharing the
+  /// owning partition's snode.
+  HashIndex replica_set_into(HashIndex index, std::size_t k,
+                             std::vector<NodeId>& out,
+                             WalkStop stop = {}) const;
 
   /// A key's replica set changes only when its successor walk crosses
   /// a partition the last membership event transferred, split or

@@ -130,22 +130,23 @@ bool HrwBackend::remove_node(NodeId node) {
   return true;
 }
 
-void HrwBackend::replica_set_into(HashIndex index, std::size_t k,
-                                  std::vector<NodeId>& out,
-                                  WalkStop stop) const {
+HashIndex HrwBackend::replica_set_into(HashIndex index, std::size_t k,
+                                       std::vector<NodeId>& out,
+                                       WalkStop stop) const {
   COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");
   const std::size_t want = k < live_nodes_ ? k : live_nodes_;
   out.clear();
-  if (want == 0) return;
+  if (want == 0) return HashSpace::kMaxIndex;
   out.reserve(want);
   const std::size_t cell = grid_.cell_of(index);
+  const HashIndex extent = grid_.cell_last(cell);
   // The stored winner decides rank 0 even in the (measure-zero) event
   // of a score tie, keeping replica_set exactly consistent with
   // owner_of; the other live nodes follow in (score desc, id asc)
   // order, so the k-prefix invariant of the concept holds.
   const NodeId owner = grid_.owner(cell);
   out.push_back(owner);
-  if (stop(owner) || want == 1) return;
+  if (stop(owner) || want == 1) return extent;
   // Thread-local, not a member: the call is const, and each thread
   // that calls it keeps its own allocation-free ranking buffer.
   static thread_local std::vector<std::pair<double, NodeId>> ranked;
@@ -168,8 +169,43 @@ void HrwBackend::replica_set_into(HashIndex index, std::size_t k,
     std::pop_heap(ranked.begin(), heap_end, ranks_below);
     --heap_end;
     out.push_back(heap_end->second);
-    if (stop(heap_end->second)) return;
+    if (stop(heap_end->second)) break;
   }
+  return extent;
+}
+
+HashIndex HrwBackend::replica_set_into(HashIndex index,
+                                       const ReplicationSpec& spec,
+                                       std::vector<NodeId>& out) const {
+  const SpreadPolicy policy =
+      topology() == nullptr ? SpreadPolicy::kNone : spec.spread;
+  const SpreadCells& t = spread_;
+  if (!t.armed || t.k != spec.k || t.policy != policy ||
+      t.filled != std::min(spec.k, live_nodes_)) {
+    return ReplicationSurface::replica_set_into(index, spec, out);
+  }
+  // The set is kept in rank order; its spread order puts each domain's
+  // first member (rank order) ahead of the others (rank order). Every
+  // top-up member's domain leader is in the set, so the set's own
+  // first-of-domain marks are the walk's.
+  const std::size_t cell = grid_.cell_of(index);
+  out.clear();
+  for (std::size_t rank = 0; rank < t.filled; ++rank) {
+    const NodeId node = t.node_at(cell, rank);
+    const bool leads = std::none_of(out.begin(), out.end(), [&](NodeId m) {
+      return t.domain[m] == t.domain[node];
+    });
+    if (leads) out.push_back(node);
+  }
+  const std::size_t leaders = out.size();
+  for (std::size_t rank = 0; rank < t.filled; ++rank) {
+    const NodeId node = t.node_at(cell, rank);
+    if (std::find(out.begin(), out.begin() + leaders, node) ==
+        out.begin() + leaders) {
+      out.push_back(node);
+    }
+  }
+  return grid_.cell_last(cell);
 }
 
 std::vector<HashRange> HrwBackend::replica_dirty_ranges(std::size_t k) const {

@@ -37,7 +37,9 @@
 //   - leave of n: only the cells whose set holds n re-walk.
 // SpreadPolicy::kNone (or no topology) is the same tracker with every
 // node its own domain. Domains are looked up once per event into a
-// per-slot array.
+// per-slot array. While armed, the tracker also answers the spec-keyed
+// walk for its spec: the cell's set, reordered to spread order, in
+// O(k) instead of one score per live node.
 
 #pragma once
 
@@ -87,9 +89,20 @@ class HrwBackend final : public GridScheme<HrwBackend> {
   /// are heap pops, so a walk `stop` ends early never sorts the rest.
   /// The set is written into `out` (cleared first); the score ranking
   /// reuses a thread-local scratch buffer, so concurrent const calls
-  /// are safe.
-  void replica_set_into(HashIndex index, std::size_t k,
-                        std::vector<NodeId>& out, WalkStop stop = {}) const;
+  /// are safe. Returns the last index of the cell holding `index`: the
+  /// ranking is per cell.
+  HashIndex replica_set_into(HashIndex index, std::size_t k,
+                             std::vector<NodeId>& out,
+                             WalkStop stop = {}) const;
+
+  /// The spread replica set of ReplicationSurface, answered from the
+  /// tracker in O(k) when it is armed for exactly `spec` (same k, same
+  /// effective policy, every set filled): the cell's tracked set, put
+  /// in spread order (domain leaders first, then the top-up). Any
+  /// other spec scores every live node through the surface. Returns
+  /// the last index of the cell holding `index`.
+  HashIndex replica_set_into(HashIndex index, const ReplicationSpec& spec,
+                             std::vector<NodeId>& out) const;
 
   /// The raw walk's dirty report: the grid's changed cells at k == 1,
   /// the tracked cells of ReplicationSpec{k, kNone} above.
@@ -150,6 +163,9 @@ class HrwBackend final : public GridScheme<HrwBackend> {
     std::vector<char> first;
 
     NodeId& node_at(std::size_t cell, std::size_t rank) {
+      return nodes[rank * cells + cell];
+    }
+    NodeId node_at(std::size_t cell, std::size_t rank) const {
       return nodes[rank * cells + cell];
     }
     double& score_at(std::size_t cell, std::size_t rank) {

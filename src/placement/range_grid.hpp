@@ -130,10 +130,14 @@ class GridScheme : public ReplicationSurface<Backend> {
   /// exactly consistent with owner_of. The walk only ever sees live
   /// nodes, because every membership event reassigns all cells of a
   /// departed owner. The set is written into `out` (cleared first);
-  /// `stop` may end the walk early (see WalkStop).
-  void replica_set_into(HashIndex index, std::size_t k,
-                        std::vector<NodeId>& out, WalkStop stop = {}) const {
-    successor_walk_into(Cells{grid_}, index, k, live_nodes_, out, stop);
+  /// `stop` may end the walk early (see WalkStop). Returns the last
+  /// index through which the set holds: the end of the run of cells
+  /// sharing the owning cell's owner.
+  HashIndex replica_set_into(HashIndex index, std::size_t k,
+                             std::vector<NodeId>& out,
+                             WalkStop stop = {}) const {
+    return successor_walk_into(Cells{grid_}, index, k, live_nodes_, out,
+                               stop);
   }
 
   /// Replica sets change only where a forward cell walk can reach a

@@ -149,9 +149,9 @@ struct SpreadStop {
 /// The replication surface every adapter inherits (CRTP): the one
 /// implementation of everything derived from a scheme's raw ranked
 /// walk. An adapter `B` defines only
-///   void replica_set_into(HashIndex, std::size_t k,
-///                         std::vector<NodeId>& out,
-///                         WalkStop stop = {}) const;
+///   HashIndex replica_set_into(HashIndex, std::size_t k,
+///                              std::vector<NodeId>& out,
+///                              WalkStop stop = {}) const;
 ///   std::vector<HashRange> replica_dirty_ranges(std::size_t k) const;
 /// (the raw walk and its dirty report, see backend.hpp) and re-exports
 /// this base's overloads of those two names with using-declarations,
@@ -160,8 +160,8 @@ struct SpreadStop {
 /// convenience, the ReplicationSpec-keyed forms (the spread post-filter
 /// above over the raw walk), the topology they consult, and sigma()
 /// over the adapter's quotas(). HRW alone replaces the spec-keyed
-/// dirty report (and set_topology) with its exact-cell tracker; see
-/// hrw_backend.hpp.
+/// walk, the spec-keyed dirty report and set_topology with its
+/// exact-cell tracker; see hrw_backend.hpp.
 template <typename Backend>
 class ReplicationSurface {
  public:
@@ -176,20 +176,19 @@ class ReplicationSurface {
   [[nodiscard]] std::vector<NodeId> replica_set(
       HashIndex index, const ReplicationSpec& spec) const {
     std::vector<NodeId> out;
-    replica_set_into(index, spec, out);
+    self().replica_set_into(index, spec, out);
     return out;
   }
 
   /// The spread replica set: the raw walk, stopped at its k-th
   /// distinct failure domain (the pigeonhole probe depth only caps it),
   /// then put in spread order. SpreadPolicy::kNone, or no topology
-  /// attached, is the raw walk verbatim.
-  void replica_set_into(HashIndex index, const ReplicationSpec& spec,
-                        std::vector<NodeId>& out) const {
-    if (!spreads(spec)) {
-      self().replica_set_into(index, spec.k, out);
-      return;
-    }
+  /// attached, is the raw walk verbatim. Returns the raw walk's extent:
+  /// the spread set is a pure function of the raw walk, so it holds
+  /// wherever the raw walk does.
+  HashIndex replica_set_into(HashIndex index, const ReplicationSpec& spec,
+                             std::vector<NodeId>& out) const {
+    if (!spreads(spec)) return self().replica_set_into(index, spec.k, out);
     // The stop's buffers are per thread, so concurrent callers share
     // nothing. Every backend clamps the walk to its live node
     // count, so the static pigeonhole cap needs no live-count
@@ -199,9 +198,10 @@ class ReplicationSurface {
     domains.clear();
     first.clear();
     detail::SpreadStop stop{*topology_, spec.spread, spec.k, domains, first};
-    self().replica_set_into(index, probe_bound(spec), out,
-                            WalkStop::of(stop));
+    const HashIndex extent = self().replica_set_into(
+        index, probe_bound(spec), out, WalkStop::of(stop));
     stop.order(out);
+    return extent;
   }
 
   /// Conservative dirty cover for the spread walk: the raw dirty ranges

@@ -10,7 +10,8 @@
 // adapter hands this header a small segment-sequence adaptor and gets
 // both halves of the rule:
 //   * successor_walk_into - the forward distinct-owner walk (the raw
-//     replica_set_into of backend.hpp);
+//     replica_set_into of backend.hpp) and its extent, the last index
+//     through which the answer holds;
 //   * successor_dirty_ranges - its repair-planning dual: every changed
 //     span of the last membership event, expanded backward until k
 //     distinct owners separate a segment from it (a forward walk
@@ -52,25 +53,55 @@ namespace cobalt::placement {
 /// is the backend's node_count(): the tiling holds no more distinct
 /// owners, so a deeper k would only scan the whole circle for owners
 /// that are not there.
+///
+/// Returns the walk's extent: the last index through which the answer
+/// holds. A walk starting anywhere in the run of segments that share
+/// the start segment's owner meets the same distinct owners in the same
+/// order (the run adds only that owner), so the extent is the last()
+/// of the run's last segment, and kMaxIndex when the run reaches the
+/// top of R_h (or covers the whole circle, or no node is live). An
+/// unowned segment ends the run. The walk reads the run as it passes
+/// it; only a walk that stops inside the run (k = 1, or a stop on the
+/// owner) steps on to find its end.
 template <typename Segments>
-void successor_walk_into(const Segments& segments, HashIndex index,
-                         std::size_t k, std::size_t live_nodes,
-                         std::vector<NodeId>& out, WalkStop stop) {
+HashIndex successor_walk_into(const Segments& segments, HashIndex index,
+                              std::size_t k, std::size_t live_nodes,
+                              std::vector<NodeId>& out, WalkStop stop) {
   COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");
   out.clear();
   const std::size_t want = std::min(k, live_nodes);
-  if (want == 0) return;
+  if (want == 0) return HashSpace::kMaxIndex;
   out.reserve(want);
   const std::size_t steps = segments.size();
   auto cursor = segments.locate(index);
+  const NodeId head = segments.owner(cursor);
+  HashIndex extent = segments.last(cursor);
+  // A start segment that ends below `index` wraps past the top.
+  if (extent < index) extent = HashSpace::kMaxIndex;
+  bool in_run = head != kInvalidNode && extent != HashSpace::kMaxIndex;
+  bool done = false;
   for (std::size_t step = 1;; ++step) {
     const NodeId owner = segments.owner(cursor);
-    if (owner != kInvalidNode &&
+    if (in_run && step > 1) {
+      const HashIndex last = segments.last(cursor);
+      if (owner != head) {
+        in_run = false;
+      } else if (last < extent) {  // the run wraps past the top
+        extent = HashSpace::kMaxIndex;
+        in_run = false;
+      } else {
+        extent = last;
+        in_run = extent != HashSpace::kMaxIndex;
+      }
+    }
+    if (!done && owner != kInvalidNode &&
         std::find(out.begin(), out.end(), owner) == out.end()) {
       out.push_back(owner);
-      if (stop(owner) || out.size() == want) return;
+      done = stop(owner) || out.size() == want;
     }
-    if (step == steps) return;
+    if (done && !in_run) return extent;
+    // A run still open after one circle is every segment.
+    if (step == steps) return in_run ? HashSpace::kMaxIndex : extent;
     cursor = segments.next(cursor);
   }
 }
