@@ -264,11 +264,11 @@ BENCHMARK(BM_DistributedProtocol)->Arg(128)->Arg(512);
 //                            only 2 racks remain, so no walk stops
 //                            early)
 //
-// store_event_k1 and store_repair_k3 also report the counters one
-// iteration's events leave behind (keys_moved_total,
+// store_event_k1, store_repair_k3 and store_repair_k3_rack also report
+// the counters their timed events leave behind (keys_moved_total,
 // keys_rereplicated, repair_shards_visited, replica_walks); the
-// bench-smoke CI job
-// fails when one rises above bench/micro_ops_counts.json.
+// bench-smoke CI job fails when one rises above
+// bench/micro_ops_counts.json.
 //
 // The membership cells (store_event_k1, store_repair_k3,
 // store_repair_k3_rack) rebuild their loaded store untimed in every
@@ -367,8 +367,9 @@ void BM_StoreMembershipEvents(benchmark::State& state, const Scheme& scheme,
 /// One iteration = a drain of node 5 and a join into its rack, on a
 /// k=3 rack-spread store of 48 nodes in 12 racks of 4 preloaded with
 /// kStoreBenchKeys keys (setup untimed, fresh each iteration). A scheme
-/// that refuses the drain still pays its event and the join. Counter:
-/// replica_walks, the repair walks of the two timed events.
+/// that refuses the drain still pays its event and the join. Counters:
+/// keys_moved_total, keys_rereplicated, repair_shards_visited and
+/// replica_walks of the two timed events.
 template <typename Scheme>
 void BM_StoreRackRepair(benchmark::State& state, const Scheme& scheme) {
   constexpr std::size_t kRacks = 12;
@@ -385,15 +386,26 @@ void BM_StoreRackRepair(benchmark::State& state, const Scheme& scheme) {
       store.put(bench_key(i), "v");
     }
     const auto rack = topo.rack_of(kVictim);
-    const std::uint64_t walks = store.stats().replication.replica_walks;
+    const cobalt::kv::StatsSnapshot before = store.stats();
     state.ResumeTiming();
     (void)store.remove_node(kVictim);
     topo.assign(static_cast<cobalt::placement::NodeId>(
                     store.backend().node_slot_count()),
                 rack);
     store.add_node();
-    state.counters["replica_walks"] = static_cast<double>(
-        store.stats().replication.replica_walks - walks);
+    const cobalt::kv::StatsSnapshot after = store.stats();
+    state.counters["keys_moved_total"] =
+        static_cast<double>(after.relocation.keys_moved_total -
+                            before.relocation.keys_moved_total);
+    state.counters["keys_rereplicated"] =
+        static_cast<double>(after.replication.keys_rereplicated -
+                            before.replication.keys_rereplicated);
+    state.counters["repair_shards_visited"] =
+        static_cast<double>(after.replication.repair_shards_visited -
+                            before.replication.repair_shards_visited);
+    state.counters["replica_walks"] =
+        static_cast<double>(after.replication.replica_walks -
+                            before.replication.replica_walks);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
 }

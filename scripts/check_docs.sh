@@ -12,6 +12,13 @@
 #      (factor + spread policy), so a bare "std::size_t replication"
 #      parameter reintroduces the pre-topology API. Sink payloads that
 #      report an observed (clamped) count carry a "raw-k-ok" marker.
+#   5. Every backticked code identifier in docs/ARCHITECTURE.md must
+#      still name something in the code. A span that is an identifier
+#      (optionally ns::-qualified; "<...>" template arguments dropped,
+#      a "(..." tail cut) contributes each part of 3 or more characters
+#      not starting with "_", and each must occur as a word in src/
+#      bench/ tests/ examples/ scripts/ CMakeLists.txt or .github/.
+#      Catches the architecture doc describing deleted code.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,6 +67,22 @@ done < <(grep -rnE \
            'std::size_t (replication|replicas|replication_factor)\b' \
            src/kv src/sim src/cluster --include='*.hpp' \
            | grep -v 'raw-k-ok' || true)
+
+# --- 5. ARCHITECTURE.md names only code that exists ----------------
+words=$(mktemp)
+trap 'rm -f "$words"' EXIT
+grep -rohE '[A-Za-z_][A-Za-z0-9_]*' \
+    src bench tests examples scripts CMakeLists.txt .github \
+  | sort -u > "$words"
+while IFS= read -r name; do
+  echo "STALE IDENTIFIER: docs/ARCHITECTURE.md names \`$name\`," \
+       "which no source, test, script or CI file mentions"
+  fail=1
+done < <(grep -oE '`[^`]+`' docs/ARCHITECTURE.md | tr -d '`' \
+           | grep -E '^[A-Za-z_][A-Za-z0-9_:]*([(<].*)?$' \
+           | sed -E 's/<[^<>]*>//g; s/[(<].*$//' | tr ':' '\n' \
+           | grep -E '^[A-Za-z][A-Za-z0-9_]{2,}$' | sort -u \
+           | comm -23 - "$words")
 
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"

@@ -2,9 +2,9 @@
 """Blocking repair-count gate over micro_ops' membership cells.
 
 Reads a google-benchmark JSON run (micro_ops --json) of the
-store_event_k1 and store_repair_k3 families and checks, for every
-scheme, the four exact counters one iteration leaves behind
-(keys_moved_total, keys_rereplicated, repair_shards_visited,
+store_event_k1, store_repair_k3 and store_repair_k3_rack families and
+checks, for every scheme, the four exact counters one iteration leaves
+behind (keys_moved_total, keys_rereplicated, repair_shards_visited,
 replica_walks) against the checked-in baseline
 (bench/micro_ops_counts.json): a count must not rise above it - a
 looser dirty report or a wider repair plan shows up here as more keys
@@ -24,7 +24,7 @@ import sys
 
 from check_bench_regression import cell_rows
 
-FAMILIES = ("store_event_k1", "store_repair_k3")
+FAMILIES = ("store_event_k1", "store_repair_k3", "store_repair_k3_rack")
 COUNTERS = ("keys_moved_total", "keys_rereplicated", "repair_shards_visited",
             "replica_walks")
 

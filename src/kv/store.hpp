@@ -68,15 +68,17 @@
 // ReplicationStats::repair_shards_visited counts the shards each pass
 // actually examined (against repair_shards_total as the denominator),
 // so "an event that relocated nothing repairs nothing" is observable.
-// There is one pass, in two phases. The plan becomes a work list of
-// the shards it overlaps, built against the pre-pass tiling. Phase A
-// repairs each listed shard: it patches a partially covered shard,
-// refreshes an empty one, and regroups a fully covered one in place
-// (one arc: adopt its set; narrow arcs: adopt the widest, park the
-// rest on overrides), adding its copies and losses to the plan ranges
-// it covers. The repair batches are then emitted in plan order. Phase
-// B only splits: it cuts, ascending, the shards whose arcs are wide
-// enough to become shards of their own.
+// The pass is one loop over the plan ranges and the shards each one
+// overlaps. One walk covers the positions a range covers in a shard,
+// walking placement again only past the last answer's extent: it
+// accounts every hash whose materialized set differs from the desired
+// one and yields the runs of equal desired sets. A partly covered
+// shard takes its changed runs as overrides; a fully covered one is
+// regrouped in place (one arc: adopt its set; narrow arcs: adopt the
+// widest, park the rest on overrides) or, when its arcs are wide
+// enough to be shards of their own, split right there. An empty shard
+// refreshes its set. The repair batches go out per plan range, in plan
+// order, after the loop.
 //
 // One membership path. The backend changes only inside the store's
 // membership bracket: mutation -> dirty collection -> relocation
@@ -350,7 +352,6 @@ class Store final : private placement::RelocationObserver {
   bool put(const std::string& key, std::string_view value) {
     COBALT_REQUIRE(backend_.node_count() >= 1,
                    "the store needs at least one node before writes");
-    static thread_local std::vector<placement::NodeId> scratch;
     const HashIndex h = hash_key(key);
     const std::size_t i = index_.shard_of(h);
     const ShardIndex::Shard& s = index_.shard(i);
@@ -362,9 +363,9 @@ class Store final : private placement::RelocationObserver {
       // straddles an arc boundary a repair pass has not regrouped yet
       // and the entry takes an override (dissolved by the next repair
       // of the range).
-      desired_replicas_into(h, replica_target(), scratch);
-      index_.insert(i, at, h, key, value, scratch);
-      replication_stats_.replica_writes += scratch.size();
+      desired_replicas_into(h, replica_target(), scratch_);
+      index_.insert(i, at, h, key, value, scratch_);
+      replication_stats_.replica_writes += scratch_.size();
       return true;
     }
     const std::size_t pos = s.find_from(at, h, key);
@@ -378,9 +379,9 @@ class Store final : private placement::RelocationObserver {
     // grow the palette the view points into) and joins the end of its
     // hash's run.
     const ShardIndex::ReplicaSet shared = s.replicas(at);
-    scratch.assign(shared.begin(), shared.end());
-    index_.insert(i, s.run_end(at), h, key, value, scratch);
-    replication_stats_.replica_writes += scratch.size();
+    scratch_.assign(shared.begin(), shared.end());
+    index_.insert(i, s.run_end(at), h, key, value, scratch_);
+    replication_stats_.replica_writes += scratch_.size();
     return true;
   }
 
@@ -463,10 +464,10 @@ class Store final : private placement::RelocationObserver {
   [[nodiscard]] placement::NodeId read_node_of(
       const std::string& key, ReadPolicy policy,
       const NodeLoadProbe& probe) const {
-    static thread_local std::vector<placement::NodeId> live;
+    std::vector<placement::NodeId>& live = scratch_;
     live.clear();
-    with_entry(key, false, [this](const ShardIndex::Shard& s,
-                                  std::size_t pos) {
+    with_entry(key, false, [this, &live](const ShardIndex::Shard& s,
+                                         std::size_t pos) {
       for (const placement::NodeId node : s.replicas(pos)) {
         if (backend_.is_live(node)) live.push_back(node);
       }
@@ -484,11 +485,7 @@ class Store final : private placement::RelocationObserver {
           chosen = live[rank];
         }
       }
-      if (reads_served_.size() <= chosen) reads_served_.resize(chosen + 1, 0);
-      ++reads_served_[chosen];
-      return chosen;
-    }
-    if (policy == ReadPolicy::kRoundRobin) {
+    } else if (policy == ReadPolicy::kRoundRobin) {
       chosen = live[static_cast<std::size_t>(read_rr_cursor_++) %
                     live.size()];
     } else {
@@ -670,7 +667,7 @@ class Store final : private placement::RelocationObserver {
 
   /// Repair accounting of one plan range: the counters its shard walks
   /// accumulate, added into ReplicationStats and emitted as the range's
-  /// repair batch once phase A is done.
+  /// repair batch after the pass.
   struct RepairAcc {
     std::uint64_t copies = 0;
     std::uint64_t lost = 0;
@@ -678,22 +675,16 @@ class Store final : private placement::RelocationObserver {
     std::uint64_t cross_zone = 0;
   };
 
-  /// One run of consecutive entries sharing a desired replica set
-  /// (computed by a repair visit before any structural change).
+  /// One run of consecutive entries of the walked shard sharing a
+  /// desired replica set: entries [begin, end), the set at
+  /// [set_begin, set_end) of run_sets_, and whether the materialized
+  /// set of any of the entries differs from it.
   struct DesiredRun {
-    HashIndex first_hash;  // hash of the run's first entry
-    std::size_t entries;
-    std::vector<placement::NodeId> replicas;
-  };
-
-  /// One shard's repair work: the plan ranges it overlaps,
-  /// [first_range, end_range), and the desired-set runs phase B splits
-  /// the shard at (empty unless the shard splits).
-  struct ShardWork {
-    std::size_t shard;
-    std::size_t first_range;
-    std::size_t end_range;
-    std::vector<DesiredRun> split;
+    std::size_t begin;
+    std::size_t end;
+    std::size_t set_begin;
+    std::size_t set_end;
+    bool differs;
   };
 
   [[nodiscard]] HashIndex hash_key(const std::string& key) const {
@@ -875,100 +866,129 @@ class Store final : private placement::RelocationObserver {
     repair_plan(plan, target, crash);
   }
 
-  /// The repair pass over a coalesced `plan`. The plan becomes one work
-  /// item per shard it overlaps, listed against the pre-pass tiling.
-  /// Phase A repairs each listed shard in place (repair_shard), adding
-  /// its copies and losses to the plan ranges it covers; the ranges'
-  /// sums then go into ReplicationStats and out as repair batches, in
-  /// plan order. Phase B splits the shards phase A left runs for,
-  /// ascending; splits stay inside their own shard, so a running index
-  /// offset is the only cross-shard effect.
+  /// The repair pass over a coalesced `plan`: one loop over the plan
+  /// ranges and the shards each overlaps. Ranges are disjoint and
+  /// ascending, so a shard two ranges overlap is the last shard of one
+  /// and the first of the next: it counts as one visit, an empty one
+  /// refreshes its set once, and each range walks its own span of it -
+  /// no entry repairs twice. A fully covered shard lies inside its
+  /// range alone, so it can split right away: no later range meets its
+  /// pieces, and the loop moves past them. Each range's copies and
+  /// losses go into ReplicationStats and out as its repair batch, in
+  /// plan order, after the loop.
   void repair_plan(const std::vector<placement::HashRange>& plan,
                    std::size_t target, bool crash) {
-    // Ranges are disjoint and ascending, so the shards a range overlaps
-    // come out in plan order, and a shard overlapping several ranges
-    // overlaps consecutive ones. It is listed once and walked in range
-    // order over each range's own span - no entry repairs twice, the
-    // shard counts as one visit, and an empty one refreshes its set
-    // once per pass.
-    std::vector<ShardWork> work;
+    repair_acc_.assign(plan.size(), RepairAcc{});
+    std::size_t visited = ShardIndex::npos;  // the last shard visited
     for (std::size_t r = 0; r < plan.size(); ++r) {
-      for (std::size_t i = index_.shard_of(plan[r].first);
-           i < index_.shard_count() && index_.shard_first(i) <= plan[r].last;
+      const placement::HashRange range = plan[r];
+      for (std::size_t i = index_.shard_of(range.first);
+           i < index_.shard_count() && index_.shard_first(i) <= range.last;
            ++i) {
-        if (work.empty() || work.back().shard != i) {
-          work.push_back({i, r, r, {}});
+        const bool revisit = i == visited;
+        visited = i;
+        ShardIndex::Shard& s = index_.shard(i);
+        if (!revisit) ++replication_stats_.repair_shards_visited;
+        if (s.empty()) {
+          // Nothing to account; refresh the shard's set once, so future
+          // puts in this shard usually match it.
+          if (!revisit) {
+            repair_walk(index_.shard_first(i), target, scratch_);
+            s.adopt(scratch_);
+          }
+          continue;
         }
-        work.back().end_range = r + 1;
+        const placement::HashRange bounds = index_.shard_range(i);
+        walk_runs(s, s.lower_bound(range.first, bounds), range.last, target,
+                  crash, repair_acc_[r]);
+        const bool covered =
+            range.first <= bounds.first && range.last >= bounds.last;
+        if (covered && runs_.size() > 1 &&
+            s.distinct_hashes() >= runs_.size() * ShardIndex::kMinArcBuckets) {
+          // Wide arcs: one uniform shard per run (the per-shard replica
+          // design at work), cut last boundary first so earlier
+          // positions stay valid and each cut's tail is its run.
+          for (std::size_t k = runs_.size(); k-- > 1;) {
+            index_.split_shard(i, s.hash(runs_[k].begin));
+            index_.shard(i + 1).adopt(run_set(runs_[k]));
+          }
+          s.adopt(run_set(runs_.front()));
+          i += runs_.size() - 1;
+          continue;
+        }
+        const DesiredRun* widest = nullptr;
+        if (covered) {
+          // Narrow arcs (cell-grained schemes): the widest run's set
+          // becomes the shard's and the others ride on overrides -
+          // fragmenting the tiling per cell would cost more than it
+          // saves. A run repeating the widest one's set (arcs A,B,A)
+          // interns to the shard's set and stores no override.
+          widest = &*std::ranges::max_element(
+              runs_, {}, [](const DesiredRun& run) {
+                return run.end - run.begin;
+              });
+          s.adopt(run_set(*widest));
+        }
+        // After an adopt every other run needs its set written; a partly
+        // covered shard rewrites only the runs that changed.
+        for (const DesiredRun& run : runs_) {
+          if (covered ? &run != widest : run.differs) {
+            s.set_replicas(run.begin, run.end, run_set(run));
+          }
+        }
       }
     }
-    replication_stats_.repair_shards_visited += work.size();
-    std::vector<RepairAcc> acc(plan.size());
-    for (ShardWork& task : work) repair_shard(task, plan, acc, target, crash);
     for (std::size_t r = 0; r < plan.size(); ++r) {
-      replication_stats_.keys_rereplicated += acc[r].copies;
-      replication_stats_.keys_rereplicated_cross_rack += acc[r].cross_rack;
-      replication_stats_.keys_rereplicated_cross_zone += acc[r].cross_zone;
-      replication_stats_.keys_lost += acc[r].lost;
-      emit_repair_batch(plan[r].first, plan[r].last, acc[r].copies,
-                        acc[r].lost, target);
-    }
-    std::size_t offset = 0;
-    for (const ShardWork& task : work) {
-      if (task.split.empty()) continue;
-      split_at_runs(task.shard + offset, task.split);
-      offset += task.split.size() - 1;
-    }
-  }
-
-  /// One shard's phase-A repair: walks the shard's ranges of the `plan`
-  /// and makes every in-shard change - patches, the refresh of an empty
-  /// shard, the regroup of a fully covered shard that does not split -
-  /// adding the accounting to each range's `acc` and leaving the runs
-  /// of a shard that splits on task.split.
-  void repair_shard(ShardWork& task,
-                    const std::vector<placement::HashRange>& plan,
-                    std::vector<RepairAcc>& acc, std::size_t target,
-                    bool crash) {
-    static thread_local std::vector<placement::NodeId> scratch;
-    static thread_local std::vector<DesiredRun> runs;
-    ShardIndex::Shard& s = index_.shard(task.shard);
-    if (s.empty()) {
-      // Nothing to account; refresh the shard's set once, so future
-      // puts in this shard usually match it.
-      repair_walk(index_.shard_first(task.shard), target, scratch);
-      s.adopt(scratch);
-      return;
-    }
-    const placement::HashRange bounds = index_.shard_range(task.shard);
-    for (std::size_t r = task.first_range; r < task.end_range; ++r) {
-      const placement::HashRange& range = plan[r];
-      if (range.first > bounds.first || range.last < bounds.last) {
-        patch_shard(s, bounds, range, target, crash, scratch, acc[r]);
-        continue;
-      }
-      // Full coverage: a fully covered shard lies inside its range, so
-      // this is always the shard's only range.
-      runs.clear();
-      compute_runs(s, target, crash, scratch, runs, acc[r]);
-      if (runs.size() > 1 &&
-          s.distinct_hashes() >= runs.size() * ShardIndex::kMinArcBuckets) {
-        task.split = std::move(runs);
-      } else {
-        regroup_shard(s, runs);
+      const RepairAcc& acc = repair_acc_[r];
+      replication_stats_.keys_rereplicated += acc.copies;
+      replication_stats_.keys_rereplicated_cross_rack += acc.cross_rack;
+      replication_stats_.keys_rereplicated_cross_zone += acc.cross_zone;
+      replication_stats_.keys_lost += acc.lost;
+      // Ranges that repaired nothing are silent, so a no-op event
+      // produces no protocol round.
+      if (event_sink_ != nullptr && (acc.copies != 0 || acc.lost != 0)) {
+        event_sink_->on_repair_batch(plan[r].first, plan[r].last, acc.copies,
+                                     acc.lost, target);
       }
     }
   }
 
-  /// Reports one repaired plan range to the event sink: the copies and
-  /// losses its shard walk just accumulated. Ranges that repaired
-  /// nothing are silent, so a no-op event produces no protocol round.
-  void emit_repair_batch(HashIndex first, HashIndex last,
-                         std::uint64_t copies, std::uint64_t lost,
-                         std::size_t target) {
-    if (event_sink_ == nullptr) return;
-    if (copies == 0 && lost == 0) return;
-    event_sink_->on_repair_batch(first, last, copies, lost, target);
+  /// The repair walk of one shard's span: the entries of `s` from `pos`
+  /// through hash `last`. Hashes are ascending, so a walk's set serves
+  /// every hash up to its extent, and placement is walked again only
+  /// past it. Accounts every hash whose materialized set differs from
+  /// the desired one into `acc` and leaves the desired-set runs on
+  /// runs_ (a run can begin only where a walk does). Read-only on the
+  /// shard.
+  void walk_runs(const ShardIndex::Shard& s, std::size_t pos, HashIndex last,
+                 std::size_t target, bool crash, RepairAcc& acc) {
+    runs_.clear();
+    run_sets_.clear();
+    HashIndex holds = 0;
+    for (std::size_t end = 0; pos < s.size() && s.hash(pos) <= last;
+         pos = end) {
+      end = s.run_end(pos);
+      if (runs_.empty() || s.hash(pos) > holds) {
+        holds = repair_walk(s.hash(pos), target, scratch_);
+        if (runs_.empty() ||
+            !std::ranges::equal(scratch_, run_set(runs_.back()))) {
+          runs_.push_back({pos, pos, run_sets_.size(),
+                           run_sets_.size() + scratch_.size(), false});
+          run_sets_.insert(run_sets_.end(), scratch_.begin(), scratch_.end());
+        }
+      }
+      const ShardIndex::ReplicaSet materialized = s.replicas(pos);
+      if (!std::ranges::equal(scratch_, materialized)) {
+        account_repair(end - pos, materialized, scratch_, crash, acc);
+        runs_.back().differs = true;
+      }
+      runs_.back().end = end;
+    }
+  }
+
+  /// The desired set of one run of the last walk.
+  [[nodiscard]] ShardIndex::ReplicaSet run_set(const DesiredRun& run) const {
+    return {run_sets_.data() + run.set_begin, run.set_end - run.set_begin};
   }
 
   /// Repair accounting of the `entries` keys at one hash (identical to
@@ -983,31 +1003,23 @@ class Store final : private placement::RelocationObserver {
                       ShardIndex::ReplicaSet materialized,
                       ShardIndex::ReplicaSet desired, bool crash,
                       RepairAcc& acc) const {
-    if (crash) {
-      const bool survived = std::any_of(
-          materialized.begin(), materialized.end(),
-          [&](placement::NodeId node) { return backend_.is_live(node); });
-      if (!survived) {
-        acc.lost += entries;
-      }
-    }
+    const auto live = [this](placement::NodeId node) {
+      return backend_.is_live(node);
+    };
+    if (crash && std::ranges::none_of(materialized, live)) acc.lost += entries;
     const cluster::Topology* const topology = backend_.topology();
     placement::NodeId donor = placement::kInvalidNode;
     if (topology != nullptr) {
-      for (const placement::NodeId node : materialized) {
-        if (backend_.is_live(node)) {
-          donor = node;
-          break;
-        }
-      }
-      if (donor == placement::kInvalidNode && !desired.empty()) {
+      const auto survivor = std::ranges::find_if(materialized, live);
+      if (survivor != materialized.end()) {
+        donor = *survivor;
+      } else if (!desired.empty()) {
         donor = desired.front();
       }
     }
     std::uint64_t joiners = 0;
     for (const placement::NodeId node : desired) {
-      if (std::find(materialized.begin(), materialized.end(), node) !=
-          materialized.end()) {
+      if (std::ranges::find(materialized, node) != materialized.end()) {
         continue;
       }
       ++joiners;
@@ -1017,94 +1029,6 @@ class Store final : private placement::RelocationObserver {
       }
     }
     acc.copies += joiners * entries;
-  }
-
-  /// Partial-coverage repair: patches only the entries of `s` (whose
-  /// tiling range is `bounds`) inside `range` (exactly the seed's
-  /// ranged k = 1 walk), parking changed sets on overrides - no
-  /// structural change. Hashes are ascending, so a walk's set serves
-  /// every hash up to its extent.
-  void patch_shard(ShardIndex::Shard& s, placement::HashRange bounds,
-                   placement::HashRange range, std::size_t target,
-                   bool crash, std::vector<placement::NodeId>& scratch,
-                   RepairAcc& acc) {
-    const std::size_t begin = s.lower_bound(range.first, bounds);
-    HashIndex holds = 0;
-    for (std::size_t pos = begin, end = 0;
-         pos < s.size() && s.hash(pos) <= range.last; pos = end) {
-      end = s.run_end(pos);
-      if (pos == begin || s.hash(pos) > holds) {
-        holds = repair_walk(s.hash(pos), target, scratch);
-      }
-      const ShardIndex::ReplicaSet materialized = s.replicas(pos);
-      if (std::ranges::equal(scratch, materialized)) continue;
-      account_repair(end - pos, materialized, scratch, crash, acc);
-      s.set_replicas(pos, end, scratch);
-    }
-  }
-
-  /// Full-coverage repair, computation half: accounts every entry of
-  /// `s` and appends its desired-run structure to `runs` (read-only on
-  /// the shard; regroup_shard() and split_at_runs() are the mutation
-  /// halves). Like patch_shard, it walks again only past the last
-  /// walk's extent; a run can begin only where a walk does.
-  void compute_runs(const ShardIndex::Shard& s, std::size_t target,
-                    bool crash, std::vector<placement::NodeId>& scratch,
-                    std::vector<DesiredRun>& runs, RepairAcc& acc) {
-    HashIndex holds = 0;
-    for (std::size_t pos = 0, end = 0; pos < s.size(); pos = end) {
-      end = s.run_end(pos);
-      if (pos == 0 || s.hash(pos) > holds) {
-        holds = repair_walk(s.hash(pos), target, scratch);
-        if (runs.empty() || scratch != runs.back().replicas) {
-          runs.push_back({s.hash(pos), 0, scratch});
-        }
-      }
-      const ShardIndex::ReplicaSet materialized = s.replicas(pos);
-      if (!std::ranges::equal(scratch, materialized)) {
-        account_repair(end - pos, materialized, scratch, crash, acc);
-      }
-      runs.back().entries += end - pos;
-    }
-  }
-
-  /// Full-coverage repair, in-shard half (phase A): regroups `s` by
-  /// its desired-set `runs` when they do not split it. One run: the
-  /// shard is one arc; it adopts the set and drops its overrides. Many
-  /// narrow runs (cell-grained schemes): the widest run's set becomes
-  /// the shard's and the others ride on overrides - fragmenting the
-  /// tiling per cell would cost more than it saves (a run repeating
-  /// the widest one's set - arcs A,B,A - interns to the shard's set and
-  /// stores no override). A shard splits instead (split_at_runs) only
-  /// when every piece is worth a shard: kMinArcBuckets distinct hashes
-  /// on average, bounding both the fragmentation and the splice cost.
-  void regroup_shard(ShardIndex::Shard& s,
-                     const std::vector<DesiredRun>& runs) {
-    std::size_t widest = 0;
-    for (std::size_t r = 1; r < runs.size(); ++r) {
-      if (runs[r].entries > runs[widest].entries) widest = r;
-    }
-    s.adopt(runs[widest].replicas);
-    std::size_t pos = 0;
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-      if (r != widest) {
-        s.set_replicas(pos, pos + runs[r].entries, runs[r].replicas);
-      }
-      pos += runs[r].entries;
-    }
-  }
-
-  /// Full-coverage repair, structural half (phase B): splits shard `i`
-  /// at each arc boundary of its desired-set `runs`, one uniform shard
-  /// per run (the per-shard replica design at work).
-  void split_at_runs(std::size_t i, const std::vector<DesiredRun>& runs) {
-    // Last boundary first, so earlier positions stay valid.
-    for (std::size_t r = runs.size(); r-- > 1;) {
-      index_.split_shard(i, runs[r].first_hash);
-    }
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-      index_.shard(i + r).adopt(runs[r].replicas);
-    }
   }
 
   // RelocationObserver: entries are keyed by hash, so relocations are
@@ -1144,6 +1068,16 @@ class Store final : private placement::RelocationObserver {
   /// per-node served-read loads (grown lazily).
   mutable std::uint64_t read_rr_cursor_ = 0;
   mutable std::vector<std::uint64_t> reads_served_;
+  /// Scratch buffers, kept for their capacity; the store is
+  /// single-threaded and no call nests inside another's use. scratch_
+  /// holds a write's fresh set, a repair walk's answer or read_node_of's
+  /// live replicas; the repair pass keeps the last walk's runs on
+  /// runs_, their sets back to back on run_sets_, and one accumulator
+  /// per plan range on repair_acc_.
+  mutable std::vector<placement::NodeId> scratch_;
+  std::vector<DesiredRun> runs_;
+  std::vector<placement::NodeId> run_sets_;
+  std::vector<RepairAcc> repair_acc_;
 };
 
 /// The store over the paper's local approach (the default deployment).

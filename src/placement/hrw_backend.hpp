@@ -114,8 +114,8 @@ class HrwBackend final : public GridScheme<HrwBackend> {
   /// membership event changed (see the header note). A query for a
   /// spec other than the tracked one re-arms the tracker and answers
   /// the full range. Arming writes the tracker, so the query must not
-  /// race membership calls or other dirty queries - the store makes it
-  /// inside its exclusive membership bracket.
+  /// race membership calls or other dirty queries - the store is
+  /// single-threaded and makes it inside its membership bracket.
   [[nodiscard]] std::vector<HashRange> replica_dirty_ranges(
       const ReplicationSpec& spec) const;
 
@@ -196,7 +196,8 @@ class HrwBackend final : public GridScheme<HrwBackend> {
   std::vector<std::uint64_t> node_draw_;  // per-node random score tag
   Xoshiro256 rng_;
   // Written by the const dirty query (arming) as well as by membership
-  // calls; both run under the caller's exclusive hold.
+  // calls; the caller must not run either concurrently with any other
+  // call (the store is single-threaded by contract).
   mutable SpreadCells spread_;
 };
 
