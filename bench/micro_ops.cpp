@@ -263,6 +263,14 @@ BENCHMARK(BM_DistributedProtocol)->Arg(128)->Arg(512);
 //                            cap of 9 exceeds the 8 live nodes and
 //                            only 2 racks remain, so no walk stops
 //                            early)
+//   placement_event/<scheme>
+//                            one drain plus one join into the drained
+//                            node's rack on a bare backend of 48 nodes
+//                            in 12 racks at churn_rack_k3's scale
+//                            (2^14-cell grids), each followed by the
+//                            k=3 rack-spread dirty query the store
+//                            makes (HRW's tracker stays armed): the
+//                            placement mutation layer alone, no store
 //
 // store_event_k1, store_repair_k3 and store_repair_k3_rack also report
 // the counters their timed events leave behind (keys_moved_total,
@@ -276,7 +284,9 @@ BENCHMARK(BM_DistributedProtocol)->Arg(128)->Arg(512);
 // iterations and one cell's runs scatter widely between invocations.
 // They run a fixed kMembershipIterations iterations, repeated
 // kMembershipRepetitions times, and report only the aggregates; read
-// the _median row (names gain /iterations:N/repeats:R).
+// the _median row (names gain /iterations:N/repeats:R). placement_event
+// takes the same shape, so every repetition churns a fresh backend
+// through the same events.
 
 constexpr std::size_t kStoreBenchKeys = 20000;
 
@@ -550,6 +560,47 @@ void BM_PlacementSpreadWalk(benchmark::State& state, const Scheme& scheme) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
+/// One iteration = a drain of the oldest live node of the next rack
+/// (racks come round in order) and a join into that rack, on a backend
+/// of 48 nodes in 12 racks of 4 (setup and the arming dirty query
+/// untimed, once per repetition); each event is followed by its k=3
+/// rack-spread dirty query. A scheme that refuses the drain still pays
+/// its event and the join.
+template <typename Scheme>
+void BM_PlacementEvent(benchmark::State& state, const Scheme& scheme) {
+  using Backend = typename Scheme::BackendType;
+  using cobalt::placement::NodeId;
+  constexpr std::size_t kRacks = 12;
+  constexpr std::size_t kPerRack = 4;
+  cobalt::cluster::Topology topo =
+      cobalt::cluster::Topology::uniform(kRacks, kPerRack);
+  Backend backend(scheme.options_for(51));
+  for (std::size_t n = 0; n < kRacks * kPerRack; ++n) backend.add_node();
+  backend.set_topology(&topo);
+  const ReplicationSpec spec{3, SpreadPolicy::kRack};
+  benchmark::DoNotOptimize(backend.replica_dirty_ranges(spec));
+  std::vector<std::vector<NodeId>> members(kRacks);
+  for (std::size_t r = 0; r < kRacks; ++r) {
+    const auto rack = static_cast<cobalt::cluster::Topology::RackId>(r);
+    members[r] = topo.nodes_in_rack(rack);
+  }
+  std::size_t next_rack = 0;
+  for (auto _ : state) {
+    const std::size_t r = next_rack++ % kRacks;
+    auto& rack_members = members[r];
+    if (backend.remove_node(rack_members.front())) {
+      rack_members.erase(rack_members.begin());
+    }
+    benchmark::DoNotOptimize(backend.replica_dirty_ranges(spec));
+    topo.assign(static_cast<NodeId>(backend.node_slot_count()),
+                static_cast<cobalt::cluster::Topology::RackId>(r));
+    rack_members.push_back(backend.add_node());
+    benchmark::DoNotOptimize(backend.replica_dirty_ranges(spec));
+  }
+  backend.set_topology(nullptr);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
+}
+
 void register_all_store_benches() {
   cobalt::bench::for_each_scheme(kBenchSchemes, [](const auto& scheme) {
     const std::string& name = scheme.name;
@@ -603,6 +654,15 @@ void register_all_store_benches() {
         ->Arg(0)
         ->Arg(1);
   });
+  // churn_rack_k3's scheme scale: 2^14-cell grids, epsilon 0.1.
+  cobalt::bench::for_each_scheme(
+      cobalt::bench::SchemeParams{}, [](const auto& scheme) {
+        benchmark::RegisterBenchmark(("placement_event/" + scheme.name).c_str(),
+                                     [scheme](benchmark::State& state) {
+                                       BM_PlacementEvent(state, scheme);
+                                     })
+            ->Apply(membership_cell);
+      });
 }
 
 }  // namespace

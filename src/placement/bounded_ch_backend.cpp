@@ -1,6 +1,8 @@
 #include "placement/bounded_ch_backend.hpp"
 
 #include <cmath>
+#include <numeric>
+#include <utility>
 
 namespace cobalt::placement {
 
@@ -38,12 +40,9 @@ void BoundedChBackend::rebuild() {
   // node with spare capacity always exists and the overflow walk
   // terminates.
   double total_weight = 0.0;
-  for (NodeId node = 0; node < slots; ++node) {
-    if (is_live(node)) total_weight += node_weight_[node];
-  }
+  for (const NodeId node : live_ids_) total_weight += node_weight_[node];
   node_cap_.assign(slots, 0);
-  for (NodeId node = 0; node < slots; ++node) {
-    if (!is_live(node)) continue;
+  for (const NodeId node : live_ids_) {
     node_cap_[node] = static_cast<std::size_t>(
         std::ceil((1.0 + options_.epsilon) * node_weight_[node] /
                   total_weight * static_cast<double>(cells)));
@@ -52,20 +51,32 @@ void BoundedChBackend::rebuild() {
   // Assign cells in ascending order (a deterministic arrival order):
   // preferred owner first (the successor point, exactly the plain
   // ring's routing), then forward along the ring past full nodes.
-  const auto& points = ring_.points();
+  // Cell starts ascend, so the successor point only moves forward: one
+  // cursor over a flat copy of the ring replaces a search per cell.
+  // Loads only grow, so a full node's point stays skipped: `skip`
+  // links it to the next point (path halving keeps the hops short).
+  const std::vector<std::pair<HashIndex, ch::NodeId>> ring(
+      ring_.points().begin(), ring_.points().end());
+  std::vector<std::size_t> skip(ring.size());
+  std::iota(skip.begin(), skip.end(), std::size_t{0});
   std::vector<std::size_t> load(slots, 0);
   std::vector<NodeId> next(cells, kInvalidNode);
+  std::size_t successor = 0;
   for (std::size_t cell = 0; cell < cells; ++cell) {
-    auto it = points.lower_bound(grid_.cell_first(cell));
+    const HashIndex first = grid_.cell_first(cell);
+    while (successor < ring.size() && ring[successor].first < first) {
+      ++successor;
+    }
+    std::size_t at = successor == ring.size() ? 0 : successor;
     for (;;) {
-      if (it == points.end()) it = points.begin();
-      const NodeId candidate = it->second;
+      while (skip[at] != at) at = skip[at] = skip[skip[at]];
+      const NodeId candidate = ring[at].second;
       if (load[candidate] < node_cap_[candidate]) {
         next[cell] = candidate;
         ++load[candidate];
         break;
       }
-      ++it;
+      skip[at] = at + 1 == ring.size() ? 0 : at + 1;
     }
   }
   assign(std::move(next));

@@ -12,8 +12,11 @@
 // assignment on a RangeGrid (see range_grid.hpp): cells of R_h are
 // assigned in ascending order - a deterministic arrival order, so the
 // placement is a pure function of the membership - and every
-// membership event rebuilds the assignment and diffs it into coalesced
-// relocation ranges. Quotas are exact cell counts, so sigma() directly
+// membership event refills the assignment in one pass and diffs it
+// into coalesced relocation ranges. The pass walks the ring once: the
+// cells' successor points ascend with the cells, and a node that
+// reaches its cap stays full for the rest of the pass, so its points
+// are skipped from then on. Quotas are exact cell counts, so sigma() directly
 // shows the load bound at work: no node's quota can exceed
 // (1 + epsilon) x its fair share (rounded up to whole cells). Replicas
 // come from the GridScheme base's successor walk over the *bounded*
@@ -81,8 +84,8 @@ class BoundedChBackend final : public GridScheme<BoundedChBackend> {
   [[nodiscard]] std::size_t cap_of(NodeId node) const;
 
  private:
-  /// Recomputes the bounded assignment from the ring and the caps and
-  /// diffs it against the previous one through the observer.
+  /// Refills the bounded assignment from the ring and the caps in one
+  /// pass and diffs it against the previous one through the observer.
   void rebuild();
 
   Options options_;

@@ -23,13 +23,43 @@ HrwBackend::HrwBackend(Options options)
       winning_score_(grid_.size(), -std::numeric_limits<double>::infinity()),
       rng_(options.seed) {}
 
-double HrwBackend::score(std::size_t cell, NodeId node) const {
+double HrwBackend::draw(std::size_t cell, NodeId node) const {
   // An independent uniform draw per (cell, node), strictly inside
   // (0, 1) so the logarithm is finite and negative.
   const std::uint64_t h =
       mix64(static_cast<std::uint64_t>(cell) ^ node_draw_[node]);
-  const double u = (static_cast<double>(h >> 11) + 0.5) * 0x1.0p-53;
-  return -node_weight_[node] / std::log(u);
+  return (static_cast<double>(h >> 11) + 0.5) * 0x1.0p-53;
+}
+
+double HrwBackend::score(std::size_t cell, NodeId node) const {
+  return -node_weight_[node] / std::log(draw(cell, node));
+}
+
+std::pair<double, NodeId> HrwBackend::top_live(
+    std::size_t cell, const std::vector<std::uint32_t>& excluded) const {
+  // Ids ascend, so a node ties the best so far only to lose; one that
+  // draws no higher at no higher weight cannot outrank it, and its
+  // logarithm is skipped.
+  std::pair<double, NodeId> best{0.0, kInvalidNode};
+  double best_draw = 0.0;
+  for (const NodeId node : live_ids_) {
+    if (!excluded.empty() &&
+        std::find(excluded.begin(), excluded.end(), spread_.domain[node]) !=
+            excluded.end()) {
+      continue;
+    }
+    const double u = draw(cell, node);
+    if (best.second != kInvalidNode && u <= best_draw &&
+        node_weight_[node] <= node_weight_[best.second]) {
+      continue;
+    }
+    const double s = -node_weight_[node] / std::log(u);
+    if (best.second == kInvalidNode || s > best.first) {
+      best = {s, node};
+      best_draw = u;
+    }
+  }
+  return best;
 }
 
 NodeId HrwBackend::add_node(double capacity) {
@@ -43,19 +73,13 @@ NodeId HrwBackend::add_node(double capacity) {
   // failure domain while the live nodes span fewer than k of them.
   const bool track = begin_spread_event();
   bool opens_domain = true;
-  std::vector<std::uint32_t> live_domains;
+  bool few_domains = false;
   if (track) {
-    for (NodeId node = 0; node < id; ++node) {
-      if (!node_live_[node]) continue;
-      const std::uint32_t domain = spread_.domain[node];
-      if (domain == spread_.domain[id]) opens_domain = false;
-      if (std::find(live_domains.begin(), live_domains.end(), domain) ==
-          live_domains.end()) {
-        live_domains.push_back(domain);
-      }
-    }
+    const auto& domains = live_domains(id);
+    opens_domain = std::find(domains.begin(), domains.end(),
+                             spread_.domain[id]) == domains.end();
+    few_domains = domains.size() < spread_.k;
   }
-  const bool few_domains = live_domains.size() < spread_.k;
 
   // The new node wins exactly the cells where its score beats the
   // stored winner; every other cell is untouched. The same pass lists
@@ -85,7 +109,7 @@ NodeId HrwBackend::add_node(double capacity) {
     const auto [cell, s] = entrants[i];
     if (join_spread(cell, id, s, opens_domain, few_domains)) mark_spread(cell);
   }
-  if (track) spread_.filled = std::min(spread_.k, live_nodes_);
+  if (track) spread_.filled = std::min(spread_.k, node_count());
   assign(std::move(next));
   return id;
 }
@@ -94,39 +118,47 @@ bool HrwBackend::remove_node(NodeId node) {
   retire(node);
   node_weight_[node] = 0.0;
 
-  // Only the cells the departed node won change hands: rerun the
-  // rendezvous among the survivors for exactly those cells.
+  // Only the cells the departed node won change hands, and only the
+  // tracked sets holding it can change.
   std::vector<NodeId> next(grid_.owners());
-  for (std::size_t cell = 0; cell < next.size(); ++cell) {
-    if (next[cell] != node) continue;
-    NodeId winner = kInvalidNode;
-    double best = -std::numeric_limits<double>::infinity();
-    for (NodeId candidate = 0; candidate < node_live_.size(); ++candidate) {
-      if (!node_live_[candidate]) continue;
-      const double s = score(cell, candidate);
-      if (s > best) {
-        best = s;
-        winner = candidate;
-      }
-    }
-    next[cell] = winner;
-    winning_score_[cell] = best;
-  }
-  assign(std::move(next));
-
-  // Only the tracked sets holding the departed node can change.
   if (begin_spread_event()) {
+    // With every set full and the survivors spanning k domains, each
+    // member leads its own domain, so one score scan finds the
+    // departed member's successor.
+    const bool leaders = spread_.filled == spread_.k &&
+                         live_domains(kInvalidNode).size() >= spread_.k;
     for (std::size_t cell = 0; cell < grid_.size(); ++cell) {
       std::size_t rank = 0;
       while (rank < spread_.filled && spread_.node_at(cell, rank) != node) {
         ++rank;
       }
       if (rank == spread_.filled) continue;
-      walk_spread(cell);
-      if (store_spread(cell)) mark_spread(cell);
+      if (leaders) {
+        replace_leader(cell, rank);
+        mark_spread(cell);
+      } else {
+        walk_spread(cell);
+        if (store_spread(cell)) mark_spread(cell);
+      }
+      // The set always holds the cell's top live node, at rank 0.
+      if (next[cell] == node) {
+        next[cell] = spread_.node_at(cell, 0);
+        winning_score_[cell] = spread_.score_at(cell, 0);
+      }
     }
-    spread_.filled = std::min(spread_.k, live_nodes_);
+    spread_.filled = std::min(spread_.k, node_count());
+  } else {
+    // Rerun the rendezvous among the survivors for the departed node's
+    // cells.
+    const std::vector<std::uint32_t> no_domains;
+    for (std::size_t cell = 0; cell < next.size(); ++cell) {
+      if (next[cell] != node) continue;
+      const auto [best, winner] = top_live(cell, no_domains);
+      next[cell] = winner;
+      winning_score_[cell] = best;
+    }
   }
+  assign(std::move(next));
   return true;
 }
 
@@ -134,7 +166,7 @@ HashIndex HrwBackend::replica_set_into(HashIndex index, std::size_t k,
                                        std::vector<NodeId>& out,
                                        WalkStop stop) const {
   COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");
-  const std::size_t want = k < live_nodes_ ? k : live_nodes_;
+  const std::size_t want = std::min(k, node_count());
   out.clear();
   if (want == 0) return HashSpace::kMaxIndex;
   out.reserve(want);
@@ -151,11 +183,9 @@ HashIndex HrwBackend::replica_set_into(HashIndex index, std::size_t k,
   // that calls it keeps its own allocation-free ranking buffer.
   static thread_local std::vector<std::pair<double, NodeId>> ranked;
   ranked.clear();
-  ranked.reserve(live_nodes_);
-  for (NodeId node = 0; node < node_live_.size(); ++node) {
-    if (node_live_[node] && node != owner) {
-      ranked.emplace_back(score(cell, node), node);
-    }
+  ranked.reserve(node_count());
+  for (const NodeId node : live_ids_) {
+    if (node != owner) ranked.emplace_back(score(cell, node), node);
   }
   // A max-heap in rank order, popped lazily: a walk that stops after a
   // few ranks never orders the rest.
@@ -181,7 +211,7 @@ HashIndex HrwBackend::replica_set_into(HashIndex index,
       topology() == nullptr ? SpreadPolicy::kNone : spec.spread;
   const SpreadCells& t = spread_;
   if (!t.armed || t.k != spec.k || t.policy != policy ||
-      t.filled != std::min(spec.k, live_nodes_)) {
+      t.filled != std::min(spec.k, node_count())) {
     return ReplicationSurface::replica_set_into(index, spec, out);
   }
   // The set is kept in rank order; its spread order puts each domain's
@@ -219,7 +249,7 @@ std::vector<HashRange> HrwBackend::replica_dirty_ranges(
   // report is exactly its changed runs (one owner separates each).
   if (spec.k == 1) return GridScheme::replica_dirty_ranges(1);
   std::vector<HashRange> dirty;
-  if (live_nodes_ == 0) return dirty;
+  if (node_count() == 0) return dirty;
   const SpreadPolicy policy =
       topology() == nullptr ? SpreadPolicy::kNone : spec.spread;
   if (!spread_.armed || spread_.k != spec.k || spread_.policy != policy) {
@@ -245,15 +275,14 @@ void HrwBackend::arm_spread(std::size_t k, SpreadPolicy policy) const {
     walk_spread(cell);
     store_spread(cell);
   }
-  spread_.filled = std::min(k, live_nodes_);
+  spread_.filled = std::min(k, node_count());
   spread_.full = true;
   spread_.changed.clear();
 }
 
 void HrwBackend::load_domains() const {
   spread_.domain.resize(node_live_.size());
-  for (NodeId node = 0; node < node_live_.size(); ++node) {
-    if (!node_live_[node]) continue;
+  for (const NodeId node : live_ids_) {
     spread_.domain[node] =
         spread_.policy == SpreadPolicy::kNone
             ? node
@@ -277,13 +306,58 @@ void HrwBackend::mark_spread(std::size_t cell) const {
   }
 }
 
+const std::vector<std::uint32_t>& HrwBackend::live_domains(
+    NodeId skip) const {
+  auto& domains = spread_.domains;
+  domains.clear();
+  for (const NodeId node : live_ids_) {
+    const std::uint32_t domain = spread_.domain[node];
+    if (node != skip &&
+        std::find(domains.begin(), domains.end(), domain) == domains.end()) {
+      domains.push_back(domain);
+    }
+  }
+  return domains;
+}
+
+void HrwBackend::replace_leader(std::size_t cell, std::size_t rank) const {
+  // The other members keep leading their domains; the best live node
+  // outside those domains leads its own and outranks every other
+  // candidate, so it takes the freed place, at its rank.
+  SpreadCells& t = spread_;
+  const std::size_t k = t.k;
+  for (std::size_t i = rank; i + 1 < k; ++i) {
+    t.node_at(cell, i) = t.node_at(cell, i + 1);
+    t.score_at(cell, i) = t.score_at(cell, i + 1);
+  }
+  auto& taken = t.domains;
+  taken.clear();
+  for (std::size_t i = 0; i + 1 < k; ++i) {
+    taken.push_back(t.domain[t.node_at(cell, i)]);
+  }
+  settle(cell, k - 1, top_live(cell, taken));
+}
+
+void HrwBackend::settle(std::size_t cell, std::size_t at,
+                        std::pair<double, NodeId> entry) const {
+  SpreadCells& t = spread_;
+  for (; at > 0 && outranks(entry, {t.score_at(cell, at - 1),
+                                    t.node_at(cell, at - 1)});
+       --at) {
+    t.node_at(cell, at) = t.node_at(cell, at - 1);
+    t.score_at(cell, at) = t.score_at(cell, at - 1);
+  }
+  t.node_at(cell, at) = entry.second;
+  t.score_at(cell, at) = entry.first;
+}
+
 void HrwBackend::walk_spread(std::size_t cell) const {
   // The stopped spread walk of replica_set_into, on the per-event
   // domain array: pop live nodes in rank order until k domains.
   auto& heap = spread_.heap;
   heap.clear();
-  for (NodeId node = 0; node < node_live_.size(); ++node) {
-    if (node_live_[node]) heap.emplace_back(score(cell, node), node);
+  for (const NodeId node : live_ids_) {
+    heap.emplace_back(score(cell, node), node);
   }
   const auto ranks_below = [](const auto& a, const auto& b) {
     return outranks(b, a);
@@ -330,12 +404,7 @@ bool HrwBackend::join_spread(std::size_t cell, NodeId node, double s,
       at = i;
       break;
     }
-    for (; at > 0 && outranks(joiner, member(at - 1)); --at) {
-      t.node_at(cell, at) = t.node_at(cell, at - 1);
-      t.score_at(cell, at) = t.score_at(cell, at - 1);
-    }
-    t.node_at(cell, at) = node;
-    t.score_at(cell, at) = s;
+    settle(cell, at, joiner);
     return true;
   }
   // Fewer than k live domains (or members): the spread set of the old

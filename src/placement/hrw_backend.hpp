@@ -14,10 +14,14 @@
 // the same sampled-range table, and membership events are diffed into
 // coalesced on_relocate ranges. HRW is the one grid scheme that is not
 // walk-replicated: it replaces the base's successor walk and dirty
-// report with the score order and the exact-cell tracker below. A join is incremental (the new node's score is compared
-// against each cell's stored winning score, O(cells)); a leave
-// recomputes only the cells the departed node owned (O(cells owned x
-// live nodes), i.e. O(cells) in expectation).
+// report with the score order and the exact-cell tracker below. A
+// join is incremental (the new node's score is compared against each
+// cell's stored winning score, O(cells)); a leave recomputes only the
+// cells the departed node owned, one score scan over the live nodes
+// each (O(cells owned x live nodes), i.e. O(cells) in expectation) -
+// or, while the tracker is armed, takes each such cell's new owner
+// from its updated tracked set, whose rank 0 is the cell's top live
+// node.
 //
 // Dirty ranges at k > 1 are exact cells. Every rank is an independent
 // rendezvous, so no range structure bounds where a deeper rank moved;
@@ -34,7 +38,11 @@
 //     the spread order of the old set plus n, truncated to k - O(k),
 //     and exact, since every node outside the set is either not the
 //     first of its domain or ranks below the fill;
-//   - leave of n: only the cells whose set holds n re-walk.
+//   - leave of n: only the cells whose set holds n change. While every
+//     set is full and the survivors span >= k domains, each member
+//     leads its own domain, so n's successor is the best live node
+//     outside the other members' domains: one score scan, no walk.
+//     Otherwise those cells re-walk.
 // SpreadPolicy::kNone (or no topology) is the same tracker with every
 // node its own domain. Domains are looked up once per event into a
 // per-slot array. While armed, the tracker also answers the spec-keyed
@@ -161,6 +169,9 @@ class HrwBackend final : public GridScheme<HrwBackend> {
     std::vector<std::pair<double, NodeId>> heap;
     std::vector<std::pair<double, NodeId>> walked;
     std::vector<char> first;
+    // Distinct domains of one count or the members' domains of one
+    // leader replacement.
+    std::vector<std::uint32_t> domains;
 
     NodeId& node_at(std::size_t cell, std::size_t rank) {
       return nodes[rank * cells + cell];
@@ -173,6 +184,12 @@ class HrwBackend final : public GridScheme<HrwBackend> {
     }
   };
 
+  /// The uniform draw of (cell, node) that score() weights.
+  [[nodiscard]] double draw(std::size_t cell, NodeId node) const;
+  /// The top-ranked live node of `cell` (with its score) whose domain,
+  /// in the event's domain array, is not in `excluded`.
+  [[nodiscard]] std::pair<double, NodeId> top_live(
+      std::size_t cell, const std::vector<std::uint32_t>& excluded) const;
   /// Walks every cell into the tracker for (k, policy).
   void arm_spread(std::size_t k, SpreadPolicy policy) const;
   /// Refills the per-slot domain array from the topology.
@@ -182,6 +199,17 @@ class HrwBackend final : public GridScheme<HrwBackend> {
   /// Writes the spread set of the ranked `walked` into `cell`'s set;
   /// true when the set changed.
   bool store_spread(std::size_t cell) const;
+  /// The distinct domains of the live nodes other than `skip`, from the
+  /// event's domain array (a scratch buffer, valid until the next
+  /// call).
+  const std::vector<std::uint32_t>& live_domains(NodeId skip) const;
+  /// Removes rank `rank` from `cell`'s full set of domain leaders and
+  /// admits the best live node outside the remaining members' domains.
+  void replace_leader(std::size_t cell, std::size_t rank) const;
+  /// Writes `entry` into `cell`'s set at the free rank `at`, moved up
+  /// past every member it outranks (sets are rank-ordered).
+  void settle(std::size_t cell, std::size_t at,
+              std::pair<double, NodeId> entry) const;
   /// Updates `cell`'s set for the join of `node` scoring `s`.
   bool join_spread(std::size_t cell, NodeId node, double s,
                    bool opens_domain, bool few_domains) const;

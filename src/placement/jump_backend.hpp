@@ -13,6 +13,11 @@
 // tail node and the keys of the disappearing last bucket redistribute
 // jump-style - both effects are reported exactly, because ownership is
 // diffed on the RangeGrid (see range_grid.hpp) after every event.
+// An event re-hashes only the cells that move: each cell keeps its
+// next jump candidate (the first one >= the bucket count), so a join
+// re-derives the cells whose candidate is the new bucket and a leave
+// the cells of the vanishing tail bucket, while the hole's cells just
+// follow the remap.
 // Jump hash defines no replica rule; the GridScheme base's forward cell
 // walk over the materialized table ranks the replicas, exactly
 // consistent with owner_of.
@@ -68,13 +73,16 @@ class JumpBackend final : public GridScheme<JumpBackend> {
   [[nodiscard]] std::size_t bucket_of(NodeId node) const;
 
  private:
-  /// Recomputes the full grid ownership from the current bucket layout
-  /// and diffs it against the previous one through the observer.
-  void rebuild();
+  /// Re-hashes `cell` over the current bucket count: stores its next
+  /// jump candidate and returns the owner of its bucket.
+  NodeId derive(std::size_t cell);
 
   Options options_;
   std::vector<NodeId> slots_;          // bucket -> node
   std::vector<std::size_t> node_bucket_;  // node -> bucket, kNoBucket dead
+  // Per cell: the first jump candidate >= the bucket count (clamped to
+  // 32 bits). A cell's bucket is node_bucket_ of its grid owner.
+  std::vector<std::uint32_t> candidate_;
 };
 
 }  // namespace cobalt::placement

@@ -26,6 +26,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -136,7 +137,7 @@ class GridScheme : public ReplicationSurface<Backend> {
   HashIndex replica_set_into(HashIndex index, std::size_t k,
                              std::vector<NodeId>& out,
                              WalkStop stop = {}) const {
-    return successor_walk_into(Cells{grid_}, index, k, live_nodes_, out,
+    return successor_walk_into(Cells{grid_}, index, k, live_ids_.size(), out,
                                stop);
   }
 
@@ -148,7 +149,7 @@ class GridScheme : public ReplicationSurface<Backend> {
     return successor_dirty_ranges(Cells{grid_}, grid_.last_changes(), k);
   }
 
-  [[nodiscard]] std::size_t node_count() const { return live_nodes_; }
+  [[nodiscard]] std::size_t node_count() const { return live_ids_.size(); }
   [[nodiscard]] std::size_t node_slot_count() const {
     return node_live_.size();
   }
@@ -161,10 +162,8 @@ class GridScheme : public ReplicationSurface<Backend> {
     const auto counts = grid_.cell_counts(node_live_.size());
     const double total = static_cast<double>(grid_.size());
     std::vector<double> quotas;
-    for (NodeId node = 0; node < node_live_.size(); ++node) {
-      if (node_live_[node]) {
-        quotas.push_back(static_cast<double>(counts[node]) / total);
-      }
+    for (const NodeId node : live_ids_) {
+      quotas.push_back(static_cast<double>(counts[node]) / total);
     }
     return quotas;
   }
@@ -179,17 +178,18 @@ class GridScheme : public ReplicationSurface<Backend> {
 
   /// Registers a joining node under the next dense id.
   NodeId enroll() {
+    const auto id = static_cast<NodeId>(node_live_.size());
     node_live_.push_back(true);
-    ++live_nodes_;
-    return static_cast<NodeId>(node_live_.size() - 1);
+    live_ids_.push_back(id);
+    return id;
   }
 
   /// Deregisters a leaving node; requires another live node.
   void retire(NodeId node) {
     COBALT_REQUIRE(is_live(node), "node is not live");
-    COBALT_REQUIRE(live_nodes_ >= 2, "cannot remove the last live node");
+    COBALT_REQUIRE(live_ids_.size() >= 2, "cannot remove the last live node");
     node_live_[node] = false;
-    --live_nodes_;
+    live_ids_.erase(std::lower_bound(live_ids_.begin(), live_ids_.end(), node));
   }
 
   /// Installs a rebuilt owner table, reporting the moved cells to the
@@ -200,7 +200,9 @@ class GridScheme : public ReplicationSurface<Backend> {
 
   RangeGrid grid_;
   std::vector<bool> node_live_;  // per node slot; ids are never reused
-  std::size_t live_nodes_ = 0;
+  // The live ids, ascending: a loop over live nodes visits them in id
+  // order (every tie-break is by id) without scanning departed slots.
+  std::vector<NodeId> live_ids_;
 
  private:
   /// The cells as a successor-walk segment sequence; a change is one
