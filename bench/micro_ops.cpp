@@ -275,8 +275,10 @@ BENCHMARK(BM_DistributedProtocol)->Arg(128)->Arg(512);
 // store_event_k1, store_repair_k3 and store_repair_k3_rack also report
 // the counters their timed events leave behind (keys_moved_total,
 // keys_rereplicated, repair_shards_visited, replica_walks); the
-// bench-smoke CI job fails when one rises above
-// bench/micro_ops_counts.json.
+// bench-smoke CI job fails when a moved or re-replicated count differs
+// from bench/micro_ops_counts.json or a visit or walk count rises
+// above it. store_repair_k3_rack also reports its shard_count and
+// override_entries, ungated.
 //
 // The membership cells (store_event_k1, store_repair_k3,
 // store_repair_k3_rack) rebuild their loaded store untimed in every
@@ -379,7 +381,9 @@ void BM_StoreMembershipEvents(benchmark::State& state, const Scheme& scheme,
 /// kStoreBenchKeys keys (setup untimed, fresh each iteration). A scheme
 /// that refuses the drain still pays its event and the join. Counters:
 /// keys_moved_total, keys_rereplicated, repair_shards_visited and
-/// replica_walks of the two timed events.
+/// replica_walks of the two timed events, and the tiling they leave
+/// (shard_count, and override_entries: entries whose set is not their
+/// shard's; reported, not gated).
 template <typename Scheme>
 void BM_StoreRackRepair(benchmark::State& state, const Scheme& scheme) {
   constexpr std::size_t kRacks = 12;
@@ -416,6 +420,13 @@ void BM_StoreRackRepair(benchmark::State& state, const Scheme& scheme) {
     state.counters["replica_walks"] =
         static_cast<double>(after.replication.replica_walks -
                             before.replication.replica_walks);
+    std::uint64_t overrides = 0;
+    for (const auto& shard : store.shard_index().shards()) {
+      overrides += shard.override_count();
+    }
+    state.counters["shard_count"] =
+        static_cast<double>(store.shard_index().shard_count());
+    state.counters["override_entries"] = static_cast<double>(overrides);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
 }

@@ -4,13 +4,16 @@
 Reads a google-benchmark JSON run (micro_ops --json) of the
 store_event_k1, store_repair_k3 and store_repair_k3_rack families and
 checks, for every scheme, the four exact counters one iteration leaves
-behind (keys_moved_total, keys_rereplicated, repair_shards_visited,
-replica_walks) against the checked-in baseline
-(bench/micro_ops_counts.json): a count must not rise above it - a
-looser dirty report or a wider repair plan shows up here as more keys
-or shards touched, and a repair pass that walks more often per
-placement segment as more replica walks. A count below the baseline passes
-with a notice to update the file.
+behind against the checked-in baseline (bench/micro_ops_counts.json):
+  * keys_moved_total and keys_rereplicated measure what moved, not
+    what finding it cost, so they must match the baseline exactly: a
+    change either way means placement or the repair pass moved
+    different keys;
+  * repair_shards_visited and replica_walks measure the cost, so they
+    must not rise above it - a looser dirty report or a wider repair
+    plan shows up as more shards touched, and a repair pass that walks
+    more often per placement segment as more replica walks. A cost
+    below the baseline passes with a notice to update the file.
 
 A cell or counter missing from the run or the baseline fails the gate.
 
@@ -25,8 +28,8 @@ import sys
 from check_bench_regression import cell_rows
 
 FAMILIES = ("store_event_k1", "store_repair_k3", "store_repair_k3_rack")
-COUNTERS = ("keys_moved_total", "keys_rereplicated", "repair_shards_visited",
-            "replica_walks")
+EXACT = ("keys_moved_total", "keys_rereplicated")
+COSTS = ("repair_shards_visited", "replica_walks")
 
 
 def main(argv):
@@ -56,11 +59,14 @@ def main(argv):
             cell = f"{family}/{scheme}"
             fresh = cells.get(cell, {})
             recorded = baseline.get(cell, {})
-            for c in COUNTERS:
+            for c in EXACT + COSTS:
                 if c not in fresh:
                     bad.append(f"{cell} {c}: missing from the run")
                 elif c not in recorded:
                     bad.append(f"{cell} {c}: missing from {baseline_path}")
+                elif c in EXACT and fresh[c] != recorded[c]:
+                    bad.append(f"{cell} {c}: {fresh[c]:.0f} differs from "
+                               f"the recorded {recorded[c]}")
                 elif fresh[c] > recorded[c]:
                     bad.append(f"{cell} {c}: {fresh[c]:.0f} rose above "
                                f"the recorded {recorded[c]}")

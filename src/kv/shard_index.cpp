@@ -160,11 +160,13 @@ void ShardIndex::Shard::adopt(ReplicaSet replicas) {
     palette_.resize(set_ends_.front());  // drop the other sets
     set_ends_.resize(1);
     set_tags_.resize(1);
+    packed_sets_ = 1;
     return;
   }
   palette_.assign(replicas.begin(), replicas.end());
   set_ends_.assign(1, static_cast<std::uint32_t>(palette_.size()));
   set_tags_.assign(1, set_tag(replicas));
+  packed_sets_ = 1;
 }
 
 std::uint8_t ShardIndex::Shard::intern(ReplicaSet replicas) {
@@ -181,11 +183,15 @@ std::uint8_t ShardIndex::Shard::intern(ReplicaSet replicas) {
       return last_set_;
     }
   }
-  // At most distinct_hashes() + 1 sets are referenced (set 0 stays),
-  // so a palette twice that size is mostly garbage: drop it, which
-  // keeps the scan above short at an amortized O(1) per new set.
+  // Repairs replace sets, so the palette collects sets no entry
+  // references. Drop them once it holds twice the sets the last repack
+  // kept, plus slack: the next repack then comes at least as many new
+  // sets later as this one keeps, and never fewer than the slack,
+  // which keeps the scan above short and amortizes a repack's O(size)
+  // over those new sets.
+  constexpr std::size_t kSlack = 8;
   if (palette_size() == kMaxSets ||
-      palette_size() > 2 * distinct_hashes() + 1) {
+      palette_size() >= 2 * std::size_t{packed_sets_} + kSlack) {
     repack(0);
     COBALT_INVARIANT(palette_size() < kMaxSets,
                      "a shard references more replica sets than its "
@@ -221,6 +227,7 @@ void ShardIndex::Shard::repack(std::size_t anchor) {
   palette_ = std::move(palette);
   set_ends_ = std::move(ends);
   set_tags_ = std::move(tags);
+  packed_sets_ = static_cast<std::uint16_t>(set_ends_.size());
   override_count_ = static_cast<std::uint32_t>(sets_.size() - uses[anchor]);
 }
 

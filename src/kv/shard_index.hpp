@@ -100,8 +100,8 @@ class ShardIndex {
   /// Replica sets one shard's palette can hold (the per-entry index is
   /// one byte). A shard holds at most kSplitBuckets + 1 distinct
   /// hashes and the entries at one hash share a set, so its referenced
-  /// sets always fit; unreferenced ones are dropped once they could
-  /// outnumber the referenced ones (see Shard::intern).
+  /// sets always fit; unreferenced ones are dropped once the palette
+  /// doubles the sets its last repack kept (see Shard::intern).
   static constexpr std::size_t kMaxSets = 256;
 
   /// Largest arena a shard can address through its uint32_t offsets.
@@ -239,6 +239,8 @@ class ShardIndex {
     std::uint32_t garbage_ = 0;
     std::uint32_t override_count_ = 0;
     std::uint32_t collisions_ = 0;
+    /// Palette size after the last repack or adopt (see intern()).
+    std::uint16_t packed_sets_ = 0;
     /// The palette index intern() returned last (a search hint).
     std::uint8_t last_set_ = 0;
   };

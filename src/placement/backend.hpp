@@ -89,7 +89,19 @@
 //     no-op events cost no repair;
 //   * the result describes only the most recent event; callers
 //     accumulate across events themselves (kv::Store queries after
-//     every membership call).
+//     every membership call);
+//   * the successor schemes' report expands each changed span backward
+//     until the owners met hold k distinct keys, and takes the key as
+//     a defaulted second argument, replica_dirty_ranges(k, DomainKey):
+//     the owner itself by default (the raw walk completes at k
+//     owners), the owner's rack or zone for the spec-keyed report of
+//     the shared surface (a spread walk completes at k domains). A
+//     walk that completes before it reaches a changed span meets the
+//     same owners, and so the same domains, on both sides of the
+//     event; with fewer than k live keys no expansion completes and
+//     the report is the full range (replication_spec.hpp has the
+//     proof). HRW answers the spec-keyed report from its exact-cell
+//     tracker instead.
 //
 // remove_node returns false when the scheme cannot express the removal
 // (the local approach's missing cross-group merge, see DESIGN notes in

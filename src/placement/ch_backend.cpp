@@ -73,8 +73,10 @@ HashIndex ChBackend::replica_set_into(HashIndex index, std::size_t k,
                              ring_.node_count(), out, stop);
 }
 
-std::vector<HashRange> ChBackend::replica_dirty_ranges(std::size_t k) const {
-  return successor_dirty_ranges(RingPoints{ring_.points()}, last_event_, k);
+std::vector<HashRange> ChBackend::replica_dirty_ranges(std::size_t k,
+                                                       DomainKey key) const {
+  return successor_dirty_ranges(RingPoints{ring_.points()}, last_event_, k,
+                                key);
 }
 
 void ChBackend::forward(const std::vector<ch::ArcTransfer>& events) {

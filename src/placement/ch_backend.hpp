@@ -67,11 +67,12 @@ class ChBackend final : public ReplicationSurface<ChBackend> {
                              WalkStop stop = {}) const;
 
   /// A key's replica set changes only when its successor walk crosses
-  /// a ring point the last membership event inserted or removed: each
-  /// transferred arc, expanded backward over the ring until k distinct
-  /// nodes separate a point from it.
+  /// a ring point the last membership event inserted or removed before
+  /// it completes: each transferred arc, expanded backward over the
+  /// ring until k distinct keys (nodes, or their failure domains under
+  /// a spread) separate a point from it.
   [[nodiscard]] std::vector<HashRange> replica_dirty_ranges(
-      std::size_t k) const;
+      std::size_t k, DomainKey key = {}) const;
 
   [[nodiscard]] std::size_t node_count() const { return ring_.node_count(); }
   [[nodiscard]] std::size_t node_slot_count() const {

@@ -111,9 +111,9 @@ HashIndex DhtBackend<DhtT>::replica_set_into(HashIndex index, std::size_t k,
 
 template <typename DhtT>
 std::vector<HashRange> DhtBackend<DhtT>::replica_dirty_ranges(
-    std::size_t k) const {
+    std::size_t k, DomainKey key) const {
   return successor_dirty_ranges(Partitions<DhtT>{dht_}, last_event_ranges_,
-                                k);
+                                k, key);
 }
 
 template <typename DhtT>

@@ -86,12 +86,13 @@ class DhtBackend final : public ReplicationSurface<DhtBackend<DhtT>>,
 
   /// A key's replica set changes only when its successor walk crosses
   /// a partition the last membership event transferred, split or
-  /// merged: those partitions' ranges, expanded backward over the
-  /// partition map until k distinct snodes separate a partition from
+  /// merged before it completes: those partitions' ranges, expanded
+  /// backward over the partition map until k distinct keys (snodes, or
+  /// their failure domains under a spread) separate a partition from
   /// the range. An event that touched nothing (a refused drain with no
   /// internal rebalance) reports nothing.
   [[nodiscard]] std::vector<HashRange> replica_dirty_ranges(
-      std::size_t k) const;
+      std::size_t k, DomainKey key = {}) const;
 
   [[nodiscard]] std::size_t node_count() const { return live_nodes_; }
   [[nodiscard]] std::size_t node_slot_count() const {

@@ -142,11 +142,12 @@ class GridScheme : public ReplicationSurface<Backend> {
   }
 
   /// Replica sets change only where a forward cell walk can reach a
-  /// cell the last assign() changed: the changed runs, expanded
-  /// backward by k distinct owners.
+  /// cell the last assign() changed before it completes: the changed
+  /// runs, expanded backward by k distinct keys (owners, or their
+  /// failure domains under a spread; see successor_walk.hpp).
   [[nodiscard]] std::vector<HashRange> replica_dirty_ranges(
-      std::size_t k) const {
-    return successor_dirty_ranges(Cells{grid_}, grid_.last_changes(), k);
+      std::size_t k, DomainKey key = {}) const {
+    return successor_dirty_ranges(Cells{grid_}, grid_.last_changes(), k, key);
   }
 
   [[nodiscard]] std::size_t node_count() const { return live_ids_.size(); }

@@ -34,28 +34,29 @@
 //   - SpreadPolicy::kNone (or no topology attached) delegates to the
 //     raw walk *verbatim* — bit-identical placement, zero overhead.
 //
-// Dirty ranges under a spec are the raw dirty ranges taken at the
-// pigeonhole depth of the *live* nodes, B_live: one more than the k-1
-// largest live domains hold, so any B_live distinct live nodes span k
-// domains and every stopped walk ends within that prefix. The report
-// takes the raw ranges at B_live + 1 (the extra node covers the domain
-// a departure shrank: the pre-event walk may have needed one node
-// more), capped at node_count + 1 and at the placement cap
-// Topology::spread_bound, which counts the departed node too and so
-// also bounds the pre-event walk. The spread set at a point is a pure
-// function of that raw prefix, so any spread-set change implies a
-// raw-walk change inside it - the raw ranges are a conservative cover.
-// Departed nodes still count in the topology (and so in the placement
-// cap) but not in B_live, which keeps the report near the 3-4 nodes a
-// stopped walk actually reaches once churn has grown the racks. HRW
-// replaces this cover with exact cells (see hrw_backend.hpp).
+// Dirty ranges under a spec are the successor schemes' raw report with
+// the owners its backward expansion meets counted by failure domain
+// (DomainKey below): each changed span grows backward until k distinct
+// domains separate a segment from it. That is exact to the walk's own
+// stopping rule. A spread walk stops at its k-th distinct domain, and
+// the spread set is a function of the raw prefix up to there. Take a
+// point p outside the report, and the first changed span C its
+// forward walk would reach. The segments from p up to C carry k
+// distinct domains (C's expansion stopped at or after p), and they
+// are the same segments with the same owners - hence the same domains
+// - before and after the event. So both walks from p collect k
+// domains before they reach C, over the same owners in the same
+// order, and p's spread set is unchanged. The placement cap
+// (Topology::spread_bound) cannot cut either walk shorter: that many
+// distinct nodes always span k domains. With fewer than k live
+// domains no expansion reaches k and the report is the full range.
+// HRW replaces this report with exact cells (see hrw_backend.hpp).
 
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "cluster/topology.hpp"
@@ -146,14 +147,30 @@ struct SpreadStop {
 
 }  // namespace detail
 
+/// What a successor scheme's dirty report counts the owners it meets
+/// by (successor_walk.hpp): the owner's failure domain under a
+/// spreading policy, the owner itself otherwise. A null topology or
+/// SpreadPolicy::kNone is the identity, the raw walk's rule.
+struct DomainKey {
+  const cluster::Topology* topology = nullptr;
+  SpreadPolicy policy = SpreadPolicy::kNone;
+
+  std::uint32_t operator()(NodeId owner) const {
+    if (topology == nullptr || policy == SpreadPolicy::kNone) return owner;
+    return detail::spread_domain_of(*topology, owner, policy);
+  }
+};
+
 /// The replication surface every adapter inherits (CRTP): the one
 /// implementation of everything derived from a scheme's raw ranked
 /// walk. An adapter `B` defines only
 ///   HashIndex replica_set_into(HashIndex, std::size_t k,
 ///                              std::vector<NodeId>& out,
 ///                              WalkStop stop = {}) const;
-///   std::vector<HashRange> replica_dirty_ranges(std::size_t k) const;
-/// (the raw walk and its dirty report, see backend.hpp) and re-exports
+///   std::vector<HashRange> replica_dirty_ranges(std::size_t k,
+///                                              DomainKey key = {}) const;
+/// (the raw walk and its dirty report, see backend.hpp; `key` counts
+/// the owners the report's expansion meets) and re-exports
 /// this base's overloads of those two names with using-declarations,
 /// which its own members would otherwise hide; the grid-backed schemes
 /// get both from GridScheme (range_grid.hpp). The base adds the vector
@@ -204,15 +221,13 @@ class ReplicationSurface {
     return extent;
   }
 
-  /// Conservative dirty cover for the spread walk: the raw dirty ranges
-  /// at the live pigeonhole depth (see the header comment).
+  /// The dirty report of the spread walk: the raw report counting
+  /// failure domains, not owners (see the header comment). kNone, or
+  /// no topology attached, is the raw report verbatim.
   [[nodiscard]] std::vector<HashRange> replica_dirty_ranges(
       const ReplicationSpec& spec) const {
-    if (!spreads(spec)) return self().replica_dirty_ranges(spec.k);
-    const std::size_t depth =
-        std::min(self().node_count(), live_bound(spec)) + 1;
-    return self().replica_dirty_ranges(
-        std::max(spec.k, std::min(depth, probe_bound(spec))));
+    return self().replica_dirty_ranges(spec.k,
+                                       DomainKey{topology_, spec.spread});
   }
 
   /// sigma-bar of the per-node quotas: the relative standard deviation
@@ -249,34 +264,6 @@ class ReplicationSurface {
   [[nodiscard]] bool spreads(const ReplicationSpec& spec) const {
     return spec.spread != SpreadPolicy::kNone && topology_ != nullptr &&
            spec.k > 1;
-  }
-
-  /// The pigeonhole depth of a spreading `spec` over the live nodes:
-  /// the k-1 largest live domains plus one (unassigned nodes are
-  /// singleton domains, as in Topology::spread_bound).
-  [[nodiscard]] std::size_t live_bound(const ReplicationSpec& spec) const {
-    thread_local std::vector<std::uint32_t> domains;
-    thread_local std::vector<std::size_t> sizes;
-    domains.clear();
-    sizes.clear();
-    const Backend& backend = self();
-    for (NodeId node = 0; node < backend.node_slot_count(); ++node) {
-      if (backend.is_live(node)) {
-        domains.push_back(
-            detail::spread_domain_of(*topology_, node, spec.spread));
-      }
-    }
-    std::sort(domains.begin(), domains.end());
-    for (std::size_t i = 0; i < domains.size(); ++i) {
-      if (i == 0 || domains[i] != domains[i - 1]) sizes.push_back(0);
-      ++sizes.back();
-    }
-    const std::size_t taken = std::min(spec.k - 1, sizes.size());
-    std::partial_sort(sizes.begin(), sizes.begin() + taken, sizes.end(),
-                      std::greater<>());
-    std::size_t capacity = (spec.k - 1) - taken;
-    for (std::size_t i = 0; i < taken; ++i) capacity += sizes[i];
-    return capacity + 1;
   }
 
   /// The pigeonhole probe depth of a spreading `spec`.

@@ -14,10 +14,13 @@
 //     through which the answer holds;
 //   * successor_dirty_ranges - its repair-planning dual: every changed
 //     span of the last membership event, expanded backward until k
-//     distinct owners separate a segment from it (a forward walk
-//     starting at or before that segment finds its k owners without
+//     distinct keys of owners separate a segment from it (a forward
+//     walk starting at or before that segment completes without
 //     entering the span, so its set cannot have changed), falling
 //     back to the full range when no such segment is within reach.
+//     The key (DomainKey, replication_spec.hpp) is the owner itself
+//     for the raw walk, which completes at k owners, and its failure
+//     domain for a spread walk, which completes at k domains.
 //
 // A Segments adaptor models (Cursor names one segment, cheap to copy):
 //   Cursor locate(HashIndex index) const;  // the segment holding index
@@ -39,9 +42,11 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
+#include "placement/replication_spec.hpp"
 #include "placement/types.hpp"
 
 namespace cobalt::placement {
@@ -108,35 +113,42 @@ HashIndex successor_walk_into(const Segments& segments, HashIndex index,
 
 /// The dirty report of a successor-walk scheme: each of `changes`
 /// (the spans its last membership event touched), expanded backward
-/// over `segments` until k distinct owners separate a segment from it;
-/// the report starts just after that segment. Returns the full range
-/// when some change finds no such segment within its reach(), and
-/// nothing when the tiling is empty. Ranges are coalesced.
+/// over `segments` until the owners met there hold k distinct `key`s;
+/// the report starts just after the segment that brought the k-th.
+/// Segments outside every change keep their owners across the event,
+/// so a walk from before that segment meets the same owners on both
+/// sides of the event until it completes. A key is looked up once per
+/// distinct owner. Returns the full range when some change meets fewer
+/// than k keys within its reach(), and nothing when the tiling is
+/// empty. Ranges are coalesced.
 template <typename Segments, typename Changes>
 std::vector<HashRange> successor_dirty_ranges(const Segments& segments,
                                               const Changes& changes,
-                                              std::size_t k) {
+                                              std::size_t k, DomainKey key) {
   COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");
   std::vector<HashRange> dirty;
   if (segments.size() == 0) return dirty;
-  std::vector<NodeId> seen;
+  std::vector<NodeId> owners;
+  std::vector<std::uint32_t> keys;
   for (const auto& change : changes) {
     const HashRange span = segments.span(change);
     const std::size_t reach = segments.reach(change);
     auto cursor = segments.locate(span.first);
-    seen.clear();
+    owners.clear();
+    keys.clear();
     bool bounded = false;
-    for (std::size_t step = 0; step < reach; ++step) {
+    for (std::size_t step = 0; step < reach && !bounded; ++step) {
       cursor = segments.prev(cursor);
       const NodeId owner = segments.owner(cursor);
-      if (owner != kInvalidNode &&
-          std::find(seen.begin(), seen.end(), owner) == seen.end()) {
-        seen.push_back(owner);
+      if (owner == kInvalidNode ||
+          std::find(owners.begin(), owners.end(), owner) != owners.end()) {
+        continue;
       }
-      if (seen.size() >= k) {
-        bounded = true;
-        break;
-      }
+      owners.push_back(owner);
+      const std::uint32_t domain = key(owner);
+      if (std::find(keys.begin(), keys.end(), domain) != keys.end()) continue;
+      keys.push_back(domain);
+      bounded = keys.size() == k;
     }
     if (!bounded) return {{0, HashSpace::kMaxIndex}};
     // +1 wraps to 0 past the top of R_h.

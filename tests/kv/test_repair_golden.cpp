@@ -1,4 +1,4 @@
-// Golden digests of the store's repair structure.
+// Golden digests of what the store holds and how it holds it.
 //
 // The lockstep model suite (test_shard_index.cpp) checks that every
 // key's materialized set is right; it does not see *how* the store
@@ -7,20 +7,31 @@
 // and repair batches a pass reports. This test pins all of it: a
 // seeded script of joins, drains, a two-node crash batch and a
 // topology re-attach runs on a loaded store of every scheme at k = 1,
-// k = 3 and k = 3 under rack spread, and after every event the tiling
-// (shard count; each shard's first hash, size, override count and own
-// set; every override entry's set), the ReplicationStats counters and
-// the event's repair batches are folded into one FNV-1a digest per
-// (scheme, configuration).
+// k = 3 and k = 3 under rack spread, and after every event two FNV-1a
+// digests per (scheme, configuration) fold what the event left:
+//   * the *held* half: every key's hash and materialized set, in hash
+//     order, plus the keys_moved_total, keys_rereplicated and
+//     keys_lost counters - what moved and where the copies live;
+//   * the *structure* half: the tiling (shard count; each shard's
+//     first hash, size, override count and own set; every override
+//     entry's set), the remaining ReplicationStats counters (among
+//     them repair_shards_visited and replica_walks) and the event's
+//     repair batches - what the repair cost and how the store lays
+//     the sets out.
 //
 // The script also has to reach the two structural cases of a pass: a
 // shard that two emitted repair batches meet (the last shard of one
 // plan range and the first of the next), and a shard whose arcs are
 // wide enough to split it (the shard count rises across an event).
 //
-// A digest mismatch means placement or the repair pass changed what
-// the store holds. When the change is intended, re-record the table
-// from the failure messages and say why in the change's notes.
+// A held mismatch means placement or the repair pass changed what the
+// store holds or what moved. A structure mismatch with the held half
+// unchanged means the same sets are reached through a different plan
+// or laid out differently: a tighter dirty report, for one, narrows
+// the repair batches and the shards a pass visits and splits. When
+// such a change is intended, re-record the structure half (or both
+// halves, when placement itself changed) from the failure messages
+// and say why in the change's notes.
 
 #include <gtest/gtest.h>
 
@@ -120,15 +131,41 @@ class BatchRecorder final : public StoreEventSink {
   Digest digest;
 };
 
+/// The two digests of one configuration (see the header).
+struct Halves {
+  std::uint64_t held = 0;
+  std::uint64_t structure = 0;
+};
+
 /// What one configuration's script left behind.
 struct Outcome {
-  std::uint64_t digest = 0;
+  Halves digests;
   bool shared_shard = false;  // a pre-event shard met two repair batches
   bool split = false;         // the shard count rose across an event
 };
 
-/// Folds what the store holds into `digest`: the tiling, each shard's
-/// own set and override entries, and the replication counters.
+/// Folds what the store holds into `digest`: every key's hash and
+/// materialized set in hash order, and the moved, re-replicated and
+/// lost counters.
+template <typename StoreT>
+void fold_held(const StoreT& store, Digest& digest) {
+  for (const ShardIndex::Shard& s : store.shard_index().shards()) {
+    for (std::size_t pos = 0; pos < s.size(); ++pos) {
+      digest.add(s.hash(pos));
+      const ShardIndex::ReplicaSet set = s.replicas(pos);
+      digest.add(set.size());
+      for (const NodeId node : set) digest.add(node);
+    }
+  }
+  const StatsSnapshot stats = store.stats();
+  digest.add(stats.relocation.keys_moved_total);
+  digest.add(stats.replication.keys_rereplicated);
+  digest.add(stats.replication.keys_lost);
+}
+
+/// Folds how the store holds it into `digest`: the tiling, each
+/// shard's own set and override entries, and the replication counters
+/// the held half leaves out.
 template <typename StoreT>
 void fold_structure(const StoreT& store, Digest& digest) {
   const ShardIndex& index = store.shard_index();
@@ -152,9 +189,8 @@ void fold_structure(const StoreT& store, Digest& digest) {
   }
   const ReplicationStats stats = store.stats().replication;
   for (const std::uint64_t counter :
-       {stats.replica_writes, stats.keys_rereplicated,
-        stats.keys_rereplicated_cross_rack, stats.keys_rereplicated_cross_zone,
-        stats.keys_lost, stats.rereplication_passes,
+       {stats.replica_writes, stats.keys_rereplicated_cross_rack,
+        stats.keys_rereplicated_cross_zone, stats.rereplication_passes,
         stats.repair_shards_visited, stats.repair_shards_total,
         stats.replica_walks}) {
     digest.add(counter);
@@ -180,7 +216,8 @@ Outcome run_script(ReplicationSpec spec) {
   for (int i = 0; i < 5000; ++i) store.put("key-" + std::to_string(i), "v");
 
   Outcome outcome;
-  Digest digest;
+  Digest held;
+  Digest structure;
   Xoshiro256 rng(2412);
   const auto live_node = [&] {
     std::vector<NodeId> live;
@@ -207,28 +244,29 @@ Outcome run_script(ReplicationSpec spec) {
       if (met >= 2) outcome.shared_shard = true;
     }
     if (index.shard_count() > tiling.size()) outcome.split = true;
-    fold_structure(store, digest);
+    fold_held(store, held);
+    fold_structure(store, structure);
   };
 
   event([] {});  // the loaded store before any event
-  for (int n = 0; n < 4; ++n) event([&] { digest.add(store.add_node()); });
+  for (int n = 0; n < 4; ++n) event([&] { held.add(store.add_node()); });
   for (int n = 0; n < 2; ++n) {
-    event([&] { digest.add(store.remove_node(live_node()) ? 1 : 0); });
+    event([&] { held.add(store.remove_node(live_node()) ? 1 : 0); });
   }
   event([&] {
     const NodeId first = live_node();
     NodeId second = live_node();
     while (second == first) second = live_node();
     const std::array<NodeId, 2> crashed{first, second};
-    digest.add(store.fail_nodes(crashed));
+    held.add(store.fail_nodes(crashed));
   });
   event([&] { store.set_topology(&paired); });
-  for (int n = 0; n < 2; ++n) event([&] { digest.add(store.add_node()); });
-  event([&] { digest.add(store.remove_node(live_node()) ? 1 : 0); });
+  for (int n = 0; n < 2; ++n) event([&] { held.add(store.add_node()); });
+  event([&] { held.add(store.remove_node(live_node()) ? 1 : 0); });
 
   store.set_event_sink(nullptr);
-  digest.add(recorder.digest.value());
-  outcome.digest = digest.value();
+  structure.add(recorder.digest.value());
+  outcome.digests = {held.value(), structure.value()};
   return outcome;
 }
 
@@ -238,35 +276,45 @@ constexpr std::array<ReplicationSpec, 3> kSpecs{{
     {3, SpreadPolicy::kRack},
 }};
 
-/// Digests for kSpecs, recorded before the repair pass became one walk
-/// per shard with inline splits.
-std::array<std::uint64_t, 3> golden(std::string_view scheme) {
+/// Digest halves for kSpecs, {held, structure} per configuration. The
+/// structure halves of the six successor schemes' k=3 rack rows were
+/// re-recorded when the spread dirty report began counting failure
+/// domains instead of owners: the narrower report visits fewer shards
+/// and emits narrower batches, while every held half stayed put.
+std::array<Halves, 3> golden(std::string_view scheme) {
   struct Entry {
     std::string_view scheme;
-    std::array<std::uint64_t, 3> digests;
+    std::array<Halves, 3> digests;
   };
   static constexpr Entry kGolden[] = {
       {"local",
-       {0x736403bb5a116dc1ull, 0x6d2413f94917d25dull,
-        0xbbf57ee9a2bd2afbull}},
+       {{{0x6b04e0c4acf6d15aull, 0x15ac75f79b65ea41ull},
+         {0xae9c3310719f794cull, 0x57f1b3509a375eb5ull},
+         {0x70179ea40b98aef9ull, 0x8639f023c3af5f70ull}}}},
       {"global",
-       {0x381fdbc7261ccd39ull, 0x800ebfba9818c206ull,
-        0x8c930b90988cf229ull}},
+       {{{0xc104670bf1d747eull, 0x56c9268cb27cec36ull},
+         {0xf05b41e3b5c8c7c6ull, 0x76f6feb1ce468887ull},
+         {0xe65a1794c0cad3daull, 0xf6892c897d94323full}}}},
       {"ch",
-       {0x37b88cf7fe7a00eaull, 0x6a26d7eb1a78d684ull,
-        0x9a4e7090b7063853ull}},
+       {{{0xd077696c74ef91abull, 0x46b9738d0d0bcda0ull},
+         {0x59e450170df8c7dcull, 0x40f9bc39d8f902beull},
+         {0xa664728f550e96abull, 0xeaf234e3a6749addull}}}},
       {"hrw",
-       {0xc78d9c9f089fcf78ull, 0xecf9e0d86a55935bull,
-        0xfcb828d0d3fa4536ull}},
+       {{{0xacf2f3238626fb2dull, 0xcad60aebdd3ad178ull},
+         {0x789069fb92cf3d3bull, 0x3fa0e140faacec65ull},
+         {0xb27e057c878cfbd2ull, 0x3b8549a4e26a5ebfull}}}},
       {"jump",
-       {0xc9d46781195e7af5ull, 0xc7deea3fe4d47dc7ull,
-        0x4c9cd3dce6df6f1ull}},
+       {{{0xbea35eef21b63082ull, 0x13e1c7bf410ae346ull},
+         {0x6e2ac296243320e1ull, 0xf226ea635130d26dull},
+         {0xaf89a071db8da82full, 0xf3c9efe7e4655edfull}}}},
       {"maglev",
-       {0x50c59834711e83ull, 0x492e19e515311195ull,
-        0x970d1622a4fbd905ull}},
+       {{{0xcdb6f8f484f99ddeull, 0xd2de81643ff13983ull},
+         {0xf83ee7b460f609bdull, 0x89ae84f036641a88ull},
+         {0x3d7c333e30be7c94ull, 0xa9c83921167a0f6bull}}}},
       {"bounded-ch",
-       {0xa8bbf8cfa9475ddull, 0xc983dbd14ab8e2ccull,
-        0x8dc6fd877336ce63ull}},
+       {{{0xa4e8e9a6dcd6ffa8ull, 0x6259087dcc70aabeull},
+         {0xe341237e211de27ull, 0x87fd95f792f2d49cull},
+         {0xfcf06cca163016acull, 0xdd81ade51a569d34ull}}}},
   };
   for (const Entry& entry : kGolden) {
     if (entry.scheme == scheme) return entry.digests;
@@ -290,10 +338,13 @@ TYPED_TEST(RepairGoldenSuite, StructureMatchesTheRecordedDigests) {
   bool split = false;
   for (std::size_t c = 0; c < kSpecs.size(); ++c) {
     const Outcome outcome = run_script<TypeParam>(kSpecs[c]);
-    EXPECT_EQ(outcome.digest, expected[c])
-        << scheme << " k=" << kSpecs[c].k
-        << (kSpecs[c].spread == SpreadPolicy::kRack ? " rack" : "")
-        << ": digest 0x" << std::hex << outcome.digest;
+    const char* rack = kSpecs[c].spread == SpreadPolicy::kRack ? " rack" : "";
+    EXPECT_EQ(outcome.digests.held, expected[c].held)
+        << scheme << " k=" << kSpecs[c].k << rack << ": held digest 0x"
+        << std::hex << outcome.digests.held;
+    EXPECT_EQ(outcome.digests.structure, expected[c].structure)
+        << scheme << " k=" << kSpecs[c].k << rack << ": structure digest 0x"
+        << std::hex << outcome.digests.structure;
     shared_shard = shared_shard || outcome.shared_shard;
     split = split || outcome.split;
   }

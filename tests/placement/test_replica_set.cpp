@@ -14,13 +14,17 @@
 //   * a WalkStop cuts the walk to a prefix, and the stopped rack and
 //     zone spread sets equal the full-depth definition (walk to
 //     spread_bound, then reorder) on uneven, churned, partly
-//     unassigned and crashed-rack topologies.
+//     unassigned and crashed-rack topologies;
+//   * the successor schemes' spread dirty report, which counts failure
+//     domains, covers every spread set an event changed and stays near
+//     the exact change.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -371,6 +375,13 @@ std::vector<NodeId> live_nodes(const B& backend) {
   return live;
 }
 
+/// Distinct failure domains (nodes, under kNone) among the live nodes.
+template <typename B>
+std::size_t live_domains(const B& backend, const cluster::Topology& topo,
+                         SpreadPolicy policy) {
+  return distinct_domains(live_nodes(backend), DomainKey{&topo, policy});
+}
+
 /// The spec-keyed dirty-range contract over a scripted churn: after
 /// every event (a join, a drain, or a whole-rack crash - one removal
 /// per backend call, with the reports of the calls accumulated), any
@@ -378,11 +389,12 @@ std::vector<NodeId> live_nodes(const B& backend) {
 /// Joins land in a random rack of `topo`, or (when `synthetic`) in a
 /// singleton rack outside it. The report is armed before the script,
 /// so HRW answers with its exact cells from the first event on.
+/// Returns how many events left fewer live domains than spec.k.
 template <typename B>
-void expect_spread_dirty_cover(std::uint64_t seed, std::size_t initial,
-                               cluster::Topology topo,
-                               const ReplicationSpec& spec, bool synthetic,
-                               const char* label) {
+std::size_t expect_spread_dirty_cover(std::uint64_t seed, std::size_t initial,
+                                      cluster::Topology topo,
+                                      const ReplicationSpec& spec,
+                                      bool synthetic, const char* label) {
   auto backend = make_backend<B>(seed);
   for (std::size_t n = 0; n < initial; ++n) backend.add_node();
   backend.set_topology(&topo);
@@ -411,6 +423,7 @@ void expect_spread_dirty_cover(std::uint64_t seed, std::size_t initial,
   };
   (void)query();
 
+  std::size_t short_of_k = 0;
   for (int event = 0; event < 16; ++event) {
     auto before = snapshot();
     std::vector<HashRange> dirty;
@@ -444,7 +457,9 @@ void expect_spread_dirty_cover(std::uint64_t seed, std::size_t initial,
           << label << " event " << event << ": spread replica set of point "
           << points[p] << " changed outside every dirty range";
     }
+    if (live_domains(backend, topo, spec.spread) < spec.k) ++short_of_k;
   }
+  return short_of_k;
 }
 
 TYPED_TEST(ReplicaSetSuite, SpreadDirtyRangesCoverEverySpreadSetChange) {
@@ -502,7 +517,7 @@ TEST(HrwSpreadDirtyCells, JoinsAndLeavesDirtyASmallShare) {
   }
 }
 
-// --- the live-node dirty depth of the walk-ordered schemes ----------
+// --- the domain-counting report of the walk-ordered schemes ----------
 
 template <typename B>
 class WalkDirtySuite : public ::testing::Test {};
@@ -512,10 +527,91 @@ using WalkBackends =
                      JumpBackend, MaglevBackend, BoundedChBackend>;
 TYPED_TEST_SUITE(WalkDirtySuite, WalkBackends);
 
-TYPED_TEST(WalkDirtySuite, LiveDepthReportNestsInTheCapDepthReport) {
-  // The spread report at the live-node depth is the raw report at a
-  // depth no deeper than the placement cap's, so it lies inside the
-  // raw report at that cap (departed nodes keep the cap high here).
+TYPED_TEST(WalkDirtySuite, DomainReportCoversEverySpreadSetChange) {
+  // The soundness of counting domains, not owners: k = 2..4 under rack
+  // and zone spread, joins into real racks and into synthetic
+  // singleton racks, whole-rack crashes. Three racks of two in three
+  // zones start short of k = 4, four racks of three in three zones
+  // have the racks but not the zones for k = 4, and whole-rack crashes
+  // can leave fewer live domains than k: the script must reach that
+  // case, where the report is the full range.
+  std::size_t short_of_k = 0;
+  for (const SpreadPolicy policy : {SpreadPolicy::kRack, SpreadPolicy::kZone}) {
+    for (std::size_t k = 2; k <= 4; ++k) {
+      const ReplicationSpec spec{k, policy};
+      const std::uint64_t seed = 401 + 10 * k;
+      short_of_k += expect_spread_dirty_cover<TypeParam>(
+          seed, 12, cluster::Topology::uniform(4, 3, 3), spec, false,
+          spread_policy_name(policy));
+      short_of_k += expect_spread_dirty_cover<TypeParam>(
+          seed + 1, 6, cluster::Topology::uniform(3, 2, 3), spec, true,
+          "synthetic");
+    }
+  }
+  EXPECT_GT(short_of_k, 0u) << "no event left fewer live domains than k";
+}
+
+TYPED_TEST(WalkDirtySuite, DomainReportStaysNearTheExactChange) {
+  // Tightness on a fixed script: 48 nodes in 12 racks of 4 at k = 3
+  // rack spread, 24 events alternating a drain of a random live node
+  // with a join into its rack. Over the script the report may hold at
+  // most 1.5x the probe points whose spread set really changed (and
+  // must hold all of them); counting owners instead held 2.7-4.1x. The
+  // local approach's report also carries its split waves, which keep
+  // every owner but are recorded as changed spans (dht_backend.cpp):
+  // they lift it from 1.34x to 1.67x here, so it gets 1.75x.
+  auto backend = make_backend<TypeParam>(353);
+  cluster::Topology topo = cluster::Topology::uniform(12, 4);
+  for (int n = 0; n < 48; ++n) backend.add_node();
+  backend.set_topology(&topo);
+  const ReplicationSpec spec{3, SpreadPolicy::kRack};
+  const auto points = probe_points(4096, 359);
+  const auto snapshot = [&] {
+    std::vector<std::vector<NodeId>> sets;
+    for (const HashIndex point : points) {
+      sets.push_back(backend.replica_set(point, spec));
+    }
+    return sets;
+  };
+  Xoshiro256 rng(367);
+  std::size_t changed = 0;
+  std::size_t reported = 0;
+  auto before = snapshot();
+  cluster::Topology::RackId rack = 0;
+  for (int event = 0; event < 24; ++event) {
+    if (event % 2 == 0) {
+      const std::vector<NodeId> live = live_nodes(backend);
+      const NodeId victim = live[rng.next_below(live.size())];
+      rack = topo.rack_of(victim);
+      (void)backend.remove_node(victim);
+    } else {
+      topo.assign(static_cast<NodeId>(backend.node_slot_count()), rack);
+      backend.add_node();
+    }
+    const auto dirty = backend.replica_dirty_ranges(spec);
+    const auto after = snapshot();
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      const bool in_report = covered(dirty, points[p]);
+      if (in_report) ++reported;
+      if (after[p] == before[p]) continue;
+      ++changed;
+      EXPECT_TRUE(in_report) << "event " << event << ": point " << points[p]
+                             << " changed outside the report";
+    }
+    before = after;
+  }
+  ASSERT_GT(changed, 0u);
+  const double bound = std::is_same_v<TypeParam, LocalDhtBackend> ? 1.75 : 1.5;
+  EXPECT_LE(static_cast<double>(reported),
+            bound * static_cast<double>(changed))
+      << "report " << reported << " against " << changed << " changed";
+}
+
+TYPED_TEST(WalkDirtySuite, DomainReportNestsInTheCapDepthReport) {
+  // The domain report stops its expansion at the k-th distinct domain,
+  // which pigeonhole places no deeper than the placement cap's owner
+  // count, so it lies inside the raw report at that cap (departed
+  // nodes keep the cap high here).
   auto backend = make_backend<TypeParam>(337);
   cluster::Topology topo = cluster::Topology::uniform(12, 4);
   for (int n = 0; n < 48; ++n) backend.add_node();
